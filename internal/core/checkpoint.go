@@ -31,9 +31,9 @@ const (
 // Caps on the jammer-state encoding; real states are far smaller, so these
 // only bound what a corrupt stream can make us allocate.
 const (
-	maxJamKindLen  = 64
-	maxJamPayload  = 1 << 16
-	maxJamNesting  = 8
+	maxJamKindLen = 64
+	maxJamPayload = 1 << 16
+	maxJamNesting = 8
 )
 
 // writeJammerState encodes a jammer.State (recursively for wrappers).
@@ -190,39 +190,51 @@ func (a *DQNAgent) SaveTraining(w io.Writer, e *env.Environment, cur TrainingCur
 	return a.dqn.SaveState(w)
 }
 
-// LoadTraining restores a snapshot written by SaveTraining into the agent
-// and environment, both of which must have been built with the same
-// configuration as at save time. It returns the restored loop cursor.
-func (a *DQNAgent) LoadTraining(r io.Reader, e *env.Environment) (TrainingCursor, error) {
+// trainingPrelude is everything a CTTC stream holds before the embedded
+// CTDQ learner state.
+type trainingPrelude struct {
+	cursor TrainingCursor
+	hist   []float64
+	env    env.State
+}
+
+// readTrainingPrelude reads a CTTC stream up to the embedded learner state.
+// It is the one parser of the prelude, shared by LoadTraining and
+// SnapshotFromCheckpoint, so it checks only what needs no agent
+// configuration; in-stream lengths are capped so a corrupt stream cannot
+// force a large allocation.
+func readTrainingPrelude(r io.Reader) (trainingPrelude, error) {
 	read := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
 	var magic, version uint32
 	var slot, totalBits uint64
 	var histLen uint32
 	for _, v := range []any{&magic, &version, &slot, &totalBits, &histLen} {
 		if err := read(v); err != nil {
-			return TrainingCursor{}, fmt.Errorf("%w: header: %v", ErrBadTrainingCheckpoint, err)
+			return trainingPrelude{}, fmt.Errorf("%w: header: %v", ErrBadTrainingCheckpoint, err)
 		}
 	}
 	if magic != trainMagic {
-		return TrainingCursor{}, fmt.Errorf("%w: bad magic %#x", ErrBadTrainingCheckpoint, magic)
+		return trainingPrelude{}, fmt.Errorf("%w: bad magic %#x", ErrBadTrainingCheckpoint, magic)
 	}
 	if version != trainVersion {
-		return TrainingCursor{}, fmt.Errorf("%w: unsupported version %d", ErrBadTrainingCheckpoint, version)
+		return trainingPrelude{}, fmt.Errorf("%w: unsupported version %d", ErrBadTrainingCheckpoint, version)
 	}
 	if slot > 1<<40 {
-		return TrainingCursor{}, fmt.Errorf("%w: implausible slot %d", ErrBadTrainingCheckpoint, slot)
+		return trainingPrelude{}, fmt.Errorf("%w: implausible slot %d", ErrBadTrainingCheckpoint, slot)
 	}
-	if int(histLen) != 3*a.cfg.HistoryLen {
-		return TrainingCursor{}, fmt.Errorf("%w: history has %d values, agent wants %d",
-			ErrBadTrainingCheckpoint, histLen, 3*a.cfg.HistoryLen)
+	if histLen > 1<<20 {
+		return trainingPrelude{}, fmt.Errorf("%w: implausible history length %d", ErrBadTrainingCheckpoint, histLen)
 	}
-	hist := make([]float64, histLen)
-	for i := range hist {
+	p := trainingPrelude{
+		cursor: TrainingCursor{Slot: int(slot), TotalReward: math.Float64frombits(totalBits)},
+		hist:   make([]float64, histLen),
+	}
+	for i := range p.hist {
 		var bits uint64
 		if err := read(&bits); err != nil {
-			return TrainingCursor{}, fmt.Errorf("%w: history: %v", ErrBadTrainingCheckpoint, err)
+			return trainingPrelude{}, fmt.Errorf("%w: history: %v", ErrBadTrainingCheckpoint, err)
 		}
-		hist[i] = math.Float64frombits(bits)
+		p.hist[i] = math.Float64frombits(bits)
 	}
 
 	var envRNG, envSlot uint64
@@ -230,25 +242,40 @@ func (a *DQNAgent) LoadTraining(r io.Reader, e *env.Environment) (TrainingCursor
 	var started uint8
 	for _, v := range []any{&envRNG, &envChannel, &envSlot, &started} {
 		if err := read(v); err != nil {
-			return TrainingCursor{}, fmt.Errorf("%w: environment: %v", ErrBadTrainingCheckpoint, err)
+			return trainingPrelude{}, fmt.Errorf("%w: environment: %v", ErrBadTrainingCheckpoint, err)
 		}
 	}
 	if started > 1 {
-		return TrainingCursor{}, fmt.Errorf("%w: bad started flag %d", ErrBadTrainingCheckpoint, started)
+		return trainingPrelude{}, fmt.Errorf("%w: bad started flag %d", ErrBadTrainingCheckpoint, started)
 	}
 	if envSlot > 1<<40 {
-		return TrainingCursor{}, fmt.Errorf("%w: implausible env slot %d", ErrBadTrainingCheckpoint, envSlot)
+		return trainingPrelude{}, fmt.Errorf("%w: implausible env slot %d", ErrBadTrainingCheckpoint, envSlot)
 	}
 	jamState, err := readJammerState(r, 1)
 	if err != nil {
-		return TrainingCursor{}, err
+		return trainingPrelude{}, err
 	}
-	st := env.State{
+	p.env = env.State{
 		RNG:     envRNG,
 		Channel: int(envChannel),
 		Slot:    int(envSlot),
 		Started: started == 1,
 		Jammer:  jamState,
+	}
+	return p, nil
+}
+
+// LoadTraining restores a snapshot written by SaveTraining into the agent
+// and environment, both of which must have been built with the same
+// configuration as at save time. It returns the restored loop cursor.
+func (a *DQNAgent) LoadTraining(r io.Reader, e *env.Environment) (TrainingCursor, error) {
+	p, err := readTrainingPrelude(r)
+	if err != nil {
+		return TrainingCursor{}, err
+	}
+	if len(p.hist) != 3*a.cfg.HistoryLen {
+		return TrainingCursor{}, fmt.Errorf("%w: history has %d values, agent wants %d",
+			ErrBadTrainingCheckpoint, len(p.hist), 3*a.cfg.HistoryLen)
 	}
 
 	// Restore the learner first: it validates against the agent's config
@@ -257,13 +284,13 @@ func (a *DQNAgent) LoadTraining(r io.Reader, e *env.Environment) (TrainingCursor
 	if err := a.dqn.LoadState(r); err != nil {
 		return TrainingCursor{}, err
 	}
-	if err := e.SetState(st); err != nil {
+	if err := e.SetState(p.env); err != nil {
 		return TrainingCursor{}, fmt.Errorf("%w: %v", ErrBadTrainingCheckpoint, err)
 	}
-	if err := a.hist.SetWindow(hist); err != nil {
+	if err := a.hist.SetWindow(p.hist); err != nil {
 		return TrainingCursor{}, fmt.Errorf("%w: %v", ErrBadTrainingCheckpoint, err)
 	}
-	return TrainingCursor{Slot: int(slot), TotalReward: math.Float64frombits(totalBits)}, nil
+	return p.cursor, nil
 }
 
 func boolByte(b bool) uint8 {

@@ -12,11 +12,11 @@ import (
 // SnapshotFromCheckpoint reads an inference-only network snapshot from any of
 // the repo's three on-disk formats: a bare network (CTJM, Policy.Save), a DQN
 // learner state (CTDQ, rl SaveState) or a full training checkpoint (CTTC,
-// SaveTraining). For CTTC it skips the training prelude (cursor, history
-// window, environment state) and snapshots the online network embedded in the
-// learner state; optimizer moments and the replay buffer are never
-// materialized. This is how ctjam-serve loads whatever artifact a training
-// run left behind.
+// SaveTraining). For CTTC it reads past the training prelude (cursor,
+// history window, environment state) and snapshots the online network
+// embedded in the learner state; optimizer moments and the replay buffer are
+// never materialized. This is how ctjam-serve loads whatever artifact a
+// training run left behind.
 func SnapshotFromCheckpoint(r io.Reader) (*rl.Snapshot, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(4)
@@ -24,87 +24,9 @@ func SnapshotFromCheckpoint(r io.Reader) (*rl.Snapshot, error) {
 		return nil, fmt.Errorf("core: read checkpoint magic: %w", err)
 	}
 	if binary.LittleEndian.Uint32(head) == trainMagic {
-		if err := skipTrainingPrelude(br); err != nil {
+		if _, err := readTrainingPrelude(br); err != nil {
 			return nil, err
 		}
 	}
 	return rl.ReadSnapshot(br)
-}
-
-// skipTrainingPrelude consumes a CTTC stream up to the embedded CTDQ learner
-// state, using the in-stream lengths so it needs no agent configuration.
-func skipTrainingPrelude(r io.Reader) error {
-	read := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
-	var magic, version uint32
-	var slot, totalBits uint64
-	var histLen uint32
-	for _, v := range []any{&magic, &version, &slot, &totalBits, &histLen} {
-		if err := read(v); err != nil {
-			return fmt.Errorf("%w: header: %v", ErrBadTrainingCheckpoint, err)
-		}
-	}
-	if magic != trainMagic {
-		return fmt.Errorf("%w: bad magic %#x", ErrBadTrainingCheckpoint, magic)
-	}
-	if version != trainVersion {
-		return fmt.Errorf("%w: unsupported version %d", ErrBadTrainingCheckpoint, version)
-	}
-	if histLen > 1<<20 {
-		return fmt.Errorf("%w: implausible history length %d", ErrBadTrainingCheckpoint, histLen)
-	}
-	if _, err := io.CopyN(io.Discard, r, int64(histLen)*8); err != nil {
-		return fmt.Errorf("%w: history: %v", ErrBadTrainingCheckpoint, err)
-	}
-	var envRNG, envSlot uint64
-	var envChannel uint32
-	var started uint8
-	for _, v := range []any{&envRNG, &envChannel, &envSlot, &started} {
-		if err := read(v); err != nil {
-			return fmt.Errorf("%w: environment: %v", ErrBadTrainingCheckpoint, err)
-		}
-	}
-	return skipJammerState(r, 1)
-}
-
-// skipJammerState discards a writeJammerState encoding using its in-stream
-// lengths, recursing into wrapper inner states.
-func skipJammerState(r io.Reader, depth int) error {
-	read := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
-	if depth > maxJamNesting {
-		return fmt.Errorf("%w: jammer state nested deeper than %d", ErrBadTrainingCheckpoint, maxJamNesting)
-	}
-	var kindLen uint32
-	if err := read(&kindLen); err != nil {
-		return fmt.Errorf("%w: jammer kind: %v", ErrBadTrainingCheckpoint, err)
-	}
-	if kindLen > maxJamKindLen {
-		return fmt.Errorf("%w: implausible jammer kind length %d", ErrBadTrainingCheckpoint, kindLen)
-	}
-	if _, err := io.CopyN(io.Discard, r, int64(kindLen)); err != nil {
-		return fmt.Errorf("%w: jammer kind: %v", ErrBadTrainingCheckpoint, err)
-	}
-	for _, what := range []string{"ints", "floats"} {
-		var n uint32
-		if err := read(&n); err != nil {
-			return fmt.Errorf("%w: jammer %s: %v", ErrBadTrainingCheckpoint, what, err)
-		}
-		if n > maxJamPayload {
-			return fmt.Errorf("%w: implausible jammer %s count %d", ErrBadTrainingCheckpoint, what, n)
-		}
-		if _, err := io.CopyN(io.Discard, r, int64(n)*8); err != nil {
-			return fmt.Errorf("%w: jammer %s: %v", ErrBadTrainingCheckpoint, what, err)
-		}
-	}
-	var hasInner uint8
-	if err := read(&hasInner); err != nil {
-		return fmt.Errorf("%w: jammer inner flag: %v", ErrBadTrainingCheckpoint, err)
-	}
-	switch hasInner {
-	case 0:
-		return nil
-	case 1:
-		return skipJammerState(r, depth+1)
-	default:
-		return fmt.Errorf("%w: bad jammer inner flag %d", ErrBadTrainingCheckpoint, hasInner)
-	}
 }

@@ -24,28 +24,12 @@ type BatchAgent interface {
 	DecideBatch(prev []SlotInfo, out []Decision) error
 }
 
-// agentBatch adapts K independent per-link Agents to the BatchAgent
-// interface by looping. It exists so lockstep drivers (env.BatchRun,
-// iot.BatchRun, the field engine's cluster scheduler) can mix schemes whose
-// policies have no stacked-inference implementation — each cluster keeps its
-// own mutable agent, and the batch call is just the slot-boundary barrier.
+// agentBatch adapts independent per-link Agents to the BatchAgent interface
+// by looping over them in index order. Run and RunTrace drive a single agent
+// through it, so the serial and lockstep evaluations share batchRun's slot
+// loop and Table I counter updates.
 type agentBatch struct {
 	agents []Agent
-}
-
-// NewAgentBatch wraps independent agents (one per link/cluster) as a
-// BatchAgent. Decisions are computed link-by-link in index order, so results
-// are identical to driving each agent serially.
-func NewAgentBatch(agents []Agent) (BatchAgent, error) {
-	if len(agents) == 0 {
-		return nil, fmt.Errorf("env: agent batch needs at least one agent")
-	}
-	for i, a := range agents {
-		if a == nil {
-			return nil, fmt.Errorf("env: agent batch slot %d is nil", i)
-		}
-	}
-	return &agentBatch{agents: agents}, nil
 }
 
 // Name implements BatchAgent: the wrapped agents share one scheme name in

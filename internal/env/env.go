@@ -395,78 +395,21 @@ type SlotRecord struct {
 
 // Run drives the agent through the environment for the given number of
 // slots, returning Table I counters. The agent receives its own RNG derived
-// from the environment seed so runs are reproducible.
+// from the environment seed so runs are reproducible. It is the one-link
+// case of BatchRun, so serial and lockstep runs share one slot loop.
 func Run(e *Environment, a Agent, slots int) (metrics.Counters, error) {
-	c, _, err := run(e, a, slots, false)
-	return c, err
+	c, _, err := batchRun([]*Environment{e}, &agentBatch{agents: []Agent{a}}, slots, false)
+	if err != nil {
+		return metrics.Counters{}, err
+	}
+	return c[0], nil
 }
 
 // RunTrace is Run plus a per-slot trace.
 func RunTrace(e *Environment, a Agent, slots int) (metrics.Counters, []SlotRecord, error) {
-	return run(e, a, slots, true)
-}
-
-func run(e *Environment, a Agent, slots int, trace bool) (metrics.Counters, []SlotRecord, error) {
-	if slots <= 0 {
-		return metrics.Counters{}, nil, fmt.Errorf("env: slots %d must be positive", slots)
+	c, records, err := batchRun([]*Environment{e}, &agentBatch{agents: []Agent{a}}, slots, true)
+	if err != nil {
+		return metrics.Counters{}, nil, err
 	}
-	agentRNG := rand.New(rand.NewSource(e.cfg.Seed + 0x5eed))
-	a.Reset(agentRNG)
-
-	var (
-		c       metrics.Counters
-		records []SlotRecord
-	)
-	if trace {
-		records = make([]SlotRecord, 0, slots)
-	}
-	prev := SlotInfo{First: true, Channel: e.CurrentChannel()}
-	for s := 0; s < slots; s++ {
-		d := a.Decide(prev)
-		res, err := e.Step(d.Channel, d.Power)
-		if err != nil {
-			return metrics.Counters{}, nil, fmt.Errorf("slot %d (agent %s): %w", s, a.Name(), err)
-		}
-		if trace {
-			records = append(records, SlotRecord{
-				Slot:     s,
-				Channel:  d.Channel,
-				Power:    d.Power,
-				Outcome:  res.Outcome,
-				Hopped:   res.Hopped,
-				Reward:   res.Reward,
-				JamPower: res.JamPower,
-			})
-		}
-		c.Slots++
-		if res.Outcome.Succeeded() {
-			c.Successes++
-		}
-		if res.Outcome != OutcomeSuccess {
-			c.JammedSlots++
-		}
-		if res.Outcome == OutcomeJammed {
-			c.JamLosses++
-		}
-		if res.Hopped {
-			c.Hops++
-		}
-		if res.UsefulHop {
-			c.UsefulHops++
-		}
-		if d.Power > 0 {
-			c.PCSlots++
-		}
-		if res.UsefulPC {
-			c.UsefulPCs++
-		}
-		prev = SlotInfo{
-			Slot:    s + 1,
-			Channel: d.Channel,
-			Power:   d.Power,
-			Outcome: res.Outcome,
-			Hopped:  res.Hopped,
-		}
-	}
-	return c, records, nil
+	return c[0], records[0], nil
 }

@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"ctjam/internal/core"
 	"ctjam/internal/env"
+	"ctjam/internal/iot"
 	"ctjam/internal/metrics"
 	"ctjam/internal/parallel"
 	"ctjam/internal/policy"
@@ -24,46 +24,49 @@ import (
 // env.DefaultConfig (L_J = 100, lower bound 6) and is deduplicated the same
 // way.
 //
-// Two layers are memoized, both keyed by canonical fingerprints
-// (env.Config.Fingerprint plus the Options fields that feed the point):
+// Three tables are memoized, each keyed by a canonical fingerprint
+// (env.Config.Fingerprint or the field spec, plus the Options fields that
+// feed the result):
 //
 //   - points: the Table I Counters of one evaluated sweep point;
 //   - schemes: the trained/solved policy.Scheme a point evaluates. Training
 //     never reads the evaluation seed (the DQN trains in a Seed+1000
 //     environment), so points differing only in evaluation seed share one
-//     trained scheme and are evaluated in lockstep through env.BatchRun.
+//     trained scheme and are evaluated in lockstep through env.BatchRun;
+//   - fields: the RunStats of one field-simulator run (see runFieldSpecs).
+//
+// All three are instances of one memo table type, so they share one
+// claim/fill/wait protocol and one pair of hit/miss counters each.
 //
 // A Cache is safe for concurrent use from any number of experiment runs.
 // Each entry is computed exactly once: concurrent requests for an in-flight
-// key block until the first requester fills it. Memoization is exact — keys
-// include every input that determines the result — so cached results are
-// bit-identical to recomputation, and a Cache may be shared across runs with
-// different budgets or engines (their keys differ).
+// key block until the first requester fills it or their context ends.
+// Memoization is exact — keys include every input that determines the
+// result — so cached results are bit-identical to recomputation, and a Cache
+// may be shared across runs with different budgets or engines (their keys
+// differ).
 type Cache struct {
-	mu      sync.Mutex
-	points  map[string]*pointEntry
-	schemes map[string]*schemeEntry
-	fields  map[string]*fieldEntry
-
-	hits   atomic.Int64
-	misses atomic.Int64
-
-	fieldHits   atomic.Int64
-	fieldMisses atomic.Int64
+	points  memo[metrics.Counters]
+	schemes memo[builtScheme]
+	fields  memo[iot.RunStats]
 
 	schemeBuilds  atomic.Int64
 	schemeImports atomic.Int64
 }
 
+// builtScheme is one memoized trained/solved scheme. blob is the scheme's
+// canonical CTSC checkpoint (see internal/core DecodeScheme): locally built
+// schemes keep the bytes they were rebuilt from, imported ones the bytes
+// they were installed from, so any resolved entry can be exported. Baseline
+// schemes carry no blob.
+type builtScheme struct {
+	s    *policy.Scheme
+	blob []byte
+}
+
 // NewCache returns an empty cache, ready to be shared across experiment runs
 // via Options.Cache.
-func NewCache() *Cache {
-	return &Cache{
-		points:  make(map[string]*pointEntry),
-		schemes: make(map[string]*schemeEntry),
-		fields:  make(map[string]*fieldEntry),
-	}
-}
+func NewCache() *Cache { return &Cache{} }
 
 // CacheStats reports cache effectiveness for one or more runs.
 type CacheStats struct {
@@ -92,56 +95,15 @@ type CacheStats struct {
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	schemes := len(c.schemes)
-	c.mu.Unlock()
 	return CacheStats{
-		PointHits:     c.hits.Load(),
-		PointMisses:   c.misses.Load(),
-		Schemes:       schemes,
+		PointHits:     c.points.hits.Load(),
+		PointMisses:   c.points.misses.Load(),
+		Schemes:       c.schemes.len(),
 		SchemeBuilds:  c.schemeBuilds.Load(),
 		SchemeImports: c.schemeImports.Load(),
-		FieldHits:     c.fieldHits.Load(),
-		FieldMisses:   c.fieldMisses.Load(),
+		FieldHits:     c.fields.hits.Load(),
+		FieldMisses:   c.fields.misses.Load(),
 	}
-}
-
-// pointEntry is one memoized sweep-point result. done is closed once c/err
-// are final; readers block on it.
-type pointEntry struct {
-	done chan struct{}
-	c    metrics.Counters
-	err  error
-}
-
-// schemeEntry is one memoized trained/solved scheme, same protocol. blob is
-// the scheme's canonical CTSC checkpoint (see internal/core DecodeScheme):
-// locally built schemes keep the bytes they were rebuilt from, imported ones
-// the bytes they were installed from, so any resolved entry can be exported.
-type schemeEntry struct {
-	done chan struct{}
-	s    *policy.Scheme
-	blob []byte
-	err  error
-}
-
-// claimPoint returns the entry for key and whether the caller claimed it. A
-// claimed entry MUST be filled (fields set, done closed) by the caller;
-// unclaimed entries are filled — now or eventually — by whoever claimed them.
-func (c *Cache) claimPoint(key string) (*pointEntry, bool) {
-	c.mu.Lock()
-	e, ok := c.points[key]
-	if !ok {
-		e = &pointEntry{done: make(chan struct{})}
-		c.points[key] = e
-	}
-	c.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-		return e, false
-	}
-	c.misses.Add(1)
-	return e, true
 }
 
 // scheme returns the memoized scheme for key, building it on first request.
@@ -150,51 +112,27 @@ func (c *Cache) claimPoint(key string) (*pointEntry, bool) {
 // build also yields the scheme's canonical checkpoint bytes, kept alongside
 // the entry for export.
 func (c *Cache) scheme(ctx context.Context, key string, build func() (*policy.Scheme, []byte, error)) (*policy.Scheme, error) {
-	c.mu.Lock()
-	e, ok := c.schemes[key]
-	if !ok {
-		e = &schemeEntry{done: make(chan struct{})}
-		c.schemes[key] = e
-	}
-	c.mu.Unlock()
-	if !ok {
-		e.s, e.blob, e.err = build()
-		if e.blob != nil {
+	e, claimed := c.schemes.claim(key)
+	if claimed {
+		s, blob, err := build()
+		if blob != nil {
 			// Only checkpoint-bearing (trained/solved) schemes count toward
 			// the fleet-wide build accounting; blobless baseline schemes are
 			// rebuilt wherever needed.
 			c.schemeBuilds.Add(1)
 		}
-		close(e.done)
-		return e.s, e.err
+		e.fill(builtScheme{s: s, blob: blob}, err)
 	}
-	select {
-	case <-e.done:
-		return e.s, e.err
-	case <-ctx.Done():
-		return nil, fmt.Errorf("experiments: waiting for in-flight scheme: %w", ctx.Err())
-	}
+	b, err := e.wait(ctx, "scheme")
+	return b.s, err
 }
 
 // SchemeBytes returns the canonical checkpoint of a resolved scheme entry,
-// or false if the key is unknown, still in flight, or failed. The returned
-// slice is the cache's own copy and must not be mutated.
+// or false if the key is unknown, still in flight, failed, or a baseline.
+// The returned slice is the cache's own copy and must not be mutated.
 func (c *Cache) SchemeBytes(key string) ([]byte, bool) {
-	c.mu.Lock()
-	e, ok := c.schemes[key]
-	c.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	select {
-	case <-e.done:
-	default:
-		return nil, false
-	}
-	if e.err != nil || e.blob == nil {
-		return nil, false
-	}
-	return e.blob, true
+	b, _ := c.schemes.get(key)
+	return b.blob, b.blob != nil
 }
 
 // ImportScheme installs an externally trained scheme checkpoint under its
@@ -212,20 +150,9 @@ func (c *Cache) ImportScheme(key string, blob []byte) error {
 	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	e, ok := c.schemes[key]
-	if !ok {
-		e = &schemeEntry{done: make(chan struct{})}
-		c.schemes[key] = e
+	if c.schemes.put(key, builtScheme{s: s, blob: append([]byte(nil), blob...)}) {
+		c.schemeImports.Add(1)
 	}
-	c.mu.Unlock()
-	if ok {
-		return nil
-	}
-	c.schemeImports.Add(1)
-	e.s = s
-	e.blob = append([]byte(nil), blob...)
-	close(e.done)
 	return nil
 }
 
@@ -240,23 +167,11 @@ type SchemeBlob struct {
 // sorted by key. Static-mode spool shards persist these so MergeSpools can
 // account for fleet-wide training work.
 func (c *Cache) ExportSchemes() []SchemeBlob {
-	c.mu.Lock()
-	entries := make(map[string]*schemeEntry, len(c.schemes))
-	for k, e := range c.schemes {
-		entries[k] = e
-	}
-	c.mu.Unlock()
 	var out []SchemeBlob
-	for k, e := range entries {
-		select {
-		case <-e.done:
-		default:
-			continue
+	for k, b := range c.schemes.values() {
+		if b.blob != nil {
+			out = append(out, SchemeBlob{Key: k, Data: b.blob})
 		}
-		if e.err != nil || e.blob == nil {
-			continue
-		}
-		out = append(out, SchemeBlob{Key: k, Data: e.blob})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
@@ -294,41 +209,13 @@ func (c *Cache) TrainScheme(ctx context.Context, o Options, cfg env.Config) (key
 	return key, blob, nil
 }
 
-// waitPoint blocks until a point entry is filled or ctx ends. A filled entry
-// always wins the race: the unconditional first select makes an expired
-// context irrelevant for results that are already available.
-func waitPoint(ctx context.Context, e *pointEntry) (metrics.Counters, error) {
-	select {
-	case <-e.done:
-		return e.c, e.err
-	default:
-	}
-	select {
-	case <-e.done:
-		return e.c, e.err
-	case <-ctx.Done():
-		return metrics.Counters{}, fmt.Errorf("experiments: waiting for in-flight sweep point: %w", ctx.Err())
-	}
-}
-
 // ImportPoint installs an externally computed point result — a distributed
 // worker's Counters — under its canonical key (see PointKey). Point results
 // are pure functions of their keys, so importing a key that is already
 // resolved is a no-op (the stored value is identical by construction), and a
 // key that is locally in flight is left for its claimant to fill.
 func (c *Cache) ImportPoint(key string, counters metrics.Counters) {
-	c.mu.Lock()
-	e, ok := c.points[key]
-	if !ok {
-		e = &pointEntry{done: make(chan struct{})}
-		c.points[key] = e
-	}
-	c.mu.Unlock()
-	if ok {
-		return
-	}
-	e.c = counters
-	close(e.done)
+	c.points.put(key, counters)
 }
 
 // pointKey is the canonical fingerprint of one sweep point: everything that
@@ -489,14 +376,14 @@ func runPoints(o Options, pts []Point, label func(i int) string) ([]metrics.Coun
 		groups[k] = append(groups[k], i)
 	}
 
-	entries := make([]*pointEntry, len(pts))
+	entries := make([]*memoEntry[metrics.Counters], len(pts))
 	err := parallel.ForEach(o.Workers, len(order), func(g int) error {
 		idxs := groups[order[g]]
 		// Claim the group's uncached points. Duplicate keys inside the group
 		// (identical points) resolve to one claim; the rest read the entry.
 		claimed := idxs[:0:0]
 		for _, i := range idxs {
-			e, claim := cache.claimPoint(pointKey(o, pts[i]))
+			e, claim := cache.points.claim(pointKey(o, pts[i]))
 			entries[i] = e
 			if claim {
 				claimed = append(claimed, i)
@@ -508,13 +395,11 @@ func runPoints(o Options, pts []Point, label func(i int) string) ([]metrics.Coun
 		// A claimed entry must always be filled, or waiters deadlock.
 		fill := func(cs []metrics.Counters, err error) {
 			for j, i := range claimed {
-				e := entries[i]
-				if err != nil {
-					e.err = err
-				} else {
-					e.c = cs[j]
+				var c metrics.Counters
+				if err == nil {
+					c = cs[j]
 				}
-				close(e.done)
+				entries[i].fill(c, err)
 			}
 		}
 		scheme, err := cache.scheme(ctx, order[g], func() (*policy.Scheme, []byte, error) {
@@ -545,7 +430,7 @@ func runPoints(o Options, pts []Point, label func(i int) string) ([]metrics.Coun
 		// Entries claimed by a concurrent run may still be in flight; the
 		// wait is context-bounded so a claimant that died elsewhere (e.g. a
 		// lost distributed worker) cannot wedge this caller forever.
-		c, werr := waitPoint(ctx, e)
+		c, werr := e.wait(ctx, "sweep point")
 		if werr != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("%s: %w", label(i), werr)

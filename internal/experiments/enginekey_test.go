@@ -35,13 +35,13 @@ func TestCacheKeysIncludeEngineChoice(t *testing.T) {
 
 	// A shared cache keeps the two engine variants as distinct entries.
 	c := NewCache()
-	if _, claimed := c.claimPoint(pointKey(base, Point{Config: cfg})); !claimed {
+	if _, claimed := c.points.claim(pointKey(base, Point{Config: cfg})); !claimed {
 		t.Fatal("first exact-point claim should miss")
 	}
-	if _, claimed := c.claimPoint(pointKey(fast, Point{Config: cfg})); !claimed {
+	if _, claimed := c.points.claim(pointKey(fast, Point{Config: cfg})); !claimed {
 		t.Fatal("fast32 point must not be served from the exact entry")
 	}
-	if _, claimed := c.claimPoint(pointKey(base, Point{Config: cfg})); claimed {
+	if _, claimed := c.points.claim(pointKey(base, Point{Config: cfg})); claimed {
 		t.Fatal("repeat exact-point claim should hit")
 	}
 }

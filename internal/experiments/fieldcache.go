@@ -89,65 +89,12 @@ func (s FieldSpec) Validate() error {
 	return nil
 }
 
-// fieldEntry is one memoized field-run result, same done-channel protocol as
-// pointEntry.
-type fieldEntry struct {
-	done chan struct{}
-	s    iot.RunStats
-	err  error
-}
-
-// claimField returns the entry for key and whether the caller claimed it; a
-// claimed entry MUST be filled by the caller.
-func (c *Cache) claimField(key string) (*fieldEntry, bool) {
-	c.mu.Lock()
-	e, ok := c.fields[key]
-	if !ok {
-		e = &fieldEntry{done: make(chan struct{})}
-		c.fields[key] = e
-	}
-	c.mu.Unlock()
-	if ok {
-		c.fieldHits.Add(1)
-		return e, false
-	}
-	c.fieldMisses.Add(1)
-	return e, true
-}
-
-// waitField blocks until a field entry is filled or ctx ends; a filled entry
-// always wins the race.
-func waitField(ctx context.Context, e *fieldEntry) (iot.RunStats, error) {
-	select {
-	case <-e.done:
-		return e.s, e.err
-	default:
-	}
-	select {
-	case <-e.done:
-		return e.s, e.err
-	case <-ctx.Done():
-		return iot.RunStats{}, fmt.Errorf("experiments: waiting for in-flight field run: %w", ctx.Err())
-	}
-}
-
 // ImportFieldRun installs an externally computed field run — a distributed
 // worker's RunStats — under its canonical key (see FieldKey). Like
 // ImportPoint, importing an already-resolved key is a no-op and an in-flight
 // key is left for its claimant.
 func (c *Cache) ImportFieldRun(key string, stats iot.RunStats) {
-	c.mu.Lock()
-	e, ok := c.fields[key]
-	if !ok {
-		e = &fieldEntry{done: make(chan struct{})}
-		c.fields[key] = e
-	}
-	c.mu.Unlock()
-	if ok {
-		return
-	}
-	e.s = stats
-	close(e.done)
+	c.fields.put(key, stats)
 }
 
 // fieldConfig materializes the per-cluster iot.Config of a spec.
@@ -225,18 +172,16 @@ func runFieldSpecs(o Options, specs []FieldSpec) ([]iot.RunStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	entries := make([]*fieldEntry, len(specs))
+	entries := make([]*memoEntry[iot.RunStats], len(specs))
 	claimed := make([]bool, len(specs))
 	for i, s := range specs {
-		entries[i], claimed[i] = cache.claimField(fieldKey(o, s))
+		entries[i], claimed[i] = cache.fields.claim(fieldKey(o, s))
 	}
 	err := parallel.ForEach(o.Workers, len(specs), func(i int) error {
 		if !claimed[i] {
 			return nil
 		}
-		e := entries[i]
-		e.s, e.err = computeFieldSpec(o, specs[i])
-		close(e.done)
+		entries[i].fill(computeFieldSpec(o, specs[i]))
 		return nil
 	})
 	if err != nil {
@@ -244,7 +189,7 @@ func runFieldSpecs(o Options, specs []FieldSpec) ([]iot.RunStats, error) {
 	}
 	out := make([]iot.RunStats, len(specs))
 	for i, e := range entries {
-		st, werr := waitField(ctx, e)
+		st, werr := e.wait(ctx, "field run")
 		if werr != nil {
 			return nil, fmt.Errorf("field run %s: %w", specs[i].Scheme, werr)
 		}

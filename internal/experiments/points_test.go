@@ -135,7 +135,7 @@ func TestRunPointsContextCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := NewCache()
-	if _, claimed := cache.claimPoint(specs[0].Key); !claimed {
+	if _, claimed := cache.points.claim(specs[0].Key); !claimed {
 		t.Fatal("first claim not granted")
 	}
 	// The claimant above never fills its entry.

@@ -339,9 +339,8 @@ func (c *cluster) deliverFrame(flt fault.Slot) bool {
 	return zigbee.CheckFrame(raw) == nil
 }
 
-// runAccum accumulates one network's per-slot statistics into RunStats; the
-// serial Run, the lockstep BatchRun, and the engine's per-cluster loops all
-// share it so the bookkeeping cannot drift apart.
+// runAccum accumulates one cluster's per-slot statistics into RunStats for
+// cluster.run, the one slot loop behind both Simulator.Run and Engine.Run.
 type runAccum struct {
 	run        RunStats
 	sumUtil    float64

@@ -2,7 +2,6 @@ package iot
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"ctjam/internal/env"
@@ -174,9 +173,8 @@ func (e *Engine) merge(per []RunStats) EngineStats {
 // Run drives the whole field for the given number of Tx slots, building one
 // agent per cluster via newAgent (called from worker goroutines; build
 // agents from the cluster index only). Clusters run independently —
-// full-run-per-shard — so this is the fastest path when the policy has no
-// cross-cluster batching to exploit. Results are bit-identical at any
-// worker count.
+// full-run-per-shard — each through the same cluster.run loop a Simulator
+// uses. Results are bit-identical at any worker count.
 func (e *Engine) Run(newAgent func(cluster int) (env.Agent, error), slots int) (EngineStats, error) {
 	if slots <= 0 {
 		return EngineStats{}, fmt.Errorf("iot: slots %d must be positive", slots)
@@ -197,79 +195,6 @@ func (e *Engine) Run(newAgent func(cluster int) (env.Agent, error), slots int) (
 	})
 	if err != nil {
 		return EngineStats{}, err
-	}
-	return e.merge(per), nil
-}
-
-// RunBatch drives the whole field in lockstep through one env.BatchAgent
-// sized for Clusters links: each Tx slot, the agent decides for every
-// cluster at once (one stacked inference batch), then the clusters resolve
-// their slots in parallel. Per-cluster RNG seeding matches Run exactly, so
-// RunBatch is bit-identical to Run over per-cluster agents implementing the
-// same policy, at any worker count.
-func (e *Engine) RunBatch(a env.BatchAgent, slots int) (EngineStats, error) {
-	k := len(e.clusters)
-	if a.Len() != k {
-		return EngineStats{}, fmt.Errorf("iot: batch agent %s sized for %d links, got %d clusters", a.Name(), a.Len(), k)
-	}
-	if slots <= 0 {
-		return EngineStats{}, fmt.Errorf("iot: slots %d must be positive", slots)
-	}
-	rngs := make([]*rand.Rand, k)
-	prevs := make([]env.SlotInfo, k)
-	for i, cl := range e.clusters {
-		if err := cl.reset(); err != nil {
-			return EngineStats{}, err
-		}
-		rngs[i] = rand.New(rand.NewSource(cl.cfg.Seed + 0x5eed))
-		// The initial channel draw must consume the cluster RNG in the same
-		// order as run (reset first, then one Intn).
-		prevs[i] = env.SlotInfo{First: true, Channel: cl.rng.Intn(cl.cfg.Channels)}
-	}
-	if err := a.ResetBatch(rngs); err != nil {
-		return EngineStats{}, fmt.Errorf("iot: batch reset (agent %s): %w", a.Name(), err)
-	}
-
-	accs := make([]runAccum, k)
-	decs := make([]env.Decision, k)
-	stats := make([]SlotStats, k)
-	hops := make([]bool, k)
-	workers := parallel.Workers(e.cfg.Workers, k)
-	for s := 0; s < slots; s++ {
-		if err := a.DecideBatch(prevs, decs); err != nil {
-			return EngineStats{}, fmt.Errorf("iot: slot %d (agent %s): %w", s, a.Name(), err)
-		}
-		err := parallel.ForEach(workers, k, func(i int) error {
-			cl := e.clusters[i]
-			d := decs[i]
-			if d.Channel < 0 || d.Channel >= cl.cfg.Channels || d.Power < 0 || d.Power >= len(cl.cfg.TxPowers) {
-				return fmt.Errorf("iot: agent %s returned invalid decision %+v for cluster %d", a.Name(), d, i)
-			}
-			hops[i] = !prevs[i].First && d.Channel != prevs[i].Channel
-			st, err := cl.runSlot(d.Channel, d.Power, hops[i])
-			if err != nil {
-				return fmt.Errorf("iot: cluster %d slot %d: %w", i, s, err)
-			}
-			stats[i] = st
-			return nil
-		})
-		if err != nil {
-			return EngineStats{}, err
-		}
-		for i := range e.clusters {
-			accs[i].add(&e.clusters[i].cfg, decs[i], stats[i], hops[i])
-			prevs[i] = env.SlotInfo{
-				Slot:    s + 1,
-				Channel: decs[i].Channel,
-				Power:   decs[i].Power,
-				Outcome: stats[i].Outcome,
-				Hopped:  hops[i],
-			}
-		}
-	}
-	per := make([]RunStats, k)
-	for i := range accs {
-		per[i] = accs[i].finish()
 	}
 	return e.merge(per), nil
 }

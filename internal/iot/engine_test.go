@@ -84,35 +84,6 @@ func TestEngineSingleClusterMatchesSimulator(t *testing.T) {
 	}
 }
 
-// TestEngineRunBatchMatchesRun checks the lockstep batched path resolves the
-// field bit-identically to the full-run-per-shard path when the batch plays
-// the same per-cluster policy.
-func TestEngineRunBatchMatchesRun(t *testing.T) {
-	cfg := engineTemplate()
-	const clusters, slots = 4, 30
-	want := runEngine(t, clusters, 2, slots, cfg)
-
-	eng, err := NewEngine(EngineConfig{Clusters: clusters, Template: cfg, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	agents := make([]env.Agent, clusters)
-	for i := range agents {
-		agents[i] = randomAgent(t, cfg)
-	}
-	batch, err := env.NewAgentBatch(agents)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.RunBatch(batch, slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("RunBatch stats differ from Run stats")
-	}
-}
-
 // TestEngineClustersDecorrelated checks distinct clusters see distinct
 // randomness: with everything else equal, per-cluster runs should not be
 // copies of cluster 0.
@@ -190,13 +161,6 @@ func TestEngineValidation(t *testing.T) {
 	newAgent := func(int) (env.Agent, error) { return core.Static{}, nil }
 	if _, err := eng.Run(newAgent, 0); err == nil {
 		t.Error("Run with 0 slots: expected error")
-	}
-	single, err := env.NewAgentBatch([]env.Agent{core.Static{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.RunBatch(single, 10); err == nil {
-		t.Error("RunBatch with mis-sized batch: expected error")
 	}
 }
 

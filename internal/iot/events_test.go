@@ -63,12 +63,12 @@ func TestSlotWheelMatchesExhaustiveScan(t *testing.T) {
 func TestSlotWheelCoalesces(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	spans := []jamSpan{
-		{start: ms(0), end: ms(10), block: 0, power: 5},   // qualifying
-		{start: ms(5), end: ms(20), block: 0, power: 5},   // overlaps -> merges
-		{start: ms(20), end: ms(30), block: 0, power: 5},  // adjacent -> merges
-		{start: ms(25), end: ms(40), block: 1, power: 5},  // wrong block
-		{start: ms(35), end: ms(45), block: 0, power: 1},  // too weak
-		{start: ms(50), end: ms(60), block: 0, power: 5},  // separate interval
+		{start: ms(0), end: ms(10), block: 0, power: 5},  // qualifying
+		{start: ms(5), end: ms(20), block: 0, power: 5},  // overlaps -> merges
+		{start: ms(20), end: ms(30), block: 0, power: 5}, // adjacent -> merges
+		{start: ms(25), end: ms(40), block: 1, power: 5}, // wrong block
+		{start: ms(35), end: ms(45), block: 0, power: 1}, // too weak
+		{start: ms(50), end: ms(60), block: 0, power: 5}, // separate interval
 	}
 	var w slotWheel
 	w.build(spans, 0, 2)

@@ -160,9 +160,6 @@ func New(cfg Config) (*Simulator, error) {
 	return &Simulator{c: c}, nil
 }
 
-// reset rewinds the simulator to slot 0.
-func (s *Simulator) reset() error { return s.c.reset() }
-
 // RunSlot simulates one Tx slot on the given channel and power index,
 // returning its statistics. hopped marks a channel change decided at the
 // slot boundary.

@@ -34,13 +34,13 @@ const (
 
 // Default parameters per kind.
 const (
-	DefaultReactiveDelay  = 1
-	DefaultReactiveMiss   = 0.0
-	DefaultReactiveHold   = 0
-	DefaultAdaptiveAlpha  = 0.1
-	DefaultAdaptiveExpl   = 0.05
-	DefaultBudgetDuty     = 0.5
-	DefaultBudgetBurst    = 1
+	DefaultReactiveDelay = 1
+	DefaultReactiveMiss  = 0.0
+	DefaultReactiveHold  = 0
+	DefaultAdaptiveAlpha = 0.1
+	DefaultAdaptiveExpl  = 0.05
+	DefaultBudgetDuty    = 0.5
+	DefaultBudgetBurst   = 1
 )
 
 // Spec is a parsed jammer strategy specification. Only the fields of the

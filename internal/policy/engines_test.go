@@ -24,8 +24,8 @@ var regenEngineCheckpoints = flag.Bool("regen-engine-checkpoints", false,
 	"rewrite testdata/engines checkpoints instead of testing against them")
 
 const (
-	engHistoryLen = 8   // paper window: stateDim = 3*8 = 24
-	engChannels   = 16  // 16 channels x 10 powers = 160 actions
+	engHistoryLen = 8  // paper window: stateDim = 3*8 = 24
+	engChannels   = 16 // 16 channels x 10 powers = 160 actions
 	engPowers     = 10
 	engAgreeFloor = 0.999
 	engTieGap     = 1e-3 // max exact-Q gap for a tolerated disagreement

@@ -7,7 +7,6 @@ import (
 
 	"ctjam/internal/core"
 	"ctjam/internal/env"
-	"ctjam/internal/iot"
 	"ctjam/internal/policy"
 )
 
@@ -149,85 +148,6 @@ func TestBatchSerialEquivalence(t *testing.T) {
 			})
 		}
 	}
-}
-
-// TestBatchSerialEquivalenceIoT repeats the gate on the discrete-event field
-// simulator, whose RNG interleaving (reset, then initial channel draw) is the
-// subtle part of iot.BatchRun.
-func TestBatchSerialEquivalenceIoT(t *testing.T) {
-	base := iot.DefaultConfig()
-	const slots = 60
-	cfg := env.DefaultConfig()
-	passive, err := policy.PassiveFHScheme(base.Channels, base.SweepWidth, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := core.NewModel(core.ParamsFromEnv(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mdpAgent, err := core.NewMDPAgent(model, nil, base.Channels, base.SweepWidth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	schemes := map[string]*policy.Scheme{
-		"passive": passive,
-		"mdp":     mdpAgent.Scheme(),
-		"random":  mustRandom(t, base.Channels, base.SweepWidth, len(base.TxPowers)),
-	}
-	for name, scheme := range schemes {
-		for _, k := range []int{1, 5} {
-			t.Run(fmt.Sprintf("%s/k=%d", name, k), func(t *testing.T) {
-				serial := make([]iot.RunStats, k)
-				for i := 0; i < k; i++ {
-					c := base
-					c.Seed = 100 + int64(i)
-					s, err := iot.New(c)
-					if err != nil {
-						t.Fatal(err)
-					}
-					run, err := s.Run(scheme.NewAgent(), slots)
-					if err != nil {
-						t.Fatal(err)
-					}
-					serial[i] = run
-				}
-
-				sims := make([]*iot.Simulator, k)
-				for i := range sims {
-					c := base
-					c.Seed = 100 + int64(i)
-					s, err := iot.New(c)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sims[i] = s
-				}
-				batch, err := scheme.NewBatch(k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				runs, err := iot.BatchRun(sims, batch, slots)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < k; i++ {
-					if !reflect.DeepEqual(serial[i], runs[i]) {
-						t.Fatalf("sim %d: stats diverge\nserial: %+v\nbatch:  %+v", i, serial[i], runs[i])
-					}
-				}
-			})
-		}
-	}
-}
-
-func mustRandom(t *testing.T, channels, sweepWidth, powers int) *policy.Scheme {
-	t.Helper()
-	s, err := policy.RandomFHScheme(channels, sweepWidth, powers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
 }
 
 // TestBatchValidation covers the batch adapters' size checks.

@@ -16,11 +16,12 @@
 //     concrete channel/power decision (Decode).
 //
 // A Scheme pairs one shared Policy with an Encoder factory. Scheme.NewAgent
-// adapts it back to env.Agent for serial runs; Scheme.NewBatch steps K links
-// in lockstep, gathering all K encoded states into one network forward per
-// slot (see env.BatchRun / iot.BatchRun). Both adapters drive the same
-// Policy and Encoder code with the same per-link RNG streams, so batched
-// results are bit-identical to serial ones at any batch size.
+// adapts it back to env.Agent for one link (env.Run, the field simulator's
+// per-cluster loop); Scheme.NewBatch steps K links in lockstep through
+// env.BatchRun, gathering all K encoded states into one network forward per
+// slot. Both adapters drive the same Policy and Encoder code with the same
+// per-link RNG streams, so batched results are bit-identical to serial ones
+// at any batch size.
 package policy
 
 import (

@@ -62,29 +62,47 @@ func (d *DQN) SaveState(w io.Writer) error {
 	return nil
 }
 
+// stateHeader is the fixed CTDQ header that opens a learner checkpoint.
+type stateHeader struct {
+	stateDim, numActions uint32
+	envSteps, trainSteps uint64
+	rngSeed, rngState    uint64
+}
+
+// readStateHeader reads a CTDQ header and checks its magic and version. It
+// is the one parser of the header, shared by LoadState and ReadSnapshot;
+// checks against a learner's configuration stay with the caller.
+func readStateHeader(r io.Reader) (stateHeader, error) {
+	var magic, version uint32
+	var h stateHeader
+	for _, v := range []any{&magic, &version, &h.stateDim, &h.numActions, &h.envSteps, &h.trainSteps, &h.rngSeed, &h.rngState} {
+		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
+			return stateHeader{}, fmt.Errorf("%w: header: %v", ErrBadCheckpoint, err)
+		}
+	}
+	if magic != stateMagic {
+		return stateHeader{}, fmt.Errorf("%w: bad magic %#x", ErrBadCheckpoint, magic)
+	}
+	if version != stateVersion {
+		return stateHeader{}, fmt.Errorf("%w: unsupported version %d", ErrBadCheckpoint, version)
+	}
+	return h, nil
+}
+
 // LoadState restores state written by SaveState into d, which must have been
 // built with the same DQNConfig. On any error d is left unchanged.
 func (d *DQN) LoadState(r io.Reader) error {
 	read := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
-	var magic, version, stateDim, numActions uint32
-	var envSteps, trainSteps, rngSeed, rngState uint64
-	for _, v := range []any{&magic, &version, &stateDim, &numActions, &envSteps, &trainSteps, &rngSeed, &rngState} {
-		if err := read(v); err != nil {
-			return fmt.Errorf("%w: header: %v", ErrBadCheckpoint, err)
-		}
+	h, err := readStateHeader(r)
+	if err != nil {
+		return err
 	}
-	if magic != stateMagic {
-		return fmt.Errorf("%w: bad magic %#x", ErrBadCheckpoint, magic)
-	}
-	if version != stateVersion {
-		return fmt.Errorf("%w: unsupported version %d", ErrBadCheckpoint, version)
-	}
-	if int(stateDim) != d.cfg.StateDim || int(numActions) != d.cfg.NumActions {
+	if int(h.stateDim) != d.cfg.StateDim || int(h.numActions) != d.cfg.NumActions {
 		return fmt.Errorf("%w: dims %dx%d, learner wants %dx%d",
-			ErrBadCheckpoint, stateDim, numActions, d.cfg.StateDim, d.cfg.NumActions)
+			ErrBadCheckpoint, h.stateDim, h.numActions, d.cfg.StateDim, d.cfg.NumActions)
 	}
-	if envSteps > 1<<40 || trainSteps > envSteps {
-		return fmt.Errorf("%w: implausible counters env=%d train=%d", ErrBadCheckpoint, envSteps, trainSteps)
+	if h.envSteps > 1<<40 || h.trainSteps > h.envSteps {
+		return fmt.Errorf("%w: implausible counters env=%d train=%d", ErrBadCheckpoint, h.envSteps, h.trainSteps)
 	}
 	online, err := nn.Load(r)
 	if err != nil {
@@ -149,9 +167,9 @@ func (d *DQN) LoadState(r io.Reader) error {
 	d.buffer.buf = buf
 	d.buffer.next = int(next)
 	d.buffer.full = full
-	d.envSteps = int(envSteps)
-	d.trainSteps = int(trainSteps)
-	d.rngSrc.Restore(int64(rngSeed), rngState)
+	d.envSteps = int(h.envSteps)
+	d.trainSteps = int(h.trainSteps)
+	d.rngSrc.Restore(int64(h.rngSeed), h.rngState)
 	return nil
 }
 

@@ -260,57 +260,29 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
-	switch binary.LittleEndian.Uint32(head) {
-	case stateMagic:
-		net, err := readCheckpointNetwork(br)
-		if err != nil {
-			return nil, err
-		}
-		return NewSnapshot(net)
-	default:
-		// Fall through to nn.Load, which rejects non-CTJM magics itself.
+	if binary.LittleEndian.Uint32(head) != stateMagic {
+		// nn.Load rejects non-CTJM magics itself.
 		net, err := nn.Load(br)
 		if err != nil {
 			return nil, err
 		}
 		return NewSnapshot(net)
 	}
-}
-
-// readCheckpointNetwork consumes a CTDQ header and returns its online
-// network, leaving the rest of the stream (target net, Adam, replay) unread.
-func readCheckpointNetwork(r io.Reader) (*nn.Network, error) {
-	read := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
-	var magic, version, stateDim, numActions uint32
-	var envSteps, trainSteps, rngSeed, rngState uint64
-	for _, v := range []any{&magic, &version, &stateDim, &numActions, &envSteps, &trainSteps, &rngSeed, &rngState} {
-		if err := read(v); err != nil {
-			return nil, fmt.Errorf("%w: header: %v", ErrBadCheckpoint, err)
-		}
+	h, err := readStateHeader(br)
+	if err != nil {
+		return nil, err
 	}
-	if magic != stateMagic {
-		return nil, fmt.Errorf("%w: bad magic %#x", ErrBadCheckpoint, magic)
-	}
-	if version != stateVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadCheckpoint, version)
-	}
-	net, err := nn.Load(r)
+	net, err := nn.Load(br)
 	if err != nil {
 		return nil, fmt.Errorf("%w: online network: %v", ErrBadCheckpoint, err)
 	}
-	var firstDense *nn.Dense
-	var lastDense *nn.Dense
-	for _, l := range net.Layers {
-		if d, ok := l.(*nn.Dense); ok {
-			if firstDense == nil {
-				firstDense = d
-			}
-			lastDense = d
-		}
+	s, err := NewSnapshot(net)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
-	if firstDense == nil || firstDense.W.Value.Rows != int(stateDim) || lastDense.W.Value.Cols != int(numActions) {
+	if s.stateDim != int(h.stateDim) || s.numActions != int(h.numActions) {
 		return nil, fmt.Errorf("%w: network shape does not match header dims %dx%d",
-			ErrBadCheckpoint, stateDim, numActions)
+			ErrBadCheckpoint, h.stateDim, h.numActions)
 	}
-	return net, nil
+	return s, nil
 }
