@@ -5,7 +5,7 @@
 //	ctjam-experiments [-id fig6a] [-scale paper|quick] [-engine mdp|dqn]
 //	                  [-workers N] [-csv dir] [-list] [-cache-stats]
 //	                  [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
-//	                  [-distribute addr [-no-scheme-ship] | -worker URL |
+//	                  [-distribute addr | -worker URL |
 //	                   -shards N -shard-index I -spool DIR | -merge -spool DIR]
 //
 // With -id all (the default) every registered experiment runs in order,
@@ -29,8 +29,7 @@
 //	                   coordinator leases train units first, stores the
 //	                   uploaded CTSC checkpoints content-addressed, and
 //	                   ships them to the workers evaluating dependent
-//	                   points (-no-scheme-ship restores per-worker
-//	                   retraining).
+//	                   points and field runs.
 //	-worker URL        work: poll the coordinator at URL (e.g.
 //	                   http://host:9077), evaluate assigned units locally,
 //	                   report results, exit when the run completes.
@@ -87,7 +86,6 @@ func run(args []string) error {
 		trcFile = fs.String("trace", "", "write a runtime execution trace to this file")
 
 		distribute = fs.String("distribute", "", "coordinate a distributed run: serve work units on this addr:port, wait for -worker processes, then print the experiments")
-		noShip     = fs.Bool("no-scheme-ship", false, "distributed runs: disable fleet-wide scheme reuse (every worker retrains the schemes its points need)")
 		workerURL  = fs.String("worker", "", "run as a worker for the coordinator at this base URL (e.g. http://host:9077) and exit")
 		workerID   = fs.String("worker-id", "", "worker name in protocol requests (default host-pid)")
 		shards     = fs.Int("shards", 0, "static sharding: total shard count (requires -shard-index and -spool)")
@@ -205,7 +203,7 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "ctjam-experiments: merged %d units from %s\n", n, *spool)
 	}
 	if *distribute != "" {
-		coord, err := dist.NewCoordinator(opts, ids, dist.CoordinatorOptions{NoSchemeShip: *noShip})
+		coord, err := dist.NewCoordinator(opts, ids, dist.CoordinatorOptions{})
 		if err != nil {
 			return err
 		}

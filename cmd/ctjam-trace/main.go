@@ -21,6 +21,7 @@ import (
 	"ctjam/internal/env"
 	"ctjam/internal/ids"
 	"ctjam/internal/jammer"
+	"ctjam/internal/policy"
 )
 
 func main() {
@@ -54,7 +55,7 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("unknown jammer mode %q", *mode)
 	}
 
-	agent, err := buildAgent(*scheme, cfg)
+	sch, err := buildScheme(*scheme, cfg)
 	if err != nil {
 		return err
 	}
@@ -62,7 +63,7 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	counters, records, err := env.RunTrace(e, agent, *slots)
+	counters, records, err := env.RunTrace(e, sch.NewAgent(), *slots)
 	if err != nil {
 		return err
 	}
@@ -103,20 +104,24 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-func buildAgent(scheme string, cfg env.Config) (env.Agent, error) {
+func buildScheme(scheme string, cfg env.Config) (*policy.Scheme, error) {
 	switch scheme {
 	case "mdp":
 		model, err := core.NewModel(core.ParamsFromEnv(cfg))
 		if err != nil {
 			return nil, err
 		}
-		return core.NewMDPAgent(model, nil, cfg.Channels, cfg.SweepWidth)
+		a, err := core.NewMDPAgent(model, nil, cfg.Channels, cfg.SweepWidth)
+		if err != nil {
+			return nil, err
+		}
+		return a.Scheme(), nil
 	case "passive":
-		return core.NewPassiveFH(cfg.Channels, cfg.SweepWidth)
+		return policy.PassiveFHScheme(cfg.Channels, cfg.SweepWidth, core.DefaultJamThreshold)
 	case "random":
-		return core.NewRandomFH(cfg.Channels, cfg.SweepWidth, len(cfg.TxPowers))
+		return policy.RandomFHScheme(cfg.Channels, cfg.SweepWidth, len(cfg.TxPowers))
 	case "static":
-		return core.Static{}, nil
+		return policy.StaticScheme(), nil
 	default:
 		return nil, fmt.Errorf("unknown scheme %q", scheme)
 	}

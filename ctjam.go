@@ -184,10 +184,13 @@ type Metrics struct {
 	Slots int
 }
 
-// Policy is a trained (or solved) anti-jamming policy.
+// Policy is a trained (or solved) anti-jamming policy. It records the
+// scheme it plays and how to snapshot that scheme's current parameters for
+// a run.
 type Policy struct {
-	agent env.Agent
-	dqn   *core.DQNAgent // non-nil when the policy is a trained DQN
+	scheme   Scheme
+	snapshot func() (*pol.Scheme, error)
+	dqn      *core.DQNAgent // non-nil when the policy is a trained DQN
 }
 
 // TrainDQN trains the paper's DQN scheme online in the configured
@@ -350,7 +353,7 @@ func TrainDQNWithOptions(cfg Config, trainSlots int, opts TrainOptions) (*Policy
 	if _, err := agent.TrainRange(e, start, end, hook); err != nil {
 		return nil, err
 	}
-	return &Policy{agent: agent, dqn: agent}, nil
+	return &Policy{scheme: SchemeRL, snapshot: agent.Scheme, dqn: agent}, nil
 }
 
 // TrainQLearning trains the tabular Q-learning baseline over the MDP's
@@ -375,7 +378,7 @@ func TrainQLearning(cfg Config, trainSlots int) (*Policy, error) {
 	if _, err := agent.Train(e, trainSlots); err != nil {
 		return nil, err
 	}
-	return &Policy{agent: agent}, nil
+	return &Policy{scheme: SchemeQLearning, snapshot: agent.Scheme}, nil
 }
 
 // SolveMDP computes the exact optimal policy by value iteration on the
@@ -393,7 +396,8 @@ func SolveMDP(cfg Config) (*Policy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Policy{agent: agent}, nil
+	s := agent.Scheme()
+	return &Policy{scheme: SchemeMDP, snapshot: func() (*pol.Scheme, error) { return s, nil }}, nil
 }
 
 // Save writes a trained DQN policy's network to w. Only DQN policies are
@@ -422,80 +426,34 @@ func (p *Policy) ParamCount() int {
 	return p.dqn.Network().ParamCount()
 }
 
-// agentFor builds the agent for a scheme.
-func agentFor(scheme Scheme, policy *Policy, ecfg env.Config) (env.Agent, error) {
-	switch scheme {
-	case SchemeRL, SchemeMDP, SchemeQLearning:
-		if policy == nil {
-			return nil, fmt.Errorf("ctjam: scheme %q needs a policy (TrainDQN, SolveMDP or TrainQLearning)", scheme)
-		}
-		return policy.agent, nil
-	case SchemePassive:
-		return core.NewPassiveFH(ecfg.Channels, ecfg.SweepWidth)
-	case SchemeRandom:
-		return core.NewRandomFH(ecfg.Channels, ecfg.SweepWidth, len(ecfg.TxPowers))
-	case SchemeStatic:
-		return core.Static{}, nil
-	default:
-		return nil, fmt.Errorf("ctjam: unknown scheme %q", scheme)
+// Evaluate runs a scheme for the given number of slots and reports the
+// Table I metrics. For SchemeRL / SchemeMDP / SchemeQLearning pass the
+// policy from TrainDQN / SolveMDP / TrainQLearning; for the baselines policy
+// may be nil.
+func Evaluate(cfg Config, scheme Scheme, policy *Policy, slots int) (Metrics, error) {
+	ms, err := EvaluateBatch(cfg, scheme, policy, 1, slots)
+	if err != nil {
+		return Metrics{}, err
 	}
+	return ms[0], nil
 }
 
-// Evaluate runs a scheme for the given number of slots and reports the
-// Table I metrics. For SchemeRL / SchemeMDP pass the policy from TrainDQN /
-// SolveMDP; for the baselines policy may be nil.
-func Evaluate(cfg Config, scheme Scheme, policy *Policy, slots int) (Metrics, error) {
-	ecfg, err := cfg.internal()
-	if err != nil {
-		return Metrics{}, err
-	}
-	agent, err := agentFor(scheme, policy, ecfg)
-	if err != nil {
-		return Metrics{}, err
-	}
-	e, err := env.New(ecfg)
-	if err != nil {
-		return Metrics{}, err
-	}
-	c, err := env.Run(e, agent, slots)
-	if err != nil {
-		return Metrics{}, err
-	}
-	return Metrics{
-		ST: c.ST(), AH: c.AH(), SH: c.SH(), AP: c.AP(), SP: c.SP(),
-		JamRate: c.JamRate(), Slots: c.Slots,
-	}, nil
-}
+// trainers names the constructor of each policy-backed scheme.
+var trainers = map[Scheme]string{SchemeRL: "TrainDQN", SchemeMDP: "SolveMDP", SchemeQLearning: "TrainQLearning"}
 
 // schemeFor builds the shared batched inference scheme for a Scheme name —
-// the policy/encoder split behind EvaluateBatch and ctjam-serve. Trained
-// schemes snapshot their current parameters: further training of the source
-// policy does not affect the returned scheme.
+// the one place every facade run (Evaluate, EvaluateBatch, FieldCompare,
+// FieldScale) gets its scheme from. Trained schemes snapshot their current
+// parameters: further training of the source policy does not affect the
+// returned scheme. A policy of another kind is rejected rather than played
+// under the wrong label.
 func schemeFor(scheme Scheme, policy *Policy, ecfg env.Config) (*pol.Scheme, error) {
 	switch scheme {
-	case SchemeRL:
-		if policy == nil || policy.dqn == nil {
-			return nil, fmt.Errorf("ctjam: scheme %q needs a DQN policy (TrainDQN)", scheme)
+	case SchemeRL, SchemeMDP, SchemeQLearning:
+		if policy == nil || policy.scheme != scheme {
+			return nil, fmt.Errorf("ctjam: scheme %q needs a policy from %s", scheme, trainers[scheme])
 		}
-		return policy.dqn.Scheme()
-	case SchemeMDP:
-		if policy == nil {
-			return nil, fmt.Errorf("ctjam: scheme %q needs a policy (SolveMDP)", scheme)
-		}
-		a, ok := policy.agent.(*core.MDPAgent)
-		if !ok {
-			return nil, fmt.Errorf("ctjam: scheme %q needs a policy from SolveMDP", scheme)
-		}
-		return a.Scheme(), nil
-	case SchemeQLearning:
-		if policy == nil {
-			return nil, fmt.Errorf("ctjam: scheme %q needs a policy (TrainQLearning)", scheme)
-		}
-		a, ok := policy.agent.(*core.QAgent)
-		if !ok {
-			return nil, fmt.Errorf("ctjam: scheme %q needs a policy from TrainQLearning", scheme)
-		}
-		return a.Scheme()
+		return policy.snapshot()
 	case SchemePassive:
 		return pol.PassiveFHScheme(ecfg.Channels, ecfg.SweepWidth, core.DefaultJamThreshold)
 	case SchemeRandom:
@@ -616,75 +574,39 @@ type FieldOptions struct {
 
 // FieldCompare runs the named schemes (plus a no-jammer reference when
 // includeNoJammer is set) through the discrete-event field simulator,
-// reproducing the Fig. 11(a) comparison.
+// reproducing the Fig. 11(a) comparison. Each run is a 1-cluster FieldScale;
+// the no-jammer reference is SchemeStatic with the jammer switched off.
 func FieldCompare(cfg Config, schemes []Scheme, policy *Policy, opts FieldOptions, includeNoJammer bool) ([]FieldResult, error) {
-	ecfg, err := cfg.internal()
-	if err != nil {
-		return nil, err
+	sopts := FieldScaleOptions{
+		NodesPerCluster: opts.Nodes,
+		SlotDuration:    opts.SlotDuration,
+		JammerSlot:      opts.JammerSlot,
+		Slots:           opts.Slots,
+		UseCSMA:         opts.UseCSMA,
 	}
-	icfg := iot.DefaultConfig()
-	icfg.Channels = ecfg.Channels
-	icfg.SweepWidth = ecfg.SweepWidth
-	icfg.TxPowers = ecfg.TxPowers
-	icfg.JamPowers = ecfg.JamPowers
-	icfg.JammerMode = ecfg.JammerMode
-	icfg.Jammer = ecfg.Jammer
-	icfg.Seed = cfg.Seed
-	icfg.Faults = ecfg.Faults
-	if opts.Nodes > 0 {
-		icfg.Nodes = opts.Nodes
-	}
-	if opts.SlotDuration > 0 {
-		icfg.SlotDuration = opts.SlotDuration
-		icfg.JammerSlot = opts.SlotDuration
-	}
-	if opts.JammerSlot > 0 {
-		icfg.JammerSlot = opts.JammerSlot
-	}
-	icfg.UseCSMA = opts.UseCSMA
-	slots := opts.Slots
-	if slots <= 0 {
-		slots = 400
-	}
-
 	var out []FieldResult
-	for _, scheme := range schemes {
-		agent, err := agentFor(scheme, policy, ecfg)
+	add := func(name, scheme Scheme, jammer bool) error {
+		st, err := fieldRun(cfg, scheme, policy, sopts, jammer)
 		if err != nil {
-			return nil, err
-		}
-		sim, err := iot.New(icfg)
-		if err != nil {
-			return nil, err
-		}
-		run, err := sim.Run(agent, slots)
-		if err != nil {
-			return nil, fmt.Errorf("ctjam: field run %q: %w", scheme, err)
+			return err
 		}
 		out = append(out, FieldResult{
-			Scheme:             scheme,
-			GoodputPktsPerSlot: run.GoodputPktsPerSlot,
-			Utilization:        run.MeanUtilization,
-			ST:                 run.Counters.ST(),
+			Scheme:             name,
+			GoodputPktsPerSlot: st.GoodputPktsPerSlot,
+			Utilization:        st.MeanUtilization,
+			ST:                 st.Counters.ST(),
 		})
+		return nil
+	}
+	for _, scheme := range schemes {
+		if err := add(scheme, scheme, true); err != nil {
+			return nil, err
+		}
 	}
 	if includeNoJammer {
-		clean := icfg
-		clean.JammerEnabled = false
-		sim, err := iot.New(clean)
-		if err != nil {
+		if err := add("no-jammer", SchemeStatic, false); err != nil {
 			return nil, err
 		}
-		run, err := sim.Run(core.Static{}, slots)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, FieldResult{
-			Scheme:             "no-jammer",
-			GoodputPktsPerSlot: run.GoodputPktsPerSlot,
-			Utilization:        run.MeanUtilization,
-			ST:                 run.Counters.ST(),
-		})
 	}
 	return out, nil
 }
@@ -731,46 +653,40 @@ type FieldScaleResult struct {
 	ST float64
 }
 
-// fieldScaleAgents returns a factory yielding one fresh agent per cluster.
-// The baselines construct from scratch; policy-backed schemes replicate the
-// shared immutable policy through per-cluster encoders (policy.Scheme), so
-// clusters never share mutable agent state.
-func fieldScaleAgents(scheme Scheme, policy *Policy, ecfg env.Config) (func(int) (env.Agent, error), error) {
-	switch scheme {
-	case SchemePassive, SchemeRandom, SchemeStatic:
-		return func(int) (env.Agent, error) { return agentFor(scheme, policy, ecfg) }, nil
-	case SchemeRL, SchemeMDP, SchemeQLearning:
-		if policy == nil {
-			return nil, fmt.Errorf("ctjam: scheme %q needs a policy (TrainDQN, SolveMDP or TrainQLearning)", scheme)
-		}
-		var sch *pol.Scheme
-		switch a := policy.agent.(type) {
-		case interface{ Scheme() *pol.Scheme }:
-			sch = a.Scheme()
-		case interface{ Scheme() (*pol.Scheme, error) }:
-			var err error
-			if sch, err = a.Scheme(); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("ctjam: scheme %q cannot be replicated across clusters", scheme)
-		}
-		return func(int) (env.Agent, error) { return sch.NewAgent(), nil }, nil
-	default:
-		return nil, fmt.Errorf("ctjam: unknown scheme %q", scheme)
-	}
-}
-
 // FieldScale runs one scheme through the sharded field engine: Clusters
 // independent hopping clusters, each a full star network with its own
 // deterministic RNG and fault streams, executed across Workers goroutines.
 // Results are a pure function of (cfg, scheme, opts) — bit-identical at any
-// worker count — and a 1-cluster run matches FieldCompare's simulator
-// exactly.
+// worker count — and a 1-cluster run is FieldCompare's run of the scheme.
 func FieldScale(cfg Config, scheme Scheme, policy *Policy, opts FieldScaleOptions) (*FieldScaleResult, error) {
-	ecfg, err := cfg.internal()
+	st, err := fieldRun(cfg, scheme, policy, opts, true)
 	if err != nil {
 		return nil, err
+	}
+	return &FieldScaleResult{
+		Scheme:             scheme,
+		Clusters:           st.Clusters,
+		Nodes:              st.Nodes,
+		Slots:              st.Slots,
+		GoodputPktsPerSlot: st.GoodputPktsPerSlot,
+		PerClusterGoodput:  st.GoodputPktsPerSlot / float64(st.Clusters),
+		Utilization:        st.MeanUtilization,
+		ST:                 st.Counters.ST(),
+	}, nil
+}
+
+// fieldRun is the one field run behind FieldCompare and FieldScale: it
+// builds the per-cluster network from cfg and opts, and plays one agent of
+// the scheme per cluster. The agents replicate one shared immutable scheme
+// through per-cluster encoders, so clusters never share mutable state.
+func fieldRun(cfg Config, scheme Scheme, policy *Policy, opts FieldScaleOptions, jammer bool) (iot.EngineStats, error) {
+	ecfg, err := cfg.internal()
+	if err != nil {
+		return iot.EngineStats{}, err
+	}
+	sch, err := schemeFor(scheme, policy, ecfg)
+	if err != nil {
+		return iot.EngineStats{}, err
 	}
 	icfg := iot.DefaultConfig()
 	icfg.Channels = ecfg.Channels
@@ -779,6 +695,7 @@ func FieldScale(cfg Config, scheme Scheme, policy *Policy, opts FieldScaleOption
 	icfg.JamPowers = ecfg.JamPowers
 	icfg.JammerMode = ecfg.JammerMode
 	icfg.Jammer = ecfg.Jammer
+	icfg.JammerEnabled = jammer
 	icfg.Seed = cfg.Seed
 	icfg.Faults = ecfg.Faults
 	if opts.NodesPerCluster > 0 {
@@ -800,28 +717,15 @@ func FieldScale(cfg Config, scheme Scheme, policy *Policy, opts FieldScaleOption
 	if slots <= 0 {
 		slots = 400
 	}
-	newAgent, err := fieldScaleAgents(scheme, policy, ecfg)
-	if err != nil {
-		return nil, err
-	}
 	eng, err := iot.NewEngine(iot.EngineConfig{Clusters: clusters, Template: icfg, Workers: opts.Workers})
 	if err != nil {
-		return nil, err
+		return iot.EngineStats{}, err
 	}
-	st, err := eng.Run(newAgent, slots)
+	st, err := eng.Run(func(int) (env.Agent, error) { return sch.NewAgent(), nil }, slots)
 	if err != nil {
-		return nil, fmt.Errorf("ctjam: field scale run %q: %w", scheme, err)
+		return iot.EngineStats{}, fmt.Errorf("ctjam: field run %q: %w", scheme, err)
 	}
-	return &FieldScaleResult{
-		Scheme:             scheme,
-		Clusters:           st.Clusters,
-		Nodes:              st.Nodes,
-		Slots:              st.Slots,
-		GoodputPktsPerSlot: st.GoodputPktsPerSlot,
-		PerClusterGoodput:  st.GoodputPktsPerSlot / float64(st.Clusters),
-		Utilization:        st.MeanUtilization,
-		ST:                 st.Counters.ST(),
-	}, nil
+	return st, nil
 }
 
 // Emulation is the outcome of building an EmuBee waveform.

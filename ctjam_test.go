@@ -58,6 +58,60 @@ func TestEvaluateRLWithoutPolicy(t *testing.T) {
 	}
 }
 
+// TestPolicyOfWrongKindRejected pins that every facade entry point refuses
+// to play a policy under another scheme's label, instead of silently
+// evaluating the policy it was handed.
+func TestPolicyOfWrongKindRejected(t *testing.T) {
+	cfg := DefaultConfig()
+	rl, err := TrainDQN(cfg, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mdp, err := SolveMDP(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := TrainQLearning(cfg, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policies := map[Scheme]*Policy{SchemeRL: rl, SchemeMDP: mdp, SchemeQLearning: q}
+	entries := map[string]func(Scheme, *Policy) error{
+		"Evaluate": func(s Scheme, p *Policy) error {
+			_, err := Evaluate(cfg, s, p, 50)
+			return err
+		},
+		"EvaluateBatch": func(s Scheme, p *Policy) error {
+			_, err := EvaluateBatch(cfg, s, p, 2, 50)
+			return err
+		},
+		"FieldScale": func(s Scheme, p *Policy) error {
+			_, err := FieldScale(cfg, s, p, FieldScaleOptions{Slots: 5})
+			return err
+		},
+		"FieldCompare": func(s Scheme, p *Policy) error {
+			_, err := FieldCompare(cfg, []Scheme{s}, p, FieldOptions{Slots: 5}, false)
+			return err
+		},
+	}
+	for name, call := range entries {
+		for scheme := range policies {
+			for kind, p := range policies {
+				if kind == scheme {
+					if err := call(scheme, p); err != nil {
+						t.Errorf("%s(%s, %s policy): %v", name, scheme, kind, err)
+					}
+					continue
+				}
+				err := call(scheme, p)
+				if err == nil || !strings.Contains(err.Error(), "needs a policy from") {
+					t.Errorf("%s(%s, %s policy) = %v, want a wrong-kind error", name, scheme, kind, err)
+				}
+			}
+		}
+	}
+}
+
 func TestSolveMDPAndEvaluate(t *testing.T) {
 	cfg := DefaultConfig()
 	policy, err := SolveMDP(cfg)

@@ -2,111 +2,46 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
-	"ctjam/internal/env"
 	"ctjam/internal/mdp"
 	"ctjam/internal/policy"
 )
-
-// hopTarget delegates to the shared block-aware target draw in
-// internal/policy, where the decision logic now lives (see that package's
-// doc). Kept so the tabular training loop and tests draw identically.
-func hopTarget(rng *rand.Rand, current, channels, sweepWidth int) int {
-	return policy.HopTarget(rng, current, channels, sweepWidth)
-}
-
-// PassiveFH is the "PSV FH" baseline of §IV-D3: it reacts only after the
-// fact. Per §II-C2 the passive victim hops "once the error rate exceeds a
-// certain threshold", i.e. after several consecutive jammed slots — not on
-// the first one, because a single bad slot does not move a windowed error
-// rate across the threshold. It always transmits at the minimum power.
-//
-// The decision logic lives in internal/policy (Threshold over a Streak
-// encoder); this type is the serial env.Agent adapter.
-type PassiveFH struct {
-	*policy.Agent
-}
-
-var _ env.Agent = (*PassiveFH)(nil)
 
 // DefaultJamThreshold is the number of consecutive jammed slots a passive
 // victim tolerates before its windowed error rate trips and it hops.
 const DefaultJamThreshold = 4
 
-// NewPassiveFH builds the baseline for a K-channel system with the given
-// jammer sweep width, using DefaultJamThreshold.
-func NewPassiveFH(channels, sweepWidth int) (*PassiveFH, error) {
-	return NewPassiveFHThreshold(channels, sweepWidth, DefaultJamThreshold)
-}
-
-// NewPassiveFHThreshold builds the baseline with an explicit error-rate
-// threshold expressed as consecutive jammed slots.
-func NewPassiveFHThreshold(channels, sweepWidth, jamThreshold int) (*PassiveFH, error) {
-	s, err := policy.PassiveFHScheme(channels, sweepWidth, jamThreshold)
+// NewPassiveFH builds a single-link agent of the "PSV FH" baseline of
+// §IV-D3 (policy.PassiveFHScheme) for a K-channel system with the given
+// jammer sweep width, using DefaultJamThreshold. Per §II-C2 the passive
+// victim hops "once the error rate exceeds a certain threshold", i.e. after
+// several consecutive jammed slots, always at the minimum power.
+func NewPassiveFH(channels, sweepWidth int) (*policy.Agent, error) {
+	s, err := policy.PassiveFHScheme(channels, sweepWidth, DefaultJamThreshold)
 	if err != nil {
 		return nil, err
 	}
-	return &PassiveFH{Agent: s.NewAgent()}, nil
+	return s.NewAgent(), nil
 }
 
-// RandomFH is the "Rand FH" baseline of §IV-D3: at the start of every slot
-// it randomly chooses between hopping (at minimum power) and staying with a
-// random power level. Unlike the MDP/DQN schemes it is oblivious to the
-// jammer's 4-channel block structure: its hops land on a uniformly random
-// other channel, which sometimes stays inside the jammed block.
-//
-// The decision logic lives in internal/policy (RandomWalk encoder); this
-// type is the serial env.Agent adapter.
-type RandomFH struct {
-	*policy.Agent
-}
-
-var _ env.Agent = (*RandomFH)(nil)
-
-// NewRandomFH builds the baseline.
-func NewRandomFH(channels, sweepWidth, powers int) (*RandomFH, error) {
+// NewRandomFH builds a single-link agent of the "Rand FH" baseline of
+// §IV-D3 (policy.RandomFHScheme): every slot it randomly chooses between a
+// block-oblivious hop at minimum power and staying at a random power level.
+func NewRandomFH(channels, sweepWidth, powers int) (*policy.Agent, error) {
 	s, err := policy.RandomFHScheme(channels, sweepWidth, powers)
 	if err != nil {
 		return nil, err
 	}
-	return &RandomFH{Agent: s.NewAgent()}, nil
+	return s.NewAgent(), nil
 }
 
-// Static is the no-defense baseline: it never hops and never raises power.
-// (Batch runs use policy.StaticScheme, which realizes the same decisions.)
-type Static struct{}
-
-var _ env.Agent = (*Static)(nil)
-
-// Name implements env.Agent.
-func (Static) Name() string { return "Static" }
-
-// Reset implements env.Agent.
-func (Static) Reset(*rand.Rand) {}
-
-// Decide always stays at minimum power.
-func (Static) Decide(prev env.SlotInfo) env.Decision {
-	return env.Decision{Channel: prev.Channel, Power: 0}
-}
-
-// MDPAgent plays the exact optimal policy of the solved anti-jamming MDP.
-// It tracks its belief state (consecutive successful slots on the current
+// NewMDPAgent solves the model (if sol is nil) and returns a single-link
+// agent playing its exact optimal policy over a K-channel system. The agent
+// tracks its belief state (consecutive successful slots on the current
 // channel, or the jammed states) from observed outcomes, as the idealized
-// §III-B analysis assumes.
-//
-// The belief tracking and policy lookup live in internal/policy (Lookup
-// over a Belief encoder); this type is the serial env.Agent adapter. Its
-// promoted Scheme method exposes the shared policy for batched runs.
-type MDPAgent struct {
-	*policy.Agent
-}
-
-var _ env.Agent = (*MDPAgent)(nil)
-
-// NewMDPAgent solves the model (if sol is nil) and wraps its greedy policy
-// as a runnable agent over a K-channel system.
-func NewMDPAgent(m *Model, sol *mdp.Solution, channels, sweepWidth int) (*MDPAgent, error) {
+// §III-B analysis assumes; its Scheme method exposes the shared policy for
+// batched runs.
+func NewMDPAgent(m *Model, sol *mdp.Solution, channels, sweepWidth int) (*policy.Agent, error) {
 	if err := checkTopology(channels, sweepWidth); err != nil {
 		return nil, err
 	}
@@ -124,7 +59,7 @@ func NewMDPAgent(m *Model, sol *mdp.Solution, channels, sweepWidth int) (*MDPAge
 	if err != nil {
 		return nil, err
 	}
-	return &MDPAgent{Agent: s.NewAgent()}, nil
+	return s.NewAgent(), nil
 }
 
 func checkTopology(channels, sweepWidth int) error {

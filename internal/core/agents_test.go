@@ -8,6 +8,7 @@ import (
 	"ctjam/internal/env"
 	"ctjam/internal/jammer"
 	"ctjam/internal/metrics"
+	"ctjam/internal/policy"
 )
 
 func runAgent(t *testing.T, cfg env.Config, a env.Agent, slots int) metrics.Counters {
@@ -30,7 +31,7 @@ func TestHopTargetLeavesBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
 		cur := rng.Intn(16)
-		got := hopTarget(rng, cur, 16, 4)
+		got := policy.HopTarget(rng, cur, 16, 4)
 		if got < 0 || got >= 16 {
 			t.Fatalf("hop target %d out of range", got)
 		}
@@ -43,7 +44,7 @@ func TestHopTargetLeavesBlock(t *testing.T) {
 func TestHopTargetUnevenChannels(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 300; i++ {
-		got := hopTarget(rng, 9, 10, 4) // blocks {0-3},{4-7},{8-9}
+		got := policy.HopTarget(rng, 9, 10, 4) // blocks {0-3},{4-7},{8-9}
 		if got < 0 || got >= 10 {
 			t.Fatalf("hop target %d out of range", got)
 		}
@@ -74,10 +75,11 @@ func TestAgentConstructorsValidate(t *testing.T) {
 }
 
 func TestPassiveFHOnlyHopsAfterJamStreak(t *testing.T) {
-	a, err := NewPassiveFHThreshold(16, 4, 3)
+	s, err := policy.PassiveFHScheme(16, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a := s.NewAgent()
 	a.Reset(rand.New(rand.NewSource(3)))
 	d := a.Decide(env.SlotInfo{First: true, Channel: 5})
 	if d.Channel != 5 || d.Power != 0 {
@@ -111,13 +113,13 @@ func TestPassiveFHOnlyHopsAfterJamStreak(t *testing.T) {
 }
 
 func TestPassiveFHThresholdValidation(t *testing.T) {
-	if _, err := NewPassiveFHThreshold(16, 4, 0); err == nil {
+	if _, err := policy.PassiveFHScheme(16, 4, 0); err == nil {
 		t.Fatal("threshold 0: expected error")
 	}
 }
 
 func TestStaticAgentNeverMoves(t *testing.T) {
-	var a Static
+	a := policy.StaticScheme().NewAgent()
 	a.Reset(nil)
 	for i := 0; i < 10; i++ {
 		d := a.Decide(env.SlotInfo{Channel: 7, Outcome: env.OutcomeJammed})
@@ -173,7 +175,7 @@ func TestSchemeOrderingUnderMaxPowerJammer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stStatic := runAgent(t, cfg, Static{}, slots).ST()
+	stStatic := runAgent(t, cfg, policy.StaticScheme().NewAgent(), slots).ST()
 	stPassive := runAgent(t, cfg, passive, slots).ST()
 	stRandom := runAgent(t, cfg, random, slots).ST()
 	stMDP := runAgent(t, cfg, mdpAgent, slots).ST()

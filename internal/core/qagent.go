@@ -91,7 +91,7 @@ func (a *QAgent) Train(e *env.Environment, slots int) (float64, error) {
 			return 0, err
 		}
 		if hop {
-			channel = hopTarget(rng, channel, a.channels, a.sweepWidth)
+			channel = policy.HopTarget(rng, channel, a.channels, a.sweepWidth)
 		}
 		res, err := e.Step(channel, power)
 		if err != nil {
@@ -127,7 +127,7 @@ func (a *QAgent) Decide(prev env.SlotInfo) env.Decision {
 	}
 	ch := prev.Channel
 	if hop && !prev.First {
-		ch = hopTarget(a.rng, prev.Channel, a.channels, a.sweepWidth)
+		ch = policy.HopTarget(a.rng, prev.Channel, a.channels, a.sweepWidth)
 	}
 	return env.Decision{Channel: ch, Power: power}
 }

@@ -32,15 +32,11 @@ type CoordinatorOptions struct {
 	// run completes, so workers mid-poll see a clean end instead of a
 	// connection error (default 2s).
 	Linger time.Duration
-	// NoSchemeShip disables fleet-wide scheme reuse: no train units are
-	// enumerated, no scheme store is kept, and every worker trains the
-	// schemes its points need locally (the pre-reuse behavior).
-	NoSchemeShip bool
-	// InlineSchemeLimit is the largest checkpoint, in bytes, inlined into
-	// dispatched point units (sparing the worker a GET /v1/scheme fetch).
-	// 0 selects the 256 KiB default; negative disables inlining entirely.
-	InlineSchemeLimit int
 }
+
+// inlineSchemeLimit is the largest checkpoint, in bytes, inlined into
+// dispatched units (sparing the worker a GET /v1/scheme fetch).
+const inlineSchemeLimit = 256 << 10
 
 func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	if o.Lease <= 0 {
@@ -54,9 +50,6 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	}
 	if o.Linger <= 0 {
 		o.Linger = 2 * time.Second
-	}
-	if o.InlineSchemeLimit == 0 {
-		o.InlineSchemeLimit = 256 << 10
 	}
 	return o
 }
@@ -99,9 +92,9 @@ type Coordinator struct {
 	schemeFP  map[string]string
 }
 
-// NewCoordinator builds the coordinator for the cache-backed points of the
-// given experiment ids under o, plus (unless NoSchemeShip) one train unit
-// per unique scheme key those points evaluate. Ids without cache-backed
+// NewCoordinator builds the coordinator for the cache-backed points and
+// field runs of the given experiment ids under o, plus one train unit per
+// unique trainable scheme key they evaluate. Ids without cache-backed
 // points contribute no units; a run whose ids produce none completes
 // immediately.
 func NewCoordinator(o experiments.Options, ids []string, copts CoordinatorOptions) (*Coordinator, error) {
@@ -109,16 +102,13 @@ func NewCoordinator(o experiments.Options, ids []string, copts CoordinatorOption
 	if err != nil {
 		return nil, err
 	}
-	copts = copts.withDefaults()
-	if !copts.NoSchemeShip {
-		trains, err := TrainUnitsFor(o, ids)
-		if err != nil {
-			return nil, err
-		}
-		units = append(units, trains...)
+	trains, err := TrainUnitsFor(o, ids)
+	if err != nil {
+		return nil, err
 	}
+	units = append(units, trains...)
 	c := &Coordinator{
-		opts:      copts,
+		opts:      copts.withDefaults(),
 		states:    make(map[string]*unitState, len(units)),
 		remaining: len(units),
 		done:      make(chan struct{}),
@@ -218,10 +208,11 @@ func (c *Coordinator) assign(max int) pollResponse {
 		if st.done || st.leaseUntil.After(now) {
 			continue
 		}
-		// A point whose scheme has a train unit that is not resolved yet is
-		// blocked: skipping it (without burning an attempt) keeps the pull
-		// protocol deadlock-free — the train unit itself stays assignable,
-		// and its own lease/retry machinery bounds how long points can wait.
+		// A point or field unit whose scheme has a train unit that is not
+		// resolved yet is blocked: skipping it (without burning an attempt)
+		// keeps the pull protocol deadlock-free — the train unit itself
+		// stays assignable, and its own lease/retry machinery bounds how
+		// long dependent units can wait.
 		sk := st.unit.SchemeKey
 		if !st.unit.Train && sk != "" && c.trainKeys[sk] && c.schemes[sk] == nil {
 			continue
@@ -240,7 +231,7 @@ func (c *Coordinator) assign(max int) pollResponse {
 			// The scheme is resolved: always ship its fingerprint so the
 			// worker can verify installed bytes, and inline small blobs.
 			u.SchemeFP = c.schemeFP[sk]
-			if len(blob) <= c.opts.InlineSchemeLimit {
+			if len(blob) <= inlineSchemeLimit {
 				u.Scheme = blob
 			}
 		}
@@ -562,11 +553,7 @@ func (c *Coordinator) ImportInto(cache *experiments.Cache) int {
 			}
 			continue
 		}
-		if st.result.Field != nil {
-			cache.ImportFieldRun(k, st.result.Field.runStats())
-		} else {
-			cache.ImportPoint(k, st.result.Counters)
-		}
+		importResult(cache, st.result)
 		n++
 	}
 	return n

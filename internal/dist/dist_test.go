@@ -509,11 +509,18 @@ func TestSchemeEndpointHTTP(t *testing.T) {
 
 func TestResultUnknownKeyRejected(t *testing.T) {
 	o := testOptions()
-	coord, err := NewCoordinator(o, []string{"table1"}, CoordinatorOptions{
-		NoSchemeShip: true, Linger: time.Millisecond,
-	})
+	coord, err := NewCoordinator(o, []string{"table1"}, CoordinatorOptions{Linger: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Resolve the two train units so the point units they gate become
+	// assignable.
+	trains, blobs := trainTestSchemes(t, o)
+	for i, u := range trains {
+		req := schemeUploadRequest{Key: u.Key, Fingerprint: core.SchemeFingerprint(blobs[i]), Data: blobs[i]}
+		if _, reject := coord.recordScheme(req); reject != "" {
+			t.Fatal(reject)
+		}
 	}
 	poll := coord.assign(8)
 	if len(poll.Units) != 2 {
@@ -544,7 +551,7 @@ func TestResultUnknownKeyRejected(t *testing.T) {
 		t.Errorf("rejected keys = %v, want [pt|bogus]", rej.RejectedKeys)
 	}
 	// The two legitimate results in the same report were still ingested.
-	if st := coord.Snapshot(); st.Done != 2 || st.Failed {
+	if st := coord.Snapshot(); st.Point.Done != 2 || st.Failed {
 		t.Errorf("known results not ingested alongside the rejection: %+v", st)
 	}
 }

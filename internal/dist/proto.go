@@ -244,15 +244,16 @@ type Unit struct {
 	// scheme the seed-zeroed Config selects under Opts and uploads its CTSC
 	// checkpoint via POST /v1/scheme instead of evaluating anything.
 	Train bool `json:"train,omitempty"`
-	// SchemeKey, on point units, is the canonical key of the scheme the
-	// point evaluates — the Key of its train unit. Point units are only
-	// dispatched once that key is resolved in the coordinator scheme store.
+	// SchemeKey, on RL FH point and field units, is the canonical key of
+	// the scheme the unit plays — the Key of its train unit. Such units are
+	// only dispatched once that key is resolved in the coordinator scheme
+	// store.
 	SchemeKey string `json:"scheme_key,omitempty"`
-	// Scheme inlines the resolved checkpoint into a dispatched point unit
-	// when it is small (see CoordinatorOptions.InlineSchemeLimit), sparing
-	// the worker a fetch round-trip; SchemeFP is its fingerprint, set on
-	// every dispatched point whose scheme is resolved so the worker can
-	// verify whatever bytes it installs.
+	// Scheme inlines the resolved checkpoint into a dispatched unit when it
+	// is small (see inlineSchemeLimit), sparing the worker a fetch
+	// round-trip; SchemeFP is its fingerprint, set on every dispatched unit
+	// whose scheme is resolved so the worker can verify whatever bytes it
+	// installs.
 	Scheme   []byte `json:"scheme,omitempty"`
 	SchemeFP string `json:"scheme_fp,omitempty"`
 }
@@ -301,14 +302,28 @@ func UnitsFor(o experiments.Options, ids []string) ([]Unit, error) {
 	}
 	for _, fs := range fields {
 		ws := wireFieldSpec(fs.Spec)
-		units = append(units, Unit{Key: fs.Key, Opts: wo, Field: &ws})
+		u := Unit{Key: fs.Key, Opts: wo, Field: &ws}
+		if p := fs.Spec.Point(); p.Defense == experiments.DefenseRL {
+			u.SchemeKey = experiments.SchemeKey(o, p.Config)
+		}
+		units = append(units, u)
 	}
 	sort.Slice(units, func(i, j int) bool { return units[i].Key < units[j].Key })
 	return units, nil
 }
 
-// TrainUnitsFor enumerates one train unit per unique scheme key of the given
-// experiment ids under o, sorted by key. The unit's Key is the scheme cache
+// importResult installs one completed point or field result into cache
+// under its canonical key.
+func importResult(cache *experiments.Cache, r UnitResult) {
+	if r.Field != nil {
+		cache.ImportFieldRun(r.Key, r.Field.runStats())
+	} else {
+		cache.ImportPoint(r.Key, r.Counters)
+	}
+}
+
+// TrainUnitsFor enumerates one train unit per unique RL FH scheme key of the
+// given experiment ids' points and field runs under o, sorted by key. The unit's Key is the scheme cache
 // key itself ("sc|..."), and its Config is the seed-zeroed canonical form:
 // scheme construction never reads the evaluation seed, so every point config
 // sharing a scheme reduces to the same wire payload and every process derives
@@ -319,21 +334,32 @@ func TrainUnitsFor(o experiments.Options, ids []string) ([]Unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	wo := wireOptions(o)
-	seen := make(map[string]bool, len(specs))
-	var units []Unit
+	fields, err := experiments.CacheFieldSpecs(o, ids)
+	if err != nil {
+		return nil, err
+	}
+	var pts []experiments.Point
 	for _, sp := range specs {
-		if sp.Defense != experiments.DefenseRL {
+		pts = append(pts, experiments.Point{Config: sp.Config, Defense: sp.Defense})
+	}
+	for _, fs := range fields {
+		pts = append(pts, fs.Spec.Point())
+	}
+	wo := wireOptions(o)
+	seen := make(map[string]bool, len(pts))
+	var units []Unit
+	for _, p := range pts {
+		if p.Defense != experiments.DefenseRL {
 			// Baseline schemes are deterministic functions of the config;
 			// nothing to train fleet-wide.
 			continue
 		}
-		key := experiments.SchemeKey(o, sp.Config)
+		key := experiments.SchemeKey(o, p.Config)
 		if seen[key] {
 			continue
 		}
 		seen[key] = true
-		cfg := sp.Config
+		cfg := p.Config
 		cfg.Seed = 0
 		wc, err := wireConfig(cfg)
 		if err != nil {

@@ -156,11 +156,7 @@ func MergeSpools(dir string, cache *experiments.Cache, units []Unit) (int, error
 				return 0, fmt.Errorf("dist: %s: unit %s already imported from another shard", path, r.Key)
 			}
 			imported[r.Key] = true
-			if r.Field != nil {
-				cache.ImportFieldRun(r.Key, r.Field.runStats())
-			} else {
-				cache.ImportPoint(r.Key, r.Counters)
-			}
+			importResult(cache, r)
 		}
 	}
 	if len(seen) != shards {

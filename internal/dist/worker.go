@@ -128,8 +128,8 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 			continue
 		}
 
-		// Train units complete through POST /v1/scheme; point units first
-		// install their scheme checkpoint (inlined or fetched) so evaluation
+		// Train units complete through POST /v1/scheme; point and field units
+		// first install their scheme checkpoint (inlined or fetched) so evaluation
 		// reuses the fleet-trained scheme instead of training locally.
 		var results []UnitResult
 		var evals []Unit
@@ -249,10 +249,10 @@ func (w *Worker) trainAndUpload(ctx context.Context, u Unit) (*UnitResult, error
 	return nil, nil
 }
 
-// installScheme makes the scheme a point unit evaluates resolvable from the
-// local cache before evaluation: a no-op when the coordinator shipped no
-// scheme identity (field units, scheme shipping disabled) or the scheme is
-// already installed, otherwise the inlined or fetched checkpoint is
+// installScheme makes the scheme a point or field unit plays resolvable from
+// the local cache before evaluation: a no-op when the coordinator shipped no
+// scheme identity (baseline defenses) or the scheme is already installed,
+// otherwise the inlined or fetched checkpoint is
 // fingerprint-verified and imported. A non-nil result is the unit-level
 // error to report instead of evaluating.
 func (w *Worker) installScheme(ctx context.Context, u Unit) *UnitResult {

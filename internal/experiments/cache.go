@@ -252,9 +252,12 @@ func schemeKey(o Options, p Point) string {
 
 // schemeCheckpoint trains/solves the engine-selected scheme of the paper's
 // "RL FH" defense for one environment configuration and captures it as a
-// distributable CTSC checkpoint. This is the expensive compute memoized by
-// Cache.scheme and deduplicated fleet-wide by distributed train units.
-func schemeCheckpoint(o Options, cfg env.Config) (*core.SchemeCheckpoint, error) {
+// distributable CTSC checkpoint, alongside the live learner it came from
+// (the trained DQN agent, or a single-link agent of the solved MDP) for
+// tests that pin the batched engine against serial play. This is the
+// expensive compute memoized by Cache.scheme and deduplicated fleet-wide by
+// distributed train units.
+func schemeCheckpoint(o Options, cfg env.Config) (*core.SchemeCheckpoint, env.Agent, error) {
 	switch o.Engine {
 	case EngineDQN:
 		acfg := core.DefaultDQNAgentConfig(cfg.Channels, len(cfg.TxPowers), cfg.SweepWidth)
@@ -262,30 +265,36 @@ func schemeCheckpoint(o Options, cfg env.Config) (*core.SchemeCheckpoint, error)
 		acfg.Epsilon.DecaySteps = o.TrainSlots * 2 / 3
 		agent, err := core.NewDQNAgent(acfg)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		trainCfg := cfg
 		trainCfg.Seed = o.Seed + 1000
 		trainEnv, err := env.New(trainCfg)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if _, err := agent.Train(trainEnv, o.TrainSlots); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return agent.SchemeCheckpoint(o.Fast32)
+		ck, err := agent.SchemeCheckpoint(o.Fast32)
+		return ck, agent, err
 	case EngineMDP:
 		model, err := core.NewModel(core.ParamsFromEnv(cfg))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		sol, err := model.Solve(0.9)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return core.NewMDPSchemeCheckpoint("MDP*", model, sol.Policy, cfg.Channels, cfg.SweepWidth)
+		ck, err := core.NewMDPSchemeCheckpoint("MDP*", model, sol.Policy, cfg.Channels, cfg.SweepWidth)
+		if err != nil {
+			return nil, nil, err
+		}
+		agent, err := core.NewMDPAgent(model, sol, cfg.Channels, cfg.SweepWidth)
+		return ck, agent, err
 	default:
-		return nil, fmt.Errorf("experiments: unknown engine %v", o.Engine)
+		return nil, nil, fmt.Errorf("experiments: unknown engine %v", o.Engine)
 	}
 }
 
@@ -321,7 +330,7 @@ func buildSchemeFor(o Options, p Point) (*policy.Scheme, []byte, error) {
 // not taken from the live trainer — so a local trainer and a remote worker
 // installing the same checkpoint run byte-identical schemes by construction.
 func buildScheme(o Options, cfg env.Config) (*policy.Scheme, []byte, error) {
-	ck, err := schemeCheckpoint(o, cfg)
+	ck, _, err := schemeCheckpoint(o, cfg)
 	if err != nil {
 		return nil, nil, err
 	}

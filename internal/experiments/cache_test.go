@@ -183,7 +183,7 @@ func TestBatchedSerialEvalCounters(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, cfg := range cfgs {
-				agent, err := rlAgent(o, cfg)
+				_, agent, err := schemeCheckpoint(o, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -4,24 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"ctjam/internal/env"
 	"ctjam/internal/iot"
 	"ctjam/internal/metrics"
 	"ctjam/internal/parallel"
 )
-
-// fieldRLAgent builds the RL FH agent for the field simulator's channel
-// layout.
-func fieldRLAgent(o Options, cfg iot.Config) (env.Agent, error) {
-	ecfg := env.DefaultConfig()
-	ecfg.Channels = cfg.Channels
-	ecfg.SweepWidth = cfg.SweepWidth
-	ecfg.TxPowers = cfg.TxPowers
-	ecfg.JamPowers = cfg.JamPowers
-	ecfg.JammerMode = cfg.JammerMode
-	ecfg.Seed = o.Seed
-	return rlAgent(o, ecfg)
-}
 
 // runFig9a samples the per-function time consumption (Fig. 9a).
 func runFig9a(o Options) (*Result, error) {
@@ -197,10 +183,10 @@ func fig11aSpecs(o Options) []FieldSpec {
 	}
 }
 
-// runFig11a compares the anti-jamming schemes' goodput (Fig. 11a). Each
-// scheme builds its own agent and simulator (see computeFieldSpec), so the
-// four runs are independent and fan out across o.Workers goroutines through
-// the field cache.
+// runFig11a compares the anti-jamming schemes' goodput (Fig. 11a). Each run
+// plays a fresh agent of its scheme on its own 1-cluster engine (see
+// computeFieldSpec), so the four runs are independent and fan out across
+// o.Workers goroutines through the field cache.
 func runFig11a(o Options) (*Result, error) {
 	res := &Result{
 		Title:  "goodput by anti-jamming scheme (3 s slots, CTJ jammer)",
@@ -231,11 +217,10 @@ func runFig11a(o Options) (*Result, error) {
 // fig11bJamSecs are the jammer slot durations of Fig. 11b.
 var fig11bJamSecs = []float64{0.5, 1, 1.5, 2, 2.5, 3, 3.5, 4, 4.5, 5}
 
-// fig11bSpecs enumerates the per-jammer-slot RL runs of Fig. 11b. The RL
-// agent is stateful (belief / history tracking), so every point builds its
-// own copy; construction is deterministic in o.Seed and sim.Run resets the
-// agent, keeping results identical to a shared, serially reused agent at any
-// worker count.
+// fig11bSpecs enumerates the per-jammer-slot RL runs of Fig. 11b. Every run
+// plays the one RL FH scheme of the default config (trained once, shared
+// with fig11a and Table I through the scheme memo); each run gets a fresh
+// per-link agent of it, so results are identical at any worker count.
 func fig11bSpecs(o Options) []FieldSpec {
 	base := iot.DefaultConfig()
 	specs := make([]FieldSpec, len(fig11bJamSecs))
@@ -281,9 +266,9 @@ func runFig11b(o Options) (*Result, error) {
 var scaleClusterCounts = []int{1, 4, 16, 64}
 
 // scaleSpecs enumerates the goodput-vs-scale runs: the random-FH scheme
-// under one CTJ jammer per cluster, scaling the cluster count. Random FH is
-// the scheme whose per-cluster agent is cheap to replicate, so the runs
-// measure engine scaling rather than agent construction.
+// under one CTJ jammer per cluster, scaling the cluster count. Random FH
+// needs no training, so the runs measure engine scaling rather than scheme
+// construction.
 func scaleSpecs(o Options) []FieldSpec {
 	base := iot.DefaultConfig()
 	specs := make([]FieldSpec, len(scaleClusterCounts))

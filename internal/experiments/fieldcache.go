@@ -6,15 +6,16 @@ import (
 	"sort"
 	"time"
 
-	"ctjam/internal/core"
 	"ctjam/internal/env"
 	"ctjam/internal/iot"
 	"ctjam/internal/parallel"
+	"ctjam/internal/policy"
 )
 
 // Field-simulator scheme tags. A FieldSpec names its anti-jamming scheme by
-// tag so the spec stays a pure value: workers rebuild the agent from the tag
-// and the Options budget, which the field key fingerprints.
+// tag so the spec stays a pure value: workers rebuild the scheme from the tag
+// and the Options budget, which the field key fingerprints. The tags double
+// as the Point.Defense tags of the scheme each run plays (see Point).
 const (
 	// FieldSchemePSV is the paper's passive FH baseline.
 	FieldSchemePSV = "psv"
@@ -36,8 +37,8 @@ type FieldSpec struct {
 	Scheme string
 	// Jammer enables the cross-technology jammer.
 	Jammer bool
-	// Clusters is the number of independent hopping clusters (1 = the
-	// paper's single star network; >1 runs the sharded engine).
+	// Clusters is the number of independent hopping clusters of the field
+	// engine (1 = the paper's single star network).
 	Clusters int
 	// Nodes is the peripheral-node count per cluster.
 	Nodes int
@@ -108,49 +109,41 @@ func fieldConfig(s FieldSpec) iot.Config {
 	return cfg
 }
 
-// fieldAgent builds one fresh agent instance for a spec's scheme. Agents are
-// stateful, so every simulator (and every engine cluster) gets its own copy;
-// construction is deterministic in (o, spec).
-func fieldAgent(o Options, s FieldSpec, cfg iot.Config) (env.Agent, error) {
-	switch s.Scheme {
-	case FieldSchemePSV:
-		return core.NewPassiveFH(cfg.Channels, cfg.SweepWidth)
-	case FieldSchemeRand:
-		return core.NewRandomFH(cfg.Channels, cfg.SweepWidth, len(cfg.TxPowers))
-	case FieldSchemeRL:
-		return fieldRLAgent(o, cfg)
-	case FieldSchemeStatic:
-		return core.Static{}, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown field scheme %q", s.Scheme)
+// Point returns the sweep point whose scheme the field run plays: the
+// paper's default environment (the field simulator's channel and power
+// layout) with the spec's scheme tag as its defense. The RL FH field runs
+// thereby share the Table I scheme of the sweep-point cache instead of
+// training their own.
+func (s FieldSpec) Point() Point {
+	cfg := env.DefaultConfig()
+	cfg.Seed = s.Seed
+	p := Point{Config: cfg}
+	if s.Scheme != FieldSchemeRL {
+		p.Defense = s.Scheme
 	}
+	return p
 }
 
-// computeFieldSpec executes one field run. Single-cluster specs run the
-// classic Simulator; multi-cluster specs run the sharded engine and project
-// its field-wide statistics. Either way the result is a pure function of
-// (o, spec) — o.Workers only shards the engine and never changes results.
-func computeFieldSpec(o Options, s FieldSpec) (iot.RunStats, error) {
+// computeFieldSpec executes one field run on the field engine, one agent of
+// the spec's scheme per cluster (a 1-cluster engine is the paper's single
+// star network). The result is a pure function of (o, spec) — o.Workers
+// only shards the engine and never changes results.
+func computeFieldSpec(ctx context.Context, cache *Cache, o Options, s FieldSpec) (iot.RunStats, error) {
 	if err := s.Validate(); err != nil {
 		return iot.RunStats{}, err
 	}
-	cfg := fieldConfig(s)
-	if s.Clusters == 1 {
-		agent, err := fieldAgent(o, s, cfg)
-		if err != nil {
-			return iot.RunStats{}, err
-		}
-		sim, err := iot.New(cfg)
-		if err != nil {
-			return iot.RunStats{}, err
-		}
-		return sim.Run(agent, s.Slots)
-	}
-	eng, err := iot.NewEngine(iot.EngineConfig{Clusters: s.Clusters, Template: cfg, Workers: o.Workers})
+	p := s.Point()
+	sch, err := cache.scheme(ctx, schemeKey(o, p), func() (*policy.Scheme, []byte, error) {
+		return buildSchemeFor(o, p)
+	})
 	if err != nil {
 		return iot.RunStats{}, err
 	}
-	st, err := eng.Run(func(int) (env.Agent, error) { return fieldAgent(o, s, cfg) }, s.Slots)
+	eng, err := iot.NewEngine(iot.EngineConfig{Clusters: s.Clusters, Template: fieldConfig(s), Workers: o.Workers})
+	if err != nil {
+		return iot.RunStats{}, err
+	}
+	st, err := eng.Run(func(int) (env.Agent, error) { return sch.NewAgent(), nil }, s.Slots)
 	if err != nil {
 		return iot.RunStats{}, err
 	}
@@ -181,7 +174,7 @@ func runFieldSpecs(o Options, specs []FieldSpec) ([]iot.RunStats, error) {
 		if !claimed[i] {
 			return nil
 		}
-		entries[i].fill(computeFieldSpec(o, specs[i]))
+		entries[i].fill(computeFieldSpec(ctx, cache, o, specs[i]))
 		return nil
 	})
 	if err != nil {

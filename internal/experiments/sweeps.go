@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"ctjam/internal/core"
 	"ctjam/internal/env"
 	"ctjam/internal/jammer"
 	"ctjam/internal/metrics"
@@ -120,43 +119,6 @@ var sweepLp = sweep{
 		"SH": "Fig. 8(g): SH falls as PC takes over",
 		"SP": "Fig. 8(h): SP rises as PC takes over",
 	},
-}
-
-// rlAgent builds the engine-selected implementation of the RL FH scheme for
-// one environment configuration as a serial env.Agent, training it if
-// needed. Sweep points no longer evaluate through this path — they go through
-// rlScheme and the batched policy engine (see cache.go) — but the field
-// simulator still drives its stateful iot runs with a serial agent, and the
-// equivalence tests pin the batched path against this one.
-func rlAgent(o Options, cfg env.Config) (env.Agent, error) {
-	switch o.Engine {
-	case EngineDQN:
-		acfg := core.DefaultDQNAgentConfig(cfg.Channels, len(cfg.TxPowers), cfg.SweepWidth)
-		acfg.Seed = o.Seed
-		acfg.Epsilon.DecaySteps = o.TrainSlots * 2 / 3
-		agent, err := core.NewDQNAgent(acfg)
-		if err != nil {
-			return nil, err
-		}
-		trainCfg := cfg
-		trainCfg.Seed = o.Seed + 1000
-		trainEnv, err := env.New(trainCfg)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := agent.Train(trainEnv, o.TrainSlots); err != nil {
-			return nil, err
-		}
-		return agent, nil
-	case EngineMDP:
-		model, err := core.NewModel(core.ParamsFromEnv(cfg))
-		if err != nil {
-			return nil, err
-		}
-		return core.NewMDPAgent(model, nil, cfg.Channels, cfg.SweepWidth)
-	default:
-		return nil, fmt.Errorf("experiments: unknown engine %v", o.Engine)
-	}
 }
 
 // sweepModes are the two jammer power modes every Figs. 6-8 panel compares.

@@ -3,9 +3,9 @@ package ids
 import (
 	"testing"
 
-	"ctjam/internal/core"
 	"ctjam/internal/env"
 	"ctjam/internal/phy/zigbee"
+	"ctjam/internal/policy"
 )
 
 func detector(t *testing.T) *Detector {
@@ -171,7 +171,7 @@ func TestEndToEndCTJStaysInvisibleToPacketLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, records, err := env.RunTrace(e, core.Static{}, 400)
+	_, records, err := env.RunTrace(e, policy.StaticScheme().NewAgent(), 400)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"ctjam/internal/core"
 	"ctjam/internal/env"
 	"ctjam/internal/fault"
+	"ctjam/internal/policy"
 )
 
 func engineTemplate() Config {
@@ -158,7 +159,7 @@ func TestEngineValidation(t *testing.T) {
 	if eng.Clusters() != 2 || eng.Nodes() != 2*cfg.Nodes {
 		t.Errorf("engine sized %d clusters / %d nodes", eng.Clusters(), eng.Nodes())
 	}
-	newAgent := func(int) (env.Agent, error) { return core.Static{}, nil }
+	newAgent := func(int) (env.Agent, error) { return policy.StaticScheme().NewAgent(), nil }
 	if _, err := eng.Run(newAgent, 0); err == nil {
 		t.Error("Run with 0 slots: expected error")
 	}

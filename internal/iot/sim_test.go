@@ -8,6 +8,7 @@ import (
 	"ctjam/internal/core"
 	"ctjam/internal/env"
 	"ctjam/internal/metrics"
+	"ctjam/internal/policy"
 )
 
 func noJammerConfig(slot time.Duration) Config {
@@ -119,7 +120,7 @@ func TestUtilizationMatchesPaperFig10b(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := s.Run(core.Static{}, 200)
+		run, err := s.Run(policy.StaticScheme().NewAgent(), 200)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +150,7 @@ func TestGoodputGrowsWithSlotDuration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := s.Run(core.Static{}, 100)
+		run, err := s.Run(policy.StaticScheme().NewAgent(), 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +171,7 @@ func TestNoJammerMeansNoLosses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := s.Run(core.Static{}, 100)
+	run, err := s.Run(policy.StaticScheme().NewAgent(), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestStaticVictimLosesMostPacketsUnderJamming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := s.Run(core.Static{}, 150)
+	run, err := s.Run(policy.StaticScheme().NewAgent(), 150)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestSchemeOrderingGoodputFig11a(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := sNoJam.Run(core.Static{}, slots)
+	baseline, err := sNoJam.Run(policy.StaticScheme().NewAgent(), slots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestRunValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(core.Static{}, 0); err == nil {
+	if _, err := s.Run(policy.StaticScheme().NewAgent(), 0); err == nil {
 		t.Fatal("0 slots: expected error")
 	}
 }
@@ -436,7 +437,7 @@ func TestCSMAModeContentionCost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := s.Run(core.Static{}, 60)
+		run, err := s.Run(policy.StaticScheme().NewAgent(), 60)
 		if err != nil {
 			t.Fatal(err)
 		}

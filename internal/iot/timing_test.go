@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"ctjam/internal/core"
+	"ctjam/internal/policy"
 )
 
 func TestTimingValidateEdgeCases(t *testing.T) {
@@ -96,7 +96,7 @@ func TestOverheadExceedsSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := sim.Run(core.Static{}, 20)
+	run, err := sim.Run(policy.StaticScheme().NewAgent(), 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestDriftStretchedOverheadExceedsSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := sim.Run(core.Static{}, 20)
+	run, err := sim.Run(policy.StaticScheme().NewAgent(), 20)
 	if err != nil {
 		t.Fatal(err)
 	}

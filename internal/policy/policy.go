@@ -150,7 +150,8 @@ func (b *Batch) DecideBatch(prev []env.SlotInfo, out []env.Decision) error {
 }
 
 // Agent adapts a Scheme to the serial env.Agent interface (a batch of one).
-// The internal/core agents are thin wrappers around this type.
+// Every defense's serial agent is one of these, except the live learners
+// (core.DQNAgent, core.QAgent) that train it.
 type Agent struct {
 	scheme *Scheme
 	enc    Encoder
@@ -192,8 +193,8 @@ func (a *Agent) Decide(prev env.SlotInfo) env.Decision {
 // HopTarget picks a uniformly random channel outside the current channel's
 // sweep block, matching the MDP's assumption that a hop lands on one of the
 // other S-1 blocks (Eq. 9). Hopping within the jammer's block would not
-// escape a 4-channel-wide cross-technology jammer. (Migrated verbatim from
-// internal/core so every scheme draws hop targets identically.)
+// escape a 4-channel-wide cross-technology jammer. Every scheme and the
+// tabular learner's training loop draw hop targets through it.
 func HopTarget(rng *rand.Rand, current, channels, sweepWidth int) int {
 	blocks := (channels + sweepWidth - 1) / sweepWidth
 	curBlock := current / sweepWidth

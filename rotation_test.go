@@ -117,11 +117,17 @@ func TestEvaluateBatchMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, scheme := range []Scheme{SchemePassive, SchemeRandom, SchemeStatic, SchemeMDP} {
-		var pol *Policy
-		if scheme == SchemeMDP {
-			pol = mdpPolicy
-		}
+	rlPolicy, err := TrainDQN(cfg, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qPolicy, err := TrainQLearning(cfg, 3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policies := map[Scheme]*Policy{SchemeMDP: mdpPolicy, SchemeRL: rlPolicy, SchemeQLearning: qPolicy}
+	for _, scheme := range []Scheme{SchemePassive, SchemeRandom, SchemeStatic, SchemeMDP, SchemeRL, SchemeQLearning} {
+		pol := policies[scheme]
 		batch, err := EvaluateBatch(cfg, scheme, pol, k, slots)
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)

@@ -39,9 +39,10 @@ go test -count=1 -tags noasm ./internal/nn ./internal/rl ./internal/policy
 go test -race -count=1 -run 'TestForwardBatch32|TestSnapshotFast32|TestEngine' ./internal/nn ./internal/rl ./internal/policy
 
 # The sweep-point cache shares memoized counters and trained schemes across
-# concurrent experiment runs; its claim/wait protocol must stay race-clean
-# and bit-identical to uncached serial runs.
-go test -race -count=1 -run 'TestSweepCache|TestBatchedSerialEvalCounters' ./internal/experiments
+# concurrent experiment runs, and field runs claim scheme entries from it
+# concurrently; its claim/wait protocol must stay race-clean and
+# bit-identical to uncached serial runs.
+go test -race -count=1 -run 'TestSweepCache|TestBatchedSerialEvalCounters|TestFieldRLSharesTableIScheme' ./internal/experiments
 
 # Distributed execution must stay bit-identical to a single-process run —
 # static shards at several counts, the coordinator/worker HTTP protocol,
