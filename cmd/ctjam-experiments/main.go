@@ -26,9 +26,9 @@
 //	                   workers to return every result, then print the
 //	                   experiments from the merged cache. Each unique
 //	                   scheme is trained exactly once fleet-wide: the
-//	                   coordinator leases train units first, stores the
-//	                   uploaded CTSC checkpoints content-addressed, and
-//	                   ships them to the workers evaluating dependent
+//	                   coordinator leases train units first, records the
+//	                   CTSC checkpoint each one reports as its result, and
+//	                   ships it inline with the units evaluating dependent
 //	                   points and field runs.
 //	-worker URL        work: poll the coordinator at URL (e.g.
 //	                   http://host:9077), evaluate assigned units locally,

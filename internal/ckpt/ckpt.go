@@ -3,7 +3,8 @@
 // keep-newest-N retention policy. Writers drop a new generation after each
 // checkpoint interval and GC the oldest beyond the retention count; resume
 // scans newest-to-oldest so a corrupt latest generation falls back to the
-// previous one instead of aborting the run.
+// previous one instead of aborting the run. It also owns the magic + version
+// header every binary checkpoint format opens with (header.go).
 package ckpt
 
 import (

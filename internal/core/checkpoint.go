@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 
+	"ctjam/internal/ckpt"
 	"ctjam/internal/env"
 	"ctjam/internal/jammer"
 )
@@ -163,8 +164,10 @@ type TrainingCursor struct {
 func (a *DQNAgent) SaveTraining(w io.Writer, e *env.Environment, cur TrainingCursor) error {
 	write := func(v any) error { return binary.Write(w, binary.LittleEndian, v) }
 	st := e.State()
+	if err := ckpt.WriteHeader(w, trainMagic, trainVersion); err != nil {
+		return err
+	}
 	for _, v := range []any{
-		uint32(trainMagic), uint32(trainVersion),
 		uint64(cur.Slot), math.Float64bits(cur.TotalReward),
 		uint32(len(a.hist.Window())),
 	} {
@@ -205,19 +208,15 @@ type trainingPrelude struct {
 // force a large allocation.
 func readTrainingPrelude(r io.Reader) (trainingPrelude, error) {
 	read := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
-	var magic, version uint32
+	if err := ckpt.ReadHeader(r, trainMagic, trainVersion, ErrBadTrainingCheckpoint); err != nil {
+		return trainingPrelude{}, err
+	}
 	var slot, totalBits uint64
 	var histLen uint32
-	for _, v := range []any{&magic, &version, &slot, &totalBits, &histLen} {
+	for _, v := range []any{&slot, &totalBits, &histLen} {
 		if err := read(v); err != nil {
 			return trainingPrelude{}, fmt.Errorf("%w: header: %v", ErrBadTrainingCheckpoint, err)
 		}
-	}
-	if magic != trainMagic {
-		return trainingPrelude{}, fmt.Errorf("%w: bad magic %#x", ErrBadTrainingCheckpoint, magic)
-	}
-	if version != trainVersion {
-		return trainingPrelude{}, fmt.Errorf("%w: unsupported version %d", ErrBadTrainingCheckpoint, version)
 	}
 	if slot > 1<<40 {
 		return trainingPrelude{}, fmt.Errorf("%w: implausible slot %d", ErrBadTrainingCheckpoint, slot)

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 
+	"ctjam/internal/ckpt"
 	"ctjam/internal/nn"
 	"ctjam/internal/policy"
 	"ctjam/internal/rl"
@@ -208,8 +209,7 @@ func (c *SchemeCheckpoint) Encode() ([]byte, error) {
 	}
 	var buf bytes.Buffer
 	w := func(v any) { binary.Write(&buf, binary.LittleEndian, v) }
-	w(uint32(schemeMagic))
-	w(uint32(schemeVersion))
+	ckpt.WriteHeader(&buf, schemeMagic, schemeVersion)
 	w(uint8(c.Family))
 	w(boolByte(c.Fast32))
 	w(uint16(len(c.Name)))
@@ -246,18 +246,8 @@ func (c *SchemeCheckpoint) Encode() ([]byte, error) {
 func DecodeScheme(data []byte) (*SchemeCheckpoint, error) {
 	r := bytes.NewReader(data)
 	read := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
-	var magic, version uint32
-	if err := read(&magic); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadScheme, err)
-	}
-	if magic != schemeMagic {
-		return nil, fmt.Errorf("%w: bad magic %#x", ErrBadScheme, magic)
-	}
-	if err := read(&version); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadScheme, err)
-	}
-	if version != schemeVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadScheme, version)
+	if err := ckpt.ReadHeader(r, schemeMagic, schemeVersion, ErrBadScheme); err != nil {
+		return nil, err
 	}
 	var family, fast32 uint8
 	var nameLen uint16

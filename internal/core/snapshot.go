@@ -2,10 +2,10 @@ package core
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 
+	"ctjam/internal/ckpt"
 	"ctjam/internal/rl"
 )
 
@@ -19,11 +19,11 @@ import (
 // training run left behind.
 func SnapshotFromCheckpoint(r io.Reader) (*rl.Snapshot, error) {
 	br := bufio.NewReader(r)
-	head, err := br.Peek(4)
+	magic, err := ckpt.PeekMagic(br)
 	if err != nil {
 		return nil, fmt.Errorf("core: read checkpoint magic: %w", err)
 	}
-	if binary.LittleEndian.Uint32(head) == trainMagic {
+	if magic == trainMagic {
 		if _, err := readTrainingPrelude(br); err != nil {
 			return nil, err
 		}

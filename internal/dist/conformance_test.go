@@ -143,7 +143,6 @@ func TestDistributedSerialEquivalence(t *testing.T) {
 			workers[i] = NewWorker(srv.URL, WorkerOptions{
 				ID:           fmt.Sprintf("w%d", i),
 				Workers:      2,
-				MaxUnits:     4,
 				PollInterval: 10 * time.Millisecond,
 			})
 			wg.Add(1)
@@ -230,7 +229,7 @@ func TestDistributedWorkerLossRetry(t *testing.T) {
 	defer srv.Close()
 
 	// A worker that claims a batch and dies without reporting.
-	body, _ := json.Marshal(pollRequest{Worker: "doomed", Max: 6})
+	body, _ := json.Marshal(pollRequest{Worker: "doomed"})
 	resp, err := http.Post(srv.URL+"/v1/poll", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -278,8 +277,8 @@ func TestDistributedWorkerLossRetry(t *testing.T) {
 }
 
 // TestDistributedTrainLossRetry kills a worker that claimed train units
-// before uploading any checkpoint. The blocked point units must not deadlock
-// the run: the train leases expire, a healthy worker retrains and uploads,
+// before reporting any checkpoint. The blocked point units must not deadlock
+// the run: the train leases expire, a healthy worker retrains and reports,
 // and the output converges byte-identical to the single-process run.
 func TestDistributedTrainLossRetry(t *testing.T) {
 	o := testOptions()
@@ -315,7 +314,7 @@ func TestDistributedTrainLossRetry(t *testing.T) {
 	// A worker that claims a batch and dies mid-training. The ids carry no
 	// field units and every point is gated on an unresolved scheme, so the
 	// first poll can only hand out train units.
-	body, _ := json.Marshal(pollRequest{Worker: "doomed", Max: 4})
+	body, _ := json.Marshal(pollRequest{Worker: "doomed"})
 	resp, err := http.Post(srv.URL+"/v1/poll", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

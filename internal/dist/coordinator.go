@@ -1,14 +1,13 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
-	"net/url"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -26,17 +25,14 @@ type CoordinatorOptions struct {
 	// unit has burned this many leases or explicit failures the run fails
 	// instead of retrying forever (default 3).
 	MaxAttempts int
-	// Batch is the most units handed to one poll (default 8).
-	Batch int
 	// Linger keeps ListenAndWait serving Done responses this long after the
 	// run completes, so workers mid-poll see a clean end instead of a
 	// connection error (default 2s).
 	Linger time.Duration
 }
 
-// inlineSchemeLimit is the largest checkpoint, in bytes, inlined into
-// dispatched units (sparing the worker a GET /v1/scheme fetch).
-const inlineSchemeLimit = 256 << 10
+// unitsPerPoll is the most units one poll leases.
+const unitsPerPoll = 4
 
 func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	if o.Lease <= 0 {
@@ -45,9 +41,6 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 3
 	}
-	if o.Batch <= 0 {
-		o.Batch = 8
-	}
 	if o.Linger <= 0 {
 		o.Linger = 2 * time.Second
 	}
@@ -55,7 +48,8 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 }
 
 // unitState tracks one unit through the lease protocol. result holds the
-// completed payload — Counters for sweep points, Field for field replicas.
+// completed payload — Counters for sweep points, Field for field replicas,
+// the verified checkpoint for train units.
 type unitState struct {
 	unit       Unit
 	done       bool
@@ -68,12 +62,11 @@ type unitState struct {
 // Coordinator owns the work-unit ledger of one distributed run: it hands out
 // leases in sorted-key order, re-leases units whose workers went silent,
 // fails fast once a unit exhausts its attempts, and collects the Counters
-// that Wait-then-ImportInto feeds back into a sweep-point cache. It also
-// holds the content-addressed scheme store of fleet-wide scheme reuse: each
-// unique scheme key is a train unit, its uploaded checkpoint gates the point
-// units evaluating that scheme, and claiming workers fetch (or receive
-// inline) the stored bytes instead of retraining. Safe for concurrent use by
-// any number of HTTP workers.
+// that Wait-then-ImportInto feeds back into a sweep-point cache. The ledger
+// is also the scheme store of fleet-wide scheme reuse: each unique scheme
+// key is a train unit whose result is its checkpoint, that result gates the
+// units evaluating the scheme, and they ship with its bytes inline instead
+// of retraining. Safe for concurrent use by any number of HTTP workers.
 type Coordinator struct {
 	opts CoordinatorOptions
 
@@ -83,13 +76,6 @@ type Coordinator struct {
 	remaining int
 	err       error
 	done      chan struct{}
-
-	// trainKeys marks the scheme keys that have a train unit; point units
-	// whose SchemeKey is in here are dispatched only once the key resolves
-	// in schemes. schemes/schemeFP hold the uploaded checkpoints by key.
-	trainKeys map[string]bool
-	schemes   map[string][]byte
-	schemeFP  map[string]string
 }
 
 // NewCoordinator builds the coordinator for the cache-backed points and
@@ -112,16 +98,10 @@ func NewCoordinator(o experiments.Options, ids []string, copts CoordinatorOption
 		states:    make(map[string]*unitState, len(units)),
 		remaining: len(units),
 		done:      make(chan struct{}),
-		trainKeys: make(map[string]bool),
-		schemes:   make(map[string][]byte),
-		schemeFP:  make(map[string]string),
 	}
 	for _, u := range units {
 		c.order = append(c.order, u.Key)
 		c.states[u.Key] = &unitState{unit: u}
-		if u.Train {
-			c.trainKeys[u.Key] = true
-		}
 	}
 	sort.Strings(c.order)
 	if c.remaining == 0 {
@@ -145,10 +125,9 @@ func (c *Coordinator) finished() bool {
 	return c.remaining == 0 || c.err != nil
 }
 
-// pollRequest asks for up to Max units on behalf of a worker.
+// pollRequest asks for units on behalf of a worker.
 type pollRequest struct {
 	Worker string `json:"worker"`
-	Max    int    `json:"max,omitempty"`
 }
 
 // pollResponse carries assigned units, or a backoff hint, or the end of the
@@ -171,35 +150,19 @@ type resultResponse struct {
 }
 
 // rejectResponse is the body of a structured 409: the coordinator refused
-// part of an upload because a recomputed key or fingerprint did not match
-// what the worker claimed.
+// part of a report because a key, payload or checkpoint did not match what
+// the worker claimed.
 type rejectResponse struct {
 	Error        string   `json:"error"`
 	RejectedKeys []string `json:"rejected_keys,omitempty"`
 }
 
-// schemeUploadRequest carries one trained checkpoint to POST /v1/scheme.
-type schemeUploadRequest struct {
-	Worker      string `json:"worker"`
-	Key         string `json:"key"`
-	Fingerprint string `json:"fingerprint"`
-	Data        []byte `json:"data"`
-}
-
-type schemeUploadResponse struct {
-	OK   bool `json:"ok"`
-	Done bool `json:"done,omitempty"`
-}
-
-// assign leases up to max assignable units in sorted-key order.
-func (c *Coordinator) assign(max int) pollResponse {
+// assign leases up to unitsPerPoll assignable units in sorted-key order.
+func (c *Coordinator) assign() pollResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.finished() {
 		return pollResponse{Done: true}
-	}
-	if max <= 0 || max > c.opts.Batch {
-		max = c.opts.Batch
 	}
 	now := time.Now()
 	var units []Unit
@@ -208,13 +171,13 @@ func (c *Coordinator) assign(max int) pollResponse {
 		if st.done || st.leaseUntil.After(now) {
 			continue
 		}
-		// A point or field unit whose scheme has a train unit that is not
-		// resolved yet is blocked: skipping it (without burning an attempt)
-		// keeps the pull protocol deadlock-free — the train unit itself
-		// stays assignable, and its own lease/retry machinery bounds how
-		// long dependent units can wait.
-		sk := st.unit.SchemeKey
-		if !st.unit.Train && sk != "" && c.trainKeys[sk] && c.schemes[sk] == nil {
+		// A point or field unit whose train unit is not done yet is
+		// blocked: skipping it (without burning an attempt) keeps the pull
+		// protocol deadlock-free — the train unit itself stays assignable,
+		// and its own lease/retry machinery bounds how long dependent units
+		// can wait. ts is nil for train units and baseline defenses.
+		ts := c.states[st.unit.SchemeKey]
+		if ts != nil && !ts.done {
 			continue
 		}
 		if st.attempts >= c.opts.MaxAttempts {
@@ -227,16 +190,11 @@ func (c *Coordinator) assign(max int) pollResponse {
 		st.attempts++
 		st.leaseUntil = now.Add(c.opts.Lease)
 		u := st.unit
-		if blob := c.schemes[sk]; !u.Train && blob != nil {
-			// The scheme is resolved: always ship its fingerprint so the
-			// worker can verify installed bytes, and inline small blobs.
-			u.SchemeFP = c.schemeFP[sk]
-			if len(blob) <= inlineSchemeLimit {
-				u.Scheme = blob
-			}
+		if ts != nil {
+			u.Scheme, u.SchemeFP = ts.result.Scheme, ts.result.SchemeFP
 		}
 		units = append(units, u)
-		if len(units) == max {
+		if len(units) == unitsPerPoll {
 			break
 		}
 	}
@@ -257,14 +215,30 @@ func (c *Coordinator) assign(max int) pollResponse {
 
 // record ingests one worker's results. Known results are ingested even when
 // others in the same report are rejected; the returned rejected list names
-// the keys the coordinator refused (unknown keys — a worker claiming work it
-// was never handed — and malformed payloads), which the handler surfaces as
-// a structured 409.
+// the keys the coordinator refused, which the handler surfaces as a
+// structured 409: unknown keys (a worker claiming work it was never handed),
+// payloads that do not fit the unit's kind, unverifiable checkpoints, and
+// checkpoints conflicting with a train unit's recorded one. A refused
+// payload for an open unit also burns the attempt.
 func (c *Coordinator) record(results []UnitResult) (resultResponse, []string) {
+	// Verify every checkpoint before taking the lock: decoding rebuilds a
+	// whole network, and polls should not queue behind it.
+	bad := make([]string, len(results))
+	for i, r := range results {
+		if r.Err != "" || r.Scheme == nil {
+			continue
+		}
+		if bad[i] = fingerprintError(r); bad[i] == "" {
+			if _, err := core.DecodeScheme(r.Scheme); err != nil {
+				bad[i] = fmt.Sprintf("scheme %s: %v", r.Key, err)
+			}
+		}
+	}
+
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var rejected []string
-	for _, r := range results {
+	for i, r := range results {
 		st, ok := c.states[r.Key]
 		if !ok {
 			// Unknown key: the worker claims a unit this run never issued.
@@ -275,103 +249,39 @@ func (c *Coordinator) record(results []UnitResult) (resultResponse, []string) {
 		}
 		if st.done {
 			// A duplicate from a retried lease: results are pure functions
-			// of the key, so the first one stands.
+			// of the key, so the first one stands. Training is deterministic
+			// too, so a checkpoint with other bytes can only be corruption.
+			if r.Err == "" && st.unit.Train && (bad[i] != "" || !bytes.Equal(r.Scheme, st.result.Scheme)) {
+				rejected = append(rejected, r.Key)
+			}
 			continue
 		}
-		fail := func(msg string) {
+		msg := r.Err
+		if msg == "" {
+			reason := payloadError(st.unit, r)
+			if reason == "" {
+				reason = bad[i]
+			}
+			if reason != "" {
+				msg = "dist: " + reason
+				rejected = append(rejected, r.Key)
+			}
+		}
+		if msg != "" {
 			st.lastErr = msg
 			st.leaseUntil = time.Time{} // release for immediate retry
 			if st.attempts >= c.opts.MaxAttempts {
 				c.fail(fmt.Errorf("dist: unit %s failed after %d attempts: %s", r.Key, st.attempts, msg))
 			}
-		}
-		if r.Err != "" {
-			fail(r.Err)
-			continue
-		}
-		if st.unit.Train {
-			// Train units complete through POST /v1/scheme, never through a
-			// bare success result: a worker reporting one has not uploaded
-			// the checkpoint the dependent points are waiting for.
-			fail("dist: train unit result without scheme upload")
-			rejected = append(rejected, r.Key)
-			continue
-		}
-		if st.unit.Field != nil && r.Field == nil {
-			// A field unit must come back with field stats; treat the
-			// malformed report like a failed attempt.
-			fail("dist: field unit result missing field stats")
 			continue
 		}
 		st.done = true
 		st.result = r
-		c.remaining--
-	}
-	if c.remaining == 0 && c.err == nil {
-		select {
-		case <-c.done:
-		default:
+		if c.remaining--; c.remaining == 0 && c.err == nil {
 			close(c.done)
 		}
 	}
 	return resultResponse{OK: true, Done: c.finished()}, rejected
-}
-
-// recordScheme ingests one trained checkpoint upload. The coordinator never
-// trusts the claimed identity: the fingerprint is recomputed from the bytes
-// and the blob must decode as a CTSC checkpoint before anything is stored.
-// A non-empty reject reason maps to a structured 409.
-func (c *Coordinator) recordScheme(req schemeUploadRequest) (schemeUploadResponse, string) {
-	fp := core.SchemeFingerprint(req.Data)
-	if fp != req.Fingerprint {
-		return schemeUploadResponse{}, fmt.Sprintf(
-			"scheme %s: claimed fingerprint %s, bytes hash to %s", req.Key, req.Fingerprint, fp)
-	}
-	if _, err := core.DecodeScheme(req.Data); err != nil {
-		return schemeUploadResponse{}, fmt.Sprintf("scheme %s: %v", req.Key, err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st, ok := c.states[req.Key]
-	if !ok || !st.unit.Train {
-		return schemeUploadResponse{}, fmt.Sprintf("scheme %s: not a train unit of this run", req.Key)
-	}
-	if st.done {
-		if c.schemeFP[req.Key] == fp {
-			// Duplicate upload of identical bytes (a retried lease):
-			// idempotent success.
-			return schemeUploadResponse{OK: true, Done: c.finished()}, ""
-		}
-		// Training is deterministic, so two honest workers produce identical
-		// bytes for one key; a different fingerprint means corruption.
-		return schemeUploadResponse{}, fmt.Sprintf(
-			"scheme %s: conflicting upload: stored %s, got %s", req.Key, c.schemeFP[req.Key], fp)
-	}
-	c.schemes[req.Key] = append([]byte(nil), req.Data...)
-	c.schemeFP[req.Key] = fp
-	st.done = true
-	st.result = UnitResult{Key: req.Key}
-	c.remaining--
-	if c.remaining == 0 && c.err == nil {
-		select {
-		case <-c.done:
-		default:
-			close(c.done)
-		}
-	}
-	return schemeUploadResponse{OK: true, Done: c.finished()}, ""
-}
-
-// schemeBytes returns the stored checkpoint and fingerprint for a scheme
-// key, if resolved.
-func (c *Coordinator) schemeBytes(key string) ([]byte, string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	blob, ok := c.schemes[key]
-	if !ok {
-		return nil, "", false
-	}
-	return blob, c.schemeFP[key], true
 }
 
 // UnitProgress is the per-unit-type progress breakdown of a Status: how many
@@ -398,8 +308,8 @@ func (p *UnitProgress) count(st *unitState, now time.Time) {
 
 // Status is the /v1/status snapshot. Total/Done/Leased/Attempts aggregate
 // every unit; Train/Point/Field break the same progress down by unit type,
-// and SchemesStored/SchemeStoreBytes size the coordinator's checkpoint
-// store — see DESIGN.md for the JSON shape.
+// and SchemesStored/SchemeStoreBytes size the checkpoints of the done train
+// units — see DESIGN.md for the JSON shape.
 type Status struct {
 	Total     int    `json:"total"`
 	Done      int    `json:"done"`
@@ -432,24 +342,24 @@ func (c *Coordinator) Snapshot() Status {
 			s.Leased++
 		}
 		s.Attempts += st.attempts
-		switch {
-		case st.unit.Train:
+		switch st.unit.kind() {
+		case "train":
 			s.Train.count(st, now)
-		case st.unit.Field != nil:
+			if st.done {
+				s.SchemesStored++
+				s.SchemeStoreBytes += int64(len(st.result.Scheme))
+			}
+		case "field":
 			s.Field.count(st, now)
 		default:
 			s.Point.count(st, now)
 		}
 	}
-	s.SchemesStored = len(c.schemes)
-	for _, blob := range c.schemes {
-		s.SchemeStoreBytes += int64(len(blob))
-	}
 	return s
 }
 
 // Handler serves the coordinator protocol: POST /v1/poll, POST /v1/result,
-// POST /v1/scheme, GET /v1/scheme/{key}, GET /v1/status.
+// GET /v1/status.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/poll", func(w http.ResponseWriter, r *http.Request) {
@@ -457,7 +367,7 @@ func (c *Coordinator) Handler() http.Handler {
 		if !decodeJSON(w, r, &req) {
 			return
 		}
-		writeJSON(w, c.assign(req.Max))
+		writeJSON(w, c.assign())
 	})
 	mux.HandleFunc("/v1/result", func(w http.ResponseWriter, r *http.Request) {
 		var req resultRequest
@@ -469,47 +379,12 @@ func (c *Coordinator) Handler() http.Handler {
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusConflict)
 			json.NewEncoder(w).Encode(rejectResponse{
-				Error:        "dist: results rejected: recomputed identity does not match claimed keys",
+				Error:        "dist: results rejected: unknown key, wrong payload kind or unverifiable checkpoint",
 				RejectedKeys: rejected,
 			})
 			return
 		}
 		writeJSON(w, resp)
-	})
-	mux.HandleFunc("/v1/scheme", func(w http.ResponseWriter, r *http.Request) {
-		var req schemeUploadRequest
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		resp, reject := c.recordScheme(req)
-		if reject != "" {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusConflict)
-			json.NewEncoder(w).Encode(rejectResponse{Error: "dist: " + reject, RejectedKeys: []string{req.Key}})
-			return
-		}
-		writeJSON(w, resp)
-	})
-	mux.HandleFunc("/v1/scheme/", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, `{"error":"GET required"}`, http.StatusMethodNotAllowed)
-			return
-		}
-		// Scheme keys contain '|' and '=' but the worker path-escapes them;
-		// unescape from the raw path so nothing in the key is mangled.
-		key, err := url.PathUnescape(strings.TrimPrefix(r.URL.EscapedPath(), "/v1/scheme/"))
-		if err != nil {
-			http.Error(w, `{"error":"bad scheme key"}`, http.StatusBadRequest)
-			return
-		}
-		blob, fp, ok := c.schemeBytes(key)
-		if !ok {
-			http.Error(w, `{"error":"scheme not resolved"}`, http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("X-Scheme-Fingerprint", fp)
-		w.Write(blob)
 	})
 	mux.HandleFunc("/v1/status", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, c.Snapshot())
@@ -530,12 +405,10 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 }
 
 // ImportInto feeds every completed unit's result into cache under its
-// canonical key — Counters into the point cache, field stats into the
-// field-run cache, stored scheme checkpoints into the scheme cache — after
-// which experiment runs sharing that cache read the distributed results
-// instead of recomputing them. The returned count covers point and field
-// results (the units UnitsFor enumerates); schemes ride along uncounted.
-// Call after Wait succeeds.
+// canonical key (see importResult), after which experiment runs sharing
+// that cache read the distributed results instead of recomputing them. The
+// returned count covers point and field results (the units UnitsFor
+// enumerates); schemes ride along uncounted. Call after Wait succeeds.
 func (c *Coordinator) ImportInto(cache *experiments.Cache) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -545,16 +418,11 @@ func (c *Coordinator) ImportInto(cache *experiments.Cache) int {
 		if !st.done {
 			continue
 		}
-		if st.unit.Train {
-			// Upload-time decoding guarantees the blob is importable; a key
-			// already resolved locally is a no-op by construction.
-			if blob := c.schemes[k]; blob != nil {
-				cache.ImportScheme(k, blob)
-			}
-			continue
+		// record decoded every checkpoint, so no import here can fail.
+		importResult(cache, st.unit, st.result)
+		if !st.unit.Train {
+			n++
 		}
-		importResult(cache, st.result)
-		n++
 	}
 	return n
 }

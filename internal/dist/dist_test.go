@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -166,6 +165,9 @@ func TestMergeSpoolsErrors(t *testing.T) {
 			{Shard: 1, Shards: 2, Results: res("a")},
 		}, "already imported"},
 		{"missing unit", []Spool{{Shard: 0, Shards: 1, Results: res("a")}}, "missing unit"},
+		{"unknown unit", []Spool{{Shard: 0, Shards: 1, Results: res("a", "b", "c")}}, "not in the work list"},
+		{"wrong payload kind", []Spool{{Shard: 0, Shards: 1, Results: append(res("a"),
+			UnitResult{Key: "b", Field: &WireRunStats{Slots: 1}})}}, "point unit b: result carries field stats"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -200,28 +202,42 @@ func TestCoordinatorUnknownID(t *testing.T) {
 	}
 }
 
+// TestCoordinatorFailsAfterMaxAttempts checks that with one attempt per
+// unit, a reported failure — or a 409 for a tampered checkpoint, which burns
+// the attempt too — fails the run with that failure's message.
 func TestCoordinatorFailsAfterMaxAttempts(t *testing.T) {
-	coord, err := NewCoordinator(testOptions(), []string{"table1"}, CoordinatorOptions{
-		MaxAttempts: 1,
-		Linger:      time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	poll := coord.assign(1)
-	if len(poll.Units) != 1 {
-		t.Fatalf("assigned %d units, want 1", len(poll.Units))
-	}
-	coord.record([]UnitResult{{Key: poll.Units[0].Key, Err: "synthetic failure"}})
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	err = coord.Wait(ctx)
-	if err == nil || !strings.Contains(err.Error(), "synthetic failure") {
-		t.Errorf("Wait = %v, want fatal unit failure", err)
-	}
-	st := coord.Snapshot()
-	if !st.Failed || st.LastError == "" {
-		t.Errorf("status does not report the failure: %+v", st)
+	tampered := schemeResult("", []byte("checkpoint"))
+	tampered.SchemeFP = "beef"
+	for _, tc := range []struct {
+		r    UnitResult
+		want string
+	}{
+		{UnitResult{Err: "synthetic failure"}, "synthetic failure"},
+		{tampered, "claimed fingerprint beef"},
+	} {
+		coord, err := NewCoordinator(testOptions(), []string{"table1"}, CoordinatorOptions{
+			MaxAttempts: 1,
+			Linger:      time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The points wait on their schemes, so the poll leases train units.
+		poll := coord.assign()
+		if len(poll.Units) == 0 || !poll.Units[0].Train {
+			t.Fatalf("expected a train unit first, got %+v", poll.Units)
+		}
+		tc.r.Key = poll.Units[0].Key
+		coord.record([]UnitResult{tc.r})
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		err = coord.Wait(ctx)
+		cancel()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Wait = %v, want fatal unit failure %q", err, tc.want)
+		}
+		if st := coord.Snapshot(); !st.Failed || st.LastError == "" {
+			t.Errorf("status does not report the failure: %+v", st)
+		}
 	}
 }
 
@@ -354,7 +370,7 @@ func TestTrainUnitsForSchemeKeys(t *testing.T) {
 }
 
 // trainTestSchemes trains the checkpoint of every table1 train unit, giving
-// protocol tests real CTSC blobs to upload.
+// protocol tests real CTSC blobs to report.
 func trainTestSchemes(t *testing.T, o experiments.Options) ([]Unit, [][]byte) {
 	t.Helper()
 	trains, err := TrainUnitsFor(o, []string{"table1"})
@@ -386,6 +402,15 @@ func trainTestSchemes(t *testing.T, o experiments.Options) ([]Unit, [][]byte) {
 	return trains, blobs
 }
 
+// schemeResult is the result a worker reports for a trained checkpoint.
+func schemeResult(key string, blob []byte) UnitResult {
+	return UnitResult{Key: key, Scheme: blob, SchemeFP: core.SchemeFingerprint(blob)}
+}
+
+// TestSchemeUploadVerification checks that record never trusts a train
+// result's claimed identity: bad, missing or unknown checkpoints are
+// rejected (and burn the attempt), identical duplicates are idempotent, and
+// conflicting duplicates are rejected.
 func TestSchemeUploadVerification(t *testing.T) {
 	o := testOptions()
 	trains, blobs := trainTestSchemes(t, o)
@@ -393,141 +418,171 @@ func TestSchemeUploadVerification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp0 := core.SchemeFingerprint(blobs[0])
-
-	if _, reject := coord.recordScheme(schemeUploadRequest{
-		Key: trains[0].Key, Fingerprint: "beef", Data: blobs[0],
-	}); !strings.Contains(reject, "hash to") {
-		t.Errorf("claimed-fingerprint mismatch not rejected: %q", reject)
-	}
+	key := trains[0].Key
 	junk := []byte{1, 2, 3, 4}
-	if _, reject := coord.recordScheme(schemeUploadRequest{
-		Key: trains[0].Key, Fingerprint: core.SchemeFingerprint(junk), Data: junk,
-	}); reject == "" {
-		t.Error("undecodable checkpoint accepted")
+	tampered := schemeResult(key, blobs[0])
+	tampered.SchemeFP = "beef"
+	for _, tc := range []struct {
+		name string
+		r    UnitResult
+		want string
+	}{
+		{"fingerprint mismatch", tampered, "hash to"},
+		{"undecodable blob", schemeResult(key, junk), "bad scheme checkpoint"},
+		{"missing checkpoint", UnitResult{Key: key}, "missing scheme checkpoint"},
+	} {
+		_, rejected := coord.record([]UnitResult{tc.r})
+		if !reflect.DeepEqual(rejected, []string{key}) {
+			t.Errorf("%s: rejected %v, want [%s]", tc.name, rejected, key)
+		}
+		if got := coord.states[key].lastErr; !strings.Contains(got, tc.want) {
+			t.Errorf("%s: attempt error %q, want substring %q", tc.name, got, tc.want)
+		}
 	}
-	if _, reject := coord.recordScheme(schemeUploadRequest{
-		Key: "sc|bogus", Fingerprint: fp0, Data: blobs[0],
-	}); !strings.Contains(reject, "not a train unit") {
-		t.Errorf("unknown train key not rejected: %q", reject)
+	if _, rejected := coord.record([]UnitResult{schemeResult("sc|bogus", blobs[0])}); !reflect.DeepEqual(rejected, []string{"sc|bogus"}) {
+		t.Errorf("unknown train key: rejected %v", rejected)
 	}
 	if snap := coord.Snapshot(); snap.Train.Done != 0 || snap.SchemesStored != 0 {
-		t.Fatalf("rejected uploads mutated the store: %+v", snap)
+		t.Fatalf("rejected checkpoints mutated the store: %+v", snap)
 	}
 
-	resp, reject := coord.recordScheme(schemeUploadRequest{Key: trains[0].Key, Fingerprint: fp0, Data: blobs[0]})
-	if reject != "" || !resp.OK {
-		t.Fatalf("valid upload refused: %+v %q", resp, reject)
+	if resp, rejected := coord.record([]UnitResult{schemeResult(key, blobs[0])}); len(rejected) > 0 || !resp.OK {
+		t.Fatalf("valid checkpoint refused: %+v %v", resp, rejected)
 	}
-	// A retried lease re-uploads identical bytes: idempotent success.
-	if resp, reject = coord.recordScheme(schemeUploadRequest{Key: trains[0].Key, Fingerprint: fp0, Data: blobs[0]}); reject != "" || !resp.OK {
-		t.Errorf("duplicate identical upload refused: %+v %q", resp, reject)
+	// A retried lease re-reports identical bytes: idempotent success.
+	if resp, rejected := coord.record([]UnitResult{schemeResult(key, blobs[0])}); len(rejected) > 0 || !resp.OK {
+		t.Errorf("duplicate identical checkpoint refused: %+v %v", resp, rejected)
 	}
-	// Different bytes under a resolved key can only be corruption.
-	if _, reject = coord.recordScheme(schemeUploadRequest{
-		Key: trains[0].Key, Fingerprint: core.SchemeFingerprint(blobs[1]), Data: blobs[1],
-	}); !strings.Contains(reject, "conflicting") {
-		t.Errorf("conflicting upload not rejected: %q", reject)
+	// Different bytes under a done key can only be corruption.
+	if _, rejected := coord.record([]UnitResult{schemeResult(key, blobs[1])}); !reflect.DeepEqual(rejected, []string{key}) {
+		t.Errorf("conflicting checkpoint: rejected %v, want [%s]", rejected, key)
 	}
-	if snap := coord.Snapshot(); snap.Train.Done != 1 || snap.SchemesStored != 1 {
+	// A late error from another lease of a done unit changes nothing.
+	if _, rejected := coord.record([]UnitResult{{Key: key, Err: "late failure"}}); len(rejected) > 0 {
+		t.Errorf("error-only duplicate rejected: %v", rejected)
+	}
+	if snap := coord.Snapshot(); snap.Train.Done != 1 || snap.SchemesStored != 1 ||
+		snap.SchemeStoreBytes != int64(len(blobs[0])) {
 		t.Errorf("store after one resolved scheme: %+v", snap)
 	}
 }
 
-func TestSchemeEndpointHTTP(t *testing.T) {
+// TestRecordRejectsWrongPayloadKind checks every unit kind against every
+// payload of another kind: each is a rejected key and a failed attempt, the
+// unit stays open, and nothing reaches a cache.
+func TestRecordRejectsWrongPayloadKind(t *testing.T) {
 	o := testOptions()
-	trains, blobs := trainTestSchemes(t, o)
-	coord, err := NewCoordinator(o, []string{"table1"}, CoordinatorOptions{Linger: time.Millisecond})
+	coord, err := NewCoordinator(o, []string{"table1", "fig10a"}, CoordinatorOptions{Linger: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-	getURL := srv.URL + "/v1/scheme/" + url.PathEscape(trains[0].Key)
-
-	resp, err := http.Get(getURL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("GET of unresolved scheme: %s, want 404", resp.Status)
-	}
-
-	post := func(req schemeUploadRequest) *http.Response {
-		t.Helper()
-		body, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
+	keys := make(map[string]string)
+	for _, k := range coord.order {
+		if kind := coord.states[k].unit.kind(); keys[kind] == "" {
+			keys[kind] = k
 		}
-		resp, err := http.Post(srv.URL+"/v1/scheme", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+	}
+	if len(keys) != 3 {
+		t.Fatalf("want one unit of each kind, got %v", keys)
+	}
+	stats := &WireRunStats{Slots: 1}
+	blob := []byte("checkpoint")
+	fp := core.SchemeFingerprint(blob)
+	for _, tc := range []struct {
+		kind string
+		r    UnitResult
+	}{
+		{"point", UnitResult{Field: stats}},
+		{"point", UnitResult{Scheme: blob, SchemeFP: fp}},
+		{"point", UnitResult{Field: stats, Scheme: blob, SchemeFP: fp}},
+		{"field", UnitResult{}},
+		{"field", UnitResult{Scheme: blob, SchemeFP: fp}},
+		{"field", UnitResult{Field: stats, Scheme: blob, SchemeFP: fp}},
+		{"train", UnitResult{}},
+		{"train", UnitResult{Field: stats}},
+		{"train", UnitResult{Field: stats, Scheme: blob, SchemeFP: fp}},
+	} {
+		key := keys[tc.kind]
+		tc.r.Key = key
+		_, rejected := coord.record([]UnitResult{tc.r})
+		if !reflect.DeepEqual(rejected, []string{key}) {
+			t.Errorf("%s unit, field=%t scheme=%t: rejected %v, want [%s]",
+				tc.kind, tc.r.Field != nil, tc.r.Scheme != nil, rejected, key)
 		}
-		return resp
+		if st := coord.states[key]; st.done || !strings.Contains(st.lastErr, tc.kind+" unit") {
+			t.Errorf("%s unit, field=%t scheme=%t: done=%t, attempt error %q",
+				tc.kind, tc.r.Field != nil, tc.r.Scheme != nil, st.done, st.lastErr)
+		}
 	}
-	bad := post(schemeUploadRequest{Worker: "t", Key: trains[0].Key, Fingerprint: "beef", Data: blobs[0]})
-	if bad.StatusCode != http.StatusConflict {
-		t.Fatalf("tampered upload: %s, want 409", bad.Status)
+	if snap := coord.Snapshot(); snap.Done != 0 {
+		t.Errorf("wrong-kind payloads completed %d units", snap.Done)
 	}
-	var rej rejectResponse
-	if err := json.NewDecoder(bad.Body).Decode(&rej); err != nil {
-		t.Fatal(err)
-	}
-	bad.Body.Close()
-	if rej.Error == "" || !reflect.DeepEqual(rej.RejectedKeys, []string{trains[0].Key}) {
-		t.Errorf("409 body does not name the rejected key: %+v", rej)
-	}
-	good := post(schemeUploadRequest{
-		Worker: "t", Key: trains[0].Key,
-		Fingerprint: core.SchemeFingerprint(blobs[0]), Data: blobs[0],
-	})
-	if good.StatusCode != http.StatusOK {
-		t.Fatalf("valid upload: %s, want 200", good.Status)
-	}
-	good.Body.Close()
-
-	resp, err = http.Get(getURL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET of resolved scheme: %s, want 200", resp.Status)
-	}
-	if got := resp.Header.Get("X-Scheme-Fingerprint"); got != core.SchemeFingerprint(blobs[0]) {
-		t.Errorf("fingerprint header %q does not match stored bytes", got)
-	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), blobs[0]) {
-		t.Errorf("fetched scheme differs from uploaded bytes (%d vs %d)", buf.Len(), len(blobs[0]))
+	if n := coord.ImportInto(experiments.NewCache()); n != 0 {
+		t.Errorf("ImportInto imported %d wrong-kind results", n)
 	}
 }
 
+// TestDispatchShipsResolvedScheme checks that once its train unit is done,
+// every unit playing that scheme is dispatched with the checkpoint bytes and
+// fingerprint inline.
+func TestDispatchShipsResolvedScheme(t *testing.T) {
+	o := testOptions()
+	trains, blobs := trainTestSchemes(t, o)
+	coord, err := NewCoordinator(o, []string{"table1", "table1-seeds"}, CoordinatorOptions{Linger: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byKey := make(map[string][]byte)
+	for i, u := range trains {
+		byKey[u.Key] = blobs[i]
+		if _, rejected := coord.record([]UnitResult{schemeResult(u.Key, blobs[i])}); len(rejected) > 0 {
+			t.Fatalf("checkpoint %s rejected", u.Key)
+		}
+	}
+	if snap := coord.Snapshot(); snap.Train.Done != snap.Train.Total {
+		t.Fatalf("table1-seeds needs schemes table1 does not train: %+v", snap.Train)
+	}
+	shipped := 0
+	for poll := coord.assign(); len(poll.Units) > 0; poll = coord.assign() {
+		for _, u := range poll.Units {
+			if u.SchemeKey == "" {
+				continue
+			}
+			shipped++
+			if !bytes.Equal(u.Scheme, byKey[u.SchemeKey]) || u.SchemeFP != core.SchemeFingerprint(byKey[u.SchemeKey]) {
+				t.Errorf("unit %s dispatched without the bytes of scheme %s", u.Key, u.SchemeKey)
+			}
+		}
+	}
+	if snap := coord.Snapshot(); shipped == 0 || shipped != snap.Point.Leased {
+		t.Errorf("dispatched %d scheme-backed units, %d point units leased", shipped, snap.Point.Leased)
+	}
+}
+
+// TestResultUnknownKeyRejected checks that one /v1/result body mixing a
+// train result, a point result, an unknown key and a conflicting checkpoint
+// is ingested except for the keys its structured 409 names.
 func TestResultUnknownKeyRejected(t *testing.T) {
 	o := testOptions()
 	coord, err := NewCoordinator(o, []string{"table1"}, CoordinatorOptions{Linger: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Resolve the two train units so the point units they gate become
-	// assignable.
+	// Resolve the first train unit: the poll then leases the point it gates
+	// and the other train unit.
 	trains, blobs := trainTestSchemes(t, o)
-	for i, u := range trains {
-		req := schemeUploadRequest{Key: u.Key, Fingerprint: core.SchemeFingerprint(blobs[i]), Data: blobs[i]}
-		if _, reject := coord.recordScheme(req); reject != "" {
-			t.Fatal(reject)
-		}
+	if _, rejected := coord.record([]UnitResult{schemeResult(trains[0].Key, blobs[0])}); len(rejected) > 0 {
+		t.Fatalf("checkpoint %s rejected", trains[0].Key)
 	}
-	poll := coord.assign(8)
-	if len(poll.Units) != 2 {
-		t.Fatalf("assigned %d units, want 2", len(poll.Units))
+	poll := coord.assign()
+	if len(poll.Units) != 2 || poll.Units[0].Train || poll.Units[1].Key != trains[1].Key {
+		t.Fatalf("assigned %+v, want the point of the resolved scheme and the other train unit", poll.Units)
 	}
-	results := evaluate(context.Background(), poll.Units, experiments.NewCache(), 1)
-	results = append(results, UnitResult{Key: "pt|bogus", Counters: metrics.Counters{Slots: 1}})
+	results := evaluate(context.Background(), poll.Units[:1], experiments.NewCache(), 1)
+	results = append(results,
+		schemeResult(trains[1].Key, blobs[1]),
+		UnitResult{Key: "pt|bogus", Counters: metrics.Counters{Slots: 1}},
+		schemeResult(trains[0].Key, blobs[1])) // conflicts with the recorded checkpoint
 
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
@@ -547,11 +602,11 @@ func TestResultUnknownKeyRejected(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&rej); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rej.RejectedKeys, []string{"pt|bogus"}) {
-		t.Errorf("rejected keys = %v, want [pt|bogus]", rej.RejectedKeys)
+	if want := []string{"pt|bogus", trains[0].Key}; rej.Error == "" || !reflect.DeepEqual(rej.RejectedKeys, want) {
+		t.Errorf("409 body = %+v, want an error naming %v", rej, want)
 	}
-	// The two legitimate results in the same report were still ingested.
-	if st := coord.Snapshot(); st.Point.Done != 2 || st.Failed {
+	// The point and train results in the same report were still ingested.
+	if st := coord.Snapshot(); st.Point.Done != 1 || st.Train.Done != 2 || st.Failed {
 		t.Errorf("known results not ingested alongside the rejection: %+v", st)
 	}
 }
@@ -560,19 +615,17 @@ func TestMergeSpoolsSchemeVerification(t *testing.T) {
 	o := testOptions()
 	trains, blobs := trainTestSchemes(t, o)
 	key := trains[0].Key
-	res := func(keys ...string) []UnitResult {
-		out := make([]UnitResult, len(keys))
-		for i, k := range keys {
-			out[i] = UnitResult{Key: k, Counters: metrics.Counters{Slots: 1}}
-		}
-		return out
+	spool := func(shard, shards int, unit string, scheme UnitResult) Spool {
+		return Spool{Shard: shard, Shards: shards, Results: []UnitResult{
+			{Key: unit, Counters: metrics.Counters{Slots: 1}}, scheme,
+		}}
 	}
 
 	t.Run("corrupt fingerprint", func(t *testing.T) {
 		dir := t.TempDir()
-		writeSpool(t, dir, Spool{Shard: 0, Shards: 1, Results: res("a"), Schemes: []SpoolScheme{
-			{Key: key, Fingerprint: "beef", Data: blobs[0]},
-		}})
+		r := schemeResult(key, blobs[0])
+		r.SchemeFP = "beef"
+		writeSpool(t, dir, spool(0, 1, "a", r))
 		_, err := MergeSpools(dir, experiments.NewCache(), []Unit{{Key: "a"}})
 		if err == nil || !strings.Contains(err.Error(), "hash to") {
 			t.Errorf("err = %v, want fingerprint mismatch", err)
@@ -580,25 +633,31 @@ func TestMergeSpoolsSchemeVerification(t *testing.T) {
 	})
 	t.Run("undecodable scheme", func(t *testing.T) {
 		dir := t.TempDir()
-		junk := []byte{9, 9, 9}
-		writeSpool(t, dir, Spool{Shard: 0, Shards: 1, Results: res("a"), Schemes: []SpoolScheme{
-			{Key: key, Fingerprint: core.SchemeFingerprint(junk), Data: junk},
-		}})
+		writeSpool(t, dir, spool(0, 1, "a", schemeResult(key, []byte{9, 9, 9})))
 		if _, err := MergeSpools(dir, experiments.NewCache(), []Unit{{Key: "a"}}); err == nil {
 			t.Error("spool with undecodable scheme bytes merged cleanly")
 		}
 	})
 	t.Run("cross-shard conflict", func(t *testing.T) {
 		dir := t.TempDir()
-		writeSpool(t, dir, Spool{Shard: 0, Shards: 2, Results: res("a"), Schemes: []SpoolScheme{
-			{Key: key, Fingerprint: core.SchemeFingerprint(blobs[0]), Data: blobs[0]},
-		}})
-		writeSpool(t, dir, Spool{Shard: 1, Shards: 2, Results: res("b"), Schemes: []SpoolScheme{
-			{Key: key, Fingerprint: core.SchemeFingerprint(blobs[1]), Data: blobs[1]},
-		}})
+		writeSpool(t, dir, spool(0, 2, "a", schemeResult(key, blobs[0])))
+		writeSpool(t, dir, spool(1, 2, "b", schemeResult(key, blobs[1])))
 		_, err := MergeSpools(dir, experiments.NewCache(), []Unit{{Key: "a"}, {Key: "b"}})
 		if err == nil || !strings.Contains(err.Error(), "conflicts with another shard") {
 			t.Errorf("err = %v, want cross-shard scheme conflict", err)
+		}
+	})
+	t.Run("shared scheme", func(t *testing.T) {
+		dir := t.TempDir()
+		writeSpool(t, dir, spool(0, 2, "a", schemeResult(key, blobs[0])))
+		writeSpool(t, dir, spool(1, 2, "b", schemeResult(key, blobs[0])))
+		cache := experiments.NewCache()
+		n, err := MergeSpools(dir, cache, []Unit{{Key: "a"}, {Key: "b"}})
+		if err != nil || n != 2 {
+			t.Fatalf("merge = %d, %v; want the 2 point units", n, err)
+		}
+		if got, ok := cache.SchemeBytes(key); !ok || !bytes.Equal(got, blobs[0]) {
+			t.Error("merged cache lacks the shared scheme")
 		}
 	})
 }
@@ -614,9 +673,9 @@ func TestCoordinatorRejectsFieldResultWithoutStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	poll := coord.assign(1)
-	if len(poll.Units) != 1 || poll.Units[0].Field == nil {
-		t.Fatalf("expected one field unit, got %+v", poll.Units)
+	poll := coord.assign()
+	if len(poll.Units) == 0 || poll.Units[0].Field == nil {
+		t.Fatalf("expected a field unit first, got %+v", poll.Units)
 	}
 	coord.record([]UnitResult{{Key: poll.Units[0].Key}}) // no Field payload
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)

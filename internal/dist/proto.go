@@ -30,6 +30,7 @@ import (
 	"sort"
 	"time"
 
+	"ctjam/internal/core"
 	"ctjam/internal/env"
 	"ctjam/internal/experiments"
 	"ctjam/internal/fault"
@@ -241,31 +242,69 @@ type Unit struct {
 	Defense string `json:"defense,omitempty"`
 
 	// Train marks a scheme-training unit: the worker trains/solves the
-	// scheme the seed-zeroed Config selects under Opts and uploads its CTSC
-	// checkpoint via POST /v1/scheme instead of evaluating anything.
+	// scheme the seed-zeroed Config selects under Opts and reports its CTSC
+	// checkpoint as the unit's result instead of evaluating anything.
 	Train bool `json:"train,omitempty"`
 	// SchemeKey, on RL FH point and field units, is the canonical key of
 	// the scheme the unit plays — the Key of its train unit. Such units are
-	// only dispatched once that key is resolved in the coordinator scheme
-	// store.
+	// only dispatched once that train unit is done.
 	SchemeKey string `json:"scheme_key,omitempty"`
-	// Scheme inlines the resolved checkpoint into a dispatched unit when it
-	// is small (see inlineSchemeLimit), sparing the worker a fetch
-	// round-trip; SchemeFP is its fingerprint, set on every dispatched unit
-	// whose scheme is resolved so the worker can verify whatever bytes it
-	// installs.
+	// Scheme and SchemeFP carry the resolved checkpoint and its fingerprint
+	// inline in every dispatched unit that has a SchemeKey, so the worker
+	// verifies and installs the fleet-trained scheme instead of training.
 	Scheme   []byte `json:"scheme,omitempty"`
 	SchemeFP string `json:"scheme_fp,omitempty"`
 }
 
-// UnitResult reports one evaluated unit: its Counters (sweep points) or its
-// RunStats (field units), or the error that kept a worker from producing
-// them.
+// kind names the unit's kind: "train", "field" or "point".
+func (u Unit) kind() string {
+	switch {
+	case u.Train:
+		return "train"
+	case u.Field != nil:
+		return "field"
+	}
+	return "point"
+}
+
+// UnitResult reports one completed unit: its Counters (sweep points), its
+// RunStats (field units) or its CTSC checkpoint and fingerprint (train
+// units), or the error that kept a worker from producing them.
 type UnitResult struct {
 	Key      string           `json:"key"`
 	Counters metrics.Counters `json:"counters"`
 	Field    *WireRunStats    `json:"field,omitempty"`
+	Scheme   []byte           `json:"scheme,omitempty"`
+	SchemeFP string           `json:"scheme_fp,omitempty"`
 	Err      string           `json:"err,omitempty"`
+}
+
+// payloadError reports why r's payload does not fit the kind of u, or ""
+// when it does: a point result carries neither field stats nor a scheme
+// checkpoint, a field result field stats only, a train result a checkpoint
+// only.
+func payloadError(u Unit, r UnitResult) string {
+	switch {
+	case u.Field != nil && r.Field == nil:
+		return fmt.Sprintf("field unit %s: result missing field stats", r.Key)
+	case u.Train && r.Scheme == nil:
+		return fmt.Sprintf("train unit %s: result missing scheme checkpoint", r.Key)
+	case u.Field == nil && r.Field != nil:
+		return fmt.Sprintf("%s unit %s: result carries field stats", u.kind(), r.Key)
+	case !u.Train && r.Scheme != nil:
+		return fmt.Sprintf("%s unit %s: result carries a scheme checkpoint", u.kind(), r.Key)
+	}
+	return ""
+}
+
+// fingerprintError reports why a train result's checkpoint bytes do not
+// hash to the fingerprint it claims, or "" when they do: neither the
+// coordinator nor a merge trusts the claimed identity.
+func fingerprintError(r UnitResult) string {
+	if fp := core.SchemeFingerprint(r.Scheme); fp != r.SchemeFP {
+		return fmt.Sprintf("scheme %s: claimed fingerprint %s, bytes hash to %s", r.Key, r.SchemeFP, fp)
+	}
+	return ""
 }
 
 // UnitsFor enumerates the distributable work units of the given experiment
@@ -312,14 +351,20 @@ func UnitsFor(o experiments.Options, ids []string) ([]Unit, error) {
 	return units, nil
 }
 
-// importResult installs one completed point or field result into cache
-// under its canonical key.
-func importResult(cache *experiments.Cache, r UnitResult) {
-	if r.Field != nil {
+// importResult installs one completed result into cache under its
+// canonical key, dispatching on the kind of its unit u: Counters into the
+// point cache, field stats into the field-run cache, a checkpoint into the
+// scheme cache. Only a checkpoint import can fail (it decodes the scheme).
+func importResult(cache *experiments.Cache, u Unit, r UnitResult) error {
+	switch u.kind() {
+	case "train":
+		return cache.ImportScheme(r.Key, r.Scheme)
+	case "field":
 		cache.ImportFieldRun(r.Key, r.Field.runStats())
-	} else {
+	default:
 		cache.ImportPoint(r.Key, r.Counters)
 	}
+	return nil
 }
 
 // TrainUnitsFor enumerates one train unit per unique RL FH scheme key of the

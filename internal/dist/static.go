@@ -15,23 +15,15 @@ import (
 
 // Spool is the on-disk exchange format of static (networkless) sharding: one
 // shard's results, tagged with its place in the shard set so a merge can
-// verify it is combining a complete, consistent partition. Schemes carries
-// the checkpoints of every scheme the shard trained, so a merge can account
-// for fleet-wide training work (and reuse the schemes) without retraining.
+// verify it is combining a complete, consistent partition. Besides the
+// shard's point and field results, Results holds one train result (scheme
+// key, CTSC bytes, fingerprint) per scheme the shard trained, so a merge can
+// account for fleet-wide training work (and reuse the schemes) without
+// retraining.
 type Spool struct {
-	Shard   int           `json:"shard"`
-	Shards  int           `json:"shards"`
-	Results []UnitResult  `json:"results"`
-	Schemes []SpoolScheme `json:"schemes,omitempty"`
-}
-
-// SpoolScheme is one persisted scheme checkpoint: its canonical cache key,
-// the CTSC bytes, and their fingerprint (recomputed and verified on merge,
-// so a corrupted spool cannot install a wrong scheme under a healthy key).
-type SpoolScheme struct {
-	Key         string `json:"key"`
-	Fingerprint string `json:"fingerprint"`
-	Data        []byte `json:"data"`
+	Shard   int          `json:"shard"`
+	Shards  int          `json:"shards"`
+	Results []UnitResult `json:"results"`
 }
 
 // SpoolName is the canonical spool filename of one shard, used by the
@@ -77,14 +69,11 @@ func RunShard(ctx context.Context, o experiments.Options, ids []string, shard, s
 			return 0, fmt.Errorf("dist: shard %d/%d: unit %s: %s", shard, shards, r.Key, r.Err)
 		}
 	}
-	sp := Spool{Shard: shard, Shards: shards, Results: results}
+	n := len(results)
 	for _, sb := range cache.ExportSchemes() {
-		sp.Schemes = append(sp.Schemes, SpoolScheme{
-			Key:         sb.Key,
-			Fingerprint: core.SchemeFingerprint(sb.Data),
-			Data:        sb.Data,
-		})
+		results = append(results, UnitResult{Key: sb.Key, Scheme: sb.Data, SchemeFP: core.SchemeFingerprint(sb.Data)})
 	}
+	sp := Spool{Shard: shard, Shards: shards, Results: results}
 	err = atomicfile.WriteFile(path, 0o644, func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -93,13 +82,16 @@ func RunShard(ctx context.Context, o experiments.Options, ids []string, shard, s
 	if err != nil {
 		return 0, err
 	}
-	return len(results), nil
+	return n, nil
 }
 
 // MergeSpools reads the spool files of one complete shard set from dir and
 // imports every result into cache. It verifies the set is consistent (all
 // spools agree on the shard count), complete (every index 0..shards-1
-// present exactly once), and covers every expected unit key exactly once.
+// present exactly once), and covers every expected unit key exactly once
+// with a payload of its kind; the only other results it accepts are scheme
+// checkpoints whose bytes hash to their fingerprint, one fingerprint per
+// scheme key across shards. The returned count covers point and field units.
 func MergeSpools(dir string, cache *experiments.Cache, units []Unit) (int, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "shard-*-of-*.json"))
 	if err != nil {
@@ -110,6 +102,10 @@ func MergeSpools(dir string, cache *experiments.Cache, units []Unit) (int, error
 	}
 	shards, firstPath := 0, ""
 	seen := make(map[int]string)
+	want := make(map[string]Unit, len(units))
+	for _, u := range units {
+		want[u.Key] = u
+	}
 	imported := make(map[string]bool)
 	schemeFPs := make(map[string]string)
 	for _, path := range matches {
@@ -135,28 +131,35 @@ func MergeSpools(dir string, cache *experiments.Cache, units []Unit) (int, error
 			return 0, fmt.Errorf("dist: %s: shard index %d out of range [0,%d)", path, sp.Shard, shards)
 		}
 		seen[sp.Shard] = path
-		for _, s := range sp.Schemes {
-			if fp := core.SchemeFingerprint(s.Data); fp != s.Fingerprint {
-				return 0, fmt.Errorf("dist: %s: scheme %s: declared fingerprint %s, bytes hash to %s",
-					path, s.Key, s.Fingerprint, fp)
-			}
-			if prev, dup := schemeFPs[s.Key]; dup && prev != s.Fingerprint {
-				return 0, fmt.Errorf("dist: %s: scheme %s conflicts with another shard's checkpoint", path, s.Key)
-			}
-			schemeFPs[s.Key] = s.Fingerprint
-			if err := cache.ImportScheme(s.Key, s.Data); err != nil {
-				return 0, fmt.Errorf("dist: %s: scheme %s: %w", path, s.Key, err)
-			}
-		}
 		for _, r := range sp.Results {
 			if r.Err != "" {
 				return 0, fmt.Errorf("dist: %s: unit %s carries error: %s", path, r.Key, r.Err)
 			}
-			if imported[r.Key] {
-				return 0, fmt.Errorf("dist: %s: unit %s already imported from another shard", path, r.Key)
+			u, ok := want[r.Key]
+			switch {
+			case ok:
+				if imported[r.Key] {
+					return 0, fmt.Errorf("dist: %s: unit %s already imported from another shard", path, r.Key)
+				}
+				imported[r.Key] = true
+			case r.Scheme != nil:
+				u = Unit{Key: r.Key, Train: true}
+				if msg := fingerprintError(r); msg != "" {
+					return 0, fmt.Errorf("dist: %s: %s", path, msg)
+				}
+				if prev, dup := schemeFPs[r.Key]; dup && prev != r.SchemeFP {
+					return 0, fmt.Errorf("dist: %s: scheme %s conflicts with another shard's checkpoint", path, r.Key)
+				}
+				schemeFPs[r.Key] = r.SchemeFP
+			default:
+				return 0, fmt.Errorf("dist: %s: unit %s is not in the work list", path, r.Key)
 			}
-			imported[r.Key] = true
-			importResult(cache, r)
+			if msg := payloadError(u, r); msg != "" {
+				return 0, fmt.Errorf("dist: %s: %s", path, msg)
+			}
+			if err := importResult(cache, u, r); err != nil {
+				return 0, fmt.Errorf("dist: %s: unit %s: %w", path, r.Key, err)
+			}
 		}
 	}
 	if len(seen) != shards {

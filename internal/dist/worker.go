@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"time"
 
 	"ctjam/internal/core"
@@ -22,9 +21,6 @@ type WorkerOptions struct {
 	ID string
 	// Workers is the local evaluation parallelism (default GOMAXPROCS).
 	Workers int
-	// MaxUnits is the most units requested per poll (default 4). The
-	// coordinator's Batch caps it.
-	MaxUnits int
 	// PollInterval paces polls that return no work and no retry hint
 	// (default 500ms).
 	PollInterval time.Duration
@@ -35,9 +31,6 @@ type WorkerOptions struct {
 func (o WorkerOptions) withDefaults() WorkerOptions {
 	if o.ID == "" {
 		o.ID = "worker"
-	}
-	if o.MaxUnits <= 0 {
-		o.MaxUnits = 4
 	}
 	if o.PollInterval <= 0 {
 		o.PollInterval = 500 * time.Millisecond
@@ -74,7 +67,7 @@ func NewWorker(baseURL string, opts WorkerOptions) *Worker {
 
 // CacheStats reports the worker's local cache counters — most usefully
 // SchemeBuilds (schemes trained here) versus SchemeImports (checkpoints
-// fetched from the coordinator instead of retrained).
+// shipped by the coordinator instead of retrained).
 func (w *Worker) CacheStats() experiments.CacheStats {
 	return w.cache.Stats()
 }
@@ -98,7 +91,7 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 	}
 	for {
 		var poll pollResponse
-		err := w.post(ctx, "/v1/poll", pollRequest{Worker: w.opts.ID, Max: w.opts.MaxUnits}, &poll)
+		err := w.post(ctx, "/v1/poll", pollRequest{Worker: w.opts.ID}, &poll)
 		if err != nil {
 			if ctx.Err() != nil {
 				return evaluated, ctx.Err()
@@ -128,66 +121,41 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 			continue
 		}
 
-		// Train units complete through POST /v1/scheme; point and field units
-		// first install their scheme checkpoint (inlined or fetched) so evaluation
-		// reuses the fleet-trained scheme instead of training locally.
+		// Point and field units first install their inlined scheme
+		// checkpoint so evaluation reuses the fleet-trained scheme instead
+		// of training locally.
 		var results []UnitResult
 		var evals []Unit
-		var transportErr error
+		done := false
 		for _, u := range poll.Units {
 			if u.Train {
-				res, err := w.trainAndUpload(ctx, u)
-				if err != nil {
-					transportErr = err
+				// Report each checkpoint as soon as it is trained, so units
+				// gated on it are not held behind the rest of this poll.
+				evaluated++
+				if done, err = w.report(ctx, []UnitResult{w.train(ctx, u)}); err != nil || done {
 					break
-				}
-				if res != nil {
-					results = append(results, *res)
-				} else {
-					evaluated++
 				}
 				continue
 			}
-			if res := w.installScheme(ctx, u); res != nil {
+			if res := w.installScheme(u); res != nil {
 				results = append(results, *res)
 				continue
 			}
 			evals = append(evals, u)
 		}
-		if transportErr != nil {
+		if err == nil && !done {
+			if len(evals) > 0 {
+				er := evaluate(ctx, evals, w.cache, w.opts.Workers)
+				evaluated += len(er)
+				results = append(results, er...)
+			}
+			if len(results) > 0 {
+				done, err = w.report(ctx, results)
+			}
+		}
+		if err != nil {
 			if ctx.Err() != nil {
 				return evaluated, ctx.Err()
-			}
-			// Losing an upload is recoverable: the train lease expires and
-			// another worker (or this one) redoes the same pure training.
-			failures++
-			if failures >= maxConsecutiveFailures {
-				return unreachable(transportErr)
-			}
-			if !sleep(ctx, w.opts.PollInterval) {
-				return evaluated, ctx.Err()
-			}
-			continue
-		}
-		if len(evals) > 0 {
-			er := evaluate(ctx, evals, w.cache, w.opts.Workers)
-			evaluated += len(er)
-			results = append(results, er...)
-		}
-		if len(results) == 0 {
-			continue
-		}
-		var res resultResponse
-		if err := w.post(ctx, "/v1/result", resultRequest{Worker: w.opts.ID, Results: results}, &res); err != nil {
-			if ctx.Err() != nil {
-				return evaluated, ctx.Err()
-			}
-			var he *httpError
-			if errors.As(err, &he) {
-				// The coordinator answered (e.g. a structured 409 rejecting
-				// claimed keys): it ingested what it accepted, and the lease
-				// machinery re-issues the rest — nothing to retry here.
-				continue
 			}
 			// Losing a result report is recoverable: the lease expires and
 			// another worker (or this one) recomputes the same pure result.
@@ -197,106 +165,66 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 			}
 			continue
 		}
-		if res.Done {
+		if done {
 			return evaluated, nil
 		}
 	}
 }
 
-// trainAndUpload runs one train unit: recompute the scheme key from the wire
-// payload, train (or reuse) the scheme, and upload its checkpoint. A nil,
-// nil return means the upload was accepted; a non-nil UnitResult is a
-// unit-level failure to report via /v1/result; a non-nil error is a
-// transport failure (coordinator unreachable).
-func (w *Worker) trainAndUpload(ctx context.Context, u Unit) (*UnitResult, error) {
+// report posts results to the coordinator and returns whether the run is
+// done. A structured refusal (e.g. a 409 rejecting claimed keys) is not an
+// error: the coordinator ingested what it accepted, and the lease machinery
+// re-issues the rest — nothing to retry here.
+func (w *Worker) report(ctx context.Context, results []UnitResult) (bool, error) {
+	var res resultResponse
+	err := w.post(ctx, "/v1/result", resultRequest{Worker: w.opts.ID, Results: results}, &res)
+	var he *httpError
+	if errors.As(err, &he) {
+		return false, nil
+	}
+	return res.Done, err
+}
+
+// train runs one train unit: recompute the scheme key from the wire payload
+// and train (or reuse) the scheme. The result carries its CTSC checkpoint
+// and fingerprint, or the error that kept the worker from producing them.
+func (w *Worker) train(ctx context.Context, u Unit) UnitResult {
 	cfg, err := u.Config.envConfig()
 	if err != nil {
-		return &UnitResult{Key: u.Key, Err: err.Error()}, nil
+		return UnitResult{Key: u.Key, Err: err.Error()}
 	}
 	o := u.Opts.options(ctx, w.cache, w.opts.Workers)
 	if got := experiments.SchemeKey(o, cfg); got != u.Key {
-		return &UnitResult{Key: u.Key, Err: fmt.Sprintf(
-			"dist: key mismatch: coordinator sent %q, worker derives %q", u.Key, got)}, nil
+		return UnitResult{Key: u.Key, Err: fmt.Sprintf(
+			"dist: key mismatch: coordinator sent %q, worker derives %q", u.Key, got)}
 	}
-	key, blob, err := w.cache.TrainScheme(ctx, o, cfg)
+	_, blob, err := w.cache.TrainScheme(ctx, o, cfg)
 	if err != nil {
-		return &UnitResult{Key: u.Key, Err: err.Error()}, nil
+		return UnitResult{Key: u.Key, Err: err.Error()}
 	}
-	req := schemeUploadRequest{
-		Worker:      w.opts.ID,
-		Key:         key,
-		Fingerprint: core.SchemeFingerprint(blob),
-		Data:        blob,
-	}
-	var resp schemeUploadResponse
-	err = w.post(ctx, "/v1/scheme", req, &resp)
-	var he *httpError
-	if errors.As(err, &he) && he.status == http.StatusConflict {
-		// A 409 means the coordinator's recomputed identity disagrees with
-		// the claim — most plausibly corruption in flight. One retry with a
-		// freshly marshaled request resolves a transient; a persistent
-		// conflict becomes a unit failure below.
-		err = w.post(ctx, "/v1/scheme", req, &resp)
-	}
-	if err != nil {
-		if errors.As(err, &he) {
-			// Reachable but refusing: report the failure so the ledger burns
-			// an attempt now instead of waiting out the lease.
-			return &UnitResult{Key: u.Key, Err: err.Error()}, nil
-		}
-		return nil, err
-	}
-	return nil, nil
+	return UnitResult{Key: u.Key, Scheme: blob, SchemeFP: core.SchemeFingerprint(blob)}
 }
 
 // installScheme makes the scheme a point or field unit plays resolvable from
 // the local cache before evaluation: a no-op when the coordinator shipped no
-// scheme identity (baseline defenses) or the scheme is already installed,
-// otherwise the inlined or fetched checkpoint is
-// fingerprint-verified and imported. A non-nil result is the unit-level
-// error to report instead of evaluating.
-func (w *Worker) installScheme(ctx context.Context, u Unit) *UnitResult {
-	if u.SchemeKey == "" || u.SchemeFP == "" {
+// checkpoint (baseline defenses) or the scheme is already installed,
+// otherwise the inlined checkpoint is fingerprint-verified and imported. A
+// non-nil result is the unit-level error to report instead of evaluating.
+func (w *Worker) installScheme(u Unit) *UnitResult {
+	if u.Scheme == nil {
 		return nil
 	}
 	if _, ok := w.cache.SchemeBytes(u.SchemeKey); ok {
 		return nil
 	}
-	blob := u.Scheme
-	if blob == nil {
-		var err error
-		if blob, err = w.fetchScheme(ctx, u.SchemeKey); err != nil {
-			return &UnitResult{Key: u.Key, Err: err.Error()}
-		}
-	}
-	if fp := core.SchemeFingerprint(blob); fp != u.SchemeFP {
+	if fp := core.SchemeFingerprint(u.Scheme); fp != u.SchemeFP {
 		return &UnitResult{Key: u.Key, Err: fmt.Sprintf(
 			"dist: scheme %s: received fingerprint %s, coordinator promised %s", u.SchemeKey, fp, u.SchemeFP)}
 	}
-	if err := w.cache.ImportScheme(u.SchemeKey, blob); err != nil {
+	if err := w.cache.ImportScheme(u.SchemeKey, u.Scheme); err != nil {
 		return &UnitResult{Key: u.Key, Err: err.Error()}
 	}
 	return nil
-}
-
-// fetchScheme downloads one stored checkpoint from the coordinator.
-func (w *Worker) fetchScheme(ctx context.Context, key string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		w.base+"/v1/scheme/"+url.PathEscape(key), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := w.opts.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, &httpError{status: resp.StatusCode, msg: fmt.Sprintf(
-			"dist: GET /v1/scheme/%s: %s: %s", key, resp.Status, bytes.TrimSpace(msg))}
-	}
-	return io.ReadAll(resp.Body)
 }
 
 // httpError is a non-200 protocol answer: the coordinator was reachable and

@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
+
+	"ctjam/internal/ckpt"
 )
 
 // Serialization format: a small custom binary layout (magic, version, layer
@@ -28,10 +30,7 @@ var ErrBadModelFile = errors.New("nn: bad model file")
 // Save writes the network architecture and parameters to w.
 func (n *Network) Save(w io.Writer) error {
 	write := func(v any) error { return binary.Write(w, binary.LittleEndian, v) }
-	if err := write(uint32(modelMagic)); err != nil {
-		return err
-	}
-	if err := write(uint32(modelVersion)); err != nil {
+	if err := ckpt.WriteHeader(w, modelMagic, modelVersion); err != nil {
 		return err
 	}
 	if err := write(uint32(len(n.Layers))); err != nil {
@@ -72,20 +71,11 @@ func (n *Network) Save(w io.Writer) error {
 
 // Load reads a network saved with Save.
 func Load(r io.Reader) (*Network, error) {
-	var magic, version, nLayers uint32
 	read := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
-	if err := read(&magic); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadModelFile, err)
+	if err := ckpt.ReadHeader(r, modelMagic, modelVersion, ErrBadModelFile); err != nil {
+		return nil, err
 	}
-	if magic != modelMagic {
-		return nil, fmt.Errorf("%w: bad magic %#x", ErrBadModelFile, magic)
-	}
-	if err := read(&version); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadModelFile, err)
-	}
-	if version != modelVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadModelFile, version)
-	}
+	var nLayers uint32
 	if err := read(&nLayers); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadModelFile, err)
 	}

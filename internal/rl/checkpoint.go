@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 
+	"ctjam/internal/ckpt"
 	"ctjam/internal/nn"
 )
 
@@ -27,8 +28,10 @@ var ErrBadCheckpoint = errors.New("rl: bad checkpoint")
 // SaveState writes the learner's complete mutable state to w.
 func (d *DQN) SaveState(w io.Writer) error {
 	write := func(v any) error { return binary.Write(w, binary.LittleEndian, v) }
+	if err := ckpt.WriteHeader(w, stateMagic, stateVersion); err != nil {
+		return err
+	}
 	for _, v := range []any{
-		uint32(stateMagic), uint32(stateVersion),
 		uint32(d.cfg.StateDim), uint32(d.cfg.NumActions),
 		uint64(d.envSteps), uint64(d.trainSteps),
 		uint64(d.rngSrc.SeedUsed()), d.rngSrc.State(),
@@ -73,18 +76,14 @@ type stateHeader struct {
 // is the one parser of the header, shared by LoadState and ReadSnapshot;
 // checks against a learner's configuration stay with the caller.
 func readStateHeader(r io.Reader) (stateHeader, error) {
-	var magic, version uint32
+	if err := ckpt.ReadHeader(r, stateMagic, stateVersion, ErrBadCheckpoint); err != nil {
+		return stateHeader{}, err
+	}
 	var h stateHeader
-	for _, v := range []any{&magic, &version, &h.stateDim, &h.numActions, &h.envSteps, &h.trainSteps, &h.rngSeed, &h.rngState} {
+	for _, v := range []any{&h.stateDim, &h.numActions, &h.envSteps, &h.trainSteps, &h.rngSeed, &h.rngState} {
 		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
 			return stateHeader{}, fmt.Errorf("%w: header: %v", ErrBadCheckpoint, err)
 		}
-	}
-	if magic != stateMagic {
-		return stateHeader{}, fmt.Errorf("%w: bad magic %#x", ErrBadCheckpoint, magic)
-	}
-	if version != stateVersion {
-		return stateHeader{}, fmt.Errorf("%w: unsupported version %d", ErrBadCheckpoint, version)
 	}
 	return h, nil
 }

@@ -2,12 +2,12 @@ package rl
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"sync"
 
+	"ctjam/internal/ckpt"
 	"ctjam/internal/nn"
 )
 
@@ -256,11 +256,11 @@ func argmax32(x []float32) int {
 // network is read — target weights, Adam moments and replay are skipped.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	br := bufio.NewReader(r)
-	head, err := br.Peek(4)
+	magic, err := ckpt.PeekMagic(br)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
-	if binary.LittleEndian.Uint32(head) != stateMagic {
+	if magic != stateMagic {
 		// nn.Load rejects non-CTJM magics itself.
 		net, err := nn.Load(br)
 		if err != nil {

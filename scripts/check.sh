@@ -96,14 +96,15 @@ go test -cover ./internal/phy/... ./internal/rl ./internal/experiments ./interna
 # kernels and their equivalence harness (>=80%), internal/serve the
 # production decision surface (>=75%), internal/iot the sharded field
 # engine whose determinism guarantees every committed field number (>=75%),
-# and internal/jammer the adversary zoo whose strategies feed every cache
-# key and golden trace (>=85%).
-go test -cover ./internal/nn ./internal/serve ./internal/iot ./internal/jammer | awk '
+# internal/jammer the adversary zoo whose strategies feed every cache key and
+# golden trace (>=85%), and internal/dist the coordinator/worker/spool paths
+# every distributed run completes through (>=80%).
+go test -cover ./internal/nn ./internal/serve ./internal/iot ./internal/jammer ./internal/dist | awk '
 	{ print }
 	/^(FAIL|---)/ { bad = 1 }
 	/coverage:/ {
 		floor = 75
-		if ($2 ~ /internal\/nn$/) floor = 80
+		if ($2 ~ /internal\/(nn|dist)$/) floor = 80
 		if ($2 ~ /internal\/jammer$/) floor = 85
 		for (i = 1; i < NF; i++) if ($i == "coverage:") {
 			p = $(i + 1)
@@ -111,5 +112,5 @@ go test -cover ./internal/nn ./internal/serve ./internal/iot ./internal/jammer |
 			if (p + 0 < floor) bad = 1
 		}
 	}
-	END { if (bad) { print "coverage gate failed (nn below 80%, jammer below 85%, serve/iot below 75%)"; exit 1 } }
+	END { if (bad) { print "coverage gate failed (nn/dist below 80%, jammer below 85%, serve/iot below 75%)"; exit 1 } }
 '
