@@ -6,6 +6,7 @@ package ctjam_test
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -111,6 +112,31 @@ func BenchmarkAllSweeps(b *testing.B) {
 	}
 	b.Run("uncached", func(b *testing.B) { run(b, false) })
 	b.Run("cached", func(b *testing.B) { run(b, true) })
+}
+
+// BenchmarkSweepsRegeneration is one operation of the benchmark's sweeps
+// workload: the 20 metric panels, Table I's seed replication and the
+// jammer-zoo matchup at paper budgets (EngineMDP, 20000 slots) through one
+// fresh cache with Workers = GOMAXPROCS, formatted as ctjam-experiments
+// prints them. Its allocs/op and B/op are the workload's allocation counts.
+func BenchmarkSweepsRegeneration(b *testing.B) {
+	ids := append(append([]string(nil), sweepPanelIDs...), "table1-seeds", "matchup")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		opts := experiments.DefaultOptions()
+		opts.Slots = 20000
+		opts.Workers = runtime.GOMAXPROCS(0)
+		opts.Cache = experiments.NewCache()
+		for _, id := range ids {
+			res, err := experiments.Run(id, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := experiments.Format(io.Discard, res); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // BenchmarkParallelSweep measures the parallel execution engine: one

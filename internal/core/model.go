@@ -230,23 +230,32 @@ func (m *Model) Reward(state, action, next int) float64 {
 	return r
 }
 
-// compact drops zero-probability entries and merges duplicates so the
-// transition list is a clean distribution.
+// compact drops zero-probability entries, orders the rest by ascending
+// Next and merges duplicates, summing them in input order, so the
+// transition list is a clean distribution. It works in place: a list holds
+// at most 3 entries, so an insertion sort needs no map.
 func compact(trs []mdp.Transition) []mdp.Transition {
-	merged := make(map[int]float64, len(trs))
+	out := trs[:0]
 	for _, tr := range trs {
 		if tr.Prob > 0 {
-			merged[tr.Next] += tr.Prob
+			out = append(out, tr)
 		}
 	}
-	out := make([]mdp.Transition, 0, len(merged))
-	// Deterministic order: iterate possible states ascending.
-	for next := 0; len(out) < len(merged); next++ {
-		if p, ok := merged[next]; ok {
-			out = append(out, mdp.Transition{Next: next, Prob: p})
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && out[j-1].Next > out[j].Next; j-- {
+			out[j-1], out[j] = out[j], out[j-1]
 		}
 	}
-	return out
+	n := 0
+	for _, tr := range out {
+		if n > 0 && out[n-1].Next == tr.Next {
+			out[n-1].Prob += tr.Prob
+			continue
+		}
+		out[n] = tr
+		n++
+	}
+	return out[:n]
 }
 
 // Solve runs value iteration on the model with the given discount.

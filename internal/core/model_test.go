@@ -269,3 +269,84 @@ func TestExpectedStayRewardDecreasingInN(t *testing.T) {
 		}
 	}
 }
+
+func TestCompact(t *testing.T) {
+	p, q := 0.1, 0.7 // variables, so p+q is the float64 sum
+	tests := []struct {
+		name    string
+		in, out []mdp.Transition
+	}{
+		{"ascending kept", []mdp.Transition{{Next: 0, Prob: 0.5}, {Next: 3, Prob: 0.5}},
+			[]mdp.Transition{{Next: 0, Prob: 0.5}, {Next: 3, Prob: 0.5}}},
+		{"sorted by next", []mdp.Transition{{Next: 3, Prob: 0.25}, {Next: 4, Prob: 0.25}, {Next: 1, Prob: 0.5}},
+			[]mdp.Transition{{Next: 1, Prob: 0.5}, {Next: 3, Prob: 0.25}, {Next: 4, Prob: 0.25}}},
+		{"zeros dropped", []mdp.Transition{{Next: 0, Prob: 1}, {Next: 3, Prob: 0}, {Next: 4, Prob: 0}},
+			[]mdp.Transition{{Next: 0, Prob: 1}}},
+		{"duplicates merged in input order", []mdp.Transition{{Next: 2, Prob: p}, {Next: 0, Prob: 0.2}, {Next: 2, Prob: q}},
+			[]mdp.Transition{{Next: 0, Prob: 0.2}, {Next: 2, Prob: p + q}}},
+		{"all zero", []mdp.Transition{{Next: 1, Prob: 0}}, []mdp.Transition{}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			got := compact(tt.in)
+			if len(got) != len(tt.out) {
+				t.Fatalf("compact = %v, want %v", got, tt.out)
+			}
+			for i, want := range tt.out {
+				if got[i].Next != want.Next || math.Float64bits(got[i].Prob) != math.Float64bits(want.Prob) {
+					t.Fatalf("compact = %v, want %v", got, tt.out)
+				}
+			}
+		})
+	}
+}
+
+func TestModelSolveAllocsIndependentOfSweeps(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	m, err := NewModel(paperParams(jammer.ModeMax))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(tol float64) (float64, int) {
+		var (
+			sweeps   int
+			solveErr error
+		)
+		n := testing.AllocsPerRun(20, func() {
+			sol, err := mdp.Solve(m, 0.9, tol, 1_000_000)
+			if err != nil {
+				solveErr = err
+				return
+			}
+			sweeps = sol.Iterations
+		})
+		if solveErr != nil {
+			t.Fatal(solveErr)
+		}
+		return n, sweeps
+	}
+	coarse, coarseSweeps := allocs(1e-3)
+	fine, fineSweeps := allocs(1e-9)
+	if fineSweeps <= coarseSweeps {
+		t.Fatalf("tol 1e-9 took %d sweeps, tol 1e-3 %d: the guard needs more sweeps at the finer tolerance", fineSweeps, coarseSweeps)
+	}
+	if coarse != fine {
+		t.Fatalf("Solve allocates %v objects in %d sweeps but %v in %d: allocations depend on the sweep count",
+			coarse, coarseSweeps, fine, fineSweeps)
+	}
+}
+
+func BenchmarkModelSolve(b *testing.B) {
+	m, err := NewModel(paperParams(jammer.ModeMax))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Solve(0.9); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

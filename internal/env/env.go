@@ -179,6 +179,9 @@ type Environment struct {
 	channel int
 	slot    int
 	started bool
+	// flt is Step's scratch for injected faults: Faults.Apply takes a
+	// pointer through an interface, so a local would escape every slot.
+	flt fault.Slot
 }
 
 // New builds an Environment.
@@ -259,7 +262,9 @@ func (e *Environment) Step(channel, power int) (StepResult, error) {
 	// jammed one from the hub's side, so it degrades the outcome to J.
 	var flt fault.Slot
 	if e.cfg.Faults != nil {
-		e.cfg.Faults.Apply(int64(e.slot), &flt)
+		e.flt = fault.Slot{}
+		e.cfg.Faults.Apply(int64(e.slot), &e.flt)
+		flt = e.flt
 	}
 	interference := 0.0
 	if jammed {

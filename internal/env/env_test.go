@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"ctjam/internal/fault"
 	"ctjam/internal/jammer"
 )
 
@@ -430,5 +431,42 @@ func TestRewardBoundsProperty(t *testing.T) {
 		if res.Reward < lo-1e-9 || res.Reward > hi+1e-9 {
 			t.Fatalf("slot %d reward %v outside [%v,%v]", i, res.Reward, lo, hi)
 		}
+	}
+}
+
+func TestStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	chain := fault.Chain{
+		fault.BurstNoise{Seed: 3, Prob: 0.3, Len: 4, Power: 14},
+		fault.AckLoss{Seed: 5, Prob: 0.1},
+	}
+	for _, tt := range []struct {
+		name   string
+		faults fault.Injector
+	}{{"no faults", nil}, {"fault chain", chain}} {
+		t.Run(tt.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Faults = tt.faults
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stepErr error
+			ch := 0
+			allocs := testing.AllocsPerRun(1000, func() {
+				ch = (ch + 5) % cfg.Channels
+				if _, err := e.Step(ch, ch%len(cfg.TxPowers)); err != nil {
+					stepErr = err
+				}
+			})
+			if stepErr != nil {
+				t.Fatal(stepErr)
+			}
+			if allocs != 0 {
+				t.Fatalf("Step allocates %v objects per slot, want 0", allocs)
+			}
+		})
 	}
 }

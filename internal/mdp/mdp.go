@@ -55,49 +55,88 @@ var (
 )
 
 // ValidateModel checks that every (state, action) transition distribution is
-// a probability distribution over valid states.
+// a probability distribution over valid states. It compiles the model as
+// Solve does, so it calls Reward for every outcome too.
 func ValidateModel(m Model) error {
+	_, err := compile(m)
+	return err
+}
+
+// table is a Model compiled once: every (state, action) transition list
+// with the reward of each outcome, flattened in the order the sweeps read
+// it. Row (s, a) is entries[off[s*nA+a]:off[s*nA+a+1]].
+type table struct {
+	nS, nA  int
+	off     []int
+	entries []entry
+}
+
+// entry is one outcome of a compiled (state, action) row.
+type entry struct {
+	next   int
+	prob   float64
+	reward float64
+}
+
+// compile evaluates every Transitions and Reward call of m once and, in the
+// same pass, makes ValidateModel's checks. It builds the whole table even
+// for an invalid model and returns the first violation, so BellmanBackup,
+// which does not validate, can still sweep it. Reward is asked only for an
+// in-range next state; an out-of-range outcome gets reward 0.
+func compile(m Model) (table, error) {
 	nS, nA := m.NumStates(), m.NumActions()
+	t := table{nS: nS, nA: nA, off: make([]int, 1, nS*nA+1)}
+	var err error
 	if nS == 0 || nA == 0 {
-		return ErrEmptyModel
+		err = ErrEmptyModel
 	}
 	for s := 0; s < nS; s++ {
 		for a := 0; a < nA; a++ {
 			var sum float64
 			for _, tr := range m.Transitions(s, a) {
-				if tr.Next < 0 || tr.Next >= nS {
-					return fmt.Errorf("%w: state %d action %d -> next %d out of range",
+				switch {
+				case err != nil:
+				case tr.Next < 0 || tr.Next >= nS:
+					err = fmt.Errorf("%w: state %d action %d -> next %d out of range",
 						ErrBadTransition, s, a, tr.Next)
-				}
-				if tr.Prob < -1e-12 {
-					return fmt.Errorf("%w: state %d action %d has negative probability %v",
+				case tr.Prob < -1e-12:
+					err = fmt.Errorf("%w: state %d action %d has negative probability %v",
 						ErrBadTransition, s, a, tr.Prob)
 				}
 				sum += tr.Prob
+				e := entry{next: tr.Next, prob: tr.Prob}
+				if tr.Next >= 0 && tr.Next < nS {
+					e.reward = m.Reward(s, a, tr.Next)
+				}
+				t.entries = append(t.entries, e)
 			}
-			if math.Abs(sum-1) > 1e-9 {
-				return fmt.Errorf("%w: state %d action %d probabilities sum to %v",
+			if err == nil && math.Abs(sum-1) > 1e-9 {
+				err = fmt.Errorf("%w: state %d action %d probabilities sum to %v",
 					ErrBadTransition, s, a, sum)
 			}
+			t.off = append(t.off, len(t.entries))
 		}
 	}
-	return nil
+	return t, err
 }
 
-// BellmanBackup applies one Bellman-optimality backup to v, writing the
-// result into out (which must have NumStates elements), and returns the
-// max-norm change. This is the contraction mapping of Eq. (20).
-func BellmanBackup(m Model, gamma float64, v, out []float64) float64 {
-	nS, nA := m.NumStates(), m.NumActions()
+// q returns the expected return of (s, a) under v, summed in row order.
+func (t *table) q(s, a int, gamma float64, v []float64) float64 {
+	i := s*t.nA + a
+	var q float64
+	for _, e := range t.entries[t.off[i]:t.off[i+1]] {
+		q += e.prob * (e.reward + gamma*v[e.next])
+	}
+	return q
+}
+
+// backup is one Bellman-optimality sweep over the table (see BellmanBackup).
+func (t *table) backup(gamma float64, v, out []float64) float64 {
 	var delta float64
-	for s := 0; s < nS; s++ {
+	for s := 0; s < t.nS; s++ {
 		best := math.Inf(-1)
-		for a := 0; a < nA; a++ {
-			var q float64
-			for _, tr := range m.Transitions(s, a) {
-				q += tr.Prob * (m.Reward(s, a, tr.Next) + gamma*v[tr.Next])
-			}
-			if q > best {
+		for a := 0; a < t.nA; a++ {
+			if q := t.q(s, a, gamma, v); q > best {
 				best = q
 			}
 		}
@@ -109,16 +148,41 @@ func BellmanBackup(m Model, gamma float64, v, out []float64) float64 {
 	return delta
 }
 
-// Solve runs value iteration to the given max-norm tolerance (or maxIter
-// sweeps) and extracts the optimal Q function and greedy policy.
-func Solve(m Model, gamma, tol float64, maxIter int) (*Solution, error) {
+// BellmanBackup applies one Bellman-optimality backup to v, writing the
+// result into out (which must have NumStates elements), and returns the
+// max-norm change. This is the contraction mapping of Eq. (20). It does not
+// validate the model.
+func BellmanBackup(m Model, gamma float64, v, out []float64) float64 {
+	t, _ := compile(m)
+	return t.backup(gamma, v, out)
+}
+
+// checkIteration validates the arguments shared by Solve and EvaluatePolicy.
+func checkIteration(gamma, tol float64, maxIter int) error {
 	if gamma < 0 || gamma >= 1 {
-		return nil, fmt.Errorf("%w: got %v", ErrBadDiscount, gamma)
+		return fmt.Errorf("%w: got %v", ErrBadDiscount, gamma)
 	}
-	if err := ValidateModel(m); err != nil {
+	if !(tol >= 0) {
+		return fmt.Errorf("mdp: tolerance must be a non-negative number, got %v", tol)
+	}
+	if maxIter < 1 {
+		return fmt.Errorf("mdp: maxIter must be at least 1, got %d", maxIter)
+	}
+	return nil
+}
+
+// Solve runs value iteration to the given max-norm tolerance (or maxIter
+// sweeps) and extracts the optimal Q function and greedy policy. The model
+// is compiled once, so every sweep reads the same table.
+func Solve(m Model, gamma, tol float64, maxIter int) (*Solution, error) {
+	if err := checkIteration(gamma, tol, maxIter); err != nil {
 		return nil, err
 	}
-	nS, nA := m.NumStates(), m.NumActions()
+	t, err := compile(m)
+	if err != nil {
+		return nil, err
+	}
+	nS, nA := t.nS, t.nA
 	v := make([]float64, nS)
 	next := make([]float64, nS)
 	var (
@@ -126,7 +190,7 @@ func Solve(m Model, gamma, tol float64, maxIter int) (*Solution, error) {
 		delta float64
 	)
 	for iter = 1; iter <= maxIter; iter++ {
-		delta = BellmanBackup(m, gamma, v, next)
+		delta = t.backup(gamma, v, next)
 		v, next = next, v
 		if delta <= tol {
 			break
@@ -142,10 +206,7 @@ func Solve(m Model, gamma, tol float64, maxIter int) (*Solution, error) {
 		q[s] = make([]float64, nA)
 		bestA, best := 0, math.Inf(-1)
 		for a := 0; a < nA; a++ {
-			var qa float64
-			for _, tr := range m.Transitions(s, a) {
-				qa += tr.Prob * (m.Reward(s, a, tr.Next) + gamma*v[tr.Next])
-			}
+			qa := t.q(s, a, gamma, v)
 			q[s][a] = qa
 			if qa > best {
 				best, bestA = qa, a
@@ -158,10 +219,10 @@ func Solve(m Model, gamma, tol float64, maxIter int) (*Solution, error) {
 }
 
 // EvaluatePolicy computes the value function of a fixed policy by iterative
-// policy evaluation.
+// policy evaluation. Like Solve, it compiles and validates the model once.
 func EvaluatePolicy(m Model, policy []int, gamma, tol float64, maxIter int) ([]float64, error) {
-	if gamma < 0 || gamma >= 1 {
-		return nil, fmt.Errorf("%w: got %v", ErrBadDiscount, gamma)
+	if err := checkIteration(gamma, tol, maxIter); err != nil {
+		return nil, err
 	}
 	nS := m.NumStates()
 	if len(policy) != nS {
@@ -172,15 +233,16 @@ func EvaluatePolicy(m Model, policy []int, gamma, tol float64, maxIter int) ([]f
 			return nil, fmt.Errorf("mdp: policy action %d at state %d out of range", a, s)
 		}
 	}
+	t, err := compile(m)
+	if err != nil {
+		return nil, err
+	}
 	v := make([]float64, nS)
 	next := make([]float64, nS)
 	for iter := 0; iter < maxIter; iter++ {
 		var delta float64
 		for s := 0; s < nS; s++ {
-			var val float64
-			for _, tr := range m.Transitions(s, policy[s]) {
-				val += tr.Prob * (m.Reward(s, policy[s], tr.Next) + gamma*v[tr.Next])
-			}
+			val := t.q(s, policy[s], gamma, v)
 			if d := math.Abs(val - v[s]); d > delta {
 				delta = d
 			}

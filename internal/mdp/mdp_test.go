@@ -2,6 +2,7 @@ package mdp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -109,6 +110,51 @@ func TestSolveValidation(t *testing.T) {
 	}
 	if _, err := Solve(badModel{}, 0.9, 1e-6, 100); !errors.Is(err, ErrBadTransition) {
 		t.Fatalf("bad transitions: err = %v", err)
+	}
+	// A model whose Reward indexes by next must get the error, not a panic.
+	if _, err := Solve(outOfRangeModel{}, 0.9, 1e-6, 100); !errors.Is(err, ErrBadTransition) {
+		t.Fatalf("out-of-range next (Solve): err = %v", err)
+	}
+	if _, err := EvaluatePolicy(outOfRangeModel{}, []int{0, 0}, 0.9, 1e-6, 100); !errors.Is(err, ErrBadTransition) {
+		t.Fatalf("out-of-range next (EvaluatePolicy): err = %v", err)
+	}
+	if err := ValidateModel(outOfRangeModel{}); !errors.Is(err, ErrBadTransition) {
+		t.Fatalf("out-of-range next (ValidateModel): err = %v", err)
+	}
+}
+
+// outOfRangeModel sends state 1 to a next state that does not exist and
+// reads its reward from a per-next-state slice.
+type outOfRangeModel struct{ chainModel }
+
+func (outOfRangeModel) Transitions(s, a int) []Transition {
+	return []Transition{{Next: 2 * s, Prob: 1}}
+}
+
+func (outOfRangeModel) Reward(s, a, next int) float64 {
+	return []float64{1, -1}[next]
+}
+
+func TestIterationArgumentValidation(t *testing.T) {
+	tests := []struct {
+		name    string
+		tol     float64
+		maxIter int
+	}{
+		{"zero sweeps", 1e-9, 0},
+		{"negative sweeps", 1e-9, -1},
+		{"negative tolerance", -1e-9, 100},
+		{"NaN tolerance", math.NaN(), 100},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if sol, err := Solve(chainModel{}, 0.9, tt.tol, tt.maxIter); err == nil {
+				t.Errorf("Solve = %+v, want an error", sol)
+			}
+			if v, err := EvaluatePolicy(chainModel{}, []int{1, 0}, 0.9, tt.tol, tt.maxIter); err == nil {
+				t.Errorf("EvaluatePolicy = %v, want an error", v)
+			}
+		})
 	}
 }
 
@@ -289,6 +335,190 @@ func TestDiscountShrinksHorizonProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// naiveSolve is the value iteration Solve ran before it compiled its model:
+// every sweep calls Transitions and Reward afresh. Solve must reproduce it
+// bit for bit.
+func naiveSolve(m Model, gamma, tol float64, maxIter int) (*Solution, error) {
+	if gamma < 0 || gamma >= 1 {
+		return nil, fmt.Errorf("%w: got %v", ErrBadDiscount, gamma)
+	}
+	if err := ValidateModel(m); err != nil {
+		return nil, err
+	}
+	nS, nA := m.NumStates(), m.NumActions()
+	v := make([]float64, nS)
+	next := make([]float64, nS)
+	var (
+		iter  int
+		delta float64
+	)
+	for iter = 1; iter <= maxIter; iter++ {
+		delta = naiveBackup(m, gamma, v, next)
+		v, next = next, v
+		if delta <= tol {
+			break
+		}
+	}
+	if delta > tol {
+		return nil, fmt.Errorf("%w: residual %v after %d iterations", ErrNotConverged, delta, maxIter)
+	}
+
+	q := make([][]float64, nS)
+	policy := make([]int, nS)
+	for s := 0; s < nS; s++ {
+		q[s] = make([]float64, nA)
+		bestA, best := 0, math.Inf(-1)
+		for a := 0; a < nA; a++ {
+			var qa float64
+			for _, tr := range m.Transitions(s, a) {
+				qa += tr.Prob * (m.Reward(s, a, tr.Next) + gamma*v[tr.Next])
+			}
+			q[s][a] = qa
+			if qa > best {
+				best, bestA = qa, a
+			}
+		}
+		policy[s] = bestA
+		v[s] = best
+	}
+	return &Solution{V: v, Q: q, Policy: policy, Iterations: iter, Residual: delta}, nil
+}
+
+// naiveBackup is BellmanBackup before compilation.
+func naiveBackup(m Model, gamma float64, v, out []float64) float64 {
+	nS, nA := m.NumStates(), m.NumActions()
+	var delta float64
+	for s := 0; s < nS; s++ {
+		best := math.Inf(-1)
+		for a := 0; a < nA; a++ {
+			var q float64
+			for _, tr := range m.Transitions(s, a) {
+				q += tr.Prob * (m.Reward(s, a, tr.Next) + gamma*v[tr.Next])
+			}
+			if q > best {
+				best = q
+			}
+		}
+		if d := math.Abs(best - v[s]); d > delta {
+			delta = d
+		}
+		out[s] = best
+	}
+	return delta
+}
+
+// naiveEvaluate is EvaluatePolicy's sweep loop before compilation.
+func naiveEvaluate(m Model, policy []int, gamma, tol float64, maxIter int) []float64 {
+	nS := m.NumStates()
+	v := make([]float64, nS)
+	next := make([]float64, nS)
+	for iter := 0; iter < maxIter; iter++ {
+		var delta float64
+		for s := 0; s < nS; s++ {
+			var val float64
+			for _, tr := range m.Transitions(s, policy[s]) {
+				val += tr.Prob * (m.Reward(s, policy[s], tr.Next) + gamma*v[tr.Next])
+			}
+			if d := math.Abs(val - v[s]); d > delta {
+				delta = d
+			}
+			next[s] = val
+		}
+		v, next = next, v
+		if delta <= tol {
+			return v
+		}
+	}
+	return nil
+}
+
+// sameSolution reports the first difference between two solutions, comparing
+// every float by its bits.
+func sameSolution(got, want *Solution) error {
+	if got.Iterations != want.Iterations {
+		return fmt.Errorf("Iterations = %d, want %d", got.Iterations, want.Iterations)
+	}
+	if math.Float64bits(got.Residual) != math.Float64bits(want.Residual) {
+		return fmt.Errorf("Residual = %v, want %v", got.Residual, want.Residual)
+	}
+	if err := sameBits("V", got.V, want.V); err != nil {
+		return err
+	}
+	if len(got.Q) != len(want.Q) || len(got.Policy) != len(want.Policy) {
+		return fmt.Errorf("shape: %d Q rows and %d policy entries, want %d and %d",
+			len(got.Q), len(got.Policy), len(want.Q), len(want.Policy))
+	}
+	for s := range want.Q {
+		if err := sameBits(fmt.Sprintf("Q[%d]", s), got.Q[s], want.Q[s]); err != nil {
+			return err
+		}
+		if got.Policy[s] != want.Policy[s] {
+			return fmt.Errorf("Policy[%d] = %d, want %d", s, got.Policy[s], want.Policy[s])
+		}
+	}
+	return nil
+}
+
+// sameBits reports the first element where got and want differ in bits.
+func sameBits(name string, got, want []float64) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("len(%s) = %d, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return fmt.Errorf("%s[%d] = %v, want %v", name, i, got[i], want[i])
+		}
+	}
+	return nil
+}
+
+func TestSolveMatchesNaiveBitForBit(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for _, size := range []struct{ nS, nA int }{{1, 1}, {2, 3}, {6, 4}, {12, 5}, {30, 2}} {
+		for _, gamma := range []float64{0, 0.5, 0.9, 0.99} {
+			for _, tol := range []float64{1e-3, 1e-9} {
+				m := newRandomModel(r, size.nS, size.nA)
+				name := fmt.Sprintf("%dx%d/gamma=%v/tol=%v", size.nS, size.nA, gamma, tol)
+				want, err := naiveSolve(m, gamma, tol, 100000)
+				if err != nil {
+					t.Fatalf("%s: reference: %v", name, err)
+				}
+				got, err := Solve(m, gamma, tol, 100000)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if err := sameSolution(got, want); err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+				v, err := EvaluatePolicy(m, want.Policy, gamma, tol, 100000)
+				if err != nil {
+					t.Fatalf("%s: EvaluatePolicy: %v", name, err)
+				}
+				if err := sameBits("EvaluatePolicy", v, naiveEvaluate(m, want.Policy, gamma, tol, 100000)); err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+			}
+		}
+	}
+}
+
+func TestBellmanBackupMatchesNaive(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	m := newRandomModel(r, 9, 4)
+	v := make([]float64, 9)
+	for i := range v {
+		v[i] = r.NormFloat64() * 10
+	}
+	got, want := make([]float64, 9), make([]float64, 9)
+	dGot, dWant := BellmanBackup(m, 0.9, v, got), naiveBackup(m, 0.9, v, want)
+	if math.Float64bits(dGot) != math.Float64bits(dWant) {
+		t.Fatalf("delta = %v, want %v", dGot, dWant)
+	}
+	if err := sameBits("out", got, want); err != nil {
 		t.Fatal(err)
 	}
 }
