@@ -2,9 +2,10 @@
 
 package nn
 
-// useAVX gates the assembly microkernel in matMulBatchInto. It is true when
-// the CPU implements AVX and the OS saves YMM state on context switch
-// (CPUID.1:ECX.OSXSAVE+AVX plus XCR0 XMM|YMM), checked once at init.
+// useAVX gates the assembly microkernels in MatMulInto, AddRowVector and
+// batchReLU. It is true when the CPU implements AVX and the OS saves YMM
+// state on context switch (CPUID.1:ECX.OSXSAVE+AVX plus XCR0 XMM|YMM),
+// checked once at init.
 var useAVX = cpuSupportsAVX()
 
 // cpuSupportsAVX reports whether AVX is usable (CPU + OS). Implemented in
@@ -17,7 +18,7 @@ func cpuSupportsAVX() bool
 // covering columns [0, cols4) where cols4 %% 4 == 0. The k loop is outermost
 // and ascending and every step is a separate VMULPD/VADDPD (never FMA), so
 // each output element sees exactly the same sequence of IEEE-754 roundings as
-// the scalar kernel: results are bit-identical for finite operands.
+// MatMulInto's portable loops: results are bit-identical for finite operands.
 // Implemented in gemm_amd64.s.
 //
 //go:noescape
@@ -41,7 +42,7 @@ func vecMaxZero(dst, src *float64, n4 int)
 
 // vecAddRows adds the cols4-prefix (cols4 %% 4 == 0) of a row vector into
 // each of `rows` rows of dst (row stride `stride` values): one IEEE add per
-// element, bit-identical to the scalar loop in Matrix.AddRowVector.
+// element, bit-identical to the portable loop in Matrix.AddRowVector.
 // Implemented in gemm_amd64.s.
 //
 //go:noescape

@@ -2,9 +2,9 @@
 
 package nn
 
-// Builds without the assembly microkernel (non-amd64, or the noasm tag used
-// by the CI fallback leg) keep matMulBatchInto on the portable blocked
-// kernel, which computes identical bits.
+// Builds without the assembly microkernels (non-amd64, or the noasm tag used
+// by the CI fallback leg) keep MatMulInto on its portable blocked loops,
+// which compute identical bits.
 var useAVX = false
 
 func block4AVX(dst, a, b *float64, k, stride, cols4 int) {

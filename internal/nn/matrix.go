@@ -80,10 +80,17 @@ func MatMul(a, b *Matrix) (*Matrix, error) {
 }
 
 // MatMulInto computes a @ b into dst, reshaping dst (reusing its backing
-// array when large enough). dst must not alias a or b. The kernel walks rows
-// of a in ikj order so every inner loop streams over contiguous memory, and
-// skips zero multiplicands (common with ReLU activations and one-hot state
-// encodings).
+// array when large enough). dst must not alias a or b.
+//
+// It is the package's one float64 GEMM: Dense.Forward, both Dense.Backward
+// products and ForwardBatch all run on it. Rows of a are taken eight or four
+// at a time, so each streamed row of b serves several output rows; on amd64
+// with AVX those blocks run in block8AVX/block4AVX (gemm_amd64.s), which also
+// vectorize four output columns per instruction. Every output element
+// accumulates from +0 in ascending k with a separate multiply and add rounding
+// per step (never FMA), so the block shape and the assembly never change a
+// bit. The paths differ only in which exact 0·b products they skip, and
+// adding one to a finite sum that started at +0 leaves it unchanged.
 func MatMulInto(dst, a, b *Matrix) error {
 	if a.Cols != b.Rows {
 		return fmt.Errorf("nn: matmul shape mismatch (%dx%d)@(%dx%d)", a.Rows, a.Cols, b.Rows, b.Cols)
@@ -92,41 +99,110 @@ func MatMulInto(dst, a, b *Matrix) error {
 	for i := range dst.Data {
 		dst.Data[i] = 0
 	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for k, av := range arow {
-			if av == 0 {
+	k, n := a.Cols, b.Cols
+	cols4 := 0
+	if useAVX && k > 0 {
+		// The AVX microkernels cover columns [0, cols4); tailCols finishes
+		// the rest with the same per-element rounding sequence.
+		cols4 = n &^ 3
+	}
+	i := 0
+	if cols4 > 0 {
+		for ; i+8 <= a.Rows; i += 8 {
+			block8AVX(&dst.Data[i*n], &a.Data[i*k], &b.Data[0], k, n, cols4)
+			tailCols(dst, a, b, i, 8, cols4)
+		}
+	}
+	for ; i+4 <= a.Rows; i += 4 {
+		if cols4 > 0 {
+			block4AVX(&dst.Data[i*n], &a.Data[i*k], &b.Data[0], k, n, cols4)
+			tailCols(dst, a, b, i, 4, cols4)
+			continue
+		}
+		a0 := a.Data[(i+0)*k : (i+1)*k]
+		a1 := a.Data[(i+1)*k : (i+2)*k]
+		a2 := a.Data[(i+2)*k : (i+3)*k]
+		a3 := a.Data[(i+3)*k : (i+4)*k]
+		o0 := dst.Data[(i+0)*n : (i+1)*n]
+		o1 := dst.Data[(i+1)*n : (i+2)*n]
+		o2 := dst.Data[(i+2)*n : (i+3)*n]
+		o3 := dst.Data[(i+3)*n : (i+4)*n]
+		for kk := 0; kk < k; kk++ {
+			v0, v1, v2, v3 := a0[kk], a1[kk], a2[kk], a3[kk]
+			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
 				continue
 			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
+			brow := b.Data[kk*n : (kk+1)*n]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				o0[j] += v0 * bv
+				o1[j] += v1 * bv
+				o2[j] += v2 * bv
+				o3[j] += v3 * bv
 			}
 		}
 	}
+	tailCols(dst, a, b, i, a.Rows-i, 0)
 	return nil
+}
+
+// tailCols accumulates columns [col0, n) of `rows` output rows starting at
+// row i, skipping zero multiplicands. It runs k ascending per element, so it
+// composes with the block kernels without changing any bits.
+func tailCols(dst, a, b *Matrix, i, rows, col0 int) {
+	k, n := a.Cols, b.Cols
+	if col0 >= n {
+		return
+	}
+	for r := i; r < i+rows; r++ {
+		arow := a.Data[r*k : (r+1)*k]
+		orow := dst.Data[r*n : (r+1)*n]
+		for kk, av := range arow {
+			if av == 0 {
+				continue
+			}
+			brow := b.Data[kk*n : (kk+1)*n]
+			for j := col0; j < n; j++ {
+				orow[j] += av * brow[j]
+			}
+		}
+	}
 }
 
 // Transpose returns m transposed.
 func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Data[j*out.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
+	out := &Matrix{}
+	transposeInto(out, m)
 	return out
 }
 
-// AddRowVector adds a 1 x Cols bias row to every row of m in place.
+// transposeInto writes m transposed into dst, reshaping dst (reusing its
+// backing array when large enough). dst must not alias m.
+func transposeInto(dst, m *Matrix) {
+	dst.Reshape(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			dst.Data[j*dst.Cols+i] = m.Data[i*m.Cols+j]
+		}
+	}
+}
+
+// AddRowVector adds a 1 x Cols bias row to every row of m in place. On amd64
+// with AVX the first Cols&^3 columns of every row go through vecAddRows; an
+// element-wise add vectorizes without changing any bit.
 func (m *Matrix) AddRowVector(b *Matrix) error {
 	if b.Rows != 1 || b.Cols != m.Cols {
 		return fmt.Errorf("nn: bias shape (%dx%d) does not match %d cols", b.Rows, b.Cols, m.Cols)
 	}
-	for i := 0; i < m.Rows; i++ {
+	cols4 := 0
+	if useAVX && m.Rows > 0 {
+		cols4 = m.Cols &^ 3
+	}
+	if cols4 > 0 {
+		vecAddRows(&m.Data[0], &b.Data[0], m.Rows, m.Cols, cols4)
+	}
+	for i := 0; cols4 < m.Cols && i < m.Rows; i++ {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j := range row {
+		for j := cols4; j < m.Cols; j++ {
 			row[j] += b.Data[j]
 		}
 	}

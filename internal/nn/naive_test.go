@@ -1,0 +1,246 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// naiveMatMulInto is the scalar ikj GEMM that MatMulInto replaced, kept
+// verbatim as the reference its blocked and AVX paths must match bit for bit.
+func naiveMatMulInto(dst, a, b *Matrix) error {
+	if a.Cols != b.Rows {
+		return fmt.Errorf("nn: matmul shape mismatch (%dx%d)@(%dx%d)", a.Rows, a.Cols, b.Rows, b.Cols)
+	}
+	dst.Reshape(a.Rows, b.Cols)
+	for i := range dst.Data {
+		dst.Data[i] = 0
+	}
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
+		orow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
+		for k, av := range arow {
+			if av == 0 {
+				continue
+			}
+			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
+			for j, bv := range brow {
+				orow[j] += av * bv
+			}
+		}
+	}
+	return nil
+}
+
+// naiveDenseBackward is the hand-written Dense.Backward that the GEMM-based
+// one replaced, kept verbatim (fused untransposed dW loop, column-sum db,
+// sparse-gradient dx): it accumulates into wGrad and bGrad and returns dx.
+func naiveDenseBackward(x, w, gradOut, wGrad, bGradM *Matrix) *Matrix {
+	in, out, batch := x.Cols, w.Cols, x.Rows
+
+	dW := NewMatrix(in, out)
+	for j := 0; j < in; j++ {
+		dwRow := dW.Data[j*out : (j+1)*out]
+		for k := 0; k < batch; k++ {
+			av := x.Data[k*in+j]
+			if av == 0 {
+				continue
+			}
+			gRow := gradOut.Data[k*out : (k+1)*out]
+			for c, gv := range gRow {
+				dwRow[c] += av * gv
+			}
+		}
+	}
+	for i := range dW.Data {
+		wGrad.Data[i] += dW.Data[i]
+	}
+
+	bGrad := bGradM.Data
+	for i := 0; i < batch; i++ {
+		gRow := gradOut.Data[i*out : (i+1)*out]
+		for j, gv := range gRow {
+			bGrad[j] += gv
+		}
+	}
+
+	dx := NewMatrix(batch, in)
+	nzK := make([]int, 0, out)
+	for i := 0; i < batch; i++ {
+		gRow := gradOut.Data[i*out : (i+1)*out]
+		dxRow := dx.Data[i*in : (i+1)*in]
+		nz := nzK[:0]
+		for k, gv := range gRow {
+			if gv != 0 {
+				nz = append(nz, k)
+			}
+		}
+		if len(nz) == out {
+			for j := 0; j < in; j++ {
+				wRow := w.Data[j*out : (j+1)*out]
+				var acc float64
+				for k, gv := range gRow {
+					acc += gv * wRow[k]
+				}
+				dxRow[j] = acc
+			}
+			continue
+		}
+		for j := 0; j < in; j++ {
+			wRow := w.Data[j*out : (j+1)*out]
+			var acc float64
+			for _, k := range nz {
+				acc += gRow[k] * wRow[k]
+			}
+			dxRow[j] = acc
+		}
+	}
+	return dx
+}
+
+// avxModes returns the kernel selections this build can exercise: the
+// portable loops always, and the AVX microkernels when the CPU has them.
+func avxModes() []bool {
+	if useAVX {
+		return []bool{true, false}
+	}
+	return []bool{false}
+}
+
+// withAVX runs f with useAVX forced to on, restoring it afterwards.
+func withAVX(on bool, f func()) {
+	prev := useAVX
+	useAVX = on
+	defer func() { useAVX = prev }()
+	f()
+}
+
+// operandFills are the operand shapes the kernels must agree on: dense
+// Gaussian entries, zero-heavy ones (ReLU activations, the state encoding),
+// and one-hot rows (the Q-learning loss gradient, one taken action per
+// sample).
+var operandFills = []struct {
+	name string
+	fill func(m *Matrix, rng *rand.Rand)
+}{
+	{"dense", func(m *Matrix, rng *rand.Rand) {
+		for i := range m.Data {
+			m.Data[i] = rng.NormFloat64()
+		}
+	}},
+	{"zero-heavy", func(m *Matrix, rng *rand.Rand) {
+		for i := range m.Data {
+			m.Data[i] = 0
+			if rng.Intn(4) == 0 {
+				m.Data[i] = rng.NormFloat64()
+			}
+		}
+	}},
+	{"one-hot", func(m *Matrix, rng *rand.Rand) {
+		for i := range m.Data {
+			m.Data[i] = 0
+		}
+		for r := 0; r < m.Rows && m.Cols > 0; r++ {
+			m.Data[r*m.Cols+rng.Intn(m.Cols)] = rng.NormFloat64()
+		}
+	}},
+}
+
+// sameBits reports the first index where got and want differ in their
+// IEEE-754 bits, or -1.
+func sameBits(got, want []float64) int {
+	if len(got) != len(want) {
+		return 0
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestMatMulIntoMatchesNaiveBitwise pins MatMulInto, with the AVX
+// microkernels on and off, to the scalar reference across row remainders of
+// the 8- and 4-row blocks, column tails of the 4-wide vectors, and dense,
+// zero-heavy and one-hot operands.
+func TestMatMulIntoMatchesNaiveBitwise(t *testing.T) {
+	for _, avx := range avxModes() {
+		withAVX(avx, func() {
+			rng := rand.New(rand.NewSource(17))
+			for _, fa := range operandFills {
+				for _, fb := range operandFills[:2] {
+					for _, rows := range []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 32, 64} {
+						for _, k := range []int{1, 2, 3, 24, 47, 48} {
+							for _, cols := range []int{1, 2, 3, 4, 5, 7, 8, 11, 12, 48, 160} {
+								a, b := NewMatrix(rows, k), NewMatrix(k, cols)
+								fa.fill(a, rng)
+								fb.fill(b, rng)
+								got, want := NewMatrix(0, 0), NewMatrix(0, 0)
+								if err := MatMulInto(got, a, b); err != nil {
+									t.Fatal(err)
+								}
+								if err := naiveMatMulInto(want, a, b); err != nil {
+									t.Fatal(err)
+								}
+								if i := sameBits(got.Data, want.Data); i >= 0 {
+									t.Fatalf("avx=%v a=%s b=%s %dx%dx%d element %d: %v != %v",
+										avx, fa.name, fb.name, rows, k, cols, i, got.Data[i], want.Data[i])
+								}
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestDenseBackwardMatchesNaiveBitwise pins Dense.Backward's three GEMM-based
+// products to the hand-written loops they replaced: the accumulated dW and db
+// and the returned dx must keep every bit, with the AVX microkernels on and
+// off, for dense, zero-heavy and one-hot inputs and gradients.
+func TestDenseBackwardMatchesNaiveBitwise(t *testing.T) {
+	for _, avx := range avxModes() {
+		withAVX(avx, func() {
+			rng := rand.New(rand.NewSource(31))
+			for _, fx := range operandFills {
+				for _, fg := range operandFills {
+					for _, shape := range [][2]int{{24, 48}, {48, 48}, {48, 160}, {3, 5}, {7, 13}, {1, 1}} {
+						for _, batch := range []int{1, 3, 4, 8, 11, 32} {
+							in, out := shape[0], shape[1]
+							d := NewDense(in, out, rng)
+							x, g := NewMatrix(batch, in), NewMatrix(batch, out)
+							fx.fill(x, rng)
+							fg.fill(g, rng)
+							// Start from nonzero accumulators so Grad += dW
+							// is checked, not just dW.
+							operandFills[0].fill(d.W.Grad, rng)
+							operandFills[0].fill(d.B.Grad, rng)
+							wantW, wantB := d.W.Grad.Clone(), d.B.Grad.Clone()
+							wantX := naiveDenseBackward(x, d.W.Value, g, wantW, wantB)
+
+							if _, err := d.Forward(x); err != nil {
+								t.Fatal(err)
+							}
+							gotX, err := d.Backward(g)
+							if err != nil {
+								t.Fatal(err)
+							}
+							for _, c := range []struct {
+								name      string
+								got, want []float64
+							}{{"dW", d.W.Grad.Data, wantW.Data}, {"db", d.B.Grad.Data, wantB.Data}, {"dx", gotX.Data, wantX.Data}} {
+								if i := sameBits(c.got, c.want); i >= 0 {
+									t.Fatalf("avx=%v x=%s g=%s %dx%d batch %d %s[%d]: %v != %v",
+										avx, fx.name, fg.name, in, out, batch, c.name, i, c.got[i], c.want[i])
+								}
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}

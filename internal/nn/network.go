@@ -27,16 +27,6 @@ type Layer interface {
 	Params() []*Param
 }
 
-// grow returns a matrix of the requested shape, reusing buf's backing array
-// when it has capacity. Element values are unspecified.
-func grow(buf *Matrix, rows, cols int) *Matrix {
-	if buf == nil {
-		return NewMatrix(rows, cols)
-	}
-	buf.Reshape(rows, cols)
-	return buf
-}
-
 // Dense is a fully-connected layer: y = x@W + b.
 //
 // The layer owns reusable scratch buffers for its forward output and
@@ -47,10 +37,10 @@ type Dense struct {
 	B *Param
 
 	lastInput *Matrix
-	out       *Matrix // forward output scratch
-	dW        *Matrix // weight-gradient scratch
-	dx        *Matrix // input-gradient scratch
-	nzK       []int   // nonzero-gradient column scratch
+	out       Matrix // forward output scratch
+	dW        Matrix // weight-gradient scratch
+	dx        Matrix // input-gradient scratch
+	xT, wT    Matrix // transposed input and weight scratch for Backward
 }
 
 var _ Layer = (*Dense)(nil)
@@ -68,21 +58,20 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 // Forward computes x@W + b, caching x for the backward pass.
 func (d *Dense) Forward(x *Matrix) (*Matrix, error) {
 	d.lastInput = x
-	d.out = grow(d.out, x.Rows, d.W.Value.Cols)
-	if err := MatMulInto(d.out, x, d.W.Value); err != nil {
+	if err := MatMulInto(&d.out, x, d.W.Value); err != nil {
 		return nil, fmt.Errorf("dense forward: %w", err)
 	}
 	if err := d.out.AddRowVector(d.B.Value); err != nil {
 		return nil, fmt.Errorf("dense forward: %w", err)
 	}
-	return d.out, nil
+	return &d.out, nil
 }
 
-// Backward accumulates dW = x^T @ g and db = column sums of g, and returns
-// dx = g @ W^T. Both products are computed by fused kernels that index the
-// untransposed operands directly instead of materializing x^T / W^T; the
-// per-element accumulation order matches the naive transpose-then-multiply
-// formulation, so gradients are bit-for-bit unchanged.
+// Backward accumulates dW = xᵀ·g and db = column sums of g, and returns
+// dx = g·Wᵀ. Both products run on MatMulInto over per-layer transposed
+// copies of x and W, so every gradient element is an ascending-k sum of
+// separately rounded products: the bits of the textbook
+// transpose-then-multiply formulation.
 func (d *Dense) Backward(gradOut *Matrix) (*Matrix, error) {
 	if d.lastInput == nil {
 		return nil, fmt.Errorf("dense backward called before forward")
@@ -92,78 +81,30 @@ func (d *Dense) Backward(gradOut *Matrix) (*Matrix, error) {
 		return nil, fmt.Errorf("dense backward: grad shape (%dx%d) vs input %d rows, %d out cols",
 			gradOut.Rows, gradOut.Cols, x.Rows, w.Cols)
 	}
-	in, out, batch := x.Cols, w.Cols, x.Rows
 
-	// dW[j] = sum_k x[k][j] * g[k]; computed into scratch first, then added,
-	// to preserve the Grad += (complete sum) accumulation semantics.
-	d.dW = grow(d.dW, in, out)
-	for i := range d.dW.Data {
-		d.dW.Data[i] = 0
+	// dW is computed into scratch first, then added, to preserve the
+	// Grad += (complete sum) accumulation semantics.
+	transposeInto(&d.xT, x)
+	if err := MatMulInto(&d.dW, &d.xT, gradOut); err != nil {
+		return nil, fmt.Errorf("dense backward: %w", err)
 	}
-	for j := 0; j < in; j++ {
-		dwRow := d.dW.Data[j*out : (j+1)*out]
-		for k := 0; k < batch; k++ {
-			av := x.Data[k*in+j]
-			if av == 0 {
-				continue
-			}
-			gRow := gradOut.Data[k*out : (k+1)*out]
-			for c, gv := range gRow {
-				dwRow[c] += av * gv
-			}
-		}
-	}
-	for i := range d.dW.Data {
-		d.W.Grad.Data[i] += d.dW.Data[i]
+	for i, v := range d.dW.Data {
+		d.W.Grad.Data[i] += v
 	}
 
 	bGrad := d.B.Grad.Data
-	for i := 0; i < batch; i++ {
-		gRow := gradOut.Data[i*out : (i+1)*out]
+	for i := 0; i < gradOut.Rows; i++ {
+		gRow := gradOut.Data[i*gradOut.Cols : (i+1)*gradOut.Cols]
 		for j, gv := range gRow {
 			bGrad[j] += gv
 		}
 	}
 
-	// dx[i][j] = sum_k g[i][k] * W[j][k]: a row of g dotted with a row of W,
-	// so both inner streams are contiguous. Q-learning loss gradients are
-	// mostly zero (one action per sample), so the nonzero columns of each
-	// gradient row are gathered once up front; summation still runs in
-	// ascending k, keeping results bit-identical to the dense dot.
-	d.dx = grow(d.dx, batch, in)
-	if cap(d.nzK) < out {
-		d.nzK = make([]int, 0, out)
+	transposeInto(&d.wT, w)
+	if err := MatMulInto(&d.dx, gradOut, &d.wT); err != nil {
+		return nil, fmt.Errorf("dense backward: %w", err)
 	}
-	for i := 0; i < batch; i++ {
-		gRow := gradOut.Data[i*out : (i+1)*out]
-		dxRow := d.dx.Data[i*in : (i+1)*in]
-		nz := d.nzK[:0]
-		for k, gv := range gRow {
-			if gv != 0 {
-				nz = append(nz, k)
-			}
-		}
-		if len(nz) == out {
-			for j := 0; j < in; j++ {
-				wRow := w.Data[j*out : (j+1)*out]
-				var acc float64
-				for k, gv := range gRow {
-					acc += gv * wRow[k]
-				}
-				dxRow[j] = acc
-			}
-			continue
-		}
-		for j := 0; j < in; j++ {
-			wRow := w.Data[j*out : (j+1)*out]
-			var acc float64
-			for _, k := range nz {
-				acc += gRow[k] * wRow[k]
-			}
-			dxRow[j] = acc
-		}
-	}
-	return d.dx, nil
+	return &d.dx, nil
 }
 
 // Params returns the layer's weight and bias.
@@ -172,48 +113,34 @@ func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 // ReLU is the rectified-linear activation. Like Dense, it reuses scratch
 // buffers, so returned matrices are valid only until its next call.
 type ReLU struct {
-	mask []bool
-	out  *Matrix // forward output scratch
-	gout *Matrix // backward gradient scratch
+	out  Matrix // forward output scratch; out > 0 is the backward mask
+	gout Matrix // backward gradient scratch
 }
 
 var _ Layer = (*ReLU)(nil)
 
-// Forward zeroes negative activations.
+// Forward zeroes negative activations (and -0 and NaN).
 func (r *ReLU) Forward(x *Matrix) (*Matrix, error) {
-	r.out = grow(r.out, x.Rows, x.Cols)
-	out := r.out
-	if cap(r.mask) < len(out.Data) {
-		r.mask = make([]bool, len(out.Data))
-	}
-	r.mask = r.mask[:len(out.Data)]
-	for i, v := range x.Data {
-		if v > 0 {
-			r.mask[i] = true
-			out.Data[i] = v
-		} else {
-			r.mask[i] = false
-			out.Data[i] = 0
-		}
-	}
-	return out, nil
+	r.out.Reshape(x.Rows, x.Cols)
+	batchReLU(r.out.Data, x.Data)
+	return &r.out, nil
 }
 
-// Backward gates the incoming gradient by the forward mask.
+// Backward passes the incoming gradient where the forward output was
+// positive and zeroes it elsewhere.
 func (r *ReLU) Backward(gradOut *Matrix) (*Matrix, error) {
-	if len(r.mask) != len(gradOut.Data) {
-		return nil, fmt.Errorf("relu backward: mask size %d vs grad %d", len(r.mask), len(gradOut.Data))
+	if len(r.out.Data) != len(gradOut.Data) {
+		return nil, fmt.Errorf("relu backward: mask size %d vs grad %d", len(r.out.Data), len(gradOut.Data))
 	}
-	r.gout = grow(r.gout, gradOut.Rows, gradOut.Cols)
-	out := r.gout
+	r.gout.Reshape(gradOut.Rows, gradOut.Cols)
 	for i, v := range gradOut.Data {
-		if r.mask[i] {
-			out.Data[i] = v
+		if r.out.Data[i] > 0 {
+			r.gout.Data[i] = v
 		} else {
-			out.Data[i] = 0
+			r.gout.Data[i] = 0
 		}
 	}
-	return out, nil
+	return &r.gout, nil
 }
 
 // Params returns nil; ReLU has no parameters.
@@ -339,14 +266,15 @@ func (n *Network) CopyWeightsFrom(src *Network) error {
 	return nil
 }
 
-// MSELoss returns the mean-squared-error 0.5*mean((pred-target)^2) and its
-// gradient with respect to pred.
-func MSELoss(pred, target *Matrix) (float64, *Matrix, error) {
+// MSELoss returns the mean-squared-error 0.5*mean((pred-target)^2) and
+// writes its gradient with respect to pred into grad, reshaping grad (reusing
+// its backing array when large enough). grad may alias pred or target.
+func MSELoss(grad, pred, target *Matrix) (float64, error) {
 	if pred.Rows != target.Rows || pred.Cols != target.Cols {
-		return 0, nil, fmt.Errorf("nn: mse shape mismatch (%dx%d) vs (%dx%d)",
+		return 0, fmt.Errorf("nn: mse shape mismatch (%dx%d) vs (%dx%d)",
 			pred.Rows, pred.Cols, target.Rows, target.Cols)
 	}
-	grad := NewMatrix(pred.Rows, pred.Cols)
+	grad.Reshape(pred.Rows, pred.Cols)
 	var loss float64
 	n := float64(len(pred.Data))
 	for i := range pred.Data {
@@ -354,5 +282,5 @@ func MSELoss(pred, target *Matrix) (float64, *Matrix, error) {
 		loss += 0.5 * d * d / n
 		grad.Data[i] = d / n
 	}
-	return loss, grad, nil
+	return loss, nil
 }

@@ -172,7 +172,7 @@ func numericalGradient(t *testing.T, net *Network, x, target *Matrix, p *Param) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		lossP, _, err := MSELoss(outP, target)
+		lossP, err := MSELoss(&Matrix{}, outP, target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func numericalGradient(t *testing.T, net *Network, x, target *Matrix, p *Param) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		lossM, _, err := MSELoss(outM, target)
+		lossM, err := MSELoss(&Matrix{}, outM, target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,8 @@ func TestBackpropMatchesNumericalGradient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, grad, err := MSELoss(out, target)
+	grad := &Matrix{}
+	_, err = MSELoss(grad, out, target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,8 @@ func TestNewMLPValidation(t *testing.T) {
 func TestMSELoss(t *testing.T) {
 	pred := FromSlice([]float64{1, 2})
 	target := FromSlice([]float64{0, 2})
-	loss, grad, err := MSELoss(pred, target)
+	grad := &Matrix{}
+	loss, err := MSELoss(grad, pred, target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +293,7 @@ func TestMSELoss(t *testing.T) {
 	if math.Abs(grad.Data[0]-0.5) > 1e-12 || grad.Data[1] != 0 {
 		t.Fatalf("grad = %v", grad.Data)
 	}
-	if _, _, err := MSELoss(pred, NewMatrix(2, 2)); err == nil {
+	if _, err := MSELoss(grad, pred, NewMatrix(2, 2)); err == nil {
 		t.Fatal("expected shape error")
 	}
 }
@@ -313,7 +315,8 @@ func TestSGDReducesLoss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		loss, grad, err := MSELoss(out, target)
+		grad := &Matrix{}
+		loss, err := MSELoss(grad, out, target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,8 +357,8 @@ func TestAdamLearnsFasterThanSGDOnRegression(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var grad *Matrix
-			loss, grad, err = MSELoss(out, target)
+			grad := &Matrix{}
+			loss, err = MSELoss(grad, out, target)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -562,6 +565,7 @@ func BenchmarkTrainStepBatch64(b *testing.B) {
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
 	}
+	grad := &Matrix{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -569,7 +573,7 @@ func BenchmarkTrainStepBatch64(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, grad, err := MSELoss(out, target)
+		_, err = MSELoss(grad, out, target)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -20,7 +20,7 @@ var _ Optimizer = (*SGD)(nil)
 
 // Step applies one SGD update.
 func (o *SGD) Step(params []*Param) error {
-	if o.LR <= 0 {
+	if !(o.LR > 0) {
 		return fmt.Errorf("nn: sgd learning rate %v must be positive", o.LR)
 	}
 	scale := clipScale(params, o.ClipNorm)
@@ -56,7 +56,7 @@ func NewAdam(lr float64) *Adam {
 
 // Step applies one Adam update.
 func (o *Adam) Step(params []*Param) error {
-	if o.LR <= 0 {
+	if !(o.LR > 0) {
 		return fmt.Errorf("nn: adam learning rate %v must be positive", o.LR)
 	}
 	if o.m == nil {

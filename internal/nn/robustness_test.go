@@ -101,7 +101,8 @@ func TestTrainingIsFiniteProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			_, grad, err := MSELoss(out, target)
+			grad := &Matrix{}
+			_, err = MSELoss(grad, out, target)
 			if err != nil {
 				return false
 			}

@@ -46,7 +46,7 @@ func (d *DQN) SaveState(w io.Writer) error {
 	if err := d.target.Save(w); err != nil {
 		return err
 	}
-	if err := d.opt.SaveAdam(w, d.online.Params()); err != nil {
+	if err := d.opt.SaveAdam(w, d.params); err != nil {
 		return err
 	}
 	// Replay buffer: ring indices plus the live entries in storage order.
@@ -160,7 +160,7 @@ func (d *DQN) LoadState(r io.Reader) error {
 	}
 
 	// All sections decoded: commit.
-	d.online = newOnline
+	d.setOnline(newOnline)
 	d.target = newTarget
 	d.opt = opt
 	d.buffer.buf = buf

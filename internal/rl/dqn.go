@@ -75,10 +75,16 @@ type DQN struct {
 	envSteps   int
 	trainSteps int
 
+	// params caches online.Params() for TrainStep (see setOnline).
+	params []*nn.Param
+
 	// Reusable buffers for the QValues / TrainStep hot paths.
 	stateBuf *nn.Matrix
-	states   *nn.Matrix
-	nexts    *nn.Matrix
+	batch    []Transition
+	states   nn.Matrix
+	nexts    nn.Matrix
+	tdTarget nn.Matrix
+	grad     nn.Matrix
 	nextSel  []int
 }
 
@@ -87,8 +93,11 @@ func NewDQN(cfg DQNConfig) (*DQN, error) {
 	if cfg.StateDim <= 0 || cfg.NumActions <= 0 {
 		return nil, fmt.Errorf("rl: invalid dimensions state=%d actions=%d", cfg.StateDim, cfg.NumActions)
 	}
-	if cfg.Gamma < 0 || cfg.Gamma >= 1 {
+	if !(cfg.Gamma >= 0 && cfg.Gamma < 1) {
 		return nil, fmt.Errorf("rl: gamma %v must be in [0,1)", cfg.Gamma)
+	}
+	if !(cfg.LearningRate > 0) || math.IsInf(cfg.LearningRate, 1) {
+		return nil, fmt.Errorf("rl: learning rate %v must be positive and finite", cfg.LearningRate)
 	}
 	if cfg.BatchSize <= 0 {
 		return nil, fmt.Errorf("rl: batch size %d must be positive", cfg.BatchSize)
@@ -111,15 +120,23 @@ func NewDQN(cfg DQNConfig) (*DQN, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DQN{
+	d := &DQN{
 		cfg:    cfg,
-		online: online,
 		target: target,
 		opt:    nn.NewAdam(cfg.LearningRate),
 		buffer: buffer,
 		rng:    random,
 		rngSrc: src,
-	}, nil
+	}
+	d.setOnline(online)
+	return d, nil
+}
+
+// setOnline installs net as the online network and caches its parameter
+// list, so TrainStep does not rebuild it on every update.
+func (d *DQN) setOnline(net *nn.Network) {
+	d.online = net
+	d.params = net.Params()
 }
 
 // Network exposes the online network (e.g. for serialization).
@@ -132,7 +149,7 @@ func (d *DQN) SetNetwork(net *nn.Network) error {
 	if err != nil {
 		return err
 	}
-	d.online = net
+	d.setOnline(net)
 	d.target = clone
 	return nil
 }
@@ -245,16 +262,13 @@ func (d *DQN) Observe(t Transition) (float64, error) {
 // target = r + gamma * max_a' Q_target(s', a') (or r for terminal
 // transitions); only the taken action's output receives gradient.
 func (d *DQN) TrainStep() (float64, error) {
-	batch, err := d.buffer.Sample(d.cfg.BatchSize, d.rng)
+	batch, err := d.buffer.Sample(d.batch, d.cfg.BatchSize, d.rng)
 	if err != nil {
 		return 0, err
 	}
+	d.batch = batch
 	n := len(batch)
-	if d.states == nil {
-		d.states = nn.NewMatrix(n, d.cfg.StateDim)
-		d.nexts = nn.NewMatrix(n, d.cfg.StateDim)
-	}
-	states, nexts := d.states, d.nexts
+	states, nexts := &d.states, &d.nexts
 	states.Reshape(n, d.cfg.StateDim)
 	nexts.Reshape(n, d.cfg.StateDim)
 	for i, t := range batch {
@@ -291,7 +305,9 @@ func (d *DQN) TrainStep() (float64, error) {
 
 	// Build the TD targets; entries for non-taken actions copy the
 	// prediction so they contribute zero gradient.
-	target := pred.Clone()
+	target := &d.tdTarget
+	target.Reshape(pred.Rows, pred.Cols)
+	copy(target.Data, pred.Data)
 	for i, t := range batch {
 		y := t.Reward
 		if !t.Done {
@@ -311,15 +327,17 @@ func (d *DQN) TrainStep() (float64, error) {
 		target.Set(i, t.Action, y)
 	}
 
-	loss, grad, err := nn.MSELoss(pred, target)
+	loss, err := nn.MSELoss(&d.grad, pred, target)
 	if err != nil {
 		return 0, err
 	}
-	d.online.ZeroGrad()
-	if err := d.online.Backward(grad); err != nil {
+	for _, p := range d.params {
+		p.ZeroGrad()
+	}
+	if err := d.online.Backward(&d.grad); err != nil {
 		return 0, err
 	}
-	if err := d.opt.Step(d.online.Params()); err != nil {
+	if err := d.opt.Step(d.params); err != nil {
 		return 0, err
 	}
 

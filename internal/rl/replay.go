@@ -55,18 +55,23 @@ func (b *ReplayBuffer) Push(t Transition) {
 	}
 }
 
-// Sample draws n transitions uniformly at random with replacement. It
-// returns an error when the buffer is empty.
-func (b *ReplayBuffer) Sample(n int, rng *rand.Rand) ([]Transition, error) {
+// Sample draws n transitions uniformly at random with replacement, appending
+// them to dst[:0] and returning the result, so a caller that passes its
+// previous result back samples without allocating. It returns an error when
+// the buffer is empty or n is negative.
+func (b *ReplayBuffer) Sample(dst []Transition, n int, rng *rand.Rand) ([]Transition, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("rl: sample size %d must not be negative", n)
+	}
 	size := b.Len()
 	if size == 0 {
 		return nil, fmt.Errorf("rl: sampling from empty replay buffer")
 	}
-	out := make([]Transition, n)
-	for i := range out {
-		out[i] = b.buf[rng.Intn(size)]
+	dst = dst[:0]
+	for i := 0; i < n; i++ {
+		dst = append(dst, b.buf[rng.Intn(size)])
 	}
-	return out, nil
+	return dst, nil
 }
 
 // EpsilonSchedule is a linear exploration-rate decay from Start to End over

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"ctjam/internal/nn"
 )
 
 func TestReplayBufferValidation(t *testing.T) {
@@ -15,7 +17,7 @@ func TestReplayBufferValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Sample(1, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := b.Sample(nil, 1, rand.New(rand.NewSource(1))); err == nil {
 		t.Fatal("empty sample: expected error")
 	}
 }
@@ -33,7 +35,7 @@ func TestReplayBufferWrapAround(t *testing.T) {
 	}
 	// Only actions 2, 3, 4 survive.
 	rng := rand.New(rand.NewSource(2))
-	samples, err := b.Sample(100, rng)
+	samples, err := b.Sample(nil, 100, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,6 +122,51 @@ func TestNewDQNValidation(t *testing.T) {
 	cfg.Hidden = nil
 	if _, err := NewDQN(cfg); err == nil {
 		t.Fatal("no hidden layers: expected error")
+	}
+}
+
+// TestBadRatesRejected covers inputs that used to slip through: a NaN gamma,
+// a NaN, negative, zero or infinite learning rate (NaN trained every weight
+// into NaN, a negative one failed only at the first TrainStep), a NaN rate
+// handed straight to Adam or SGD, and a negative sample size (which panicked
+// in makeslice).
+func TestBadRatesRejected(t *testing.T) {
+	withCfg := func(edit func(*DQNConfig)) func() error {
+		return func() error {
+			cfg := DefaultDQNConfig(4, 3)
+			edit(&cfg)
+			_, err := NewDQN(cfg)
+			return err
+		}
+	}
+	params := func() []*nn.Param {
+		p := &nn.Param{Value: nn.FromSlice([]float64{1}), Grad: nn.FromSlice([]float64{1})}
+		return []*nn.Param{p}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"gamma NaN", withCfg(func(c *DQNConfig) { c.Gamma = math.NaN() })},
+		{"lr NaN", withCfg(func(c *DQNConfig) { c.LearningRate = math.NaN() })},
+		{"lr negative", withCfg(func(c *DQNConfig) { c.LearningRate = -1e-3 })},
+		{"lr zero", withCfg(func(c *DQNConfig) { c.LearningRate = 0 })},
+		{"lr +Inf", withCfg(func(c *DQNConfig) { c.LearningRate = math.Inf(1) })},
+		{"adam lr NaN", func() error { return nn.NewAdam(math.NaN()).Step(params()) }},
+		{"sgd lr NaN", func() error { return (&nn.SGD{LR: math.NaN()}).Step(params()) }},
+		{"sample -1", func() error {
+			b, err := NewReplayBuffer(4)
+			if err != nil {
+				return err
+			}
+			b.Push(Transition{})
+			_, err = b.Sample(nil, -1, rand.New(rand.NewSource(1)))
+			return err
+		}},
+	} {
+		if err := tc.run(); err == nil {
+			t.Errorf("%s: expected an error", tc.name)
+		}
 	}
 }
 
@@ -371,6 +418,28 @@ func TestSetNetworkSwapsModel(t *testing.T) {
 		if q1[i] != q2[i] {
 			t.Fatal("SetNetwork did not adopt the new weights")
 		}
+	}
+}
+
+// TestTrainStepAllocs guards the training hot path: once the learner has
+// taken its first steps, a TrainStep (sample, three forward passes, loss,
+// backward, Adam) reuses every buffer it needs.
+func TestTrainStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	d := trainSyntheticDQN(t)
+	var stepErr error
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := d.TrainStep(); err != nil {
+			stepErr = err
+		}
+	})
+	if stepErr != nil {
+		t.Fatal(stepErr)
+	}
+	if allocs != 0 {
+		t.Fatalf("TrainStep allocates %.1f times per call, want 0", allocs)
 	}
 }
 

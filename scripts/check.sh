@@ -36,6 +36,9 @@ go test -race -count=1 ./cmd/ctjam-serve
 # dual-engine equivalence suite under -race since fast snapshots serve many
 # goroutines from one immutable quantization.
 go test -count=1 -tags noasm ./internal/nn ./internal/rl ./internal/policy
+# Training runs on the same GEMM as inference; with the asm compiled out the
+# portable kernel must train a network with the same SHA-256.
+go test -count=1 -tags noasm -run '^TestTrainDQNWeightsDigest$' .
 go test -race -count=1 -run 'TestForwardBatch32|TestSnapshotFast32|TestEngine' ./internal/nn ./internal/rl ./internal/policy
 
 # The sweep-point cache shares memoized counters and trained schemes across
@@ -60,6 +63,7 @@ go test -race -count=1 -run 'TestFieldShardEquivalence' ./internal/iot
 # committed BENCH numbers stay regenerable (full runs via scripts/bench.sh).
 go test -run '^$' -bench '^BenchmarkAllSweeps$' -benchtime 1x .
 go test -run '^$' -bench '^BenchmarkPolicyBatch$' -benchtime 1x ./internal/policy
+go test -run '^$' -bench '^BenchmarkDQNTrainStep$' -benchtime 1x ./internal/rl
 CTJAM_SERVE_BENCH_MS=200 go test -run '^$' -bench '^BenchmarkServeSustained$' -benchtime 1x ./internal/serve
 go test -run '^$' -bench '^BenchmarkFieldEngine/nodes-1e3$' -benchtime 1x ./internal/iot
 
