@@ -215,7 +215,11 @@ func (e *Environment) Slot() int { return e.slot }
 // Strategy contract), so the victim's initial channel draw is identical
 // across attacker kinds.
 func (e *Environment) Reset() {
-	e.rng, e.rngSrc = rng.New(e.cfg.Seed)
+	if e.rngSrc == nil {
+		e.rng, e.rngSrc = rng.New(e.cfg.Seed)
+	} else {
+		e.rng.Seed(e.cfg.Seed) // in place: no new 5 KB source per reset
+	}
 	jam, err := jammer.New(e.cfg.Jammer, e.cfg.Channels, e.cfg.SweepWidth, e.cfg.JamPowers, e.cfg.JammerMode, e.rng)
 	if err != nil {
 		// Config was validated in New; a failure here is a programming

@@ -3,6 +3,7 @@ package iot
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"ctjam/internal/env"
@@ -10,12 +11,14 @@ import (
 	"ctjam/internal/jammer"
 	"ctjam/internal/mac"
 	"ctjam/internal/phy/zigbee"
+	"ctjam/internal/rng"
 )
 
-// dataFrameSymbols builds the demodulated symbol stream of one full-size
-// data frame. Data packets are full-size frames (PacketAirtime is the
-// 125-byte airtime); a deterministic payload keeps the receive path pure.
-func dataFrameSymbols() ([]uint8, error) {
+// dataFrameSymbols returns the demodulated symbol stream of one full-size
+// data frame, built once per process. Data packets are full-size frames
+// (PacketAirtime is the 125-byte airtime); a deterministic payload keeps
+// the receive path pure. Every cluster shares the slice read-only.
+var dataFrameSymbols = sync.OnceValues(func() ([]uint8, error) {
 	payload := make([]byte, zigbee.MaxPayload-zigbee.FCSLen)
 	for i := range payload {
 		payload[i] = byte(i)
@@ -25,7 +28,11 @@ func dataFrameSymbols() ([]uint8, error) {
 		return nil, fmt.Errorf("iot: build data frame: %w", err)
 	}
 	return zigbee.BytesToSymbols(frame), nil
-}
+})
+
+// newRand returns a generator over an unseeded rng.Fast, which streams
+// exactly like rand.NewSource once seeded through rand.Rand.Seed.
+func newRand() *rand.Rand { return rand.New(new(rng.Fast)) }
 
 // jamSpan is one continuous jamming emission on a channel block.
 type jamSpan struct {
@@ -36,17 +43,22 @@ type jamSpan struct {
 
 // cluster is the sharded field engine's unit of work: one hub-and-spokes
 // network on its own channel with its own jammer clock, RNG stream, CSMA
-// arbiter, and fault stream. A cluster is fully self-contained — no state is
-// shared with other clusters — which is what makes the engine's parallel
-// execution bit-identical at any worker count. The single-network Simulator
-// is a facade over one cluster.
+// arbiter, and fault stream. A run depends only on cfg — reset reseeds both
+// generators in place and rebuilds everything else — which is what makes
+// the engine's parallel execution bit-identical at any worker count and
+// lets the engine reuse one cluster value for many runs. The single-network
+// Simulator is a facade over one cluster.
 //
 // Not safe for concurrent use; the engine runs each cluster on exactly one
 // worker at a time.
 type cluster struct {
 	cfg Config
-	rng *rand.Rand
-	jam jammer.Strategy
+	// rng is the cluster stream (overheads, jammer, arbiter, first
+	// channel), seeded with cfg.Seed; agentRNG is the agent's stream,
+	// seeded with cfg.Seed+0x5eed. Both are reseeded in place every run.
+	rng      *rand.Rand
+	agentRNG *rand.Rand
+	jam      jammer.Strategy
 
 	now         time.Duration
 	nextJamSlot time.Duration
@@ -54,13 +66,13 @@ type cluster struct {
 	arbiter     *mac.Arbiter
 	slotIdx     int
 
-	// wheel indexes the slot's strong co-block emissions so the packet loop
-	// answers "is this packet jammed?" with a monotone cursor instead of
-	// rescanning every span per packet.
+	// wheel indexes the slot's strong co-block emissions: the fixed-service
+	// schedule counts the packets each one kills in closed form, and the
+	// CSMA packet loop asks it per packet with a monotone cursor.
 	wheel slotWheel
 
 	// frameSymbols is the demodulated symbol stream of one full-size data
-	// frame, precomputed at reset when fault injection is configured; pktIdx
+	// frame, set at reset when fault injection is configured; pktIdx
 	// is the monotone packet counter seeding per-packet symbol corruption.
 	// symScratch/byteScratch are the pooled receive-path buffers reused
 	// across packet deliveries.
@@ -68,6 +80,9 @@ type cluster struct {
 	pktIdx       int64
 	symScratch   []uint8
 	byteScratch  []byte
+
+	// flt is runSlot's scratch for the slot's injected faults.
+	flt fault.Slot
 }
 
 // newCluster validates cfg and builds a ready-to-run cluster.
@@ -82,12 +97,15 @@ func newCluster(cfg Config) (*cluster, error) {
 	return c, nil
 }
 
-// reset rewinds the cluster to slot 0. The RNG construction order here is
-// load-bearing: seed the cluster RNG first, then build the sweeper and the
-// arbiter from it, exactly as the original Simulator did, so goldens pinned
-// against the pre-sharding code reproduce bit-for-bit.
+// reset rewinds the cluster to slot 0. The RNG order here is load-bearing:
+// seed the cluster RNG first, then build the sweeper and the arbiter from
+// it, exactly as the original Simulator did, so goldens pinned against the
+// pre-sharding code reproduce bit-for-bit.
 func (c *cluster) reset() error {
-	c.rng = rand.New(rand.NewSource(c.cfg.Seed))
+	if c.rng == nil {
+		c.rng = newRand()
+	}
+	c.rng.Seed(c.cfg.Seed)
 	c.now = 0
 	c.nextJamSlot = 0
 	c.spans = c.spans[:0] // keep capacity across resets
@@ -194,7 +212,11 @@ func (c *cluster) runSlot(channel, power int, hopped bool) (SlotStats, error) {
 	// ACK loss voids the slot's deliveries.
 	var flt fault.Slot
 	if c.cfg.Faults != nil {
-		c.cfg.Faults.Apply(int64(c.slotIdx), &flt)
+		// Apply takes a pointer through an interface, so it fills the
+		// cluster's scratch rather than a local that would escape.
+		c.flt = fault.Slot{}
+		c.cfg.Faults.Apply(int64(c.slotIdx), &c.flt)
+		flt = c.flt
 	}
 	drift := 1 + flt.ClockDrift
 	if drift < 0.5 {
@@ -236,41 +258,10 @@ func (c *cluster) runSlot(channel, power int, hopped bool) (SlotStats, error) {
 		DataTime: slotEnd - dataStart,
 		Hopped:   hopped,
 	}
-	for t := dataStart; ; {
-		service := fixedService
-		if c.arbiter != nil {
-			out, err := c.arbiter.NextTransmission()
-			if err != nil {
-				// Retry-limit exhaustion: the slot time is burnt
-				// without a transmission.
-				t += time.Duration(mac.DefaultParams().MaxRetries) * air
-				continue
-			}
-			// Collided attempts waste a frame airtime each.
-			service = out.AccessDelay +
-				time.Duration(out.Collisions)*air +
-				c.cfg.Timing.PacketAirtime + tail
-		}
-		if t+service > slotEnd {
-			break
-		}
-		stats.Attempted++
-		lost := flt.NoisePower > txPower
-		if !lost && c.wheel.hits(t, t+service-tail) {
-			lost = true
-		}
-		if !lost && (flt.DropSymbols > 0 || flt.FlipProb > 0) {
-			// The packet survived the channel; push it through the ZigBee
-			// receive path under the slot's symbol faults.
-			if !c.deliverFrame(flt) {
-				lost = true
-				stats.FrameLosses++
-			}
-		}
-		if !lost {
-			stats.Delivered++
-		}
-		t += service
+	if c.arbiter == nil {
+		c.fixedData(&stats, flt, dataStart, slotEnd, fixedService, tail, txPower)
+	} else {
+		c.csmaData(&stats, flt, dataStart, slotEnd, air, tail, txPower)
 	}
 	if flt.AckLoss {
 		// The ACK channel is out for this slot: packets may have reached
@@ -321,6 +312,73 @@ func (c *cluster) runSlot(channel, power int, hopped bool) (SlotStats, error) {
 	c.now = slotEnd
 	c.slotIdx++
 	return stats, nil
+}
+
+// fixedData resolves the data phase when every packet costs the same
+// service time s: packet k starts at dataStart+k·s, is on air over its
+// first s−tail, and fits when it ends by slotEnd. The wheel counts the
+// packets a strong emission kills in closed form, so the phase costs
+// O(emissions) rather than O(packets). Packets that survive the channel
+// under symbol faults still pass through the receive path one by one:
+// deliverFrame depends on nothing but the running packet index, so calling
+// it once per survivor, in order, reproduces the per-packet walk exactly.
+func (c *cluster) fixedData(st *SlotStats, flt fault.Slot, dataStart, slotEnd, s, tail time.Duration, txPower float64) {
+	n := int((slotEnd - dataStart) / s)
+	st.Attempted = n
+	if flt.NoisePower > txPower {
+		return // the whole-slot burst kills every packet
+	}
+	survivors := n - c.wheel.killed(dataStart, s, s-tail, n)
+	if flt.DropSymbols == 0 && flt.FlipProb == 0 {
+		st.Delivered = survivors
+		return
+	}
+	for i := 0; i < survivors; i++ {
+		if c.deliverFrame(flt) {
+			st.Delivered++
+		} else {
+			st.FrameLosses++
+		}
+	}
+}
+
+// csmaData resolves the data phase packet by packet under the CSMA/CA
+// arbiter, whose per-packet access delays and collisions vary the service
+// time.
+func (c *cluster) csmaData(st *SlotStats, flt fault.Slot, dataStart, slotEnd, air, tail time.Duration, txPower float64) {
+	for t := dataStart; ; {
+		out, err := c.arbiter.NextTransmission()
+		if err != nil {
+			// Retry-limit exhaustion: the slot time is burnt without a
+			// transmission.
+			t += time.Duration(mac.DefaultParams().MaxRetries) * air
+			continue
+		}
+		// Collided attempts waste a frame airtime each.
+		service := out.AccessDelay +
+			time.Duration(out.Collisions)*air +
+			c.cfg.Timing.PacketAirtime + tail
+		if t+service > slotEnd {
+			break
+		}
+		st.Attempted++
+		lost := flt.NoisePower > txPower
+		if !lost && c.wheel.hits(t, t+service-tail) {
+			lost = true
+		}
+		if !lost && (flt.DropSymbols > 0 || flt.FlipProb > 0) {
+			// The packet survived the channel; push it through the ZigBee
+			// receive path under the slot's symbol faults.
+			if !c.deliverFrame(flt) {
+				lost = true
+				st.FrameLosses++
+			}
+		}
+		if !lost {
+			st.Delivered++
+		}
+		t += service
+	}
 }
 
 // deliverFrame demodulates one corrupted copy of the precomputed data frame
@@ -398,7 +456,11 @@ func (c *cluster) run(agent env.Agent, slots int) (RunStats, error) {
 	if err := c.reset(); err != nil {
 		return RunStats{}, err
 	}
-	agent.Reset(rand.New(rand.NewSource(c.cfg.Seed + 0x5eed)))
+	if c.agentRNG == nil {
+		c.agentRNG = newRand()
+	}
+	c.agentRNG.Seed(c.cfg.Seed + 0x5eed)
+	agent.Reset(c.agentRNG)
 
 	var acc runAccum
 	prev := env.SlotInfo{First: true, Channel: c.rng.Intn(c.cfg.Channels)}

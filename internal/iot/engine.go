@@ -2,6 +2,7 @@ package iot
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"ctjam/internal/env"
@@ -59,12 +60,16 @@ func clusterSeed(seed int64, c int) int64 {
 // workers. Each cluster owns its channel state, jammer clock, RNG stream,
 // and fault stream; the engine only coordinates slot boundaries and merges
 // counters, so execution is deterministic at any worker count.
+//
+// An Engine holds only its configuration: a cluster is a pure function of
+// its index, so Run builds each one in its worker, on a cluster value (with
+// its two generators) reused across runs. A field's memory is therefore
+// bounded by the worker count, not the cluster count.
 type Engine struct {
-	cfg      EngineConfig
-	clusters []*cluster
+	cfg EngineConfig
 }
 
-// NewEngine builds the cluster shards. Cluster c runs with seed
+// NewEngine validates the field configuration. Cluster c runs with seed
 // clusterSeed(Template.Seed, c); when fault injection is configured, cluster
 // c > 0 additionally gets its own fault stream via fault.Scoped so the same
 // injector spec yields decorrelated impairments per cluster.
@@ -72,27 +77,29 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, clusters: make([]*cluster, cfg.Clusters)}
-	for i := range e.clusters {
-		ccfg := cfg.Template
-		ccfg.Seed = clusterSeed(cfg.Template.Seed, i)
-		if ccfg.Faults != nil && i > 0 {
-			ccfg.Faults = fault.Scoped{Inner: ccfg.Faults, Stream: int64(i)}
-		}
-		cl, err := newCluster(ccfg)
-		if err != nil {
-			return nil, fmt.Errorf("iot: cluster %d: %w", i, err)
-		}
-		e.clusters[i] = cl
-	}
-	return e, nil
+	return &Engine{cfg: cfg}, nil
 }
 
+// clusterConfig returns cluster i's network configuration.
+func (e *Engine) clusterConfig(i int) Config {
+	ccfg := e.cfg.Template
+	ccfg.Seed = clusterSeed(ccfg.Seed, i)
+	if ccfg.Faults != nil && i > 0 {
+		ccfg.Faults = fault.Scoped{Inner: ccfg.Faults, Stream: int64(i)}
+	}
+	return ccfg
+}
+
+// clusterPool recycles cluster values, with their generators and scratch
+// buffers, across the runs of every Engine. A worker takes one per cluster
+// run; reset reseeds it in place, so no state crosses runs.
+var clusterPool = sync.Pool{New: func() any { return new(cluster) }}
+
 // Clusters returns the cluster count.
-func (e *Engine) Clusters() int { return len(e.clusters) }
+func (e *Engine) Clusters() int { return e.cfg.Clusters }
 
 // Nodes returns the total peripheral-node count across the field.
-func (e *Engine) Nodes() int { return len(e.clusters) * e.cfg.Template.Nodes }
+func (e *Engine) Nodes() int { return e.cfg.Clusters * e.cfg.Template.Nodes }
 
 // EngineStats aggregates one field run: per-cluster RunStats plus the
 // field-wide totals. SlotDeliveries counts cluster-slots resolved
@@ -174,19 +181,24 @@ func (e *Engine) merge(per []RunStats) EngineStats {
 // agent per cluster via newAgent (called from worker goroutines; build
 // agents from the cluster index only). Clusters run independently —
 // full-run-per-shard — each through the same cluster.run loop a Simulator
-// uses. Results are bit-identical at any worker count.
+// uses. Results are bit-identical at any worker count. The generator an
+// agent receives through Reset belongs to the engine and is reused once
+// the agent's cluster finishes, so agents must not draw from it after Run.
 func (e *Engine) Run(newAgent func(cluster int) (env.Agent, error), slots int) (EngineStats, error) {
 	if slots <= 0 {
 		return EngineStats{}, fmt.Errorf("iot: slots %d must be positive", slots)
 	}
-	per := make([]RunStats, len(e.clusters))
-	workers := parallel.Workers(e.cfg.Workers, len(e.clusters))
-	err := parallel.ForEach(workers, len(e.clusters), func(i int) error {
+	per := make([]RunStats, e.cfg.Clusters)
+	workers := parallel.Workers(e.cfg.Workers, e.cfg.Clusters)
+	err := parallel.ForEach(workers, e.cfg.Clusters, func(i int) error {
 		agent, err := newAgent(i)
 		if err != nil {
 			return fmt.Errorf("iot: cluster %d agent: %w", i, err)
 		}
-		st, err := e.clusters[i].run(agent, slots)
+		c := clusterPool.Get().(*cluster)
+		c.cfg = e.clusterConfig(i)
+		st, err := c.run(agent, slots)
+		clusterPool.Put(c)
 		if err != nil {
 			return fmt.Errorf("iot: cluster %d: %w", i, err)
 		}

@@ -11,15 +11,17 @@ type interval struct {
 // jammer's emissions arrive as a sorted span list (advanceJammer appends at
 // monotonically increasing slot boundaries); the wheel collapses the spans
 // that can actually kill a packet — same channel block, power above the
-// victim's — into a merged interval union once per Tx slot. The packet loop
-// then asks "does this packet overlap a strong emission?" with a cursor that
-// only moves forward, so resolving a slot of P packets against S spans costs
-// O(P+S) instead of the O(P·S) of rescanning the span list per packet.
+// victim's — into a merged interval union once per Tx slot. A packet
+// overlaps some strong span iff it overlaps their union. Two queries read
+// the union:
 //
-// The answer for each packet is identical to the exhaustive scan: a packet
-// overlaps some strong span iff it overlaps their union, and packets advance
-// monotonically in time within a slot so a passed interval can never matter
-// again.
+//   - killed counts, for a fixed-service schedule, how many packets the
+//     union kills, in O(intervals) whatever the packet count;
+//   - hits asks of one packet at a time, for the CSMA loop, with a cursor
+//     that only moves forward, so a slot of P packets against S spans costs
+//     O(P+S) instead of the O(P·S) of rescanning the span list per packet.
+//     Packets advance monotonically in time within a slot, so a passed
+//     interval can never matter again.
 type slotWheel struct {
 	strong []interval
 	cursor int
@@ -55,4 +57,45 @@ func (w *slotWheel) hits(t0, t1 time.Duration) bool {
 		w.cursor++
 	}
 	return w.cursor < len(w.strong) && w.strong[w.cursor].start < t1
+}
+
+// killed counts the packets of a fixed-service schedule that overlap a
+// strong emission: packet k, for 0 ≤ k < n, is on air over [d+k·s, d+k·s+w)
+// with s > 0. It returns what n calls hits(d+k·s, d+k·s+w) in order would
+// count true. Packet k meets interval [a, b) iff a−w < d+k·s < b, so each
+// interval kills the contiguous range
+//
+//	lo = ⌊(a−d−w)/s⌋+1 ≤ k < ⌈(b−d)/s⌉ = hi.
+//
+// Both bounds grow with the interval's position in the sorted union, so the
+// killed ranges are summed in one pass without counting a packet twice.
+func (w *slotWheel) killed(d, s, air time.Duration, n int) int {
+	total, covered := 0, 0
+	for _, iv := range w.strong {
+		lo := int(floorDiv(iv.start-d-air, s)) + 1
+		if lo >= n {
+			break
+		}
+		hi := int(-floorDiv(d-iv.end, s)) // ⌈(b−d)/s⌉
+		if lo < covered {
+			lo = covered
+		}
+		if hi > n {
+			hi = n
+		}
+		if hi > lo {
+			total += hi - lo
+			covered = hi
+		}
+	}
+	return total
+}
+
+// floorDiv returns ⌊a/b⌋ for b > 0 (Go's / truncates toward zero).
+func floorDiv(a, b time.Duration) time.Duration {
+	q := a / b
+	if a%b != 0 && a < 0 {
+		q--
+	}
+	return q
 }

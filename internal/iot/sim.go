@@ -98,6 +98,9 @@ func (c Config) Validate() error {
 	if _, err := jammer.ParseSpec(c.Jammer); err != nil {
 		return fmt.Errorf("iot: jammer spec: %w", err)
 	}
+	if c.JammerEnabled && c.JammerMode != jammer.ModeMax && c.JammerMode != jammer.ModeRandom {
+		return fmt.Errorf("iot: unknown jammer power mode %d", c.JammerMode)
+	}
 	return nil
 }
 

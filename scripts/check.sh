@@ -54,9 +54,11 @@ go test -race -count=1 -run 'TestSweepCache|TestBatchedSerialEvalCounters|TestFi
 go test -race -count=1 -run 'TestDistributed' ./internal/dist
 
 # The sharded field engine writes per-cluster results into index-addressed
-# slices from worker goroutines; its bit-identical-at-any-worker-count
-# guarantee must stay race-clean.
-go test -race -count=1 -run 'TestFieldShardEquivalence' ./internal/iot
+# slices from worker goroutines, and its pooled clusters (each with two
+# in-place-reseeded generators) move between worker goroutines and between
+# concurrent engines; its bit-identical-at-any-worker-count guarantee must
+# stay race-clean.
+go test -race -count=1 -run 'TestFieldShardEquivalence|TestEnginePooledClustersCarryNothing|TestEngineSingleClusterMatchesSimulator|TestFixedDataMatchesNaive' ./internal/iot
 
 # Benchmark smoke: one iteration of the headline cache benchmark, the
 # batched policy engine, and a short sustained-serve window, so the
@@ -101,20 +103,22 @@ go test -cover ./internal/phy/... ./internal/rl ./internal/experiments ./interna
 # production decision surface (>=75%), internal/iot the sharded field
 # engine whose determinism guarantees every committed field number (>=75%),
 # internal/jammer the adversary zoo whose strategies feed every cache key and
-# golden trace (>=85%), and internal/dist the coordinator/worker/spool paths
-# every distributed run completes through (>=80%).
-go test -cover ./internal/nn ./internal/serve ./internal/iot ./internal/jammer ./internal/dist | awk '
+# golden trace (>=85%), internal/rng the stdlib-identical generators every
+# seeded stream draws from (>=85%), and internal/dist the
+# coordinator/worker/spool paths every distributed run completes through
+# (>=80%).
+go test -cover ./internal/nn ./internal/serve ./internal/iot ./internal/jammer ./internal/rng ./internal/dist | awk '
 	{ print }
 	/^(FAIL|---)/ { bad = 1 }
 	/coverage:/ {
 		floor = 75
 		if ($2 ~ /internal\/(nn|dist)$/) floor = 80
-		if ($2 ~ /internal\/jammer$/) floor = 85
+		if ($2 ~ /internal\/(jammer|rng)$/) floor = 85
 		for (i = 1; i < NF; i++) if ($i == "coverage:") {
 			p = $(i + 1)
 			sub(/%/, "", p)
 			if (p + 0 < floor) bad = 1
 		}
 	}
-	END { if (bad) { print "coverage gate failed (nn/dist below 80%, jammer below 85%, serve/iot below 75%)"; exit 1 } }
+	END { if (bad) { print "coverage gate failed (nn/dist below 80%, jammer/rng below 85%, serve/iot below 75%)"; exit 1 } }
 '
