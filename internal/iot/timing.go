@@ -84,8 +84,8 @@ func (t Timing) Validate() error {
 	if t.PacketAirtime == 0 {
 		return fmt.Errorf("iot: packet airtime must be positive")
 	}
-	if s := t.PacketServiceTime(); s < MinPacketServiceTime {
-		return fmt.Errorf("iot: packet service time %v below %v: clock drift could stretch it to zero", s, MinPacketServiceTime)
+	if s := t.PacketServiceTime(); s < minPacketService {
+		return fmt.Errorf("iot: packet service time %v below %v: clock drift could stretch it to zero", s, minPacketService)
 	}
 	if t.OffChannelProb < 0 || t.OffChannelProb > 1 {
 		return fmt.Errorf("iot: off-channel probability %v outside [0,1]", t.OffChannelProb)
@@ -99,10 +99,10 @@ func (t Timing) Validate() error {
 	return nil
 }
 
-// MinPacketServiceTime is the shortest valid PacketServiceTime: the
-// smallest duration that the slowest clock drift (a 0.5× stretch) keeps
-// above zero.
-const MinPacketServiceTime = 2 * time.Nanosecond
+// minPacketService is the shortest valid PacketServiceTime: the smallest
+// duration that the slowest clock drift (a 0.5× stretch) keeps above zero.
+// A zero service would never advance the slot.
+const minPacketService = 2 * time.Nanosecond
 
 // PacketServiceTime is the full cost of one delivered packet: LBT, airtime,
 // ACK round trip and hub processing (~6.3 ms with defaults, matching the

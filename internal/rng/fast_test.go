@@ -16,11 +16,18 @@ var edgeSeeds = []int64{
 	2 * int32max, 89482311,
 }
 
+// seeded returns a Fast seeded with seed.
+func seeded(seed int64) *Fast {
+	f := &Fast{}
+	f.Seed(seed)
+	return f
+}
+
 // TestFastRawStreamMatchesStdlib compares the raw Int63/Uint64 steps,
 // interleaved, against rand.NewSource at every edge seed.
 func TestFastRawStreamMatchesStdlib(t *testing.T) {
 	for _, seed := range edgeSeeds {
-		got := NewFast(seed)
+		got := seeded(seed)
 		want := rand.NewSource(seed).(rand.Source64)
 		for i := 0; i < 20000; i++ {
 			if i%3 == 1 {
@@ -57,7 +64,7 @@ func TestFastManySeeds(t *testing.T) {
 // the codebase draws with, including the rejection-sampling ones.
 func TestFastThroughRand(t *testing.T) {
 	for _, seed := range []int64{0, 1, 7, -3, math.MaxInt64} {
-		got := rand.New(NewFast(seed))
+		got := rand.New(seeded(seed))
 		want := rand.New(rand.NewSource(seed))
 		for i := 0; i < 3000; i++ {
 			switch i % 6 {
@@ -96,7 +103,7 @@ func TestFastThroughRand(t *testing.T) {
 // TestFastReseedInPlace checks that reseeding a used Fast through
 // rand.Rand.Seed restarts the stream exactly.
 func TestFastReseedInPlace(t *testing.T) {
-	r := rand.New(NewFast(3))
+	r := rand.New(seeded(3))
 	for i := 0; i < 1000; i++ {
 		r.Int63()
 	}
@@ -112,7 +119,7 @@ func TestFastReseedInPlace(t *testing.T) {
 // TestSeedAllocs guards the point of Fast: reseeding a Fast, or a Source,
 // and restoring a Source allocate nothing.
 func TestSeedAllocs(t *testing.T) {
-	f := NewFast(1)
+	f := seeded(1)
 	s := NewSource(1)
 	seed := int64(0)
 	for name, fn := range map[string]func(){

@@ -129,13 +129,6 @@ type Fast struct {
 
 var _ rand.Source64 = (*Fast)(nil)
 
-// NewFast returns a Fast seeded with seed.
-func NewFast(seed int64) *Fast {
-	f := &Fast{}
-	f.Seed(seed)
-	return f
-}
-
 // Seed implements rand.Source.
 func (f *Fast) Seed(seed int64) {
 	f.tap = 0
