@@ -60,19 +60,20 @@ func (w *slotWheel) hits(t0, t1 time.Duration) bool {
 }
 
 // killed counts the packets of a fixed-service schedule that overlap a
-// strong emission: packet k, for 0 ≤ k < n, is on air over [d+k·s, d+k·s+w)
-// with s > 0. It returns what n calls hits(d+k·s, d+k·s+w) in order would
-// count true. Packet k meets interval [a, b) iff a−w < d+k·s < b, so each
-// interval kills the contiguous range
+// strong emission: packet k, for 0 ≤ k < n, is on air over
+// [d+k·s, d+k·s+onAir) with s > 0. It returns what n calls
+// hits(d+k·s, d+k·s+onAir) in order would count true. Packet k meets
+// interval [a, b) iff a−onAir < d+k·s < b, so each interval kills the
+// contiguous range
 //
-//	lo = ⌊(a−d−w)/s⌋+1 ≤ k < ⌈(b−d)/s⌉ = hi.
+//	lo = ⌊(a−d−onAir)/s⌋+1 ≤ k < ⌈(b−d)/s⌉ = hi.
 //
 // Both bounds grow with the interval's position in the sorted union, so the
 // killed ranges are summed in one pass without counting a packet twice.
-func (w *slotWheel) killed(d, s, air time.Duration, n int) int {
+func (w *slotWheel) killed(d, s, onAir time.Duration, n int) int {
 	total, covered := 0, 0
 	for _, iv := range w.strong {
-		lo := int(floorDiv(iv.start-d-air, s)) + 1
+		lo := int(floorDiv(iv.start-d-onAir, s)) + 1
 		if lo >= n {
 			break
 		}
