@@ -63,8 +63,9 @@ func clusterSeed(seed int64, c int) int64 {
 //
 // An Engine holds only its configuration: a cluster is a pure function of
 // its index, so Run builds each one in its worker, on a cluster value (with
-// its two generators) reused across runs. A field's memory is therefore
-// bounded by the worker count, not the cluster count.
+// its two generators) reused across runs. A field's working memory is
+// therefore bounded by the worker count; only the per-cluster RunStats of
+// the result grow with the cluster count.
 type Engine struct {
 	cfg EngineConfig
 }
