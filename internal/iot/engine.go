@@ -160,18 +160,16 @@ func (e *Engine) merge(per []RunStats) EngineStats {
 		PerCluster: per,
 	}
 	out.SlotDeliveries = out.Clusters * out.Slots
-	shards := make([]metrics.Counters, len(per))
 	var util float64
 	var ovh time.Duration
-	for i, r := range per {
+	for _, r := range per {
 		out.Attempted += r.Attempted
 		out.Delivered += r.Delivered
 		out.FrameLosses += r.FrameLosses
 		util += r.MeanUtilization
 		ovh += r.MeanOverhead
-		shards[i] = r.Counters
+		out.Counters.Add(r.Counters)
 	}
-	out.Counters = metrics.Merge(shards...)
 	out.GoodputPktsPerSlot = float64(out.Delivered) / float64(out.Slots)
 	out.MeanUtilization = util / float64(len(per))
 	out.MeanOverhead = ovh / time.Duration(len(per))

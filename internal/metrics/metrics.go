@@ -48,18 +48,6 @@ func (c *Counters) Add(other Counters) {
 	c.UsefulPCs += other.UsefulPCs
 }
 
-// Merge sums a set of per-shard counter sets into one. The sharded field
-// engine accumulates one Counters per cluster and merges after the parallel
-// section; Add is associative and commutative over non-negative counts, so
-// the merged result is independent of shard order and worker count.
-func Merge(shards ...Counters) Counters {
-	var out Counters
-	for _, c := range shards {
-		out.Add(c)
-	}
-	return out
-}
-
 // ratio returns num/den, or 0 when den is 0.
 func ratio(num, den int) float64 {
 	if den == 0 {

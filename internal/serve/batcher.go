@@ -20,8 +20,9 @@ import (
 // action buffers) recycle through a sync.Pool once their last waiter has read
 // its result, states are copied straight into the pooled batch buffer at
 // admission, and the snapshot's own pooled scratch backs the forward pass.
-// The only per-batch allocation is the ready channel (unavoidable: a closed
-// channel cannot be reused), amortized across up to MaxBatch decisions.
+// Each batch allocates only its ready channel (a closed channel cannot be
+// reused) and its window timer with the timer's closure, amortized across up
+// to MaxBatch decisions; TestBatcherAdmissionAllocs holds that budget.
 type Batcher struct {
 	m        *Model
 	maxBatch int

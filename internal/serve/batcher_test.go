@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -260,6 +261,58 @@ func TestBatcherConcurrentHammer(t *testing.T) {
 	}
 	if calls := pol.calls.Load(); calls != flushes {
 		t.Fatalf("policy calls %d != flushes %d", calls, flushes)
+	}
+}
+
+// TestBatcherAdmissionAllocs holds the admission queue's allocation budget:
+// micro-batches recycle through the pool, so a flush costs only its ready
+// channel plus the window timer and its closure, and the cost per decision
+// falls as 1/fill. Eight goroutines against MaxBatch 8 and a 1 s window make
+// every flush a full one.
+func TestBatcherAdmissionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation allocates and sync.Pool drops items at random")
+	}
+	const goroutines, perG, maxAllocsPerFlush = 8, 500, 4
+	pol := &fakePolicy{dim: 24, actions: goroutines}
+	m := newFakeModel(t, pol, goroutines, time.Second)
+	states := make([][]float64, goroutines)
+	for g := range states {
+		states[g] = make([]float64, pol.dim)
+		states[g][0] = float64(g)
+	}
+	run := func(calls int) {
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < calls; i++ {
+					if a, err := m.batcher.Decide(states[g]); err != nil || a != g {
+						t.Errorf("decide(%d) = %d, %v", g, a, err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+	flushes := func() int64 { return m.stats.FlushFull.Load() + m.stats.FlushWindow.Load() }
+
+	run(20) // fill the micro-batch pool
+	f0 := flushes()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(perG)
+	runtime.ReadMemStats(&after)
+	n := flushes() - f0
+	if n == 0 {
+		t.Fatal("no flushes")
+	}
+	perFlush := float64(after.Mallocs-before.Mallocs) / float64(n)
+	t.Logf("%d flushes, %.2f allocs per flush, %.3f per decision", n, perFlush, perFlush*float64(n)/(goroutines*perG))
+	if perFlush > maxAllocsPerFlush {
+		t.Fatalf("admission allocates %.2f times per flush, want <= %d", perFlush, maxAllocsPerFlush)
 	}
 }
 

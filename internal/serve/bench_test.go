@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"fmt"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -39,87 +36,10 @@ func writePaperModel(b *testing.B, dir string) string {
 	return path
 }
 
-// benchDuration reads the sustained-load window from CTJAM_SERVE_BENCH_MS
-// (default 2000 ms; check.sh smoke runs use a short one).
-func benchDuration() time.Duration {
-	if ms := os.Getenv("CTJAM_SERVE_BENCH_MS"); ms != "" {
-		if v, err := strconv.Atoi(ms); err == nil && v > 0 {
-			return time.Duration(v) * time.Millisecond
-		}
-	}
-	return 2 * time.Second
-}
-
-// BenchmarkServeSustained is the planet-scale serving headline: sustained
-// decisions/s with 256 concurrent single-state clients against one server
-// process, across the transport x batching matrix. "http-nobatch" is the
-// per-request baseline (PR 3's server: one connection round-trip and one
-// forward pass per decision); "session-batch" is the full PR 6 path
-// (streaming NDJSON sessions feeding the cross-request micro-batcher). The
-// acceptance gate compares those two corners. Load is generated in-process
-// by RunLoad over real TCP connections, so client-side JSON and socket work
-// is included in the measurement — throughput numbers are end-to-end, not
-// server-only.
-func BenchmarkServeSustained(b *testing.B) {
-	dir := b.TempDir()
-	path := writePaperModel(b, dir)
-	const clients = 256
-	for _, bc := range []struct {
-		name     string
-		mode     string
-		batching bool
-	}{
-		{"http-nobatch", "http", false},
-		{"http-batch", "http", true},
-		{"session-nobatch", "session", false},
-		{"session-batch", "session", true},
-	} {
-		b.Run(fmt.Sprintf("%s-c%d", bc.name, clients), func(b *testing.B) {
-			srv, err := New(Config{
-				Models:   []ModelSpec{{Name: "default", Path: path}},
-				Batching: bc.batching,
-				MaxBatch: 256,
-				Window:   200 * time.Microsecond,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-			for i := 0; i < b.N; i++ {
-				res, err := RunLoad(LoadConfig{
-					BaseURL:  ts.URL,
-					Mode:     bc.mode,
-					Clients:  clients,
-					Duration: benchDuration(),
-					StateDim: 24,
-					Seed:     int64(i),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Errors > 0 {
-					b.Fatalf("%d client errors", res.Errors)
-				}
-				if res.Decisions == 0 {
-					b.Fatal("no decisions served")
-				}
-				b.ReportMetric(res.PerSec(), "decisions/s")
-				b.ReportMetric(float64(res.Decisions), "decisions")
-			}
-			m := srv.Registry().Default()
-			if flushes := m.stats.FlushFull.Load() + m.stats.FlushWindow.Load(); flushes > 0 {
-				b.ReportMetric(m.stats.BatchFill.Mean(), "mean-fill")
-			}
-		})
-	}
-}
-
 // BenchmarkBatcherDecide measures the admission queue itself, no HTTP: many
 // goroutines pushing single states through Batcher.Decide into fused
-// GreedyBatch flushes. This is the allocs/op gate for the zero-copy scratch
-// path — steady state must stay at ~0 allocs per decision (the only per-batch
-// allocation is the ready channel, amortized across the fill).
+// GreedyBatch flushes on the paper-sized network. Its allocs/op is the
+// per-batch cost (see TestBatcherAdmissionAllocs) divided by the fill.
 func BenchmarkBatcherDecide(b *testing.B) {
 	dir := b.TempDir()
 	path := writePaperModel(b, dir)

@@ -181,3 +181,17 @@ func TestFastDecideAgreesWithExact(t *testing.T) {
 		t.Fatalf("served action agreement %.5f over %d states, want >= %v", ratio, total, agreeFloor)
 	}
 }
+
+func TestServerReloadAll(t *testing.T) {
+	srv := newDualEngineServer(t)
+	before := srv.Registry().Lookup("fast").Reloads()
+	if err := srv.ReloadAll(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range srv.Registry().Names() {
+		m := srv.Registry().Lookup(name)
+		if m.Reloads() != before+1 {
+			t.Errorf("model %q reloads = %d, want %d", name, m.Reloads(), before+1)
+		}
+	}
+}

@@ -59,8 +59,8 @@ type Config struct {
 	// waits before its partial batch flushes (default 200µs).
 	Window time.Duration
 
-	// MaxBody caps decide request bodies in bytes (default 8 MiB); larger
-	// bodies get a JSON 413.
+	// MaxBody caps decide request bodies in bytes (default 8 MiB, negative
+	// is an error); larger bodies get a JSON 413.
 	MaxBody int64
 
 	// PProf mounts net/http/pprof under /debug/pprof/.
@@ -102,6 +102,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxBody == 0 {
 		cfg.MaxBody = DefaultMaxBody
+	}
+	if cfg.MaxBody < 0 {
+		return nil, fmt.Errorf("serve: max body %d must not be negative", cfg.MaxBody)
 	}
 	reg, err := NewRegistry(cfg.Models, cfg.DefaultModel, cfg.MaxBatch, cfg.Window)
 	if err != nil {

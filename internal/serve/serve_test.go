@@ -67,6 +67,13 @@ func newTestServer(t testing.TB, mutate func(*Config)) (*Server, *rl.Snapshot, s
 	return srv, snap, path
 }
 
+// randState fills buf with a fresh random observation.
+func randState(rng *rand.Rand, buf []float64) {
+	for i := range buf {
+		buf[i] = rng.Float64()*2 - 1
+	}
+}
+
 func randStates(rng *rand.Rand, n, dim int) [][]float64 {
 	out := make([][]float64, n)
 	for i := range out {
@@ -210,9 +217,14 @@ func TestDecideRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// TestDecideBodyCap proves the request-body cap returns a JSON 413 and that
-// a request under the cap still works.
+// TestDecideBodyCap proves the request-body cap returns a JSON 413, that a
+// request under the cap still works, and that a negative cap is refused at
+// construction instead of capping every body at 0 bytes.
 func TestDecideBodyCap(t *testing.T) {
+	if _, err := New(Config{MaxBody: -1}); err == nil || !strings.Contains(err.Error(), "max body") {
+		t.Fatalf("New with MaxBody -1: err %v, want a max body error", err)
+	}
+
 	srv, _, _ := newTestServer(t, func(c *Config) { c.MaxBody = 512 })
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

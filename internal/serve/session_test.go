@@ -58,22 +58,44 @@ func (c *sessionClient) close() {
 }
 
 // TestSessionStreamsDecisions holds one connection for many decisions and
-// checks every action against the reference snapshot, including recovery
-// from an in-stream dimension error.
+// checks every action against a reference, including recovery from an
+// in-stream dimension error. It runs on the legacy route against the
+// snapshot, and on the per-model route of a fast32 model against that
+// model's direct batch decide.
 func TestSessionStreamsDecisions(t *testing.T) {
-	srv, snap, _ := newTestServer(t, nil)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	states := randStates(rand.New(rand.NewSource(11)), 20, testStateDim)
+	t.Run("legacy-exact", func(t *testing.T) {
+		srv, snap, _ := newTestServer(t, nil)
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		want := make([]int, len(states))
+		if err := snap.GreedyBatch(want, flatten(states)); err != nil {
+			t.Fatal(err)
+		}
+		checkSessionStream(t, ts.URL, ts.URL+"/v1", "default", states, want)
+	})
+	t.Run("models-fast", func(t *testing.T) {
+		ts := httptest.NewServer(newDualEngineServer(t).Handler())
+		defer ts.Close()
+		body, err := json.Marshal(DecideRequest{States: states})
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, resp := postJSON(t, ts.URL+"/v1/models/fast/decide", body)
+		if resp.StatusCode != http.StatusOK || len(direct.Actions) != len(states) {
+			t.Fatalf("direct decide: status %d, %d actions", resp.StatusCode, len(direct.Actions))
+		}
+		checkSessionStream(t, ts.URL, ts.URL+"/v1/models/fast", "fast", states, direct.Actions)
+	})
+}
 
-	c := openSession(t, ts.URL+"/v1/session")
+// checkSessionStream streams states through prefix+"/session" and checks
+// each answer against want and the model's session counters on /v1/stats.
+func checkSessionStream(t *testing.T, base, prefix, model string, states [][]float64, want []int) {
+	t.Helper()
+	c := openSession(t, prefix+"/session")
 	defer c.close()
 
-	rng := rand.New(rand.NewSource(11))
-	states := randStates(rng, 20, testStateDim)
-	want := make([]int, len(states))
-	if err := snap.GreedyBatch(want, flatten(states)); err != nil {
-		t.Fatal(err)
-	}
 	for i, st := range states {
 		out := c.roundTrip(t, DecideRequest{State: st})
 		if out.Error != "" || out.Action == nil {
@@ -113,7 +135,7 @@ func TestSessionStreamsDecisions(t *testing.T) {
 			SessionDecisions float64 `json:"session_decisions"`
 		} `json:"models"`
 	}
-	resp, err := http.Get(ts.URL + "/v1/stats")
+	resp, err := http.Get(base + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,9 +143,9 @@ func TestSessionStreamsDecisions(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	m := stats.Models["default"]
+	m := stats.Models[model]
 	if m.Sessions != 1 || m.SessionDecisions < 21 {
-		t.Fatalf("session stats %+v, want 1 session with >= 21 decisions", m)
+		t.Fatalf("model %q session stats %+v, want 1 session with >= 21 decisions", model, m)
 	}
 }
 
