@@ -75,7 +75,6 @@ func run(args []string) error {
 		id      = fs.String("id", "all", "experiment id (see -list) or 'all'")
 		scale   = fs.String("scale", "paper", "budget: 'paper' or 'quick'")
 		engine  = fs.String("engine", "mdp", "RL FH engine: 'mdp' (exact policy) or 'dqn' (train per point)")
-		fast32  = fs.Bool("fast32", false, "evaluate DQN sweep points on the float32+FMA inference fast path (not bit-identical to exact runs; dqn engine only)")
 		csvDir  = fs.String("csv", "", "directory to write per-experiment CSV files")
 		list    = fs.Bool("list", false, "list experiment ids and exit")
 		seed    = fs.Int64("seed", 1, "random seed")
@@ -157,13 +156,9 @@ func run(args []string) error {
 	}
 	switch *engine {
 	case "mdp":
-		if *fast32 {
-			return errors.New("-fast32 only applies to -engine dqn")
-		}
 		opts.Engine = experiments.EngineMDP
 	case "dqn":
 		opts.Engine = experiments.EngineDQN
-		opts.Fast32 = *fast32
 	default:
 		return fmt.Errorf("unknown engine %q", *engine)
 	}

@@ -14,13 +14,8 @@
 // network (ctjam-train -out), a DQN learner state, or a full training
 // checkpoint (ctjam-train -checkpoint).
 //
-// Each model serves on the exact float64 engine by default. A ":fast" suffix
-// on a -models path (name=path:fast) — or -fast alongside -model — serves
-// that model on the float32+FMA fast path instead: roughly 3x the batched
-// decision throughput, with Q-values tolerance-close to exact and decisions
-// that can differ only at exact-Q near-ties (see DESIGN.md, "Fast-path
-// numerics"). The engine each model runs on is reported in /v1/models and
-// /v1/stats.
+// Every model serves on the exact float64 engine, bit-identical to the
+// training-time forward pass.
 //
 // Endpoints:
 //
@@ -71,13 +66,11 @@ import (
 
 // parseModelSpecs expands -models values ("name=path[,name=path...]",
 // repeatable) and the legacy -model path into the registry's spec list,
-// preserving flag order so the first spec backs the legacy routes. A ":fast"
-// suffix on a path serves that model on the float32+FMA fast path; fastLegacy
-// does the same for the -model spelling.
-func parseModelSpecs(legacy string, fastLegacy bool, lists []string) ([]serve.ModelSpec, error) {
+// preserving flag order so the first spec backs the legacy routes.
+func parseModelSpecs(legacy string, lists []string) ([]serve.ModelSpec, error) {
 	var specs []serve.ModelSpec
 	if legacy != "" {
-		specs = append(specs, serve.ModelSpec{Name: "default", Path: legacy, Fast: fastLegacy})
+		specs = append(specs, serve.ModelSpec{Name: "default", Path: legacy})
 	}
 	for _, list := range lists {
 		for _, entry := range strings.Split(list, ",") {
@@ -87,16 +80,9 @@ func parseModelSpecs(legacy string, fastLegacy bool, lists []string) ([]serve.Mo
 			}
 			name, path, ok := strings.Cut(entry, "=")
 			if !ok || name == "" || path == "" {
-				return nil, fmt.Errorf("bad model spec %q (want name=path[:fast])", entry)
+				return nil, fmt.Errorf("bad model spec %q (want name=path)", entry)
 			}
-			fast := false
-			if p, found := strings.CutSuffix(path, ":fast"); found {
-				fast, path = true, p
-				if path == "" {
-					return nil, fmt.Errorf("bad model spec %q (want name=path[:fast])", entry)
-				}
-			}
-			specs = append(specs, serve.ModelSpec{Name: name, Path: path, Fast: fast})
+			specs = append(specs, serve.ModelSpec{Name: name, Path: path})
 		}
 	}
 	if len(specs) == 0 {
@@ -108,7 +94,6 @@ func parseModelSpecs(legacy string, fastLegacy bool, lists []string) ([]serve.Mo
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	model := flag.String("model", "", "single checkpoint to serve as model \"default\" (CTJM model, CTDQ learner state or CTTC training checkpoint)")
-	fast := flag.Bool("fast", false, "serve the -model checkpoint on the float32+FMA inference fast path (named -models entries opt in with a path:fast suffix)")
 	var modelLists []string
 	flag.Func("models", "named checkpoints to serve, name=path[,name=path...] (repeatable)", func(v string) error {
 		modelLists = append(modelLists, v)
@@ -123,7 +108,7 @@ func main() {
 	pprofOn := flag.Bool("pprof", true, "expose net/http/pprof under /debug/pprof/ on the same listener")
 	flag.Parse()
 
-	specs, err := parseModelSpecs(*model, *fast, modelLists)
+	specs, err := parseModelSpecs(*model, modelLists)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ctjam-serve: %v\n", err)
 		flag.Usage()
@@ -143,7 +128,7 @@ func main() {
 	}
 	for _, name := range srv.Registry().Names() {
 		m := srv.Registry().Lookup(name)
-		log.Printf("model %q: %s (engine %s)", name, m.Path(), m.Engine())
+		log.Printf("model %q: %s", name, m.Path())
 	}
 	log.Printf("serving %d model(s) on %s (batching=%v window=%v max-batch=%d)",
 		len(specs), *addr, *batch, *window, *maxBatch)

@@ -10,7 +10,6 @@ func TestParseModelSpecs(t *testing.T) {
 	cases := []struct {
 		name   string
 		legacy string
-		fast   bool
 		lists  []string
 		want   []serve.ModelSpec
 		bad    bool
@@ -19,25 +18,6 @@ func TestParseModelSpecs(t *testing.T) {
 			name:   "legacy only",
 			legacy: "m.ctdq",
 			want:   []serve.ModelSpec{{Name: "default", Path: "m.ctdq"}},
-		},
-		{
-			name:   "legacy fast",
-			legacy: "m.ctdq",
-			fast:   true,
-			want:   []serve.ModelSpec{{Name: "default", Path: "m.ctdq", Fast: true}},
-		},
-		{
-			name:  "fast suffix",
-			lists: []string{"a=a.ctdq:fast,b=b.ctjm"},
-			want: []serve.ModelSpec{
-				{Name: "a", Path: "a.ctdq", Fast: true},
-				{Name: "b", Path: "b.ctjm"},
-			},
-		},
-		{
-			name:  "fast suffix strips only the marker",
-			lists: []string{"a=dir/x=y.ctdq:fast"},
-			want:  []serve.ModelSpec{{Name: "a", Path: "dir/x=y.ctdq", Fast: true}},
 		},
 		{
 			name:  "named list",
@@ -73,11 +53,10 @@ func TestParseModelSpecs(t *testing.T) {
 		{name: "missing path", lists: []string{"a="}, bad: true},
 		{name: "missing name", lists: []string{"=p.ctdq"}, bad: true},
 		{name: "no separator", lists: []string{"plainpath"}, bad: true},
-		{name: "bare fast suffix", lists: []string{"a=:fast"}, bad: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := parseModelSpecs(tc.legacy, tc.fast, tc.lists)
+			got, err := parseModelSpecs(tc.legacy, tc.lists)
 			if tc.bad {
 				if err == nil {
 					t.Fatalf("got %v, want error", got)

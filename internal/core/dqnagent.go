@@ -157,22 +157,6 @@ func (a *DQNAgent) Scheme() (*policy.Scheme, error) {
 	return policy.DQNScheme(a.Name(), snap, a.cfg.Channels, a.cfg.Powers, a.cfg.HistoryLen)
 }
 
-// SchemeFast32 is Scheme on the float32 fast engine: same trained weights,
-// quantized once into an FMA-accelerated inference view. Decisions agree
-// with the exact scheme only within the fast path's action-agreement budget,
-// so callers that require bit-identical traces must stay on Scheme.
-func (a *DQNAgent) SchemeFast32() (*policy.Scheme, error) {
-	snap, err := a.dqn.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	fast, err := snap.Fast32()
-	if err != nil {
-		return nil, err
-	}
-	return policy.DQNScheme(a.Name(), fast, a.cfg.Channels, a.cfg.Powers, a.cfg.HistoryLen)
-}
-
 func (a *DQNAgent) decodeAction(action int) (channel, power int) {
 	return action / a.cfg.Powers, action % a.cfg.Powers
 }

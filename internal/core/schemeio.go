@@ -74,9 +74,6 @@ type SchemeCheckpoint struct {
 	Family SchemeFamily
 	// Name is the scheme's display name ("RL FH", "MDP*", ...).
 	Name string
-	// Fast32 marks a DQN checkpoint whose scheme evaluates on the float32
-	// fast engine (the weights themselves always travel as float64).
-	Fast32 bool
 
 	// Channels is shared by both families; Powers/HistoryLen/Net belong to
 	// SchemeDQN, SweepWidth/Params/Actions to SchemeMDP.
@@ -100,14 +97,12 @@ func SchemeFingerprint(data []byte) string {
 }
 
 // SchemeCheckpoint captures the agent's trained network as a distributable
-// checkpoint. fast32 marks the checkpoint for the float32 fast inference
-// engine (the weights still travel exact). The checkpoint references the
-// live network, so encode it before any further training.
-func (a *DQNAgent) SchemeCheckpoint(fast32 bool) (*SchemeCheckpoint, error) {
+// checkpoint. The checkpoint references the live network, so encode it
+// before any further training.
+func (a *DQNAgent) SchemeCheckpoint() (*SchemeCheckpoint, error) {
 	return &SchemeCheckpoint{
 		Family:     SchemeDQN,
 		Name:       a.Name(),
-		Fast32:     fast32,
 		Channels:   a.cfg.Channels,
 		Powers:     a.cfg.Powers,
 		HistoryLen: a.cfg.HistoryLen,
@@ -171,9 +166,6 @@ func (c *SchemeCheckpoint) validate() error {
 				ErrBadScheme, first.W.Value.Rows, last.W.Value.Cols, c.HistoryLen, c.Channels, c.Powers)
 		}
 	case SchemeMDP:
-		if c.Fast32 {
-			return fmt.Errorf("%w: fast32 applies only to dqn checkpoints", ErrBadScheme)
-		}
 		if err := checkTopology(c.Channels, c.SweepWidth); err != nil {
 			return fmt.Errorf("%w: %v", ErrBadScheme, err)
 		}
@@ -211,7 +203,7 @@ func (c *SchemeCheckpoint) Encode() ([]byte, error) {
 	w := func(v any) { binary.Write(&buf, binary.LittleEndian, v) }
 	ckpt.WriteHeader(&buf, schemeMagic, schemeVersion)
 	w(uint8(c.Family))
-	w(boolByte(c.Fast32))
+	w(uint8(0)) // engine flag: 1 selected the removed float32 engine
 	w(uint16(len(c.Name)))
 	buf.WriteString(c.Name)
 	w(uint32(c.Channels))
@@ -249,15 +241,19 @@ func DecodeScheme(data []byte) (*SchemeCheckpoint, error) {
 	if err := ckpt.ReadHeader(r, schemeMagic, schemeVersion, ErrBadScheme); err != nil {
 		return nil, err
 	}
-	var family, fast32 uint8
+	var family, engine uint8
 	var nameLen uint16
-	for _, v := range []any{&family, &fast32, &nameLen} {
+	for _, v := range []any{&family, &engine, &nameLen} {
 		if err := read(v); err != nil {
 			return nil, fmt.Errorf("%w: header: %v", ErrBadScheme, err)
 		}
 	}
-	if fast32 > 1 {
-		return nil, fmt.Errorf("%w: fast32 flag %d", ErrBadScheme, fast32)
+	switch engine {
+	case 0:
+	case 1:
+		return nil, fmt.Errorf("%w: engine flag 1 selects the fast32 engine, which was removed", ErrBadScheme)
+	default:
+		return nil, fmt.Errorf("%w: engine flag %d", ErrBadScheme, engine)
 	}
 	if nameLen > maxSchemeName {
 		return nil, fmt.Errorf("%w: name of %d bytes exceeds %d", ErrBadScheme, nameLen, maxSchemeName)
@@ -269,7 +265,6 @@ func DecodeScheme(data []byte) (*SchemeCheckpoint, error) {
 	c := &SchemeCheckpoint{
 		Family: SchemeFamily(family),
 		Name:   string(name),
-		Fast32: fast32 == 1,
 	}
 	var channels uint32
 	if err := read(&channels); err != nil {
@@ -348,10 +343,9 @@ func DecodeScheme(data []byte) (*SchemeCheckpoint, error) {
 }
 
 // Scheme rebuilds the batched policy.Scheme the checkpoint describes. The
-// result is behaviorally identical — bit for bit on the exact engine — to
-// the scheme the original trainer held: weights and action tables travel as
-// exact float64 bits / integers, and the encoders are rebuilt from the same
-// topology fields.
+// result is behaviorally identical, bit for bit, to the scheme the original
+// trainer held: weights and action tables travel as exact float64 bits /
+// integers, and the encoders are rebuilt from the same topology fields.
 func (c *SchemeCheckpoint) Scheme() (*policy.Scheme, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
@@ -361,11 +355,6 @@ func (c *SchemeCheckpoint) Scheme() (*policy.Scheme, error) {
 		snap, err := rl.NewSnapshot(c.Net)
 		if err != nil {
 			return nil, err
-		}
-		if c.Fast32 {
-			if snap, err = snap.Fast32(); err != nil {
-				return nil, err
-			}
 		}
 		return policy.DQNScheme(c.Name, snap, c.Channels, c.Powers, c.HistoryLen)
 	case SchemeMDP:

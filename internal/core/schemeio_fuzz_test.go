@@ -9,8 +9,7 @@ import (
 )
 
 // smallCheckpoints builds one compact checkpoint per scheme family — a few
-// KB each, so the mutation engine iterates quickly — plus the fast32 variant
-// of the DQN one.
+// KB each, so the mutation engine iterates quickly.
 func smallCheckpoints(f testing.TB) []*SchemeCheckpoint {
 	cfg := env.Config{
 		Channels:   6,
@@ -38,12 +37,10 @@ func smallCheckpoints(f testing.TB) []*SchemeCheckpoint {
 	if _, err := agent.Train(e, 64); err != nil {
 		f.Fatal(err)
 	}
-	dqn, err := agent.SchemeCheckpoint(false)
+	dqn, err := agent.SchemeCheckpoint()
 	if err != nil {
 		f.Fatal(err)
 	}
-	fast := *dqn
-	fast.Fast32 = true
 	m, err := NewModel(ParamsFromEnv(cfg))
 	if err != nil {
 		f.Fatal(err)
@@ -56,21 +53,26 @@ func smallCheckpoints(f testing.TB) []*SchemeCheckpoint {
 	if err != nil {
 		f.Fatal(err)
 	}
-	return []*SchemeCheckpoint{dqn, &fast, mdpCk}
+	return []*SchemeCheckpoint{dqn, mdpCk}
 }
 
 // FuzzSchemeRoundTrip pins the canonical-encoding contract of the CTSC wire
 // format fleet-wide scheme reuse depends on: any stream DecodeScheme accepts
 // must re-encode to exactly the input bytes (so fingerprints are stable no
 // matter which process re-serializes a checkpoint), and decoding must never
-// panic or over-allocate on hostile input.
+// panic or over-allocate on hostile input. The seeds include the DQN stream
+// with its engine flag set, which selected the removed fast32 engine and must
+// now be rejected.
 func FuzzSchemeRoundTrip(f *testing.F) {
-	for _, ck := range smallCheckpoints(f) {
+	for i, ck := range smallCheckpoints(f) {
 		data, err := ck.Encode()
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(data)
+		if i == 0 {
+			f.Add(withEngineFlag(data, 1))
+		}
 	}
 	f.Add([]byte{})
 	f.Add([]byte("CTSC"))
@@ -90,13 +92,17 @@ func FuzzSchemeRoundTrip(f *testing.F) {
 		if fp := SchemeFingerprint(enc); fp != SchemeFingerprint(data) {
 			t.Fatalf("fingerprint drifted across round trip: %s vs %s", fp, SchemeFingerprint(data))
 		}
-		// A decodable checkpoint must rebuild into a runnable scheme. The one
-		// carve-out is fast32: quantization rejects degenerate-but-loadable
-		// layer stacks (e.g. a ReLU before any dense layer) that the exact
-		// engine tolerates, so there a rebuild error is acceptable — but
-		// never a panic.
-		if _, err := ck.Scheme(); err != nil && !ck.Fast32 {
+		// A decodable checkpoint must rebuild into a runnable scheme.
+		if _, err := ck.Scheme(); err != nil {
 			t.Fatalf("decoded checkpoint fails to rebuild: %v", err)
 		}
 	})
+}
+
+// withEngineFlag returns a copy of an encoded CTSC stream with its engine
+// flag byte (after the 8-byte header and the family byte) set to flag.
+func withEngineFlag(data []byte, flag byte) []byte {
+	out := append([]byte(nil), data...)
+	out[9] = flag
+	return out
 }

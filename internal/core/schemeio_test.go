@@ -2,14 +2,16 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ctjam/internal/env"
 )
 
 // trainedCheckpoint builds a small trained DQN checkpoint for codec tests.
-func trainedCheckpoint(t testing.TB, fast32 bool) *SchemeCheckpoint {
+func trainedCheckpoint(t testing.TB) *SchemeCheckpoint {
 	t.Helper()
 	cfg := env.DefaultConfig()
 	acfg := DefaultDQNAgentConfig(cfg.Channels, len(cfg.TxPowers), cfg.SweepWidth)
@@ -25,7 +27,7 @@ func trainedCheckpoint(t testing.TB, fast32 bool) *SchemeCheckpoint {
 	if _, err := agent.Train(e, 300); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := agent.SchemeCheckpoint(fast32)
+	ck, err := agent.SchemeCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,9 +58,8 @@ func solvedCheckpoint(t testing.TB) *SchemeCheckpoint {
 // and the rebuilt scheme makes the same decisions as the original.
 func TestSchemeCheckpointRoundTrip(t *testing.T) {
 	cases := map[string]*SchemeCheckpoint{
-		"dqn":        trainedCheckpoint(t, false),
-		"dqn-fast32": trainedCheckpoint(t, true),
-		"mdp":        solvedCheckpoint(t),
+		"dqn": trainedCheckpoint(t),
+		"mdp": solvedCheckpoint(t),
 	}
 	for name, ck := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -77,9 +78,8 @@ func TestSchemeCheckpointRoundTrip(t *testing.T) {
 			if !bytes.Equal(data, again) {
 				t.Fatalf("re-encode differs: %d vs %d bytes", len(data), len(again))
 			}
-			if dec.Family != ck.Family || dec.Name != ck.Name || dec.Fast32 != ck.Fast32 {
-				t.Fatalf("decoded header %v/%q/%t, want %v/%q/%t",
-					dec.Family, dec.Name, dec.Fast32, ck.Family, ck.Name, ck.Fast32)
+			if dec.Family != ck.Family || dec.Name != ck.Name {
+				t.Fatalf("decoded header %v/%q, want %v/%q", dec.Family, dec.Name, ck.Family, ck.Name)
 			}
 			want, err := ck.Scheme()
 			if err != nil {
@@ -145,10 +145,16 @@ func TestDecodeSchemeRejects(t *testing.T) {
 	if _, err := ck.Encode(); err == nil {
 		t.Error("out-of-range action encoded")
 	}
-	ck = solvedCheckpoint(t)
-	ck.Fast32 = true
-	if _, err := ck.Encode(); err == nil {
-		t.Error("fast32 mdp checkpoint encoded")
+	if good[9] != 0 {
+		t.Fatalf("engine flag byte is %d, want 0", good[9])
+	}
+	for _, flag := range []byte{1, 2} {
+		if _, err := DecodeScheme(withEngineFlag(good, flag)); !errors.Is(err, ErrBadScheme) {
+			t.Errorf("engine flag %d: err %v, want ErrBadScheme", flag, err)
+		}
+	}
+	if _, err := DecodeScheme(withEngineFlag(good, 1)); err == nil || !strings.Contains(err.Error(), "fast32 engine, which was removed") {
+		t.Errorf("engine flag 1: err %v, want it to name the removed fast32 engine", err)
 	}
 }
 

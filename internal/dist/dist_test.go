@@ -685,3 +685,44 @@ func TestCoordinatorRejectsFieldResultWithoutStats(t *testing.T) {
 		t.Errorf("Wait = %v, want missing-field-stats failure", err)
 	}
 }
+
+// TestEvaluateRejectsFast32Unit covers version skew with a coordinator that
+// still offered the removed float32 engine: its unit carries "fast32":true
+// and a fast=true key. The worker ignores the unknown option, derives the
+// fast=false key, and fails the unit on the mismatch instead of evaluating
+// it on the exact engine under the wrong key.
+func TestEvaluateRejectsFast32Unit(t *testing.T) {
+	o := testOptions()
+	o.Engine = experiments.EngineDQN
+	units, err := UnitsFor(o, []string{"table1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var point *Unit
+	for i := range units {
+		if !units[i].Train && units[i].Field == nil && units[i].Defense == "" {
+			point = &units[i]
+			break
+		}
+	}
+	if point == nil {
+		t.Fatal("table1 yielded no RL FH point unit")
+	}
+	data, err := json.Marshal(point)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(string(data), `"opts":{`, `"opts":{"fast32":true,`, 1)
+	old = strings.Replace(old, "|fast=false|", "|fast=true|", 1)
+	var u Unit
+	if err := json.Unmarshal([]byte(old), &u); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(u.Key, "|fast=true|") {
+		t.Fatalf("unit key %q does not carry the old fast tag", u.Key)
+	}
+	results := evaluate(context.Background(), []Unit{u}, experiments.NewCache(), 1)
+	if !strings.Contains(results[0].Err, "key mismatch") {
+		t.Errorf("fast32 unit: Err = %q, want key mismatch", results[0].Err)
+	}
+}

@@ -106,7 +106,6 @@ func (c WireConfig) envConfig() (env.Config, error) {
 // travel: they cannot change results.
 type WireOptions struct {
 	Engine     int   `json:"engine"`
-	Fast32     bool  `json:"fast32,omitempty"`
 	TrainSlots int   `json:"train_slots"`
 	Seed       int64 `json:"seed"`
 	Slots      int   `json:"slots"`
@@ -116,7 +115,6 @@ type WireOptions struct {
 func wireOptions(o experiments.Options) WireOptions {
 	return WireOptions{
 		Engine:     int(o.Engine),
-		Fast32:     o.Fast32,
 		TrainSlots: o.TrainSlots,
 		Seed:       o.Seed,
 		Slots:      o.Slots,
@@ -127,7 +125,6 @@ func wireOptions(o experiments.Options) WireOptions {
 func (w WireOptions) options(ctx context.Context, cache *experiments.Cache, workers int) experiments.Options {
 	return experiments.Options{
 		Engine:     experiments.Engine(w.Engine),
-		Fast32:     w.Fast32,
 		TrainSlots: w.TrainSlots,
 		Seed:       w.Seed,
 		Slots:      w.Slots,

@@ -223,10 +223,12 @@ func (c *Cache) ImportPoint(key string, counters metrics.Counters) {
 // the evaluation seed and the attacker spec); Engine/TrainSlots/Seed pin the
 // scheme construction (see schemeCheckpoint) and Slots the evaluation length.
 // The defense tag joins the key only when it deviates from the default RL FH,
-// so every pre-matchup key stays byte-identical.
+// so every pre-matchup key stays byte-identical. The literal fast=false field
+// once named the inference engine; it stays (here, in schemeKey and in
+// fieldKey) so keys in existing caches and spools keep their bytes.
 func pointKey(o Options, p Point) string {
-	key := fmt.Sprintf("pt|%s|eng=%d|fast=%t|train=%d|seed=%d|slots=%d",
-		p.Config.Fingerprint(), int(o.Engine), o.Fast32, o.TrainSlots, o.Seed, o.Slots)
+	key := fmt.Sprintf("pt|%s|eng=%d|fast=false|train=%d|seed=%d|slots=%d",
+		p.Config.Fingerprint(), int(o.Engine), o.TrainSlots, o.Seed, o.Slots)
 	if p.Defense != "" {
 		key += "|def=" + p.Defense
 	}
@@ -246,8 +248,8 @@ func schemeKey(o Options, p Point) string {
 	if p.Defense != "" {
 		return fmt.Sprintf("sc|def=%s|%s", p.Defense, cfg.Fingerprint())
 	}
-	return fmt.Sprintf("sc|%s|eng=%d|fast=%t|train=%d|seed=%d",
-		cfg.Fingerprint(), int(o.Engine), o.Fast32, o.TrainSlots, o.Seed)
+	return fmt.Sprintf("sc|%s|eng=%d|fast=false|train=%d|seed=%d",
+		cfg.Fingerprint(), int(o.Engine), o.TrainSlots, o.Seed)
 }
 
 // schemeCheckpoint trains/solves the engine-selected scheme of the paper's
@@ -276,7 +278,7 @@ func schemeCheckpoint(o Options, cfg env.Config) (*core.SchemeCheckpoint, env.Ag
 		if _, err := agent.Train(trainEnv, o.TrainSlots); err != nil {
 			return nil, nil, err
 		}
-		ck, err := agent.SchemeCheckpoint(o.Fast32)
+		ck, err := agent.SchemeCheckpoint()
 		return ck, agent, err
 	case EngineMDP:
 		model, err := core.NewModel(core.ParamsFromEnv(cfg))

@@ -53,15 +53,6 @@ type Options struct {
 	Engine Engine
 	// TrainSlots is the per-point DQN training budget (EngineDQN only).
 	TrainSlots int
-	// Fast32 evaluates EngineDQN sweep points on the float32+FMA inference
-	// fast path instead of the exact float64 engine. Training always stays
-	// exact — only the post-training evaluation forward passes change — and
-	// results are equivalent to the exact engine only within the fast path's
-	// action-agreement budget, NOT bit-identical: leave this off for golden
-	// traces and conformance runs. The engine choice is part of every cache
-	// and distributed-work key, so fast and exact results never mix.
-	// Ignored (normalized to false) for engines with no DQN inference.
-	Fast32 bool
 	// FieldSlots is the field-simulator run length in Tx slots.
 	FieldSlots int
 	// Trials is the Monte-Carlo budget for PHY experiments.
@@ -122,12 +113,6 @@ func (o Options) withFloor() Options {
 	}
 	if o.Engine == 0 {
 		o.Engine = EngineMDP
-	}
-	if o.Engine != EngineDQN {
-		// Fast32 only changes DQN inference; normalizing it away for other
-		// engines keeps their cache keys canonical (one entry per unique
-		// computation, regardless of an irrelevant flag).
-		o.Fast32 = false
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)

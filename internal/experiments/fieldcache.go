@@ -56,13 +56,13 @@ type FieldSpec struct {
 // seed; for the other schemes those fields are zeroed so an irrelevant flag
 // cannot split the cache.
 func fieldKey(o Options, s FieldSpec) string {
-	eng, fast, train, oseed := 0, false, 0, int64(0)
+	eng, train, oseed := 0, 0, int64(0)
 	if s.Scheme == FieldSchemeRL {
-		eng, fast, train, oseed = int(o.Engine), o.Fast32, o.TrainSlots, o.Seed
+		eng, train, oseed = int(o.Engine), o.TrainSlots, o.Seed
 	}
-	return fmt.Sprintf("fd|sch=%s|jam=%t|cl=%d|n=%d|slot=%d|jslot=%d|seed=%d|slots=%d|eng=%d|fast=%t|train=%d|oseed=%d",
+	return fmt.Sprintf("fd|sch=%s|jam=%t|cl=%d|n=%d|slot=%d|jslot=%d|seed=%d|slots=%d|eng=%d|fast=false|train=%d|oseed=%d",
 		s.Scheme, s.Jammer, s.Clusters, s.Nodes, int64(s.SlotDuration), int64(s.JammerSlot),
-		s.Seed, s.Slots, eng, fast, train, oseed)
+		s.Seed, s.Slots, eng, train, oseed)
 }
 
 // FieldKey returns the canonical cache key of one field run under o,

@@ -230,6 +230,18 @@ func TestParseEmptyAndErrors(t *testing.T) {
 		"ack:frequency=3",
 		"burst:p",
 		"ack:p=abc",
+		// Non-finite values slip past the range checks (every comparison
+		// with NaN is false), so each kind rejects them at parse time.
+		"burst:p=NaN",
+		"burst:power=+Inf",
+		"burst:len=Inf",
+		"ack:p=NaN",
+		"ack:seed=NaN",
+		"drift:max=NaN",
+		"drift:period=-Inf",
+		"symbols:trunc=NaN",
+		"symbols:flip=nan",
+		"symbols:drop=inf",
 	} {
 		if _, err := Parse(bad, 1); !errors.Is(err, ErrBadSpec) {
 			t.Fatalf("spec %q: got %v, want ErrBadSpec", bad, err)

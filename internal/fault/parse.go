@@ -3,6 +3,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -93,7 +94,9 @@ func Parse(spec string, seed int64) (Injector, error) {
 	return chain, nil
 }
 
-// parseArgs parses "k=v,k=v" into a map.
+// parseArgs parses "k=v,k=v" into a map. Values must be finite: NaN fails
+// every range check in validate, and an infinite power, length or seed is
+// meaningless, so neither may reach an injector.
 func parseArgs(args string) (map[string]float64, error) {
 	kv := make(map[string]float64)
 	args = strings.TrimSpace(args)
@@ -108,6 +111,9 @@ func parseArgs(args string) (map[string]float64, error) {
 		x, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
 		if err != nil {
 			return nil, fmt.Errorf("key %q: %v", k, err)
+		}
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil, fmt.Errorf("key %q: %v is not finite", k, x)
 		}
 		kv[strings.TrimSpace(k)] = x
 	}

@@ -209,14 +209,6 @@ func (m *Matrix) AddRowVector(b *Matrix) error {
 	return nil
 }
 
-// Scale multiplies every element in place and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-	return m
-}
-
 // XavierInit fills m with Glorot-uniform values for a layer with the given
 // fan-in and fan-out.
 func (m *Matrix) XavierInit(fanIn, fanOut int, rng *rand.Rand) {

@@ -244,3 +244,97 @@ func TestDenseBackwardMatchesNaiveBitwise(t *testing.T) {
 		})
 	}
 }
+
+// TestMatMulBatchFallbackShapeTails re-runs the bitwise shape/tail sweep
+// with the assembly microkernels disabled, so the pure-Go blocked path keeps
+// its bit-identity contract with the AVX path and with the scalar reference
+// even on machines where the default run takes the AVX path.
+func TestMatMulBatchFallbackShapeTails(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	fill := func(m *Matrix) {
+		for i := range m.Data {
+			m.Data[i] = rng.NormFloat64()
+			if rng.Intn(4) == 0 {
+				m.Data[i] = 0
+			}
+		}
+	}
+	for _, rows := range []int{1, 3, 4, 5, 7, 8, 9, 64} {
+		for _, k := range []int{1, 3, 24, 47} {
+			for _, cols := range []int{1, 3, 4, 5, 11, 48, 160} {
+				a := NewMatrix(rows, k)
+				b := NewMatrix(k, cols)
+				fill(a)
+				fill(b)
+				got := NewMatrix(0, 0)
+				var err error
+				withAVX(false, func() { err = MatMulInto(got, a, b) })
+				if err != nil {
+					t.Fatalf("%dx%dx%d: %v", rows, k, cols, err)
+				}
+				def, ref := NewMatrix(0, 0), NewMatrix(0, 0)
+				if err := MatMulInto(def, a, b); err != nil {
+					t.Fatalf("%dx%dx%d: %v", rows, k, cols, err)
+				}
+				if err := naiveMatMulInto(ref, a, b); err != nil {
+					t.Fatalf("%dx%dx%d: %v", rows, k, cols, err)
+				}
+				for _, want := range []*Matrix{def, ref} {
+					if i := sameBits(got.Data, want.Data); i >= 0 {
+						t.Fatalf("%dx%dx%d element %d: %v != %v",
+							rows, k, cols, i, got.Data[i], want.Data[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzForwardBatchEngines cross-checks the batched forward pass on its two
+// kernels — the AVX microkernels (when this CPU has them) and the pure-Go
+// loops — bitwise, on random shapes, weights and zero-heavy inputs.
+func FuzzForwardBatchEngines(f *testing.F) {
+	f.Add(int64(1), byte(4), byte(24), byte(48), byte(160))
+	f.Add(int64(2), byte(1), byte(1), byte(0), byte(1))
+	f.Add(int64(3), byte(5), byte(3), byte(17), byte(33))
+	f.Add(int64(4), byte(64), byte(24), byte(0), byte(16))
+	f.Add(int64(5), byte(7), byte(47), byte(31), byte(80))
+	f.Fuzz(func(t *testing.T, seed int64, rowsB, kB, hiddenB, colsB byte) {
+		rows := 1 + int(rowsB)%24
+		k := 1 + int(kB)%40
+		hidden := int(hiddenB) % 49 // 0 = single dense layer
+		cols := 1 + int(colsB)%80
+		rng := rand.New(rand.NewSource(seed))
+
+		sizes := []int{k, cols}
+		if hidden > 0 {
+			sizes = []int{k, hidden, cols}
+		}
+		net, err := NewMLP(sizes, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := NewMatrix(rows, k)
+		for i := range x.Data {
+			if rng.Intn(4) != 0 {
+				x.Data[i] = rng.NormFloat64()
+			}
+		}
+
+		var es InferScratch
+		def := NewMatrix(0, 0)
+		if err := net.ForwardBatch(def, &es, x); err != nil {
+			t.Fatal(err)
+		}
+		var es2 InferScratch
+		scalar := NewMatrix(0, 0)
+		withAVX(false, func() { err = net.ForwardBatch(scalar, &es2, x) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i := sameBits(def.Data, scalar.Data); i >= 0 {
+			t.Fatalf("forward diverged at %d: default %v != pure-Go %v",
+				i, def.Data[i], scalar.Data[i])
+		}
+	})
+}

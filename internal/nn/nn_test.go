@@ -515,6 +515,83 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestAdamStateRoundTrip pins the optimizer half of a learner checkpoint: an
+// Adam restored by LoadAdam from SaveAdam's bytes (onto a copy of the same
+// weights) takes bit-identical steps to the one that kept running, and a
+// stream for a different parameter list or a truncated one is rejected.
+func TestAdamStateRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	net, err := NewMLP([]int{4, 6, 2}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, target := NewMatrix(2, 4), NewMatrix(2, 2)
+	copy(x.Data, []float64{0.5, -1, 0.25, 2, -0.5, 1, 0, 0.75})
+	copy(target.Data, []float64{1, -1, 0.5, 0})
+	step := func(net *Network, opt *Adam) {
+		t.Helper()
+		net.ZeroGrad()
+		pred, err := net.Forward(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grad := NewMatrix(0, 0)
+		if _, err := MSELoss(grad, pred, target); err != nil {
+			t.Fatal(err)
+		}
+		if err := net.Backward(grad); err != nil {
+			t.Fatal(err)
+		}
+		if err := opt.Step(net.Params()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	opt := NewAdam(0.01)
+	var fresh bytes.Buffer // before the first Step the moments encode as zeros
+	if err := opt.SaveAdam(&fresh, net.Params()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		step(net, opt)
+	}
+	var state bytes.Buffer
+	if err := opt.SaveAdam(&state, net.Params()); err != nil {
+		t.Fatal(err)
+	}
+	saved := state.Bytes()
+	twin, err := net.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := NewAdam(0.01)
+	if err := resumed.LoadAdam(bytes.NewReader(saved), twin.Params()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		step(net, opt)
+		step(twin, resumed)
+	}
+	want, got := net.Params(), twin.Params()
+	for i := range want {
+		if j := sameBits(got[i].Value.Data, want[i].Value.Data); j >= 0 {
+			t.Fatalf("param %d element %d: resumed %v, uninterrupted %v", i, j, got[i].Value.Data[j], want[i].Value.Data[j])
+		}
+	}
+
+	if err := NewAdam(0.01).LoadAdam(bytes.NewReader(fresh.Bytes()), twin.Params()); err != nil {
+		t.Fatalf("zero-moment state: %v", err)
+	}
+	if err := NewAdam(0.01).LoadAdam(bytes.NewReader(saved), twin.Params()[:1]); !errors.Is(err, ErrBadModelFile) {
+		t.Fatalf("param count mismatch: err = %v, want ErrBadModelFile", err)
+	}
+	for _, n := range []int{0, 4, 12, 16, len(saved) - 1} {
+		if err := NewAdam(0.01).LoadAdam(bytes.NewReader(saved[:n]), twin.Params()); !errors.Is(err, ErrBadModelFile) {
+			t.Fatalf("truncated to %d bytes: err = %v, want ErrBadModelFile", n, err)
+		}
+	}
+}
+
 func TestPaperScaleModelSize(t *testing.T) {
 	// The paper's model stores ~10664 floats in ~42.7 KB. Our default
 	// DQN shape (3x8 inputs, two hidden layers, 16x10 outputs) lands in

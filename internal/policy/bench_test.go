@@ -24,10 +24,6 @@ func BenchmarkPolicyBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fast, err := snap.Fast32()
-	if err != nil {
-		b.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 16, 64, 256} {
 		states := make([]float64, n*24)
@@ -40,16 +36,6 @@ func BenchmarkPolicyBatch(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if err := snap.GreedyBatch(actions, states); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
-		})
-
-		b.Run(fmt.Sprintf("fast32/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := fast.GreedyBatch(actions, states); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -38,11 +38,6 @@ func (p *DQN) NumActions() int { return p.snap.NumActions() }
 // Snapshot returns the underlying network snapshot (e.g. for Q inspection).
 func (p *DQN) Snapshot() *rl.Snapshot { return p.snap }
 
-// Engine reports the numeric engine the underlying snapshot evaluates on —
-// part of the policy's identity: two DQN policies over the same weights but
-// different engines are not interchangeable for caching or golden traces.
-func (p *DQN) Engine() rl.Engine { return p.snap.Engine() }
-
 // DecideBatch implements Policy via one batched greedy forward.
 func (p *DQN) DecideBatch(states []float64, actions []int) error {
 	return p.snap.GreedyBatch(actions, states)

@@ -1,6 +1,9 @@
 package policy_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"flag"
 	"math"
 	"math/rand"
@@ -8,14 +11,16 @@ import (
 	"path/filepath"
 	"testing"
 
+	"ctjam/internal/nn"
 	"ctjam/internal/policy"
 	"ctjam/internal/rl"
 )
 
-// End-to-end dual-engine agreement harness over committed checkpoints: for
-// every CTJM model under testdata/engines, the fast-engine policy's greedy
-// actions must agree with the exact engine's at >= 99.9% across randomized
-// state batches, and every disagreement must be an exact-Q near-tie.
+// Committed-checkpoint harness: for every CTJM model under testdata/engines,
+// the batched inference engine must reproduce the training-time forward pass
+// bit for bit, both as raw Q-values and as the DQN policy's greedy actions.
+// The models are fixed on disk, so a kernel change that moves a single bit
+// fails here even if retraining would move the weights with it.
 //
 // Regenerate the checkpoints with:
 //
@@ -27,24 +32,22 @@ const (
 	engHistoryLen = 8  // paper window: stateDim = 3*8 = 24
 	engChannels   = 16 // 16 channels x 10 powers = 160 actions
 	engPowers     = 10
-	engAgreeFloor = 0.999
-	engTieGap     = 1e-3 // max exact-Q gap for a tolerated disagreement
 )
 
 // engCheckpoints describes the committed models: one briefly-trained
 // paper-dims net (structured Q surfaces), one untrained paper-dims net
-// (near-uniform Q values — the adversarial case for agreement, since random
-// ties are as common as they get), and one with odd hidden widths that land
-// on every kernel tail path.
+// (near-uniform Q values, so argmax ties are as common as they get), and one
+// with odd hidden widths that land on every kernel tail path.
 var engCheckpoints = []struct {
 	file    string
 	seed    int64
 	hidden  []int
-	observe int // random transitions fed through Observe before saving
+	observe int    // random transitions fed through Observe before saving
+	qDigest string // SHA-256 of TestEngineQValuesCommitted's Q-value bits
 }{
-	{file: "trained-paper.ctjm", seed: 101, hidden: []int{48, 48}, observe: 1500},
-	{file: "random-paper.ctjm", seed: 202, hidden: []int{48, 48}},
-	{file: "odd-hidden.ctjm", seed: 303, hidden: []int{31, 17}},
+	{file: "trained-paper.ctjm", seed: 101, hidden: []int{48, 48}, observe: 1500, qDigest: "1a38d6e6714af88b1f97f5ed961bd5ef255f06a33d57681ddd5899cb8f6835b7"},
+	{file: "random-paper.ctjm", seed: 202, hidden: []int{48, 48}, qDigest: "1b8dde68dee729893a8235d4b4789de7636b1aa98915626be43bad49e6ba34d7"},
+	{file: "odd-hidden.ctjm", seed: 303, hidden: []int{31, 17}, qDigest: "346da0e3edae0b6f90cff857d787091b7abe941a77b248cbfdcdca0a2736ae48"},
 }
 
 func engDir(t *testing.T) string {
@@ -123,6 +126,42 @@ func loadEngineSnapshot(t *testing.T, file string) *rl.Snapshot {
 	return snap
 }
 
+// trainingQ evaluates states one at a time through the training-time
+// forward pass (per-layer Forward, no batching), the reference the batched
+// engine must match.
+func trainingQ(t *testing.T, net *nn.Network, states []float64, stateDim int) []float64 {
+	t.Helper()
+	var q []float64
+	for i := 0; i < len(states); i += stateDim {
+		x := nn.NewMatrix(1, stateDim)
+		copy(x.Data, states[i:i+stateDim])
+		out, err := net.Forward(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q = append(q, out.Data...)
+	}
+	return q
+}
+
+func loadEngineNetwork(t *testing.T, file string) *nn.Network {
+	t.Helper()
+	f, err := os.Open(filepath.Join(engDir(t), file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	net, err := nn.Load(f)
+	if err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	return net
+}
+
+// TestEngineActionAgreementCommitted pins the DQN policy's batched greedy
+// actions on every committed checkpoint to the argmax of the training-time
+// Q-values, with first-maximum tie-breaking, across randomized state
+// batches.
 func TestEngineActionAgreementCommitted(t *testing.T) {
 	stateDim := 3 * engHistoryLen
 	actions := engChannels * engPowers
@@ -130,72 +169,45 @@ func TestEngineActionAgreementCommitted(t *testing.T) {
 		ck := ck
 		t.Run(ck.file, func(t *testing.T) {
 			snap := loadEngineSnapshot(t, ck.file)
-			fast, err := snap.Fast32()
+			net := loadEngineNetwork(t, ck.file)
+			scheme, err := policy.DQNScheme("exact", snap, engChannels, engPowers, engHistoryLen)
 			if err != nil {
 				t.Fatal(err)
 			}
-			exact, err := policy.DQNScheme("exact", snap, engChannels, engPowers, engHistoryLen)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fastScheme, err := policy.DQNScheme("fast", fast, engChannels, engPowers, engHistoryLen)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := exact.Policy().(*policy.DQN).Engine(); got != rl.EngineExact {
-				t.Fatalf("exact scheme engine %v", got)
-			}
-			if got := fastScheme.Policy().(*policy.DQN).Engine(); got != rl.EngineFast32 {
-				t.Fatalf("fast scheme engine %v", got)
-			}
-
 			rng := rand.New(rand.NewSource(ck.seed + 7))
-			const batches, n = 30, 100
-			total, agree := 0, 0
+			const batches, n = 10, 100
 			states := make([]float64, n*stateDim)
-			exactA := make([]int, n)
-			fastA := make([]int, n)
-			q := make([]float64, n*actions)
+			got := make([]int, n)
 			for b := 0; b < batches; b++ {
 				for i := 0; i < n; i++ {
 					copy(states[i*stateDim:], engRandState(rng, stateDim))
 				}
-				if err := exact.Policy().DecideBatch(states, exactA); err != nil {
+				if err := scheme.Policy().DecideBatch(states, got); err != nil {
 					t.Fatal(err)
 				}
-				if err := fastScheme.Policy().DecideBatch(states, fastA); err != nil {
-					t.Fatal(err)
-				}
-				if err := exact.Policy().(*policy.DQN).QValuesBatch(q, states); err != nil {
-					t.Fatal(err)
-				}
+				q := trainingQ(t, net, states, stateDim)
 				for i := 0; i < n; i++ {
-					total++
-					if exactA[i] == fastA[i] {
-						agree++
-						continue
-					}
 					row := q[i*actions : (i+1)*actions]
-					gap := math.Abs(row[exactA[i]] - row[fastA[i]])
-					if gap > engTieGap {
-						t.Fatalf("batch %d state %d: actions %d vs %d with exact-Q gap %v — not a near-tie",
-							b, i, exactA[i], fastA[i], gap)
+					want := 0
+					for a, v := range row {
+						if v > row[want] {
+							want = a
+						}
+					}
+					if got[i] != want {
+						t.Fatalf("batch %d state %d: action %d, training-time argmax %d", b, i, got[i], want)
 					}
 				}
-			}
-			rate := float64(agree) / float64(total)
-			t.Logf("%s: agreement %.5f over %d decisions", ck.file, rate, total)
-			if rate < engAgreeFloor {
-				t.Fatalf("action agreement %.5f over %d states, want >= %v", rate, total, engAgreeFloor)
 			}
 		})
 	}
 }
 
-// TestEngineQValuesCommitted pins the fast engine's Q surfaces to the exact
-// engine within the quantization budget on every committed checkpoint, so a
-// kernel regression shows up as a numeric diff even when actions happen to
-// agree.
+// TestEngineQValuesCommitted pins the batched engine's Q surfaces on every
+// committed checkpoint: a 64-state batch must equal the training-time forward
+// pass run one state at a time bit for bit, and the SHA-256 of its bits must
+// match the committed digest, so a kernel change that moves a single bit
+// fails here even when it moves training and inference alike.
 func TestEngineQValuesCommitted(t *testing.T) {
 	stateDim := 3 * engHistoryLen
 	actions := engChannels * engPowers
@@ -203,28 +215,29 @@ func TestEngineQValuesCommitted(t *testing.T) {
 		ck := ck
 		t.Run(ck.file, func(t *testing.T) {
 			snap := loadEngineSnapshot(t, ck.file)
-			fast, err := snap.Fast32()
-			if err != nil {
-				t.Fatal(err)
-			}
+			net := loadEngineNetwork(t, ck.file)
 			rng := rand.New(rand.NewSource(ck.seed + 11))
 			const n = 64
 			states := make([]float64, n*stateDim)
 			for i := 0; i < n; i++ {
 				copy(states[i*stateDim:], engRandState(rng, stateDim))
 			}
-			exactQ := make([]float64, n*actions)
-			fastQ := make([]float64, n*actions)
-			if err := snap.QValuesBatch(exactQ, states); err != nil {
+			got := make([]float64, n*actions)
+			if err := snap.QValuesBatch(got, states); err != nil {
 				t.Fatal(err)
 			}
-			if err := fast.QValuesBatch(fastQ, states); err != nil {
-				t.Fatal(err)
-			}
-			for i := range exactQ {
-				if diff := math.Abs(fastQ[i] - exactQ[i]); diff > 5e-4+5e-4*math.Abs(exactQ[i]) {
-					t.Fatalf("q %d: fast %v vs exact %v exceeds budget", i, fastQ[i], exactQ[i])
+			want := trainingQ(t, net, states, stateDim)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("q %d: batched %v != training-time %v", i, got[i], want[i])
 				}
+			}
+			h := sha256.New()
+			for _, v := range got {
+				binary.Write(h, binary.LittleEndian, math.Float64bits(v))
+			}
+			if sum := hex.EncodeToString(h.Sum(nil)); sum != ck.qDigest {
+				t.Fatalf("Q-value SHA-256 = %s, want %s", sum, ck.qDigest)
 			}
 		})
 	}

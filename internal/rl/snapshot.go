@@ -4,50 +4,20 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 
 	"ctjam/internal/ckpt"
 	"ctjam/internal/nn"
 )
 
-// Engine identifies the numeric engine a Snapshot evaluates on.
-type Engine int
-
-const (
-	// EngineExact is the default float64 path, bit-identical to the
-	// training-time forward pass — the reference every golden trace pins.
-	EngineExact Engine = iota
-	// EngineFast32 is the opt-in float32 fast path (FMA microkernels on
-	// amd64, pure-Go float32 otherwise): roughly half the memory traffic and
-	// double the SIMD lanes, equivalent to the exact engine only within the
-	// tolerance and policy-action agreement budgets its test harness
-	// enforces.
-	EngineFast32
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineExact:
-		return "exact"
-	case EngineFast32:
-		return "fast32"
-	default:
-		return fmt.Sprintf("engine(%d)", int(e))
-	}
-}
-
 // Snapshot is an immutable, inference-only view of a trained Q network: just
 // the weights, none of the learner state (Adam moments, replay buffer,
 // exploration RNG). The network is never mutated after construction and all
 // per-call buffers come from an internal pool, so one Snapshot may serve any
 // number of concurrent QValuesBatch/GreedyBatch callers — this is what the
-// batched inference engine and ctjam-serve hand out per request. Fast32
-// derives a view of the same weights on the float32 fast engine.
+// batched inference engine and ctjam-serve hand out per request.
 type Snapshot struct {
 	net        *nn.Network
-	q32        *nn.Net32 // set iff engine == EngineFast32
-	engine     Engine
 	stateDim   int
 	numActions int
 	pool       sync.Pool // *inferBuffers
@@ -57,13 +27,6 @@ type inferBuffers struct {
 	in      nn.Matrix // header only: Data aliases the caller's states per call
 	out     nn.Matrix
 	scratch nn.InferScratch
-
-	// Fast-engine buffers: states quantize into st32 (float32 staging), and
-	// in32 is again just a header over it.
-	st32      []float32
-	in32      nn.Matrix32
-	out32     nn.Matrix32
-	scratch32 nn.InferScratch32
 }
 
 // NewSnapshot wraps a network as an inference snapshot, deriving the state
@@ -91,33 +54,6 @@ func NewSnapshot(net *nn.Network) (*Snapshot, error) {
 	return s, nil
 }
 
-// Fast32 returns a view of the snapshot that evaluates on the float32 fast
-// engine. The view shares the source weights (quantized once, here) but has
-// its own buffer pool; the original snapshot keeps serving the exact engine
-// untouched, and either view stays safe for concurrent use. Calling Fast32
-// on a fast-engine snapshot returns it unchanged.
-func (s *Snapshot) Fast32() (*Snapshot, error) {
-	if s.engine == EngineFast32 {
-		return s, nil
-	}
-	q32, err := s.net.Quantize32()
-	if err != nil {
-		return nil, fmt.Errorf("rl: fast32 snapshot: %w", err)
-	}
-	ns := &Snapshot{
-		net:        s.net,
-		q32:        q32,
-		engine:     EngineFast32,
-		stateDim:   s.stateDim,
-		numActions: s.numActions,
-	}
-	ns.pool.New = func() any { return new(inferBuffers) }
-	return ns, nil
-}
-
-// Engine reports which numeric engine this snapshot evaluates on.
-func (s *Snapshot) Engine() Engine { return s.engine }
-
 // StateDim returns the observation vector length the snapshot expects.
 func (s *Snapshot) StateDim() int { return s.stateDim }
 
@@ -141,16 +77,6 @@ func (s *Snapshot) QValuesBatch(dst, states []float64) error {
 	}
 	bufs := s.pool.Get().(*inferBuffers)
 	defer s.pool.Put(bufs)
-	if s.engine == EngineFast32 {
-		out, err := s.forward32(bufs, states, n)
-		if err != nil {
-			return err
-		}
-		for i, v := range out.Data {
-			dst[i] = float64(v)
-		}
-		return nil
-	}
 	out, err := s.forward(bufs, states, n)
 	if err != nil {
 		return err
@@ -174,16 +100,6 @@ func (s *Snapshot) GreedyBatch(actions []int, states []float64) error {
 	}
 	bufs := s.pool.Get().(*inferBuffers)
 	defer s.pool.Put(bufs)
-	if s.engine == EngineFast32 {
-		out, err := s.forward32(bufs, states, n)
-		if err != nil {
-			return err
-		}
-		for i := range actions {
-			actions[i] = argmax32(out.Data[i*s.numActions : (i+1)*s.numActions])
-		}
-		return nil
-	}
 	out, err := s.forward(bufs, states, n)
 	if err != nil {
 		return err
@@ -214,40 +130,6 @@ func (s *Snapshot) forward(bufs *inferBuffers, states []float64, n int) (*nn.Mat
 		return nil, err
 	}
 	return &bufs.out, nil
-}
-
-// forward32 is the fast-engine forward: states quantize into a pooled
-// float32 staging buffer (the one conversion the engine boundary costs),
-// then run the quantized network. Unlike the exact path there is no aliasing
-// of caller memory, so nothing needs dropping before pool reuse.
-func (s *Snapshot) forward32(bufs *inferBuffers, states []float64, n int) (*nn.Matrix32, error) {
-	need := n * s.stateDim
-	if cap(bufs.st32) < need {
-		bufs.st32 = make([]float32, need)
-	}
-	st := bufs.st32[:need]
-	for i, v := range states[:need] {
-		st[i] = float32(v)
-	}
-	bufs.st32 = st
-	bufs.in32.Rows, bufs.in32.Cols, bufs.in32.Data = n, s.stateDim, st
-	if err := s.q32.ForwardBatch32(&bufs.out32, &bufs.scratch32, &bufs.in32); err != nil {
-		return nil, err
-	}
-	return &bufs.out32, nil
-}
-
-// argmax32 is argmax for the fast engine's float32 Q rows, with the same
-// first-maximum tie-breaking as the exact path's argmax.
-func argmax32(x []float32) int {
-	best := 0
-	bestV := float32(math.Inf(-1))
-	for i, v := range x {
-		if v > bestV {
-			best, bestV = i, v
-		}
-	}
-	return best
 }
 
 // ReadSnapshot loads an inference snapshot from either of the rl-owned

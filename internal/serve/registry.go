@@ -25,11 +25,6 @@ type decidePolicy interface {
 type ModelSpec struct {
 	Name string // route segment: /v1/models/{name}/...
 	Path string // checkpoint file (CTJM, CTDQ or CTTC)
-	// Fast serves the model on the float32+FMA inference fast path. Q-values
-	// and (rarely, at exact-Q near-ties) decisions can differ from the exact
-	// float64 engine within the fast path's tolerance/agreement budgets;
-	// leave it off for anything that must replay bit-identically.
-	Fast bool
 }
 
 // Model is one named checkpoint in the registry: the hot-swappable policy,
@@ -39,7 +34,6 @@ type ModelSpec struct {
 type Model struct {
 	name string
 	path string
-	fast bool
 
 	pol     atomic.Pointer[polBox]
 	reloads atomic.Int64
@@ -57,15 +51,6 @@ func (m *Model) Name() string { return m.name }
 
 // Path returns the checkpoint path the model reloads from.
 func (m *Model) Path() string { return m.path }
-
-// Engine names the inference engine this model serves on: "fast32" for the
-// float32 fast path, "exact" for the float64 reference.
-func (m *Model) Engine() string {
-	if m.fast {
-		return "fast32"
-	}
-	return "exact"
-}
 
 // Reloads returns how many times the checkpoint has been (re)loaded.
 func (m *Model) Reloads() int64 { return m.reloads.Load() }
@@ -85,11 +70,6 @@ func (m *Model) Reload() error {
 	snap, err := core.SnapshotFromCheckpoint(f)
 	if err != nil {
 		return fmt.Errorf("load %s: %w", m.path, err)
-	}
-	if m.fast {
-		if snap, err = snap.Fast32(); err != nil {
-			return fmt.Errorf("load %s: %w", m.path, err)
-		}
 	}
 	pol, err := policy.NewDQN(m.name, snap)
 	if err != nil {
@@ -125,7 +105,7 @@ func NewRegistry(specs []ModelSpec, defaultName string, maxBatch int, window tim
 		if _, dup := r.models[spec.Name]; dup {
 			return nil, fmt.Errorf("serve: duplicate model name %q", spec.Name)
 		}
-		m := &Model{name: spec.Name, path: spec.Path, fast: spec.Fast}
+		m := &Model{name: spec.Name, path: spec.Path}
 		if err := m.Reload(); err != nil {
 			return nil, fmt.Errorf("serve: model %q: %w", spec.Name, err)
 		}

@@ -342,6 +342,9 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request, m *Model) 
 	writeJSON(w, http.StatusOK, map[string]any{"model": m.Name(), "reloads": m.Reloads()})
 }
 
+// handleModels lists the registry. Every model serves on the exact float64
+// engine; the "engine" field (here and in /v1/stats) stays so clients that
+// read it keep working.
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	models := make([]map[string]any, 0, len(s.reg.Names()))
 	for _, name := range s.reg.Names() {
@@ -350,7 +353,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		models = append(models, map[string]any{
 			"name":        name,
 			"path":        m.Path(),
-			"engine":      m.Engine(),
+			"engine":      "exact",
 			"default":     name == s.reg.Default().Name(),
 			"state_dim":   pol.StateDim(),
 			"num_actions": pol.NumActions(),
@@ -388,7 +391,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		flushes := st.FlushFull.Load() + st.FlushWindow.Load()
 		models[name] = map[string]any{
 			"path":              m.Path(),
-			"engine":            m.Engine(),
+			"engine":            "exact",
 			"reloads":           m.Reloads(),
 			"requests":          st.Requests.Load(),
 			"states_served":     st.States.Load(),

@@ -60,7 +60,7 @@ func (c *sessionClient) close() {
 // TestSessionStreamsDecisions holds one connection for many decisions and
 // checks every action against a reference, including recovery from an
 // in-stream dimension error. It runs on the legacy route against the
-// snapshot, and on the per-model route of a fast32 model against that
+// snapshot, and on the per-model route of a non-default model against that
 // model's direct batch decide.
 func TestSessionStreamsDecisions(t *testing.T) {
 	states := randStates(rand.New(rand.NewSource(11)), 20, testStateDim)
@@ -74,18 +74,18 @@ func TestSessionStreamsDecisions(t *testing.T) {
 		}
 		checkSessionStream(t, ts.URL, ts.URL+"/v1", "default", states, want)
 	})
-	t.Run("models-fast", func(t *testing.T) {
-		ts := httptest.NewServer(newDualEngineServer(t).Handler())
+	t.Run("models-route", func(t *testing.T) {
+		ts := httptest.NewServer(newTwoModelServer(t).Handler())
 		defer ts.Close()
 		body, err := json.Marshal(DecideRequest{States: states})
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, resp := postJSON(t, ts.URL+"/v1/models/fast/decide", body)
+		direct, resp := postJSON(t, ts.URL+"/v1/models/canary/decide", body)
 		if resp.StatusCode != http.StatusOK || len(direct.Actions) != len(states) {
 			t.Fatalf("direct decide: status %d, %d actions", resp.StatusCode, len(direct.Actions))
 		}
-		checkSessionStream(t, ts.URL, ts.URL+"/v1/models/fast", "fast", states, direct.Actions)
+		checkSessionStream(t, ts.URL, ts.URL+"/v1/models/canary", "canary", states, direct.Actions)
 	})
 }
 

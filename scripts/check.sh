@@ -30,16 +30,15 @@ go test -race -count=1 -run 'TestSnapshot' ./internal/rl
 go test -race -count=1 ./internal/serve
 go test -race -count=1 ./cmd/ctjam-serve
 
-# The float32 fast path must agree with the exact engine on every machine,
-# including ones without AVX/FMA: run the inference packages with the asm
-# kernels compiled out (noasm) so the pure-Go fallbacks stay proven, and the
-# dual-engine equivalence suite under -race since fast snapshots serve many
-# goroutines from one immutable quantization.
+# The exact engine must give the same bits on every machine, including ones
+# without AVX: run the inference packages with the asm kernels compiled out
+# (noasm) so the pure-Go fallbacks stay proven, and the committed-checkpoint
+# suite under -race since one snapshot serves many goroutines.
 go test -count=1 -tags noasm ./internal/nn ./internal/rl ./internal/policy
 # Training runs on the same GEMM as inference; with the asm compiled out the
 # portable kernel must train a network with the same SHA-256.
 go test -count=1 -tags noasm -run '^TestTrainDQNWeightsDigest$' .
-go test -race -count=1 -run 'TestForwardBatch32|TestSnapshotFast32|TestEngine' ./internal/nn ./internal/rl ./internal/policy
+go test -race -count=1 -run 'TestEngine' ./internal/policy
 
 # The sweep-point cache shares memoized counters and trained schemes across
 # concurrent experiment runs, and field runs claim scheme entries from it
@@ -82,6 +81,7 @@ go test -run '^$' -fuzz FuzzCheckpointLoad -fuzztime "$FUZZTIME" ./internal/rl
 go test -run '^$' -fuzz FuzzForwardBatchEngines -fuzztime "$FUZZTIME" ./internal/nn
 go test -run '^$' -fuzz FuzzSchemeRoundTrip -fuzztime "$FUZZTIME" ./internal/core
 go test -run '^$' -fuzz FuzzJammerSpec -fuzztime "$FUZZTIME" ./internal/jammer
+go test -run '^$' -fuzz FuzzFaultParse -fuzztime "$FUZZTIME" ./internal/fault
 
 # Coverage floor: the signal-processing and learner packages back every
 # experiment, and the experiment harness and policy engine back every

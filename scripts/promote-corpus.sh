@@ -39,7 +39,8 @@ promote internal/rl FuzzCheckpointLoad
 promote internal/nn FuzzForwardBatchEngines
 promote internal/core FuzzSchemeRoundTrip
 promote internal/jammer FuzzJammerSpec
+promote internal/fault FuzzFaultParse
 
 # Replay the (possibly grown) corpora: a promoted input that fails belongs
 # in a bug report, not in the committed corpus.
-go test -count=1 ./internal/phy/zigbee ./internal/phy/wifi ./internal/rl ./internal/nn ./internal/core ./internal/jammer
+go test -count=1 ./internal/phy/zigbee ./internal/phy/wifi ./internal/rl ./internal/nn ./internal/core ./internal/jammer ./internal/fault
