@@ -211,6 +211,14 @@ func TestParseDefaultsAndSeedOverride(t *testing.T) {
 	if a := inj.(AckLoss); a != (AckLoss{Seed: 99, Prob: 0.5}) {
 		t.Fatalf("seed-override ack parsed as %+v", a)
 	}
+	// A seed above 2^53 keeps its low bits.
+	inj, err = Parse("ack:seed=9007199254740993", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := inj.(AckLoss); a.Seed != 1<<53+1 {
+		t.Fatalf("seed 2^53+1 parsed as %d", a.Seed)
+	}
 }
 
 func TestParseEmptyAndErrors(t *testing.T) {
@@ -242,6 +250,16 @@ func TestParseEmptyAndErrors(t *testing.T) {
 		"symbols:trunc=NaN",
 		"symbols:flip=nan",
 		"symbols:drop=inf",
+		// Integer keys take an integer literal: a fraction, an exponent or
+		// a value past the integer's range is rejected, not truncated.
+		"symbols:drop=2.7",
+		"burst:len=1.9",
+		"burst:len=8.0",
+		"drift:period=1e3",
+		"ack:seed=1e300",
+		"ack:seed=0.5",
+		"ack:seed=9223372036854775808",
+		"drift:period=99999999999999999999",
 	} {
 		if _, err := Parse(bad, 1); !errors.Is(err, ErrBadSpec) {
 			t.Fatalf("spec %q: got %v, want ErrBadSpec", bad, err)

@@ -21,10 +21,11 @@ var ErrBadSpec = errors.New("fault: bad injector spec")
 //
 //	burst:p=0.05,len=8,power=25;ack:p=0.1;drift:max=0.02,period=50
 //
-// Unset keys take the defaults documented per kind below. seed seeds every
-// injector that does not set its own seed= key; injectors of different kinds
-// draw independent streams from the same seed. An empty spec returns a nil
-// Injector (no faults).
+// len, period, drop and seed take base-10 integers, every other key a
+// finite number. Unset keys take the defaults documented per kind below.
+// seed seeds every injector that does not set its own seed= key; injectors
+// of different kinds draw independent streams from the same seed. An empty
+// spec returns a nil Injector (no faults).
 //
 // Defaults: burst p=0.05 len=8 power=25 | ack p=0.05 |
 // drift max=0.01 period=50 | symbols trunc=0.05 drop=16 flip=0.01.
@@ -39,45 +40,44 @@ func Parse(spec string, seed int64) (Injector, error) {
 		if clause == "" {
 			continue
 		}
-		kind, args, _ := strings.Cut(clause, ":")
+		kind, params, _ := strings.Cut(clause, ":")
 		kind = strings.TrimSpace(kind)
-		kv, err := parseArgs(args)
+		a, err := parseArgs(params)
 		if err != nil {
 			return nil, fmt.Errorf("%w: clause %q: %v", ErrBadSpec, clause, err)
 		}
-		injSeed := seed
-		if s, ok := kv["seed"]; ok {
-			injSeed = int64(s)
-			delete(kv, "seed")
-		}
+		injSeed := a.integer("seed", seed, 64)
 		var inj Injector
 		switch kind {
 		case "burst":
 			inj = BurstNoise{
 				Seed:  injSeed,
-				Prob:  take(kv, "p", 0.05),
-				Len:   int(take(kv, "len", 8)),
-				Power: take(kv, "power", 25),
+				Prob:  a.float("p", 0.05),
+				Len:   int(a.integer("len", 8, strconv.IntSize)),
+				Power: a.float("power", 25),
 			}
 		case "ack":
-			inj = AckLoss{Seed: injSeed, Prob: take(kv, "p", 0.05)}
+			inj = AckLoss{Seed: injSeed, Prob: a.float("p", 0.05)}
 		case "drift":
 			inj = ClockDrift{
 				Seed:   injSeed,
-				Max:    take(kv, "max", 0.01),
-				Period: int(take(kv, "period", 50)),
+				Max:    a.float("max", 0.01),
+				Period: int(a.integer("period", 50, strconv.IntSize)),
 			}
 		case "symbols":
 			inj = SymbolFaults{
 				Seed:      injSeed,
-				TruncProb: take(kv, "trunc", 0.05),
-				MaxDrop:   int(take(kv, "drop", 16)),
-				FlipProb:  take(kv, "flip", 0.01),
+				TruncProb: a.float("trunc", 0.05),
+				MaxDrop:   int(a.integer("drop", 16, strconv.IntSize)),
+				FlipProb:  a.float("flip", 0.01),
 			}
 		default:
 			return nil, fmt.Errorf("%w: unknown kind %q (want burst, ack, drift or symbols)", ErrBadSpec, kind)
 		}
-		for k := range kv {
+		if a.err != nil {
+			return nil, fmt.Errorf("%w: clause %q: %v", ErrBadSpec, clause, a.err)
+		}
+		for k := range a.kv {
 			return nil, fmt.Errorf("%w: unknown key %q for %q", ErrBadSpec, k, kind)
 		}
 		if err := validate(inj); err != nil {
@@ -94,39 +94,69 @@ func Parse(spec string, seed int64) (Injector, error) {
 	return chain, nil
 }
 
-// parseArgs parses "k=v,k=v" into a map. Values must be finite: NaN fails
-// every range check in validate, and an infinite power, length or seed is
-// meaningless, so neither may reach an injector.
-func parseArgs(args string) (map[string]float64, error) {
-	kv := make(map[string]float64)
-	args = strings.TrimSpace(args)
-	if args == "" {
-		return kv, nil
+// args is one clause's key=value pairs. Each take removes its key; the first
+// value that does not parse is kept in err.
+type args struct {
+	kv  map[string]string
+	err error
+}
+
+// parseArgs splits "k=v,k=v" into trimmed keys and values.
+func parseArgs(s string) (*args, error) {
+	a := &args{kv: make(map[string]string)}
+	s = strings.TrimSpace(s)
+	if s == "" {
+		return a, nil
 	}
-	for _, pair := range strings.Split(args, ",") {
+	for _, pair := range strings.Split(s, ",") {
 		k, v, ok := strings.Cut(pair, "=")
 		if !ok {
 			return nil, fmt.Errorf("want key=value, got %q", pair)
 		}
-		x, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-		if err != nil {
-			return nil, fmt.Errorf("key %q: %v", k, err)
-		}
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return nil, fmt.Errorf("key %q: %v is not finite", k, x)
-		}
-		kv[strings.TrimSpace(k)] = x
+		a.kv[strings.TrimSpace(k)] = strings.TrimSpace(v)
 	}
-	return kv, nil
+	return a, nil
 }
 
-// take removes and returns kv[key], or def when absent.
-func take(kv map[string]float64, key string, def float64) float64 {
-	if v, ok := kv[key]; ok {
-		delete(kv, key)
-		return v
+// take removes and returns the text of key. It reports false when the key
+// is unset, and after a failed value, so that err keeps the first failure.
+func (a *args) take(key string) (string, bool) {
+	v, ok := a.kv[key]
+	delete(a.kv, key)
+	return v, ok && a.err == nil
+}
+
+// float returns key's value, or def when absent. Values must be finite: NaN
+// fails every range check in validate, and an infinite power is meaningless,
+// so neither may reach an injector.
+func (a *args) float(key string, def float64) float64 {
+	v, ok := a.take(key)
+	if !ok {
+		return def
 	}
-	return def
+	x, err := strconv.ParseFloat(v, 64)
+	if err == nil && (math.IsNaN(x) || math.IsInf(x, 0)) {
+		err = fmt.Errorf("%v is not finite", x)
+	}
+	if err != nil {
+		a.err = fmt.Errorf("key %q: %v", key, err)
+	}
+	return x
+}
+
+// integer returns key's value, a base-10 integer that fits in bits bits, or
+// def when absent. An integer key takes no fraction or exponent, so every
+// accepted value is the integer its text spells, a seed above 2^53 included.
+func (a *args) integer(key string, def int64, bits int) int64 {
+	v, ok := a.take(key)
+	if !ok {
+		return def
+	}
+	n, err := strconv.ParseInt(v, 10, bits)
+	if err != nil {
+		a.err = fmt.Errorf("key %q: %v", key, err)
+	}
+	return n
 }
 
 // validate sanity-checks one injector's parameters.

@@ -10,6 +10,14 @@
 //     queueing delay a lone request pays). Steady state is ~0 allocs per
 //     decision: pooled micro-batch buffers, pooled forward scratch, and
 //     zero-copy admission into the batch buffer.
+//   - Reflection-free decide bodies. POST /v1/decide reads the body into a
+//     pooled buffer and scans a body of the shape encoding/json writes
+//     ({"states":[[n,…],…]}, {"state":[n,…]}, "qvalues") straight into the
+//     pooled forward input, then writes a greedy answer with
+//     strconv.AppendInt: the direct path allocates nothing per request
+//     beyond net/http's own. Every other body goes, byte for byte, through
+//     encoding/json, so it gets the same value or error text it always did;
+//     FuzzDecideBody holds the two to the same bits.
 //   - Multi-model registry. One process serves many named checkpoints
 //     (/v1/models/{name}/decide), each with its own admission queue, stats
 //     and hot reload (POST /v1/models/{name}/reload; SIGHUP and the legacy
@@ -32,6 +40,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -82,14 +91,18 @@ type Server struct {
 	start   time.Time
 	drainCh chan struct{}
 	drainMu sync.Mutex
-	scratch sync.Pool // *reqScratch, for the direct (non-batched) path
+	scratch sync.Pool // *reqScratch
 }
 
-// reqScratch holds the direct path's per-request buffers.
+// reqScratch holds one request's buffers, reused through Server.scratch.
 type reqScratch struct {
-	flat    []float64
+	body    bytes.Buffer // the decide request body
+	flat    []float64    // its states, stacked row after row
 	actions []int
 	q       []float64
+	action  int
+	resp    DecideResponse // the answer; Action and Actions point into this scratch
+	out     []byte         // the encoded greedy answer
 }
 
 // New loads every configured model and builds the service.
@@ -207,8 +220,10 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request, m *Model) 
 		return
 	}
 	start := time.Now()
-	var req DecideRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)).Decode(&req); err != nil {
+	sc := s.scratch.Get().(*reqScratch)
+	defer s.scratch.Put(sc)
+	sc.body.Reset()
+	if _, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.failModel(m, w, http.StatusRequestEntityTooLarge,
@@ -218,70 +233,98 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request, m *Model) 
 		}
 		return
 	}
-	resp, code, err := s.decide(m, &req)
-	if err != nil {
+	if code, err := s.decideBody(m, sc); err != nil {
 		s.failModel(m, w, code, err)
 		return
 	}
 	m.stats.Latency.ObserveDuration(time.Since(start))
-	writeJSON(w, http.StatusOK, resp)
+	if sc.resp.Q != nil {
+		writeJSON(w, http.StatusOK, &sc.resp)
+		return
+	}
+	sc.out = appendActions(sc.out[:0], &sc.resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(sc.out); err != nil {
+		log.Printf("serve: write response: %v", err)
+	}
 }
 
-// decide runs one DecideRequest against a model, routing lone greedy states
-// through the micro-batcher and everything else (stacked batches, Q-value
-// queries) through the direct path — a stacked batch is already a batch, and
-// Q rows are a debugging surface that would bloat the shared batch buffers.
-// It returns the response, or the HTTP status and error describing why the
-// request is unservable.
-func (s *Server) decide(m *Model, req *DecideRequest) (*DecideResponse, int, error) {
+// decideBody answers the decide body in sc.body, leaving the answer in
+// sc.resp, or returns the HTTP status and error saying why it cannot. A body
+// in the shape encoding/json writes is scanned straight into sc.flat; any
+// other body goes, byte for byte, through json.Decoder, so it gets exactly
+// the value or error encoding/json gives it.
+func (s *Server) decideBody(m *Model, sc *reqScratch) (int, error) {
+	pol := m.policy()
+	var rows int
+	var single, qvalues, ok bool
+	if sc.flat, rows, single, qvalues, ok = scanDecide(sc.body.Bytes(), pol.StateDim(), sc.flat[:0]); ok {
+		m.stats.Requests.Add(1)
+		return s.run(m, pol, sc, rows, single, qvalues)
+	}
+	var req DecideRequest
+	if err := json.NewDecoder(bytes.NewReader(sc.body.Bytes())).Decode(&req); err != nil {
+		return http.StatusBadRequest, fmt.Errorf("decode request: %w", err)
+	}
+	return s.decide(m, &req, sc)
+}
+
+// decide checks a decoded DecideRequest against the model, stacks its states
+// into sc.flat and answers it through run.
+func (s *Server) decide(m *Model, req *DecideRequest, sc *reqScratch) (int, error) {
 	m.stats.Requests.Add(1)
 	// Presence is by len, not nil, so session handlers can reuse request
 	// buffers across lines (a reset slice is empty but non-nil).
 	single := len(req.State) > 0
 	if single == (len(req.States) > 0) {
-		return nil, http.StatusBadRequest, errors.New(`exactly one of "state" and "states" must be set (and non-empty)`)
+		return http.StatusBadRequest, errors.New(`exactly one of "state" and "states" must be set (and non-empty)`)
 	}
 	pol := m.policy()
 	dim := pol.StateDim()
-
-	var resp DecideResponse
-	if single && !req.QValues && s.cfg.Batching {
-		if len(req.State) != dim {
-			return nil, http.StatusBadRequest,
-				fmt.Errorf("state has %d features, model wants %d", len(req.State), dim)
-		}
-		action, err := m.batcher.Decide(req.State)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		m.stats.States.Add(1)
-		resp.Action = &action
-		return &resp, 0, nil
-	}
-
-	states := req.States
-	if single {
-		states = [][]float64{req.State}
-	}
-	if len(states) == 0 {
-		return nil, http.StatusBadRequest, errors.New("empty batch")
-	}
-	sc := s.scratch.Get().(*reqScratch)
-	defer s.scratch.Put(sc)
 	sc.flat = sc.flat[:0]
-	for i, st := range states {
+	if single {
+		if len(req.State) != dim {
+			if !req.QValues && s.cfg.Batching {
+				return http.StatusBadRequest, fmt.Errorf("state has %d features, model wants %d", len(req.State), dim)
+			}
+			return http.StatusBadRequest, fmt.Errorf("state 0 has %d features, model wants %d", len(req.State), dim)
+		}
+		sc.flat = append(sc.flat, req.State...)
+		return s.run(m, pol, sc, 1, true, req.QValues)
+	}
+	for i, st := range req.States {
 		if len(st) != dim {
-			return nil, http.StatusBadRequest,
-				fmt.Errorf("state %d has %d features, model wants %d", i, len(st), dim)
+			return http.StatusBadRequest, fmt.Errorf("state %d has %d features, model wants %d", i, len(st), dim)
 		}
 		sc.flat = append(sc.flat, st...)
 	}
-	n := len(states)
+	return s.run(m, pol, sc, len(req.States), false, req.QValues)
+}
+
+// run answers n states of pol's dimension stacked in sc.flat, leaving the
+// answer in sc.resp; its Action and Actions point into sc. A lone greedy
+// state (single, not qvalues) goes through the model's micro-batcher when
+// batching is on; everything else runs its own forward pass, since a stacked
+// batch is already a batch, and Q rows are a debugging surface that would
+// bloat the shared batch buffers.
+func (s *Server) run(m *Model, pol decidePolicy, sc *reqScratch, n int, single, qvalues bool) (int, error) {
+	sc.resp = DecideResponse{}
+	if single && !qvalues && s.cfg.Batching {
+		action, err := m.batcher.Decide(sc.flat)
+		if err != nil {
+			return http.StatusInternalServerError, err
+		}
+		m.stats.States.Add(1)
+		sc.action = action
+		sc.resp.Action = &sc.action
+		return 0, nil
+	}
 	if cap(sc.actions) < n {
 		sc.actions = make([]int, n)
 	}
 	actions := sc.actions[:n]
-	if req.QValues {
+	if qvalues {
 		// One forward serves both: take the argmax from the Q rows.
 		na := pol.NumActions()
 		if cap(sc.q) < n*na {
@@ -289,26 +332,26 @@ func (s *Server) decide(m *Model, req *DecideRequest) (*DecideResponse, int, err
 		}
 		q := sc.q[:n*na]
 		if err := pol.QValuesBatch(q, sc.flat); err != nil {
-			return nil, http.StatusInternalServerError, err
+			return http.StatusInternalServerError, err
 		}
-		resp.Q = make([][]float64, n)
+		sc.resp.Q = make([][]float64, n)
 		for i := 0; i < n; i++ {
 			row := q[i*na : (i+1)*na]
-			resp.Q[i] = append([]float64(nil), row...)
+			sc.resp.Q[i] = append([]float64(nil), row...)
 			actions[i] = argmax(row)
 		}
 	} else if err := pol.DecideBatch(sc.flat, actions); err != nil {
-		return nil, http.StatusInternalServerError, err
+		return http.StatusInternalServerError, err
 	}
 	m.stats.Direct.Add(1)
 	m.stats.States.Add(int64(n))
 	if single {
-		a := actions[0]
-		resp.Action = &a
+		sc.action = actions[0]
+		sc.resp.Action = &sc.action
 	} else {
-		resp.Actions = append([]int(nil), actions...)
+		sc.resp.Actions = actions
 	}
-	return &resp, 0, nil
+	return 0, nil
 }
 
 // argmax matches rl's tie-breaking: the first maximal action wins.

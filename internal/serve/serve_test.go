@@ -218,8 +218,9 @@ func TestDecideRejectsBadRequests(t *testing.T) {
 }
 
 // TestDecideBodyCap proves the request-body cap returns a JSON 413, that a
-// request under the cap still works, and that a negative cap is refused at
-// construction instead of capping every body at 0 bytes.
+// request under the cap still works, that bytes trailing the request count
+// against the cap, and that a negative cap is refused at construction
+// instead of capping every body at 0 bytes.
 func TestDecideBodyCap(t *testing.T) {
 	if _, err := New(Config{MaxBody: -1}); err == nil || !strings.Contains(err.Error(), "max body") {
 		t.Fatalf("New with MaxBody -1: err %v, want a max body error", err)
@@ -246,6 +247,17 @@ func TestDecideBodyCap(t *testing.T) {
 
 	if out, resp := postDecide(t, ts.URL, DecideRequest{State: make([]float64, testStateDim)}); resp.StatusCode != http.StatusOK || out.Action == nil {
 		t.Fatalf("small body after 413: status %d", resp.StatusCode)
+	}
+
+	// The whole body counts against the cap, not just its first JSON value:
+	// a request that fits but trails bytes past the cap is a 413 too.
+	small, err := json.Marshal(DecideRequest{State: make([]float64, testStateDim)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trailing := append(small, bytes.Repeat([]byte(" "), 512)...)
+	if out, resp := postJSON(t, ts.URL+"/v1/decide", trailing); resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(out.Error, "512") {
+		t.Fatalf("%d-byte request trailing %d bytes: status %d error %q, want 413", len(small), len(trailing)-len(small), resp.StatusCode, out.Error)
 	}
 }
 

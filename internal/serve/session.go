@@ -54,13 +54,14 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request, m *Model)
 
 	dec := json.NewDecoder(r.Body)
 	enc := json.NewEncoder(w)
+	sc := s.scratch.Get().(*reqScratch)
+	defer s.scratch.Put(sc)
 	var req DecideRequest
 	for {
 		// Reset rather than reallocate: json.Decode reuses State's backing
 		// array across lines, and absent fields must not inherit the
 		// previous line's values. Reuse is safe because decide() returns
-		// only after the state has been consumed (copied into a micro-batch
-		// or forwarded through pooled scratch).
+		// only after the state has been copied into the session's scratch.
 		req.State = req.State[:0]
 		req.States = req.States[:0]
 		req.QValues = false
@@ -75,8 +76,8 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request, m *Model)
 			return
 		}
 		start := time.Now()
-		resp, _, err := s.decide(m, &req)
-		if err != nil {
+		resp := &sc.resp
+		if _, err := s.decide(m, &req, sc); err != nil {
 			m.stats.Errors.Add(1)
 			resp = &DecideResponse{Error: err.Error()}
 		} else {

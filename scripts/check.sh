@@ -61,12 +61,13 @@ go test -race -count=1 -run 'TestFieldShardEquivalence|TestEnginePooledClustersC
 
 # Benchmark smoke: one iteration each of the Go micro-benchmarks that
 # CHANGES.md cites as per-layer evidence (sweep cache, batched policy
-# engine, DQN update, batcher admission, field engine), so they stay
-# runnable. End-to-end numbers come from perfbench, not from here.
+# engine, DQN update, batcher admission, decide body, field engine), so
+# they stay runnable. End-to-end numbers come from perfbench, not from here.
 go test -run '^$' -bench '^BenchmarkAllSweeps$' -benchtime 1x .
 go test -run '^$' -bench '^BenchmarkPolicyBatch$' -benchtime 1x ./internal/policy
 go test -run '^$' -bench '^BenchmarkDQNTrainStep$' -benchtime 1x ./internal/rl
 go test -run '^$' -bench '^BenchmarkBatcherDecide$' -benchtime 1x ./internal/serve
+go test -run '^$' -bench '^BenchmarkDecideBody$' -benchtime 1x ./internal/serve
 go test -run '^$' -bench '^BenchmarkFieldEngine/nodes-1e3$' -benchtime 1x ./internal/iot
 
 # Fuzz smoke: a few seconds per target catches shallow panics and keeps the
@@ -82,6 +83,7 @@ go test -run '^$' -fuzz FuzzForwardBatchEngines -fuzztime "$FUZZTIME" ./internal
 go test -run '^$' -fuzz FuzzSchemeRoundTrip -fuzztime "$FUZZTIME" ./internal/core
 go test -run '^$' -fuzz FuzzJammerSpec -fuzztime "$FUZZTIME" ./internal/jammer
 go test -run '^$' -fuzz FuzzFaultParse -fuzztime "$FUZZTIME" ./internal/fault
+go test -run '^$' -fuzz FuzzDecideBody -fuzztime "$FUZZTIME" ./internal/serve
 
 # Coverage floor: the signal-processing and learner packages back every
 # experiment, and the experiment harness and policy engine back every
