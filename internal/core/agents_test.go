@@ -267,6 +267,37 @@ func TestDQNAgentLearnsToBeatPassive(t *testing.T) {
 	}
 }
 
+// TestDQNAgentLoadModelRejectsOtherShapes: a model trained for another
+// channel count, power count or history length must not load.
+func TestDQNAgentLoadModelRejectsOtherShapes(t *testing.T) {
+	want := DefaultDQNAgentConfig(16, 10, 4)
+	want.Hidden = []int{16}
+	b, err := NewDQNAgent(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, edit := range []func(*DQNAgentConfig){
+		func(c *DQNAgentConfig) { c.Channels = 8 },
+		func(c *DQNAgentConfig) { c.Powers = 3 },
+		func(c *DQNAgentConfig) { c.HistoryLen = 3 },
+		func(c *DQNAgentConfig) { c.Hidden = []int{16, 16} },
+	} {
+		cfg := want
+		edit(&cfg)
+		a, err := NewDQNAgent(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := a.SaveModel(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.LoadModel(&buf); err == nil {
+			t.Errorf("%+v: model loaded into a %+v agent", cfg, want)
+		}
+	}
+}
+
 func TestDQNAgentModelRoundTrip(t *testing.T) {
 	acfg := DefaultDQNAgentConfig(16, 10, 4)
 	acfg.Hidden = []int{16}

@@ -47,3 +47,13 @@ func vecMaxZero(dst, src *float64, n4 int)
 //
 //go:noescape
 func vecAddRows(dst, row *float64, rows, stride, cols4 int)
+
+// adamAVX applies one Adam update (see adamUpdate) to the first n4 elements
+// of the parameter values p, gradients grad and moments m and v, n4 %% 4 == 0
+// and > 0. Each element runs the scalar loop's multiplies, adds, divides,
+// square root and subtract in the same order as separate VMULPD, VADDPD,
+// VDIVPD, VSQRTPD and VSUBPD instructions (never FMA), so the results are
+// bit-identical to it. Implemented in gemm_amd64.s.
+//
+//go:noescape
+func adamAVX(p, grad, m, v *float64, n4 int, c *adamCoeffs)

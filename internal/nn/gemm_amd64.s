@@ -314,3 +314,60 @@ acloop:
 	JNZ  arloop
 	VZEROUPPER
 	RET
+
+// func adamAVX(p, grad, m, v *float64, n4 int, c *adamCoeffs)
+//
+// One Adam update of four elements per iteration, n4 % 4 == 0 and > 0. The
+// operation order is adamUpdate's scalar loop:
+//   gs = grad*scale
+//   m  = beta1*m + mBeta1*gs
+//   v  = beta2*v + (mBeta2*gs)*gs
+//   p  = p - (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
+// Y7-Y15 hold the broadcast coefficients (adamCoeffs field order), Y0-Y3 the
+// per-element temporaries.
+TEXT ·adamAVX(SB), NOSPLIT, $0-48
+	MOVQ p+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ m+16(FP), R8
+	MOVQ v+24(FP), R9
+	MOVQ n4+32(FP), CX
+	MOVQ c+40(FP), AX
+	VBROADCASTSD 0(AX), Y15   // scale
+	VBROADCASTSD 8(AX), Y14   // beta1
+	VBROADCASTSD 16(AX), Y13  // mBeta1
+	VBROADCASTSD 24(AX), Y12  // beta2
+	VBROADCASTSD 32(AX), Y11  // mBeta2
+	VBROADCASTSD 40(AX), Y10  // bc1
+	VBROADCASTSD 48(AX), Y9   // bc2
+	VBROADCASTSD 56(AX), Y8   // lr
+	VBROADCASTSD 64(AX), Y7   // eps
+
+adamloop:
+	VMOVUPD (SI), Y0
+	VMULPD  Y15, Y0, Y0       // gs = grad*scale
+	VMULPD  (R8), Y14, Y1     // beta1*m
+	VMULPD  Y0, Y13, Y2       // mBeta1*gs
+	VADDPD  Y2, Y1, Y1        // m
+	VMOVUPD Y1, (R8)
+	VMULPD  (R9), Y12, Y2     // beta2*v
+	VMULPD  Y0, Y11, Y3       // mBeta2*gs
+	VMULPD  Y0, Y3, Y3        // (mBeta2*gs)*gs
+	VADDPD  Y3, Y2, Y2        // v
+	VMOVUPD Y2, (R9)
+	VDIVPD  Y10, Y1, Y1       // mhat = m/bc1
+	VDIVPD  Y9, Y2, Y2        // vhat = v/bc2
+	VSQRTPD Y2, Y2
+	VADDPD  Y7, Y2, Y2        // sqrt(vhat) + eps
+	VMULPD  Y1, Y8, Y1        // lr*mhat
+	VDIVPD  Y2, Y1, Y1        // (lr*mhat) / (sqrt(vhat) + eps)
+	VMOVUPD (DI), Y3
+	VSUBPD  Y1, Y3, Y3        // p - step
+	VMOVUPD Y3, (DI)
+	ADDQ $32, SI
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $32, DI
+	SUBQ $4, CX
+	JNZ  adamloop
+	VZEROUPPER
+	RET

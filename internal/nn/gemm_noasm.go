@@ -22,3 +22,7 @@ func vecMaxZero(dst, src *float64, n4 int) {
 func vecAddRows(dst, row *float64, rows, stride, cols4 int) {
 	panic("nn: assembly kernel not available on this architecture")
 }
+
+func adamAVX(p, grad, m, v *float64, n4 int, c *adamCoeffs) {
+	panic("nn: assembly kernel not available on this architecture")
+}

@@ -82,15 +82,17 @@ func MatMul(a, b *Matrix) (*Matrix, error) {
 // MatMulInto computes a @ b into dst, reshaping dst (reusing its backing
 // array when large enough). dst must not alias a or b.
 //
-// It is the package's one float64 GEMM: Dense.Forward, both Dense.Backward
-// products and ForwardBatch all run on it. Rows of a are taken eight or four
+// It is the package's one float64 GEMM: Dense.Forward, ForwardBatch and
+// Dense.Backward's products for a dense gradient all run on it. Rows of a are taken eight or four
 // at a time, so each streamed row of b serves several output rows; on amd64
 // with AVX those blocks run in block8AVX/block4AVX (gemm_amd64.s), which also
 // vectorize four output columns per instruction. Every output element
 // accumulates from +0 in ascending k with a separate multiply and add rounding
 // per step (never FMA), so the block shape and the assembly never change a
 // bit. The paths differ only in which exact 0·b products they skip, and
-// adding one to a finite sum that started at +0 leaves it unchanged.
+// adding one to a finite sum that started at +0 leaves it unchanged. The
+// float64(...) around each product keeps gc from fusing it into the add on
+// architectures with FMA.
 func MatMulInto(dst, a, b *Matrix) error {
 	if a.Cols != b.Rows {
 		return fmt.Errorf("nn: matmul shape mismatch (%dx%d)@(%dx%d)", a.Rows, a.Cols, b.Rows, b.Cols)
@@ -134,10 +136,10 @@ func MatMulInto(dst, a, b *Matrix) error {
 			}
 			brow := b.Data[kk*n : (kk+1)*n]
 			for j, bv := range brow {
-				o0[j] += v0 * bv
-				o1[j] += v1 * bv
-				o2[j] += v2 * bv
-				o3[j] += v3 * bv
+				o0[j] += float64(v0 * bv)
+				o1[j] += float64(v1 * bv)
+				o2[j] += float64(v2 * bv)
+				o3[j] += float64(v3 * bv)
 			}
 		}
 	}
@@ -162,7 +164,7 @@ func tailCols(dst, a, b *Matrix, i, rows, col0 int) {
 			}
 			brow := b.Data[kk*n : (kk+1)*n]
 			for j := col0; j < n; j++ {
-				orow[j] += av * brow[j]
+				orow[j] += float64(av * brow[j])
 			}
 		}
 	}
@@ -214,7 +216,9 @@ func (m *Matrix) AddRowVector(b *Matrix) error {
 func (m *Matrix) XavierInit(fanIn, fanOut int, rng *rand.Rand) {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	for i := range m.Data {
-		m.Data[i] = (rng.Float64()*2 - 1) * limit
+		// The conversion rounds rng.Float64's inlined product, which gc
+		// would otherwise fuse into the doubling add on FMA machines.
+		m.Data[i] = (float64(rng.Float64())*2 - 1) * limit
 	}
 }
 

@@ -338,3 +338,206 @@ func FuzzForwardBatchEngines(f *testing.F) {
 		}
 	})
 }
+
+// oneHotGrad returns a batch x out gradient whose rows follow rowKinds,
+// cycling: "zero" is all zero, "negzero" is all -0, "hot" has one Gaussian
+// entry in a random column among -0 fill, "last" has it in the last column,
+// and "repeat" reuses the previous hot row's column.
+func oneHotGrad(batch, out int, rng *rand.Rand) *Matrix {
+	g := NewMatrix(batch, out)
+	kinds := []string{"hot", "repeat", "zero", "last", "negzero", "hot", "repeat", "repeat"}
+	prev := 0
+	for r := 0; r < batch; r++ {
+		row := g.Data[r*out : (r+1)*out]
+		for c := range row {
+			if rng.Intn(3) == 0 {
+				row[c] = math.Copysign(0, -1)
+			}
+		}
+		switch kinds[r%len(kinds)] {
+		case "zero":
+			clear(row)
+			continue
+		case "negzero":
+			for c := range row {
+				row[c] = math.Copysign(0, -1)
+			}
+			continue
+		case "hot":
+			prev = rng.Intn(out)
+		case "last":
+			prev = out - 1
+		}
+		row[prev] = rng.NormFloat64()
+	}
+	return g
+}
+
+// signedZeroWeights sets about a quarter of w to +0 or -0, so hot products
+// g·W come out as -0 and dx must still read +0 as the sum from +0 does.
+func signedZeroWeights(w *Matrix, rng *rand.Rand) {
+	for i := range w.Data {
+		switch rng.Intn(8) {
+		case 0:
+			w.Data[i] = 0
+		case 1:
+			w.Data[i] = math.Copysign(0, -1)
+		}
+	}
+}
+
+// TestDenseBackwardOneHotMatchesNaive pins the one-hot Dense.Backward path
+// (the Q-learning gradient: at most one nonzero per row) to the hand-written
+// reference bit for bit, with the AVX microkernels on and off, on the DQN's
+// 48→160 output layer at its batch sizes and on odd shapes. Rows repeat hot
+// columns, hold only zeros or -0, and put the hot entry in the last column;
+// weights hold ±0 so -0 products reach dx. Gradients with a NaN or ±Inf row,
+// and inputs holding ±Inf, must leave the one-hot path and still match.
+func TestDenseBackwardOneHotMatchesNaive(t *testing.T) {
+	shapes := [][2]int{{48, 160}, {48, 48}, {24, 48}, {3, 5}, {7, 13}, {1, 1}, {5, 1}}
+	for _, avx := range avxModes() {
+		withAVX(avx, func() {
+			rng := rand.New(rand.NewSource(41))
+			for _, shape := range shapes {
+				for _, batch := range []int{1, 3, 8, 16, 17, 32} {
+					for _, tc := range []string{"one-hot", "nan row", "inf row", "inf input"} {
+						in, out := shape[0], shape[1]
+						d := NewDense(in, out, rng)
+						signedZeroWeights(d.W.Value, rng)
+						x := NewMatrix(batch, in)
+						operandFills[1].fill(x, rng) // zero-heavy, like ReLU output
+						g := oneHotGrad(batch, out, rng)
+						wantHot := true
+						switch tc {
+						case "nan row", "inf row":
+							// The dense GEMM multiplies through zero
+							// activations; keep x free of them so 0·Inf
+							// does not split it from the reference.
+							operandFills[0].fill(x, rng)
+							bad := math.NaN()
+							if tc == "inf row" {
+								bad = math.Inf(1 - 2*rng.Intn(2))
+							}
+							r := rng.Intn(batch)
+							g.Data[r*out+rng.Intn(out)] = bad
+							wantHot = false
+						case "inf input":
+							x.Data[rng.Intn(len(x.Data))] = math.Inf(-1)
+							wantHot = false
+						}
+						operandFills[0].fill(d.W.Grad, rng)
+						operandFills[0].fill(d.B.Grad, rng)
+						wantW, wantB := d.W.Grad.Clone(), d.B.Grad.Clone()
+						wantX := naiveDenseBackward(x, d.W.Value, g, wantW, wantB)
+
+						if got := d.findHot(g) && allFinite(x.Data); got != wantHot {
+							t.Fatalf("%s %dx%d batch %d: one-hot path taken = %v, want %v", tc, in, out, batch, got, wantHot)
+						}
+						if _, err := d.Forward(x); err != nil {
+							t.Fatal(err)
+						}
+						gotX, err := d.Backward(g)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, c := range []struct {
+							name      string
+							got, want []float64
+						}{{"dW", d.W.Grad.Data, wantW.Data}, {"db", d.B.Grad.Data, wantB.Data}, {"dx", gotX.Data, wantX.Data}} {
+							if i := sameBits(c.got, c.want); i >= 0 {
+								t.Fatalf("avx=%v %s %dx%d batch %d %s[%d]: %v != %v",
+									avx, tc, in, out, batch, c.name, i, c.got[i], c.want[i])
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// naiveAdam is Adam.Step's scalar loop as it stood before the AVX kernel,
+// kept as the reference adamUpdate must match bit for bit.
+type naiveAdam struct {
+	o    Adam
+	m, v map[*Param][]float64
+}
+
+func (n *naiveAdam) step(params []*Param) {
+	o := &n.o
+	if n.m == nil {
+		n.m = make(map[*Param][]float64)
+		n.v = make(map[*Param][]float64)
+	}
+	o.step++
+	scale := clipScale(params, o.ClipNorm)
+	bc1 := 1 - math.Pow(o.Beta1, float64(o.step))
+	bc2 := 1 - math.Pow(o.Beta2, float64(o.step))
+	for _, p := range params {
+		if n.m[p] == nil {
+			n.m[p] = make([]float64, len(p.Value.Data))
+			n.v[p] = make([]float64, len(p.Value.Data))
+		}
+		m, v := n.m[p], n.v[p]
+		for i := range p.Value.Data {
+			g := p.Grad.Data[i] * scale
+			m[i] = o.Beta1*m[i] + (1-o.Beta1)*g
+			v[i] = o.Beta2*v[i] + (1-o.Beta2)*g*g
+			mhat := m[i] / bc1
+			vhat := v[i] / bc2
+			p.Value.Data[i] -= o.LR * mhat / (math.Sqrt(vhat) + o.Eps)
+		}
+	}
+}
+
+// TestAdamStepMatchesScalarBitwise pins Adam.Step, with the AVX kernel on and
+// off, to the scalar reference over several steps: parameter lengths 0-13
+// cover every vector tail, 11392 is the DQN's parameter count, and a clip
+// norm below the gradient norm makes the gradient scale differ from 1.
+func TestAdamStepMatchesScalarBitwise(t *testing.T) {
+	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 11392}
+	for _, avx := range avxModes() {
+		withAVX(avx, func() {
+			rng := rand.New(rand.NewSource(53))
+			for _, n := range lengths {
+				mk := func(size int) (got, want *Param) {
+					got = &Param{Value: NewMatrix(1, size), Grad: NewMatrix(1, size)}
+					operandFills[0].fill(got.Value, rng)
+					want = &Param{Value: got.Value.Clone(), Grad: NewMatrix(1, size)}
+					return got, want
+				}
+				g0, w0 := mk(n)
+				g1, w1 := mk(3)
+				got, want := []*Param{g0, g1}, []*Param{w0, w1}
+				opt := NewAdam(1e-2)
+				opt.ClipNorm = 0.5
+				ref := &naiveAdam{o: *opt}
+				for step := 1; step <= 4; step++ {
+					for i, p := range got {
+						operandFills[0].fill(p.Grad, rng)
+						copy(want[i].Grad.Data, p.Grad.Data)
+					}
+					if err := opt.Step(got); err != nil {
+						t.Fatal(err)
+					}
+					ref.step(want)
+					for i := range got {
+						for _, c := range []struct {
+							name      string
+							got, want []float64
+						}{
+							{"value", got[i].Value.Data, want[i].Value.Data},
+							{"m", opt.m[got[i]], ref.m[want[i]]},
+							{"v", opt.v[got[i]], ref.v[want[i]]},
+						} {
+							if j := sameBits(c.got, c.want); j >= 0 {
+								t.Fatalf("avx=%v len %d step %d param %d %s[%d]: %v != %v",
+									avx, n, step, i, c.name, j, c.got[j], c.want[j])
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}

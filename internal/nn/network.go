@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // Param is a trainable parameter tensor with its gradient accumulator.
@@ -41,6 +42,7 @@ type Dense struct {
 	dW        Matrix // weight-gradient scratch
 	dx        Matrix // input-gradient scratch
 	xT, wT    Matrix // transposed input and weight scratch for Backward
+	hot       []int  // per-row hot column of a one-hot gradient (findHot)
 }
 
 var _ Layer = (*Dense)(nil)
@@ -68,11 +70,22 @@ func (d *Dense) Forward(x *Matrix) (*Matrix, error) {
 }
 
 // Backward accumulates dW = xᵀ·g and db = column sums of g, and returns
-// dx = g·Wᵀ. Both products run on MatMulInto over per-layer transposed
-// copies of x and W, so every gradient element is an ascending-k sum of
-// separately rounded products: the bits of the textbook
+// dx = g·Wᵀ. Every gradient element is an ascending-k sum of separately
+// rounded products started from +0: the bits of the textbook
 // transpose-then-multiply formulation.
+//
+// A gradient whose rows each hold at most one nonzero entry (the Q-learning
+// loss: only the taken action's output differs from its target) takes
+// backwardOneHot, which touches only the hot columns. Any other gradient
+// runs both products on MatMulInto over per-layer transposed copies of x and
+// W.
 func (d *Dense) Backward(gradOut *Matrix) (*Matrix, error) {
+	return d.backward(gradOut, true)
+}
+
+// backward is Backward; with wantDX false it skips the input gradient and
+// returns nil (Network.Backward's first layer, whose dx nothing reads).
+func (d *Dense) backward(gradOut *Matrix, wantDX bool) (*Matrix, error) {
 	if d.lastInput == nil {
 		return nil, fmt.Errorf("dense backward called before forward")
 	}
@@ -80,6 +93,18 @@ func (d *Dense) Backward(gradOut *Matrix) (*Matrix, error) {
 	if x.Rows != gradOut.Rows || w.Cols != gradOut.Cols {
 		return nil, fmt.Errorf("dense backward: grad shape (%dx%d) vs input %d rows, %d out cols",
 			gradOut.Rows, gradOut.Cols, x.Rows, w.Cols)
+	}
+
+	bGrad := d.B.Grad.Data
+	for i := 0; i < gradOut.Rows; i++ {
+		gRow := gradOut.Data[i*gradOut.Cols : (i+1)*gradOut.Cols]
+		for j, gv := range gRow {
+			bGrad[j] += gv
+		}
+	}
+
+	if d.findHot(gradOut) && allFinite(x.Data) {
+		return d.backwardOneHot(gradOut, wantDX), nil
 	}
 
 	// dW is computed into scratch first, then added, to preserve the
@@ -91,20 +116,111 @@ func (d *Dense) Backward(gradOut *Matrix) (*Matrix, error) {
 	for i, v := range d.dW.Data {
 		d.W.Grad.Data[i] += v
 	}
-
-	bGrad := d.B.Grad.Data
-	for i := 0; i < gradOut.Rows; i++ {
-		gRow := gradOut.Data[i*gradOut.Cols : (i+1)*gradOut.Cols]
-		for j, gv := range gRow {
-			bGrad[j] += gv
-		}
+	if !wantDX {
+		return nil, nil
 	}
-
 	transposeInto(&d.wT, w)
 	if err := MatMulInto(&d.dx, gradOut, &d.wT); err != nil {
 		return nil, fmt.Errorf("dense backward: %w", err)
 	}
 	return &d.dx, nil
+}
+
+// findHot records in d.hot, for each row of g, the column of its only
+// nonzero entry (-1 for an all-zero row). It reports false, leaving d.hot
+// unspecified, when a row has two nonzero entries or a non-finite one.
+func (d *Dense) findHot(g *Matrix) bool {
+	if cap(d.hot) < g.Rows {
+		d.hot = make([]int, g.Rows)
+	}
+	d.hot = d.hot[:g.Rows]
+	for r := range d.hot {
+		hot := -1
+		for c, v := range g.Data[r*g.Cols : (r+1)*g.Cols] {
+			if v == 0 {
+				continue
+			}
+			if hot >= 0 || v-v != 0 { // v-v is NaN for ±Inf and NaN
+				return false
+			}
+			hot = c
+		}
+		d.hot[r] = hot
+	}
+	return true
+}
+
+// allFinite reports whether every value is finite.
+func allFinite(xs []float64) bool {
+	for _, v := range xs {
+		if v-v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// backwardOneHot is the weight and input gradient of backward for a
+// gradient laid out by findHot, with finite x and g. It keeps the GEMM
+// path's bits: there every element of dW and dx is a sum from +0 of products
+// in ascending k, and a sum from +0 is never -0, so adding the x·0 and 0·W
+// products (each ±0 for finite W) leaves it unchanged. What remains is
+//   - dW[i][j] for a hot column j: the ascending sum over the rows k hot in
+//     column j of x[k][i]·g[k][j], formed from +0 in scratch and then added
+//     to W.Grad; the other columns would add +0, which leaves every
+//     accumulator ZeroGrad and Backward produce as it is;
+//   - dx[k][i] = 0 + g[k][j]·W[i][j] for row k hot in column j (the 0 + turns
+//     a -0 product into the sum's +0), and +0 for an all-zero row.
+//
+// Products are converted with float64(...) so no architecture fuses them
+// into the adds.
+func (d *Dense) backwardOneHot(g *Matrix, wantDX bool) *Matrix {
+	x, w := d.lastInput, d.W.Value.Data
+	in, out := x.Cols, g.Cols
+
+	// Row j of the out x in scratch holds hot column j of dW.
+	d.dW.Reshape(out, in)
+	for _, j := range d.hot {
+		if j >= 0 {
+			clear(d.dW.Data[j*in : (j+1)*in])
+		}
+	}
+	for k, j := range d.hot {
+		if j < 0 {
+			continue
+		}
+		gv := g.Data[k*out+j]
+		acc := d.dW.Data[j*in : (j+1)*in]
+		for i, xv := range x.Data[k*in : (k+1)*in] {
+			acc[i] += float64(xv * gv)
+		}
+	}
+	wGrad := d.W.Grad.Data
+	for k, j := range d.hot {
+		if j < 0 || slices.Contains(d.hot[:k], j) {
+			continue // all-zero row, or a column an earlier row already added
+		}
+		for i, v := range d.dW.Data[j*in : (j+1)*in] {
+			wGrad[i*out+j] += v
+		}
+	}
+	if !wantDX {
+		return nil
+	}
+
+	d.dx.Reshape(g.Rows, in)
+	for k, j := range d.hot {
+		row := d.dx.Data[k*in : (k+1)*in]
+		if j < 0 {
+			clear(row)
+			continue
+		}
+		gv := g.Data[k*out+j]
+		for i := range row {
+			row[i] = 0 + float64(gv*w[i*out+j])
+		}
+	}
+	return &d.dx
 }
 
 // Params returns the layer's weight and bias.
@@ -196,7 +312,12 @@ func (n *Network) Backward(gradOut *Matrix) error {
 	cur := gradOut
 	for i := len(n.Layers) - 1; i >= 0; i-- {
 		var err error
-		cur, err = n.Layers[i].Backward(cur)
+		if d, ok := n.Layers[i].(*Dense); ok && i == 0 {
+			// Nothing reads the gradient with respect to the network input.
+			_, err = d.backward(cur, false)
+		} else {
+			cur, err = n.Layers[i].Backward(cur)
+		}
 		if err != nil {
 			return fmt.Errorf("layer %d: %w", i, err)
 		}

@@ -26,7 +26,7 @@ func (o *SGD) Step(params []*Param) error {
 	scale := clipScale(params, o.ClipNorm)
 	for _, p := range params {
 		for i := range p.Value.Data {
-			p.Value.Data[i] -= o.LR * scale * p.Grad.Data[i]
+			p.Value.Data[i] -= float64(o.LR * scale * p.Grad.Data[i])
 		}
 	}
 	return nil
@@ -64,9 +64,17 @@ func (o *Adam) Step(params []*Param) error {
 		o.v = make(map[*Param][]float64, len(params))
 	}
 	o.step++
-	scale := clipScale(params, o.ClipNorm)
-	bc1 := 1 - math.Pow(o.Beta1, float64(o.step))
-	bc2 := 1 - math.Pow(o.Beta2, float64(o.step))
+	c := adamCoeffs{
+		scale:  clipScale(params, o.ClipNorm),
+		beta1:  o.Beta1,
+		mBeta1: 1 - o.Beta1,
+		beta2:  o.Beta2,
+		mBeta2: 1 - o.Beta2,
+		bc1:    1 - math.Pow(o.Beta1, float64(o.step)),
+		bc2:    1 - math.Pow(o.Beta2, float64(o.step)),
+		lr:     o.LR,
+		eps:    o.Eps,
+	}
 	for _, p := range params {
 		m, ok := o.m[p]
 		if !ok {
@@ -78,16 +86,43 @@ func (o *Adam) Step(params []*Param) error {
 			v = make([]float64, len(p.Value.Data))
 			o.v[p] = v
 		}
-		for i := range p.Value.Data {
-			g := p.Grad.Data[i] * scale
-			m[i] = o.Beta1*m[i] + (1-o.Beta1)*g
-			v[i] = o.Beta2*v[i] + (1-o.Beta2)*g*g
-			mhat := m[i] / bc1
-			vhat := v[i] / bc2
-			p.Value.Data[i] -= o.LR * mhat / (math.Sqrt(vhat) + o.Eps)
-		}
+		adamUpdate(p.Value.Data, p.Grad.Data, m, v, &c)
 	}
 	return nil
+}
+
+// adamCoeffs holds one Adam step's scalars, in the field order adamAVX
+// (gemm_amd64.s) reads them.
+type adamCoeffs struct {
+	scale         float64 // gradient clipping multiplier
+	beta1, mBeta1 float64 // β1 and 1-β1
+	beta2, mBeta2 float64 // β2 and 1-β2
+	bc1, bc2      float64 // bias corrections 1-β1^t and 1-β2^t
+	lr, eps       float64
+}
+
+// adamUpdate applies one Adam update to the parameter values p from their
+// gradients g and moments m and v, all of p's length. On amd64 with AVX the
+// first len(p)&^3 elements go through adamAVX, which runs the loop below's
+// operations in the same order, each rounded separately, four elements per
+// instruction: the bits do not change.
+func adamUpdate(p, g, m, v []float64, c *adamCoeffs) {
+	g, m, v = g[:len(p)], m[:len(p)], v[:len(p)]
+	i := 0
+	if useAVX {
+		if n4 := len(p) &^ 3; n4 > 0 {
+			adamAVX(&p[0], &g[0], &m[0], &v[0], n4, c)
+			i = n4
+		}
+	}
+	for ; i < len(p); i++ {
+		gs := float64(g[i] * c.scale)
+		m[i] = float64(c.beta1*m[i]) + float64(c.mBeta1*gs)
+		v[i] = float64(c.beta2*v[i]) + float64(float64(c.mBeta2*gs)*gs)
+		mhat := m[i] / c.bc1
+		vhat := v[i] / c.bc2
+		p[i] -= float64(c.lr*mhat) / (math.Sqrt(vhat) + c.eps)
+	}
 }
 
 // clipScale returns the multiplier that caps the global gradient norm at
@@ -99,7 +134,7 @@ func clipScale(params []*Param, clipNorm float64) float64 {
 	var sq float64
 	for _, p := range params {
 		for _, g := range p.Grad.Data {
-			sq += g * g
+			sq += float64(g * g)
 		}
 	}
 	norm := math.Sqrt(sq)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"ctjam/internal/nn"
 	"ctjam/internal/rng"
@@ -102,6 +103,13 @@ func NewDQN(cfg DQNConfig) (*DQN, error) {
 	if cfg.BatchSize <= 0 {
 		return nil, fmt.Errorf("rl: batch size %d must be positive", cfg.BatchSize)
 	}
+	if cfg.BatchSize > cfg.BufferCapacity {
+		// The buffer never holds a full batch, so training never starts.
+		return nil, fmt.Errorf("rl: batch size %d exceeds replay capacity %d", cfg.BatchSize, cfg.BufferCapacity)
+	}
+	if err := cfg.Epsilon.validate(); err != nil {
+		return nil, err
+	}
 	if len(cfg.Hidden) == 0 {
 		return nil, errors.New("rl: at least one hidden layer required")
 	}
@@ -143,8 +151,12 @@ func (d *DQN) setOnline(net *nn.Network) {
 func (d *DQN) Network() *nn.Network { return d.online }
 
 // SetNetwork replaces the online and target networks (e.g. after loading a
-// saved model).
+// saved model). net must have the configured architecture: same layers,
+// same weight and bias shapes.
 func (d *DQN) SetNetwork(net *nn.Network) error {
+	if got, want := layerShapes(net), layerShapes(d.online); got != want {
+		return fmt.Errorf("rl: network layers [%s] do not match the configured [%s]", got, want)
+	}
 	clone, err := net.Clone()
 	if err != nil {
 		return err
@@ -152,6 +164,28 @@ func (d *DQN) SetNetwork(net *nn.Network) error {
 	d.setOnline(net)
 	d.target = clone
 	return nil
+}
+
+// layerShapes describes net's layers, e.g. "24x48 relu 48x160" for dense
+// weight shapes with 1 x out biases between ReLUs; any other bias shape is
+// spelled out after its weights.
+func layerShapes(net *nn.Network) string {
+	parts := make([]string, len(net.Layers))
+	for i, l := range net.Layers {
+		switch l := l.(type) {
+		case *nn.Dense:
+			w, b := l.W.Value, l.B.Value
+			parts[i] = fmt.Sprintf("%dx%d", w.Rows, w.Cols)
+			if b.Rows != 1 || b.Cols != w.Cols {
+				parts[i] += fmt.Sprintf("+bias%dx%d", b.Rows, b.Cols)
+			}
+		case *nn.ReLU:
+			parts[i] = "relu"
+		default:
+			parts[i] = fmt.Sprintf("%T", l)
+		}
+	}
+	return strings.Join(parts, " ")
 }
 
 // EnvSteps returns the number of transitions observed.
@@ -313,7 +347,7 @@ func (d *DQN) TrainStep() (float64, error) {
 		if !t.Done {
 			row := nextQ.Data[i*d.cfg.NumActions : (i+1)*d.cfg.NumActions]
 			if d.cfg.DoubleDQN {
-				y += d.cfg.Gamma * row[nextSel[i]]
+				y += float64(d.cfg.Gamma * row[nextSel[i]])
 			} else {
 				best := math.Inf(-1)
 				for _, v := range row {
@@ -321,7 +355,7 @@ func (d *DQN) TrainStep() (float64, error) {
 						best = v
 					}
 				}
-				y += d.cfg.Gamma * best
+				y += float64(d.cfg.Gamma * best)
 			}
 		}
 		target.Set(i, t.Action, y)

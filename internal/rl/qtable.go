@@ -27,11 +27,14 @@ func NewQTable(states, actions int, alpha, gamma float64, eps EpsilonSchedule, s
 	if states <= 0 || actions <= 0 {
 		return nil, fmt.Errorf("rl: qtable dimensions %dx%d invalid", states, actions)
 	}
-	if alpha <= 0 || alpha > 1 {
+	if !(alpha > 0 && alpha <= 1) {
 		return nil, fmt.Errorf("rl: learning rate %v outside (0,1]", alpha)
 	}
-	if gamma < 0 || gamma >= 1 {
+	if !(gamma >= 0 && gamma < 1) {
 		return nil, fmt.Errorf("rl: gamma %v outside [0,1)", gamma)
+	}
+	if err := eps.validate(); err != nil {
+		return nil, err
 	}
 	q := make([][]float64, states)
 	for s := range q {
@@ -120,9 +123,9 @@ func (t *QTable) Update(state, action int, reward float64, next int, done bool) 
 	}
 	target := reward
 	if !done {
-		target += t.gamma * t.q[next][t.greedy(next)]
+		target += float64(t.gamma * t.q[next][t.greedy(next)])
 	}
-	t.q[state][action] += t.alpha * (target - t.q[state][action])
+	t.q[state][action] += float64(t.alpha * (target - t.q[state][action]))
 	t.steps++
 	return nil
 }

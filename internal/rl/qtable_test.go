@@ -18,6 +18,8 @@ func TestNewQTableValidation(t *testing.T) {
 		{"alpha > 1", 2, 2, 1.5, 0.9},
 		{"gamma 1", 2, 2, 0.1, 1},
 		{"gamma < 0", 2, 2, 0.1, -0.1},
+		{"alpha NaN", 2, 2, math.NaN(), 0.9},
+		{"gamma NaN", 2, 2, 0.1, math.NaN()},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -26,6 +28,11 @@ func TestNewQTableValidation(t *testing.T) {
 			}
 		})
 	}
+	t.Run("epsilon NaN", func(t *testing.T) {
+		if _, err := NewQTable(2, 2, 0.1, 0.9, EpsilonSchedule{Start: math.NaN()}, 1); err == nil {
+			t.Fatal("expected error")
+		}
+	})
 }
 
 func TestQTableBoundsChecks(t *testing.T) {

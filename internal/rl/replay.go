@@ -6,6 +6,7 @@ package rl
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -91,5 +92,14 @@ func (s EpsilonSchedule) Value(step int) float64 {
 		step = 0
 	}
 	frac := float64(step) / float64(s.DecaySteps)
-	return s.Start + (s.End-s.Start)*frac
+	return s.Start + float64((s.End-s.Start)*frac)
+}
+
+// validate rejects a non-finite Start or End, which would silently pin
+// exploration on or off (every comparison with a NaN rate is false).
+func (s EpsilonSchedule) validate() error {
+	if math.IsNaN(s.Start) || math.IsInf(s.Start, 0) || math.IsNaN(s.End) || math.IsInf(s.End, 0) {
+		return fmt.Errorf("rl: epsilon schedule %v..%v must be finite", s.Start, s.End)
+	}
+	return nil
 }

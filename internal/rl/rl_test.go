@@ -3,6 +3,7 @@ package rl
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -152,6 +153,13 @@ func TestBadRatesRejected(t *testing.T) {
 		{"lr negative", withCfg(func(c *DQNConfig) { c.LearningRate = -1e-3 })},
 		{"lr zero", withCfg(func(c *DQNConfig) { c.LearningRate = 0 })},
 		{"lr +Inf", withCfg(func(c *DQNConfig) { c.LearningRate = math.Inf(1) })},
+		// A batch larger than the buffer never fits, so training never
+		// started; a NaN or infinite epsilon pinned exploration.
+		{"batch > capacity", withCfg(func(c *DQNConfig) { c.BatchSize, c.BufferCapacity = 65, 64 })},
+		{"epsilon start NaN", withCfg(func(c *DQNConfig) { c.Epsilon.Start = math.NaN() })},
+		{"epsilon end NaN", withCfg(func(c *DQNConfig) { c.Epsilon.End = math.NaN() })},
+		{"epsilon start +Inf", withCfg(func(c *DQNConfig) { c.Epsilon.Start = math.Inf(1) })},
+		{"epsilon end -Inf", withCfg(func(c *DQNConfig) { c.Epsilon.End = math.Inf(-1) })},
 		{"adam lr NaN", func() error { return nn.NewAdam(math.NaN()).Step(params()) }},
 		{"sgd lr NaN", func() error { return (&nn.SGD{LR: math.NaN()}).Step(params()) }},
 		{"sample -1", func() error {
@@ -418,6 +426,67 @@ func TestSetNetworkSwapsModel(t *testing.T) {
 		if q1[i] != q2[i] {
 			t.Fatal("SetNetwork did not adopt the new weights")
 		}
+	}
+}
+
+// TestSetNetworkRejectsOtherArchitectures: a network of another shape used to
+// load without error, after which the agent silently fell back to its error
+// action (other input width) or chose among the first few actions only
+// (fewer outputs). Every layer-shape mismatch must fail, naming both shapes,
+// and leave the learner's network in place.
+func TestSetNetworkRejectsOtherArchitectures(t *testing.T) {
+	const want = "24x48 relu 48x48 relu 48x160"
+	for _, tc := range []struct {
+		sizes []int
+		got   string // "" = accepted
+	}{
+		{[]int{24, 48, 48, 160}, ""},
+		{[]int{10, 48, 48, 160}, "10x48 relu 48x48 relu 48x160"},
+		{[]int{24, 48, 48, 7}, "24x48 relu 48x48 relu 48x7"},
+		{[]int{24, 32, 48, 160}, "24x32 relu 32x48 relu 48x160"},
+		{[]int{24, 48, 160}, "24x48 relu 48x160"},
+		{[]int{24, 48, 48, 48, 160}, "24x48 relu 48x48 relu 48x48 relu 48x160"},
+	} {
+		d, err := NewDQN(DefaultDQNConfig(24, 160))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := d.Network()
+		net, err := nn.NewMLP(tc.sizes, rand.New(rand.NewSource(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = d.SetNetwork(net)
+		if tc.got == "" {
+			if err != nil {
+				t.Errorf("%v: %v", tc.sizes, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%v: loaded into a %s learner without error", tc.sizes, want)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "["+tc.got+"]") || !strings.Contains(msg, "["+want+"]") {
+			t.Errorf("%v: error %q does not name both shapes", tc.sizes, msg)
+		}
+		if d.Network() != before {
+			t.Errorf("%v: rejected network replaced the learner's", tc.sizes)
+		}
+	}
+
+	// A bias of the wrong width is a shape mismatch too.
+	d, err := NewDQN(DefaultDQNConfig(24, 160))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := d.Network().Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Layers[0].(*nn.Dense).B.Value = nn.NewMatrix(1, 47)
+	if err := d.SetNetwork(net); err == nil || !strings.Contains(err.Error(), "24x48+bias1x47") {
+		t.Errorf("bias 1x47: got %v", err)
 	}
 }
 

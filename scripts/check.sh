@@ -40,6 +40,15 @@ go test -count=1 -tags noasm ./internal/nn ./internal/rl ./internal/policy
 go test -count=1 -tags noasm -run '^TestTrainDQNWeightsDigest$' .
 go test -race -count=1 -run 'TestEngine' ./internal/policy
 
+# Those bits also hold on machines with fused multiply-add only if gc never
+# fuses a product into an add in nn or rl (an FMA rounds once where the
+# portable loops round twice). A float64(...) conversion around a product
+# forbids the fusion; fail if the arm64 assembly of either package still holds
+# a fused op (an empty or failed listing, with no FMULD, fails too).
+fused=$(GOARCH=arm64 go build -gcflags=-S ./internal/nn ./internal/rl 2>&1 |
+	awk '/FMULD/ { listed = 1 } /[[:space:]]FN?M(ADD|SUB)D[[:space:]]/ { print } END { if (!listed) print "no arm64 listing" }')
+test -z "$fused"
+
 # The sweep-point cache shares memoized counters and trained schemes across
 # concurrent experiment runs, and field runs claim scheme entries from it
 # concurrently; its claim/wait protocol must stay race-clean and
@@ -61,11 +70,13 @@ go test -race -count=1 -run 'TestFieldShardEquivalence|TestEnginePooledClustersC
 
 # Benchmark smoke: one iteration each of the Go micro-benchmarks that
 # CHANGES.md cites as per-layer evidence (sweep cache, batched policy
-# engine, DQN update, batcher admission, decide body, field engine), so
-# they stay runnable. End-to-end numbers come from perfbench, not from here.
+# engine, DQN update, dense train step, batcher admission, decide body, field
+# engine), so they stay runnable. End-to-end numbers come from perfbench, not
+# from here.
 go test -run '^$' -bench '^BenchmarkAllSweeps$' -benchtime 1x .
 go test -run '^$' -bench '^BenchmarkPolicyBatch$' -benchtime 1x ./internal/policy
 go test -run '^$' -bench '^BenchmarkDQNTrainStep$' -benchtime 1x ./internal/rl
+go test -run '^$' -bench '^BenchmarkTrainStepBatch64$' -benchtime 1x ./internal/nn
 go test -run '^$' -bench '^BenchmarkBatcherDecide$' -benchtime 1x ./internal/serve
 go test -run '^$' -bench '^BenchmarkDecideBody$' -benchtime 1x ./internal/serve
 go test -run '^$' -bench '^BenchmarkFieldEngine/nodes-1e3$' -benchtime 1x ./internal/iot
