@@ -13,6 +13,7 @@ package env
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"ctjam/internal/fault"
@@ -338,6 +339,19 @@ func (e *Environment) State() State {
 	}
 }
 
+// maxRNGState bounds the stream position an environment reaches in slots
+// steps, so SetState never replays a crafted position: Reset draws the
+// victim's first channel (one Intn) and each Step lets the jammer make at
+// most jammer.MaxStepDraws calls. A call takes one generator step unless
+// Intn or Float64 rejects a draw and takes another, so twice the call count
+// leaves ample room.
+func maxRNGState(slots int) uint64 {
+	if slots > 1<<60 {
+		return math.MaxUint64
+	}
+	return 2 * (1 + jammer.MaxStepDraws*uint64(slots))
+}
+
 // SetState restores a snapshot taken with State. The environment must have
 // been built with the same Config; kind and range validation of the jammer
 // payload is delegated to the strategy.
@@ -347,6 +361,9 @@ func (e *Environment) SetState(st State) error {
 	}
 	if st.Slot < 0 {
 		return fmt.Errorf("env: state slot %d must be non-negative", st.Slot)
+	}
+	if limit := maxRNGState(st.Slot); st.RNG > limit {
+		return fmt.Errorf("env: state RNG position %d beyond the %d that %d slots can reach", st.RNG, limit, st.Slot)
 	}
 	if err := e.jam.SetState(st.Jammer); err != nil {
 		return err

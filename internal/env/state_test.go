@@ -3,6 +3,7 @@ package env
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"ctjam/internal/fault"
 	"ctjam/internal/jammer"
@@ -91,6 +92,46 @@ func TestSetStateRejectsInvalid(t *testing.T) {
 	bad.Jammer = jammer.State{Kind: "reactive", Ints: []int64{0, 0}}
 	if err := e.SetState(bad); err == nil {
 		t.Fatal("wrong-kind jammer state accepted")
+	}
+}
+
+// TestSetStateRejectsUnreachableRNGPosition: a position past what the
+// snapshot's slot count allows is refused before any replay, so a crafted
+// one cannot hang the restore; the largest reachable one is accepted.
+func TestSetStateRejectsUnreachableRNGPosition(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Jammer = "adaptive:explore=0.5"
+	cfg.JammerMode = jammer.ModeRandom
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scripted(e, 300)
+	base := e.State()
+	if limit := maxRNGState(base.Slot); base.RNG > limit/2 {
+		t.Fatalf("300 slots took %d draws, over half the %d bound", base.RNG, limit)
+	}
+	for _, tc := range []struct {
+		name string
+		rng  uint64
+		ok   bool
+	}{
+		{"live", base.RNG, true},
+		{"at the bound", maxRNGState(base.Slot), true},
+		{"one past the bound", maxRNGState(base.Slot) + 1, false},
+		{"2^30", 1 << 30, false},
+		{"near 2^64", 1<<64 - 1, false},
+	} {
+		st := base
+		st.RNG = tc.rng
+		start := time.Now()
+		err := e.SetState(st)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: SetState(RNG=%d) = %v, want ok=%v", tc.name, tc.rng, err, tc.ok)
+		}
+		if !tc.ok && time.Since(start) > time.Second {
+			t.Errorf("%s: rejection took %v", tc.name, time.Since(start))
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package iot
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -59,6 +60,9 @@ type cluster struct {
 	rng      *rand.Rand
 	agentRNG *rand.Rand
 	jam      jammer.Strategy
+	// jamBuilt is what jam was built from; reset rewinds jam in place
+	// while the next run asks for the same jammer.
+	jamBuilt jamBuild
 
 	now         time.Duration
 	nextJamSlot time.Duration
@@ -83,6 +87,22 @@ type cluster struct {
 
 	// flt is runSlot's scratch for the slot's injected faults.
 	flt fault.Slot
+}
+
+// jamBuild records the arguments a cluster's jammer was built with. The
+// generator is not among them: a cluster value makes its rng once and
+// builds every jammer on it.
+type jamBuild struct {
+	spec            string
+	channels, width int
+	powers          []float64
+	mode            jammer.PowerMode
+}
+
+// matches reports whether a strategy built from b is the one cfg asks for.
+func (b *jamBuild) matches(cfg *Config) bool {
+	return b.spec == cfg.Jammer && b.channels == cfg.Channels && b.width == cfg.SweepWidth &&
+		b.mode == cfg.JammerMode && slices.Equal(b.powers, cfg.JamPowers)
 }
 
 // newCluster validates cfg and builds a ready-to-run cluster.
@@ -119,14 +139,26 @@ func (c *cluster) reset() error {
 		}
 		c.frameSymbols = syms
 	}
-	if c.cfg.JammerEnabled {
+	switch {
+	case !c.cfg.JammerEnabled:
+		c.jam = nil
+	case c.jam != nil && c.jamBuilt.matches(&c.cfg):
+		// Construction draws nothing from the RNG, so rewinding the
+		// strategy built for an earlier run equals building it afresh.
+		c.jam.Reset()
+	default:
 		jam, err := jammer.New(c.cfg.Jammer, c.cfg.Channels, c.cfg.SweepWidth, c.cfg.JamPowers, c.cfg.JammerMode, c.rng)
 		if err != nil {
 			return fmt.Errorf("iot: build jammer: %w", err)
 		}
 		c.jam = jam
-	} else {
-		c.jam = nil
+		c.jamBuilt = jamBuild{
+			spec:     c.cfg.Jammer,
+			channels: c.cfg.Channels,
+			width:    c.cfg.SweepWidth,
+			powers:   append(c.jamBuilt.powers[:0], c.cfg.JamPowers...),
+			mode:     c.cfg.JammerMode,
+		}
 	}
 	c.arbiter = nil
 	if c.cfg.UseCSMA {

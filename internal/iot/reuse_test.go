@@ -169,10 +169,31 @@ func TestEngineBuildMemory(t *testing.T) {
 	}
 }
 
+// freshEngineRun runs eng's field with every cluster built afresh by
+// newCluster, bypassing the pool: the reference a pooled run must match.
+func freshEngineRun(t *testing.T, eng *Engine, slots int) EngineStats {
+	t.Helper()
+	per := make([]RunStats, eng.Clusters())
+	for i := range per {
+		c, err := newCluster(eng.clusterConfig(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if per[i], err = c.run(randomAgent(t, c.cfg), slots); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return eng.merge(per)
+}
+
 // TestEnginePooledClustersCarryNothing runs fields of different shapes —
 // plain, faulted, CSMA, another jammer — concurrently and repeatedly
 // through the shared cluster pool; each must equal its own first run, so
-// no state leaks between the runs that reuse one cluster value.
+// no state leaks between the runs that reuse one cluster value. Then three
+// engines whose jammers differ in spec alone or in powers alone take turns
+// on the pool, so a pooled cluster rewinds its jammer within a run and
+// rebuilds it between runs; each run must equal a build with no pooled
+// cluster at all.
 func TestEnginePooledClustersCarryNothing(t *testing.T) {
 	plain := engineTemplate()
 	faulted := engineTemplate()
@@ -220,5 +241,35 @@ func TestEnginePooledClustersCarryNothing(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+
+	adaptive := engineTemplate()
+	adaptive.Jammer = "adaptive:alpha=0.3,explore=0.2"
+	adaptive.JammerMode = jammer.ModeRandom
+	budget := adaptive
+	budget.Jammer = "budget:duty=0.5,burst=2"
+	quieter := adaptive
+	quieter.JamPowers = []float64{20, 35}
+	jamCfgs := []Config{adaptive, budget, quieter}
+	engines := make([]*Engine, len(jamCfgs))
+	fresh := make([]EngineStats, len(jamCfgs))
+	for i, cfg := range jamCfgs {
+		eng, err := NewEngine(EngineConfig{Clusters: 5, Template: cfg, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[i], fresh[i] = eng, freshEngineRun(t, eng, 12)
+	}
+	for round := 0; round < 2*len(jamCfgs); round++ {
+		i := round % len(jamCfgs)
+		got, err := engines[i].Run(func(int) (env.Agent, error) {
+			return core.NewRandomFH(adaptive.Channels, adaptive.SweepWidth, len(adaptive.TxPowers))
+		}, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, fresh[i]) {
+			t.Errorf("round %d: engine %d's pooled run differs from its fresh build", round, i)
+		}
 	}
 }

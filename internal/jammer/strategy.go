@@ -47,6 +47,13 @@ type Strategy interface {
 	Reset()
 }
 
+// MaxStepDraws bounds the rand.Rand calls one Strategy.Step makes on the
+// shared RNG: the adaptive jammer's exploration coin and block pick, then
+// the emitter's power pick. The sweeper's block pick and the reactive
+// detector's miss coin stay within it, and the budget wrapper draws nothing
+// of its own. Owners restoring a stream position bound it with this.
+const MaxStepDraws = 3
+
 // State is a serializable snapshot of any Strategy's mutable state: the kind
 // tag plus flat integer/float payloads whose layout is private to the
 // strategy, and an optional inner state for wrapper strategies (the

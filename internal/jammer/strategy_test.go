@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"ctjam/internal/rng"
 )
 
 // conformanceSpecs is the shared roster of the cross-strategy conformance
@@ -179,6 +181,29 @@ func TestStrategyResetRestartsCleanly(t *testing.T) {
 			s.Reset()
 			if got := s.State(); !reflect.DeepEqual(got, fresh) {
 				t.Fatalf("Reset state != fresh state:\ngot  %+v\nwant %+v", got, fresh)
+			}
+		})
+	}
+}
+
+// TestStrategyStepDrawBound pins MaxStepDraws: over a long victim walk no
+// Step of any strategy, an exploring adaptive jammer included, takes more
+// generator steps from the shared RNG.
+func TestStrategyStepDrawBound(t *testing.T) {
+	walk := victimWalk(31, 2000)
+	for _, spec := range append(conformanceSpecs(), "adaptive:explore=0.9", "budget:duty=0.9,over=(adaptive:explore=0.9)") {
+		t.Run(spec, func(t *testing.T) {
+			r, src := rng.New(4)
+			s := buildStrategy(t, spec, r)
+			if src.State() != 0 {
+				t.Fatalf("construction took %d draws", src.State())
+			}
+			for i, ch := range walk {
+				before := src.State()
+				observe(t, s, ch)
+				if n := src.State() - before; n > MaxStepDraws {
+					t.Fatalf("slot %d: Step took %d draws, MaxStepDraws is %d", i, n, MaxStepDraws)
+				}
 			}
 		})
 	}

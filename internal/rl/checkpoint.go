@@ -88,6 +88,24 @@ func readStateHeader(r io.Reader) (stateHeader, error) {
 	return h, nil
 }
 
+// maxRNGState bounds the exploration stream position of a learner whose
+// counters read envSteps and trainSteps, so LoadState never replays a
+// crafted position. The stream's calls are: construction's Xavier init, one
+// Float64 per weight (counting the biases too only loosens the bound); one
+// Float64 and at most one Intn per SelectAction, that is per env step plus
+// one selection not yet observed; and BatchSize Intn per TrainStep. A call
+// takes one generator step unless Float64 or Intn rejects a draw and takes
+// another, so twice the call count leaves ample room. With envSteps at most
+// 2⁴⁰ nothing here overflows for any batch size a replay buffer can hold.
+func (d *DQN) maxRNGState(envSteps, trainSteps uint64) uint64 {
+	var weights uint64
+	for _, p := range d.params {
+		weights += uint64(len(p.Value.Data))
+	}
+	calls := weights + 2*(envSteps+1) + trainSteps*uint64(d.cfg.BatchSize)
+	return 2 * calls
+}
+
 // LoadState restores state written by SaveState into d, which must have been
 // built with the same DQNConfig. On any error d is left unchanged.
 func (d *DQN) LoadState(r io.Reader) error {
@@ -102,6 +120,9 @@ func (d *DQN) LoadState(r io.Reader) error {
 	}
 	if h.envSteps > 1<<40 || h.trainSteps > h.envSteps {
 		return fmt.Errorf("%w: implausible counters env=%d train=%d", ErrBadCheckpoint, h.envSteps, h.trainSteps)
+	}
+	if limit := d.maxRNGState(h.envSteps, h.trainSteps); h.rngState > limit {
+		return fmt.Errorf("%w: RNG position %d beyond the %d the counters allow", ErrBadCheckpoint, h.rngState, limit)
 	}
 	online, err := nn.Load(r)
 	if err != nil {

@@ -2,9 +2,11 @@ package rl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 func smallDQN(t *testing.T, seed int64) *DQN {
@@ -132,5 +134,71 @@ func TestLoadStateRejectsCorruptStreams(t *testing.T) {
 	}
 	if !bytes.Equal(before.Bytes(), after.Bytes()) {
 		t.Fatal("failed load mutated the learner")
+	}
+}
+
+// TestLoadStateRejectsUnreachableRNGPosition patches the CTDQ header's RNG
+// position: any value past what the header's step counters allow must fail
+// with ErrBadCheckpoint at once, before a single draw is replayed, and
+// leave the learner unchanged; the largest allowed value still loads.
+func TestLoadStateRejectsUnreachableRNGPosition(t *testing.T) {
+	// Header: 8-byte magic+version, two uint32 dims, then the uint64
+	// envSteps, trainSteps, rngSeed and rngState.
+	const (
+		envStepsAt = 16
+		rngStateAt = 40
+	)
+	snapshot := func(d *DQN) []byte {
+		var b bytes.Buffer
+		if err := d.SaveState(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	untrained := smallDQN(t, 5)
+	trained := smallDQN(t, 5)
+	drive(t, trained, 30, 7)
+	limit := trained.maxRNGState(uint64(trained.EnvSteps()), uint64(trained.TrainSteps()))
+	if got := trained.rngSrc.State(); got > limit/2 {
+		t.Fatalf("30 steps took %d draws, over half the %d bound", got, limit)
+	}
+	for _, tc := range []struct {
+		name     string
+		from     *DQN
+		envSteps uint64 // 0 keeps the saved counter
+		rngState uint64
+		ok       bool
+	}{
+		{"0-step learner at 2^30", untrained, 0, 1 << 30, false},
+		{"0-step learner near 2^63", untrained, 0, 1<<63 - 1, false},
+		{"trained learner one past its bound", trained, 0, limit + 1, false},
+		{"trained learner at its bound", trained, 0, limit, true},
+		{"counters at their cap, position past it", trained, 1 << 40, 1<<64 - 1, false},
+	} {
+		data := append([]byte(nil), snapshot(tc.from)...)
+		if tc.envSteps != 0 {
+			binary.LittleEndian.PutUint64(data[envStepsAt:], tc.envSteps)
+		}
+		binary.LittleEndian.PutUint64(data[rngStateAt:], tc.rngState)
+		d := smallDQN(t, 9)
+		before := snapshot(d)
+		start := time.Now()
+		err := d.LoadState(bytes.NewReader(data))
+		elapsed := time.Since(start)
+		if tc.ok {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrBadCheckpoint) {
+			t.Errorf("%s: got %v, want ErrBadCheckpoint", tc.name, err)
+		}
+		if elapsed > time.Second {
+			t.Errorf("%s: rejection took %v", tc.name, elapsed)
+		}
+		if !bytes.Equal(snapshot(d), before) {
+			t.Errorf("%s: failed load mutated the learner", tc.name)
+		}
 	}
 }

@@ -116,6 +116,49 @@ func TestFastReseedInPlace(t *testing.T) {
 	}
 }
 
+// TestSeedKernelMatchesPortable runs the AVX2 kernel and the portable loop
+// on the same seeds and requires equal registers, at every edge seed and at
+// 10⁴ random ones.
+func TestSeedKernelMatchesPortable(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("AVX2 kernel not available")
+	}
+	seeds := append([]int64(nil), edgeSeeds...)
+	r := rand.New(rand.NewSource(607))
+	for len(seeds) < len(edgeSeeds)+10000 {
+		seeds = append(seeds, int64(r.Uint64()))
+	}
+	var got, want [regLen]uint64
+	for _, seed := range seeds {
+		s := reduceSeed(seed)
+		seedRegister(&got, s)
+		seedPortable(&want, cooked, s, 0)
+		if got != want {
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d word %d: kernel %#x, portable %#x", seed, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// FuzzFastSeed checks that for any seed the first 700 draws, past one full
+// register turn, equal rand.NewSource's. Its committed corpus
+// (testdata/fuzz/FuzzFastSeed) holds the edgeSeeds.
+func FuzzFastSeed(f *testing.F) {
+	fast := &Fast{}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		fast.Seed(seed)
+		want := rand.NewSource(seed).(rand.Source64)
+		for i := 0; i < 700; i++ {
+			if g, w := fast.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("seed %d draw %d: %d != %d", seed, i, g, w)
+			}
+		}
+	})
+}
+
 // TestSeedAllocs guards the point of Fast: reseeding a Fast, or a Source,
 // and restoring a Source allocate nothing.
 func TestSeedAllocs(t *testing.T) {

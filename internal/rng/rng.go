@@ -20,21 +20,36 @@
 //
 // Fast reimplements the standard additive lagged-Fibonacci generator
 // (x_n = x_{n-607} + x_{n-273} mod 2⁶⁴). Seeding XORs a seed-derived word
-// u_i(seed), built from the Lehmer sequence x ← 48271·x mod (2³¹−1), into
-// each word of a fixed 607-word "cooked" table. The table is not copied from
-// the standard library: init recovers it from the first 607 Uint64 draws of
-// rand.NewSource(1). Draw j (1-based) adds the register word at the tap
-// index −j mod 607 to the one at the feed index 334−j mod 607 and stores
-// the sum at the feed index, so with V the register right after seeding:
+// u_i(seed) into each word of a fixed 607-word "cooked" table. The standard
+// library builds the u_i by walking the Lehmer sequence
+// x_n = 48271ⁿ·s mod M, M = 2³¹−1, from the reduced seed s one dependent
+// multiplication at a time: 20 warm-up steps, then x_{21+3i}, x_{22+3i} and
+// x_{23+3i} make u_i = x_{21+3i}<<40 ^ x_{22+3i}<<20 ^ x_{23+3i}. Fast instead
+// keeps a table of the powers 48271^(21+3i+k) built once at init, so every
+// x it needs is one product s·48271ⁿ mod M and no word depends on another:
+// a portable loop serves every build, and on amd64 an AVX2 kernel computes
+// four words at a time.
+//
+// A product p = s·P is reduced mod M by one Mersenne fold,
+// t = (p & M) + (p >> 31), and one correction. One fold suffices: with
+// 0 < s, P < M the product is below M·2³¹, so t < 2M, and t ≠ M because the
+// prime M divides neither factor. The kernel then picks t or t − M on the
+// sign of t − M; the portable loop folds t once more, which maps such a t to
+// t mod M without a branch. Both yield exactly the value of the standard
+// library's Schrage division.
+//
+// The cooked table is not copied from the standard library: init recovers
+// it from the first 607 Uint64 draws of rand.NewSource(1). Draw j (1-based)
+// adds the register word at the tap index −j mod 607 to the one at the feed
+// index 334−j mod 607 and stores the sum at the feed index, so with V the
+// register right after seeding:
 //
 //   - for j = 274…607 the tap word was written by draw j−273, which gives
 //     V[(334−j) mod 607] = x_j − x_{j−273};
 //   - for j = 1…273 the tap word is still V[607−j], known from the first
 //     step, which gives V[334−j] = x_j − V[607−j];
 //
-// and cooked[i] = V[i] ^ u_i(1). The Lehmer products are reduced mod
-// M = 2³¹−1 by folding, p ≡ (p & M) + (p >> 31), which yields exactly the
-// value of the standard library's Schrage division.
+// and cooked[i] = V[i] ^ u_i(1).
 package rng
 
 import "math/rand"
@@ -65,43 +80,49 @@ func recoverCooked() *[regLen]uint64 {
 	for j := 1; j <= regTap; j++ {
 		v[regLen-regTap-j] = x[j] - v[regLen-j]
 	}
-	var u, out [regLen]uint64
-	seedWords(&u, 1)
-	for i := range out {
-		out[i] = v[i] ^ u[i]
-	}
-	return &out
+	seedPortable(&v, &v, 1, 0)
+	return &v
 }
 
-// lehmer is the seeding multiplier; lehmerPow[n] is lehmer^n mod 2³¹−1.
+// lehmer is the seeding multiplier.
 const lehmer = 48271
 
-var lehmerPow = func() (p [21]uint64) {
-	p[0] = 1
-	for n := 1; n < len(p); n++ {
-		p[n] = mulmod(p[n-1], lehmer)
+// powGroup holds the Lehmer powers of four consecutive register words:
+// powGroup[k][j] is 48271^(21+3i+k) mod 2³¹−1 for word i = 4g+j of group g.
+// This is the layout seedAVX2 loads, one 32-byte vector per k.
+type powGroup [3][4]uint64
+
+// seedGroups is the number of whole four-word groups; the remaining
+// regLen%4 words sit in a final, partly used group.
+const seedGroups = regLen / 4
+
+// seedPow is the power table every seeding reads (about 14.6 KB).
+var seedPow = func() (t [seedGroups + 1]powGroup) {
+	x := uint64(1)
+	for n := 0; n < 20; n++ {
+		x = mulmod(x, lehmer)
 	}
-	return p
+	for i := 0; i < regLen; i++ {
+		for k := range t[i/4] {
+			x = mulmod(x, lehmer)
+			t[i/4][k][i%4] = x
+		}
+	}
+	return t
 }()
 
-// mulmod returns x·k mod 2³¹−1 for x, k < 2³¹, by Mersenne reduction.
+// mulmod returns x·k mod 2³¹−1 for x, k < 2³¹−1. The first Mersenne fold
+// leaves t < 2M with t ≠ M (see the package doc); the second maps such a t
+// to t mod M without a branch.
 func mulmod(x, k uint64) uint64 {
 	p := x * k
 	p = p&int32max + p>>31
-	p = p&int32max + p>>31
-	if p >= int32max {
-		p -= int32max
-	}
-	return p
+	return p&int32max + p>>31
 }
 
-// seedWords writes u_i(seed), the seed-derived words the standard generator
-// XORs into its cooked table, into u. The standard generator walks the
-// Lehmer sequence x_n = 48271ⁿ·x_0 one step at a time (20 warm-up steps,
-// then x_{21+3i}, x_{22+3i}, x_{23+3i} make word i); this takes each word's
-// three values straight from x_{20+3i} so consecutive words depend on each
-// other through one multiplication, not three.
-func seedWords(u *[regLen]uint64, seed int64) {
+// reduceSeed maps a seed to the Lehmer start value the standard generator
+// uses: seed mod 2³¹−1 in [1, 2³¹−1), with 0 replaced by a fixed seed.
+func reduceSeed(seed int64) uint64 {
 	seed %= int32max
 	if seed < 0 {
 		seed += int32max
@@ -109,13 +130,30 @@ func seedWords(u *[regLen]uint64, seed int64) {
 	if seed == 0 {
 		seed = 89482311
 	}
-	x := mulmod(uint64(seed), lehmerPow[20])
-	for i := range u {
-		a := mulmod(x, lehmer)
-		b := mulmod(x, lehmerPow[2])
-		x = mulmod(x, lehmerPow[3])
-		u[i] = a<<40 ^ b<<20 ^ x
+	return uint64(seed)
+}
+
+// seedPortable writes base[i] ^ u_i(s) into dst[i] for the register words
+// i ≥ from, s being a reduced seed. dst and base may be the same array. It is
+// the reference seedAVX2 is tested against, the tail the kernel leaves, and
+// the whole seeding on builds without the kernel.
+func seedPortable(dst, base *[regLen]uint64, s uint64, from int) {
+	for i := from; i < regLen; i++ {
+		p := &seedPow[i/4]
+		j := i % 4
+		dst[i] = base[i] ^ mulmod(s, p[0][j])<<40 ^ mulmod(s, p[1][j])<<20 ^ mulmod(s, p[2][j])
 	}
+}
+
+// seedRegister writes cooked ^ u(s) into vec, through the AVX2 kernel for
+// the whole four-word groups when the CPU has it.
+func seedRegister(vec *[regLen]uint64, s uint64) {
+	from := 0
+	if useAVX2 {
+		seedAVX2(&vec[0], &cooked[0], &seedPow[0][0][0], s, seedGroups)
+		from = 4 * seedGroups
+	}
+	seedPortable(vec, cooked, s, from)
 }
 
 // Fast is a rand.Source64 whose stream is bit-identical to
@@ -133,10 +171,7 @@ var _ rand.Source64 = (*Fast)(nil)
 func (f *Fast) Seed(seed int64) {
 	f.tap = 0
 	f.feed = regLen - regTap
-	seedWords(&f.vec, seed)
-	for i := range f.vec {
-		f.vec[i] ^= cooked[i]
-	}
+	seedRegister(&f.vec, reduceSeed(seed))
 }
 
 // Uint64 implements rand.Source64: one generator step.

@@ -1,0 +1,12 @@
+//go:build !amd64 || noasm
+
+package rng
+
+// Builds without the assembly kernel (non-amd64, or the noasm tag used by
+// the CI fallback leg) seed through seedPortable, which computes identical
+// bits.
+var useAVX2 = false
+
+func seedAVX2(dst, base, pow *uint64, s uint64, groups int) {
+	panic("rng: assembly kernel not available on this architecture")
+}

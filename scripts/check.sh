@@ -33,8 +33,10 @@ go test -race -count=1 ./cmd/ctjam-serve
 # The exact engine must give the same bits on every machine, including ones
 # without AVX: run the inference packages with the asm kernels compiled out
 # (noasm) so the pure-Go fallbacks stay proven, and the committed-checkpoint
-# suite under -race since one snapshot serves many goroutines.
-go test -count=1 -tags noasm ./internal/nn ./internal/rl ./internal/policy
+# suite under -race since one snapshot serves many goroutines. The rng and
+# iot packages ride along so the portable seeding loop, not the AVX2 kernel,
+# reproduces the standard stream and every field golden.
+go test -count=1 -tags noasm ./internal/nn ./internal/rl ./internal/policy ./internal/rng ./internal/iot
 # Training runs on the same GEMM as inference; with the asm compiled out the
 # portable kernel must train a network with the same SHA-256.
 go test -count=1 -tags noasm -run '^TestTrainDQNWeightsDigest$' .
@@ -95,6 +97,7 @@ go test -run '^$' -fuzz FuzzSchemeRoundTrip -fuzztime "$FUZZTIME" ./internal/cor
 go test -run '^$' -fuzz FuzzJammerSpec -fuzztime "$FUZZTIME" ./internal/jammer
 go test -run '^$' -fuzz FuzzFaultParse -fuzztime "$FUZZTIME" ./internal/fault
 go test -run '^$' -fuzz FuzzDecideBody -fuzztime "$FUZZTIME" ./internal/serve
+go test -run '^$' -fuzz FuzzFastSeed -fuzztime "$FUZZTIME" ./internal/rng
 
 # Coverage floor: the signal-processing and learner packages back every
 # experiment, and the experiment harness and policy engine back every

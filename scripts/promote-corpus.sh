@@ -41,7 +41,8 @@ promote internal/core FuzzSchemeRoundTrip
 promote internal/jammer FuzzJammerSpec
 promote internal/fault FuzzFaultParse
 promote internal/serve FuzzDecideBody
+promote internal/rng FuzzFastSeed
 
 # Replay the (possibly grown) corpora: a promoted input that fails belongs
 # in a bug report, not in the committed corpus.
-go test -count=1 ./internal/phy/zigbee ./internal/phy/wifi ./internal/rl ./internal/nn ./internal/core ./internal/jammer ./internal/fault ./internal/serve
+go test -count=1 ./internal/phy/zigbee ./internal/phy/wifi ./internal/rl ./internal/nn ./internal/core ./internal/jammer ./internal/fault ./internal/serve ./internal/rng
