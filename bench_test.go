@@ -7,7 +7,6 @@ package ctjam_test
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"runtime"
 	"testing"
 
@@ -16,6 +15,7 @@ import (
 	"ctjam/internal/env"
 	"ctjam/internal/experiments"
 	"ctjam/internal/jammer"
+	"ctjam/internal/rng"
 )
 
 // benchExperiment runs one registered experiment per iteration.
@@ -172,8 +172,8 @@ func BenchmarkTraining(b *testing.B) { benchExperiment(b, "train") }
 // transmits at the highest power level.
 type stayMaxPower struct{ powers int }
 
-func (a stayMaxPower) Name() string         { return "PC-only" }
-func (a stayMaxPower) Reset(rng *rand.Rand) {}
+func (a stayMaxPower) Name() string      { return "PC-only" }
+func (a stayMaxPower) Reset(*rng.Source) {}
 func (a stayMaxPower) Decide(prev env.SlotInfo) env.Decision {
 	return env.Decision{Channel: prev.Channel, Power: a.powers - 1}
 }

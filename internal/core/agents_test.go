@@ -2,13 +2,13 @@ package core
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 
 	"ctjam/internal/env"
 	"ctjam/internal/jammer"
 	"ctjam/internal/metrics"
 	"ctjam/internal/policy"
+	"ctjam/internal/rng"
 )
 
 func runAgent(t *testing.T, cfg env.Config, a env.Agent, slots int) metrics.Counters {
@@ -28,10 +28,10 @@ func runAgent(t *testing.T, cfg env.Config, a env.Agent, slots int) metrics.Coun
 }
 
 func TestHopTargetLeavesBlock(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	src := rng.NewSource(1)
 	for i := 0; i < 500; i++ {
-		cur := rng.Intn(16)
-		got := policy.HopTarget(rng, cur, 16, 4)
+		cur := src.Intn(16)
+		got := policy.HopTarget(src, cur, 16, 4)
 		if got < 0 || got >= 16 {
 			t.Fatalf("hop target %d out of range", got)
 		}
@@ -42,9 +42,9 @@ func TestHopTargetLeavesBlock(t *testing.T) {
 }
 
 func TestHopTargetUnevenChannels(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
+	src := rng.NewSource(2)
 	for i := 0; i < 300; i++ {
-		got := policy.HopTarget(rng, 9, 10, 4) // blocks {0-3},{4-7},{8-9}
+		got := policy.HopTarget(src, 9, 10, 4) // blocks {0-3},{4-7},{8-9}
 		if got < 0 || got >= 10 {
 			t.Fatalf("hop target %d out of range", got)
 		}
@@ -80,7 +80,7 @@ func TestPassiveFHOnlyHopsAfterJamStreak(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := s.NewAgent()
-	a.Reset(rand.New(rand.NewSource(3)))
+	a.Reset(rng.NewSource(3))
 	d := a.Decide(env.SlotInfo{First: true, Channel: 5})
 	if d.Channel != 5 || d.Power != 0 {
 		t.Fatalf("first decision %+v", d)
@@ -134,7 +134,7 @@ func TestRandomFHMixesActions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Reset(rand.New(rand.NewSource(4)))
+	a.Reset(rng.NewSource(4))
 	hops, pcs := 0, 0
 	prev := env.SlotInfo{Channel: 3}
 	for i := 0; i < 500; i++ {

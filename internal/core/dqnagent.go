@@ -3,12 +3,12 @@ package core
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
 	"ctjam/internal/env"
 	"ctjam/internal/nn"
 	"ctjam/internal/policy"
 	"ctjam/internal/rl"
+	"ctjam/internal/rng"
 )
 
 // rewardScale normalizes Eq. (5) rewards (roughly [-165, -6]) into a range
@@ -223,7 +223,7 @@ func (a *DQNAgent) TrainRange(e *env.Environment, start, end int, hook func(done
 }
 
 // Reset implements env.Agent (evaluation mode: greedy, no learning).
-func (a *DQNAgent) Reset(rng *rand.Rand) { a.clearHistory() }
+func (a *DQNAgent) Reset(*rng.Source) { a.clearHistory() }
 
 // Decide implements env.Agent: it folds the previous slot into the history
 // window and plays the greedy action.

@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ctjam/internal/env"
 	"ctjam/internal/policy"
 	"ctjam/internal/rl"
+	"ctjam/internal/rng"
 )
 
 // QAgent is the tabular Q-learning comparison baseline the paper's §III-C
@@ -24,7 +24,7 @@ type QAgent struct {
 	channels   int
 	sweepWidth int
 
-	rng    *rand.Rand
+	src    *rng.Source
 	belief *policy.Belief
 }
 
@@ -44,12 +44,16 @@ func NewQAgent(m *Model, channels, sweepWidth int, seed int64) (*QAgent, error) 
 	if err != nil {
 		return nil, err
 	}
+	belief, err := policy.NewBelief(m, channels, sweepWidth)
+	if err != nil {
+		return nil, err
+	}
 	return &QAgent{
 		model:      m,
 		table:      table,
 		channels:   channels,
 		sweepWidth: sweepWidth,
-		belief:     policy.NewBelief(m, channels, sweepWidth),
+		belief:     belief,
 	}, nil
 }
 
@@ -77,7 +81,7 @@ func (a *QAgent) Train(e *env.Environment, slots int) (float64, error) {
 		return 0, fmt.Errorf("core: training slots %d must be positive", slots)
 	}
 	a.belief.Reset(nil)
-	rng := rand.New(rand.NewSource(42))
+	src := rng.NewSource(42)
 	channel := e.CurrentChannel()
 	var total float64
 	for slot := 0; slot < slots; slot++ {
@@ -91,7 +95,7 @@ func (a *QAgent) Train(e *env.Environment, slots int) (float64, error) {
 			return 0, err
 		}
 		if hop {
-			channel = policy.HopTarget(rng, channel, a.channels, a.sweepWidth)
+			channel = policy.HopTarget(src, channel, a.channels, a.sweepWidth)
 		}
 		res, err := e.Step(channel, power)
 		if err != nil {
@@ -107,9 +111,9 @@ func (a *QAgent) Train(e *env.Environment, slots int) (float64, error) {
 }
 
 // Reset implements env.Agent (evaluation mode).
-func (a *QAgent) Reset(rng *rand.Rand) {
-	a.rng = rng
-	a.belief.Reset(rng)
+func (a *QAgent) Reset(src *rng.Source) {
+	a.src = src
+	a.belief.Reset(src)
 }
 
 // Decide implements env.Agent: greedy play of the learned table.
@@ -127,7 +131,7 @@ func (a *QAgent) Decide(prev env.SlotInfo) env.Decision {
 	}
 	ch := prev.Channel
 	if hop && !prev.First {
-		ch = policy.HopTarget(a.rng, prev.Channel, a.channels, a.sweepWidth)
+		ch = policy.HopTarget(a.src, prev.Channel, a.channels, a.sweepWidth)
 	}
 	return env.Decision{Channel: ch, Power: power}
 }

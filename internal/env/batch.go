@@ -2,9 +2,9 @@ package env
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ctjam/internal/metrics"
+	"ctjam/internal/rng"
 )
 
 // BatchAgent decides for K independent links in lockstep: one call per slot
@@ -16,9 +16,9 @@ type BatchAgent interface {
 	Name() string
 	// Len returns K, the number of links the agent was built for.
 	Len() int
-	// ResetBatch prepares all K per-link states; rngs[i] is link i's
-	// private RNG (len(rngs) must be Len()).
-	ResetBatch(rngs []*rand.Rand) error
+	// ResetBatch prepares all K per-link states; srcs[i] is link i's
+	// private stream (len(srcs) must be Len()).
+	ResetBatch(srcs []*rng.Source) error
 	// DecideBatch fills out[i] with the decision for link i given prev[i].
 	// Both slices have length Len().
 	DecideBatch(prev []SlotInfo, out []Decision) error
@@ -40,12 +40,12 @@ func (b *agentBatch) Name() string { return b.agents[0].Name() }
 func (b *agentBatch) Len() int { return len(b.agents) }
 
 // ResetBatch implements BatchAgent.
-func (b *agentBatch) ResetBatch(rngs []*rand.Rand) error {
-	if len(rngs) != len(b.agents) {
-		return fmt.Errorf("env: agent batch sized for %d links, got %d rngs", len(b.agents), len(rngs))
+func (b *agentBatch) ResetBatch(srcs []*rng.Source) error {
+	if len(srcs) != len(b.agents) {
+		return fmt.Errorf("env: agent batch sized for %d links, got %d rngs", len(b.agents), len(srcs))
 	}
 	for i, a := range b.agents {
-		a.Reset(rngs[i])
+		a.Reset(srcs[i])
 	}
 	return nil
 }
@@ -91,11 +91,13 @@ func batchRun(envs []*Environment, a BatchAgent, slots int, trace bool) ([]metri
 	if slots <= 0 {
 		return nil, nil, fmt.Errorf("env: slots %d must be positive", slots)
 	}
-	rngs := make([]*rand.Rand, k)
+	// rng.NewSource streams exactly like rand.NewSource, so every agent
+	// draws the numbers it drew through a rand.Rand.
+	srcs := make([]*rng.Source, k)
 	for i, e := range envs {
-		rngs[i] = rand.New(rand.NewSource(e.cfg.Seed + 0x5eed))
+		srcs[i] = rng.NewSource(e.cfg.Seed + 0x5eed)
 	}
-	if err := a.ResetBatch(rngs); err != nil {
+	if err := a.ResetBatch(srcs); err != nil {
 		return nil, nil, fmt.Errorf("env: batch reset (agent %s): %w", a.Name(), err)
 	}
 
@@ -112,14 +114,18 @@ func batchRun(envs []*Environment, a BatchAgent, slots int, trace bool) ([]metri
 	for i, e := range envs {
 		prevs[i] = SlotInfo{First: true, Channel: e.CurrentChannel()}
 	}
+	// The loop writes each slot's result into res and each link's next
+	// observation into prevs[i] field by field: building and assigning whole
+	// structs per slot made the CPU reload them from stack copies it could
+	// not forward.
+	var res StepResult
 	for s := 0; s < slots; s++ {
 		if err := a.DecideBatch(prevs, decs); err != nil {
 			return nil, nil, fmt.Errorf("env: slot %d (agent %s): %w", s, a.Name(), err)
 		}
 		for i, e := range envs {
 			d := decs[i]
-			res, err := e.Step(d.Channel, d.Power)
-			if err != nil {
+			if err := e.step(d.Channel, d.Power, &res); err != nil {
 				return nil, nil, fmt.Errorf("env %d slot %d (agent %s): %w", i, s, a.Name(), err)
 			}
 			if trace {
@@ -156,13 +162,13 @@ func batchRun(envs []*Environment, a BatchAgent, slots int, trace bool) ([]metri
 			if res.UsefulPC {
 				c.UsefulPCs++
 			}
-			prevs[i] = SlotInfo{
-				Slot:    s + 1,
-				Channel: d.Channel,
-				Power:   d.Power,
-				Outcome: res.Outcome,
-				Hopped:  res.Hopped,
-			}
+			p := &prevs[i]
+			p.Slot = s + 1
+			p.Channel = d.Channel
+			p.Power = d.Power
+			p.Outcome = res.Outcome
+			p.Hopped = res.Hopped
+			p.First = false
 		}
 	}
 	return counters, records, nil

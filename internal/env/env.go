@@ -14,7 +14,6 @@ package env
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"ctjam/internal/fault"
 	"ctjam/internal/jammer"
@@ -175,8 +174,7 @@ type StepResult struct {
 type Environment struct {
 	cfg     Config
 	jam     jammer.Strategy
-	rng     *rand.Rand
-	rngSrc  *rng.Source
+	src     *rng.Source
 	channel int
 	slot    int
 	started bool
@@ -216,19 +214,19 @@ func (e *Environment) Slot() int { return e.slot }
 // Strategy contract), so the victim's initial channel draw is identical
 // across attacker kinds.
 func (e *Environment) Reset() {
-	if e.rngSrc == nil {
-		e.rng, e.rngSrc = rng.New(e.cfg.Seed)
+	if e.src == nil {
+		e.src = rng.NewSource(e.cfg.Seed)
 	} else {
-		e.rng.Seed(e.cfg.Seed) // in place: no new 5 KB source per reset
+		e.src.Seed(e.cfg.Seed) // in place: no new 5 KB source per reset
 	}
-	jam, err := jammer.New(e.cfg.Jammer, e.cfg.Channels, e.cfg.SweepWidth, e.cfg.JamPowers, e.cfg.JammerMode, e.rng)
+	jam, err := jammer.New(e.cfg.Jammer, e.cfg.Channels, e.cfg.SweepWidth, e.cfg.JamPowers, e.cfg.JammerMode, e.src)
 	if err != nil {
 		// Config was validated in New; a failure here is a programming
 		// error.
 		panic(fmt.Sprintf("env: jammer construction failed after validation: %v", err))
 	}
 	e.jam = jam
-	e.channel = e.rng.Intn(e.cfg.Channels)
+	e.channel = e.src.Intn(e.cfg.Channels)
 	e.slot = 0
 	e.started = false
 }
@@ -236,11 +234,22 @@ func (e *Environment) Reset() {
 // Step resolves one slot in which the victim transmits on channel with
 // power index power.
 func (e *Environment) Step(channel, power int) (StepResult, error) {
+	var res StepResult
+	if err := e.step(channel, power, &res); err != nil {
+		return StepResult{}, err
+	}
+	return res, nil
+}
+
+// step is Step writing into *res, which batchRun reuses across slots and
+// links so no result is copied through the stack. On error *res is
+// unspecified.
+func (e *Environment) step(channel, power int, res *StepResult) error {
 	if channel < 0 || channel >= e.cfg.Channels {
-		return StepResult{}, fmt.Errorf("env: channel %d out of range [0,%d)", channel, e.cfg.Channels)
+		return fmt.Errorf("env: channel %d out of range [0,%d)", channel, e.cfg.Channels)
 	}
 	if power < 0 || power >= len(e.cfg.TxPowers) {
-		return StepResult{}, fmt.Errorf("env: power index %d out of range [0,%d)", power, len(e.cfg.TxPowers))
+		return fmt.Errorf("env: power index %d out of range [0,%d)", power, len(e.cfg.TxPowers))
 	}
 
 	hopped := e.started && channel != e.channel
@@ -248,17 +257,18 @@ func (e *Environment) Step(channel, power int) (StepResult, error) {
 
 	// Capture whether the jammer was focused on the victim's previous
 	// block before it reacts, to attribute useful hops. Focus generalizes
-	// the sweeper's lock to the whole strategy zoo.
+	// the sweeper's lock to the whole strategy zoo. Only a hop can be a
+	// useful hop, and Focus neither draws nor changes state (Strategy
+	// contract), so a slot that stays skips the call.
 	lockedOnOld := false
-	if block, ok := e.jam.Focus(); ok {
-		if oldBlock, err := jammer.BlockIndex(e.cfg.Channels, e.cfg.SweepWidth, oldChannel); err == nil && block == oldBlock {
-			lockedOnOld = true
-		}
+	if hopped {
+		block, ok := e.jam.Focus()
+		lockedOnOld = ok && block == oldChannel/e.cfg.SweepWidth
 	}
 
 	jammed, jamPower, err := e.jam.Step(channel)
 	if err != nil {
-		return StepResult{}, fmt.Errorf("env: jammer step: %w", err)
+		return fmt.Errorf("env: jammer step: %w", err)
 	}
 
 	// Fold in injected faults. Burst noise acts as a second interferer:
@@ -299,22 +309,21 @@ func (e *Environment) Step(channel, power int) (StepResult, error) {
 		reward -= e.cfg.LossJam
 	}
 
-	res := StepResult{
-		Outcome:   outcome,
-		Reward:    reward,
-		Hopped:    hopped,
-		UsefulHop: hopped && lockedOnOld && outcome.Succeeded(),
-		UsefulPC: power > 0 && jammed && outcome == OutcomeJammedSurvived &&
-			e.cfg.TxPowers[0] < jamPower,
-	}
+	res.Outcome = outcome
+	res.Reward = reward
+	res.Hopped = hopped
+	res.JamPower = 0
 	if jammed {
 		res.JamPower = jamPower
 	}
+	res.UsefulHop = lockedOnOld && outcome.Succeeded()
+	res.UsefulPC = power > 0 && jammed && outcome == OutcomeJammedSurvived &&
+		e.cfg.TxPowers[0] < jamPower
 
 	e.channel = channel
 	e.slot++
 	e.started = true
-	return res, nil
+	return nil
 }
 
 // State is a serializable snapshot of a running Environment, sufficient to
@@ -331,7 +340,7 @@ type State struct {
 // State snapshots the environment for checkpointing.
 func (e *Environment) State() State {
 	return State{
-		RNG:     e.rngSrc.State(),
+		RNG:     e.src.State(),
 		Channel: e.channel,
 		Slot:    e.slot,
 		Started: e.started,
@@ -368,7 +377,7 @@ func (e *Environment) SetState(st State) error {
 	if err := e.jam.SetState(st.Jammer); err != nil {
 		return err
 	}
-	e.rngSrc.SetState(st.RNG)
+	e.src.SetState(st.RNG)
 	e.channel = st.Channel
 	e.slot = st.Slot
 	e.started = st.Started
@@ -400,8 +409,8 @@ type SlotInfo struct {
 type Agent interface {
 	// Name identifies the scheme ("RL FH", "Rand FH", "PSV FH", ...).
 	Name() string
-	// Reset prepares the agent for a fresh run.
-	Reset(rng *rand.Rand)
+	// Reset prepares the agent for a fresh run with its private stream.
+	Reset(src *rng.Source)
 	// Decide returns the channel and power for the next slot.
 	Decide(prev SlotInfo) Decision
 }

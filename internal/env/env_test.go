@@ -8,6 +8,7 @@ import (
 
 	"ctjam/internal/fault"
 	"ctjam/internal/jammer"
+	"ctjam/internal/rng"
 )
 
 func TestDefaultConfig(t *testing.T) {
@@ -255,8 +256,8 @@ func TestStaticVictimJamRateMatchesSweepCycle(t *testing.T) {
 // locked jammer; crossing blocks does.
 type hopEverySlotAgent struct{ cur int }
 
-func (a *hopEverySlotAgent) Name() string         { return "hop-always" }
-func (a *hopEverySlotAgent) Reset(rng *rand.Rand) { a.cur = 0 }
+func (a *hopEverySlotAgent) Name() string      { return "hop-always" }
+func (a *hopEverySlotAgent) Reset(*rng.Source) { a.cur = 0 }
 func (a *hopEverySlotAgent) Decide(prev SlotInfo) Decision {
 	if prev.First {
 		a.cur = prev.Channel
@@ -269,8 +270,8 @@ func (a *hopEverySlotAgent) Decide(prev SlotInfo) Decision {
 // stayInBlockAgent hops every slot but never leaves its starting block.
 type stayInBlockAgent struct{ cur int }
 
-func (a *stayInBlockAgent) Name() string         { return "hop-in-block" }
-func (a *stayInBlockAgent) Reset(rng *rand.Rand) {}
+func (a *stayInBlockAgent) Name() string      { return "hop-in-block" }
+func (a *stayInBlockAgent) Reset(*rng.Source) {}
 func (a *stayInBlockAgent) Decide(prev SlotInfo) Decision {
 	if prev.First {
 		a.cur = prev.Channel
@@ -468,5 +469,51 @@ func TestStepAllocs(t *testing.T) {
 				t.Fatalf("Step allocates %v objects per slot, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestBatchRunAllocs pins that the lockstep loop allocates only per run, never
+// per slot: a BatchRun over links under every attacker kind makes as many
+// allocations at 4000 slots as at 2000.
+func TestBatchRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	var envs []*Environment
+	var agents []Agent
+	for i, spec := range []string{"", "reactive:delay=2,miss=0.1,hold=1", "adaptive", "budget:duty=0.5,burst=2"} {
+		cfg := DefaultConfig()
+		cfg.Jammer = spec
+		cfg.JammerMode = jammer.ModeRandom
+		cfg.Seed = int64(40 + i)
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs = append(envs, e)
+		if i%2 == 0 {
+			agents = append(agents, &hopEverySlotAgent{})
+		} else {
+			agents = append(agents, stayAgent{})
+		}
+	}
+	batch := &agentBatch{agents: agents}
+	allocs := func(slots int) float64 {
+		var runErr error
+		n := testing.AllocsPerRun(5, func() {
+			for _, e := range envs {
+				e.Reset()
+			}
+			if _, err := BatchRun(envs, batch, slots); err != nil {
+				runErr = err
+			}
+		})
+		if runErr != nil {
+			t.Fatal(runErr)
+		}
+		return n
+	}
+	if short, long := allocs(2000), allocs(4000); short != long {
+		t.Fatalf("BatchRun makes %v allocations at 2000 slots, %v at 4000: the slot loop allocates", short, long)
 	}
 }

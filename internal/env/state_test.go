@@ -1,19 +1,19 @@
 package env
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
 	"ctjam/internal/fault"
 	"ctjam/internal/jammer"
+	"ctjam/internal/rng"
 )
 
 // stayAgent never defends: fixed channel, lowest power.
 type stayAgent struct{}
 
 func (stayAgent) Name() string               { return "stay" }
-func (stayAgent) Reset(*rand.Rand)           {}
+func (stayAgent) Reset(*rng.Source)          {}
 func (stayAgent) Decide(p SlotInfo) Decision { return Decision{Channel: p.Channel, Power: 0} }
 
 // scripted drives the environment with a deterministic channel/power pattern.

@@ -31,10 +31,6 @@ var dataFrameSymbols = sync.OnceValues(func() ([]uint8, error) {
 	return zigbee.BytesToSymbols(frame), nil
 })
 
-// newRand returns a generator over an unseeded rng.Fast, which streams
-// exactly like rand.NewSource once seeded through rand.Rand.Seed.
-func newRand() *rand.Rand { return rand.New(new(rng.Fast)) }
-
 // jamSpan is one continuous jamming emission on a channel block.
 type jamSpan struct {
 	start, end time.Duration
@@ -54,11 +50,14 @@ type jamSpan struct {
 // worker at a time.
 type cluster struct {
 	cfg Config
-	// rng is the cluster stream (overheads, jammer, arbiter, first
-	// channel), seeded with cfg.Seed; agentRNG is the agent's stream,
-	// seeded with cfg.Seed+0x5eed. Both are reseeded in place every run.
+	// src is the cluster stream (overheads, jammer, arbiter, first
+	// channel), seeded with cfg.Seed; rng draws from it for the callers
+	// that take a rand.Rand. agentSrc is the agent's stream, seeded with
+	// cfg.Seed+0x5eed. Both streams are reseeded in place every run and
+	// stream exactly like rand.NewSource.
+	src      *rng.Source
 	rng      *rand.Rand
-	agentRNG *rand.Rand
+	agentSrc *rng.Source
 	jam      jammer.Strategy
 	// jamBuilt is what jam was built from; reset rewinds jam in place
 	// while the next run asks for the same jammer.
@@ -122,10 +121,12 @@ func newCluster(cfg Config) (*cluster, error) {
 // it, exactly as the original Simulator did, so goldens pinned against the
 // pre-sharding code reproduce bit-for-bit.
 func (c *cluster) reset() error {
-	if c.rng == nil {
-		c.rng = newRand()
+	if c.src == nil {
+		c.src = rng.NewSource(c.cfg.Seed)
+		c.rng = rand.New(c.src)
+	} else {
+		c.src.Seed(c.cfg.Seed)
 	}
-	c.rng.Seed(c.cfg.Seed)
 	c.now = 0
 	c.nextJamSlot = 0
 	c.spans = c.spans[:0] // keep capacity across resets
@@ -147,7 +148,7 @@ func (c *cluster) reset() error {
 		// strategy built for an earlier run equals building it afresh.
 		c.jam.Reset()
 	default:
-		jam, err := jammer.New(c.cfg.Jammer, c.cfg.Channels, c.cfg.SweepWidth, c.cfg.JamPowers, c.cfg.JammerMode, c.rng)
+		jam, err := jammer.New(c.cfg.Jammer, c.cfg.Channels, c.cfg.SweepWidth, c.cfg.JamPowers, c.cfg.JammerMode, c.src)
 		if err != nil {
 			return fmt.Errorf("iot: build jammer: %w", err)
 		}
@@ -262,7 +263,7 @@ func (c *cluster) runSlot(channel, power int, hopped bool) (SlotStats, error) {
 	overheadDur := c.cfg.Timing.sample(c.cfg.Timing.DQNDecision, c.rng)
 	for n := 0; n < c.cfg.Nodes; n++ {
 		overheadDur += c.cfg.Timing.sample(c.cfg.Timing.PollPerNode, c.rng)
-		if c.rng.Float64() < c.cfg.Timing.OffChannelProb {
+		if c.src.Float64() < c.cfg.Timing.OffChannelProb {
 			overheadDur += c.cfg.Timing.sampleRecovery(c.rng)
 		}
 	}
@@ -488,14 +489,15 @@ func (c *cluster) run(agent env.Agent, slots int) (RunStats, error) {
 	if err := c.reset(); err != nil {
 		return RunStats{}, err
 	}
-	if c.agentRNG == nil {
-		c.agentRNG = newRand()
+	if c.agentSrc == nil {
+		c.agentSrc = rng.NewSource(c.cfg.Seed + 0x5eed)
+	} else {
+		c.agentSrc.Seed(c.cfg.Seed + 0x5eed)
 	}
-	c.agentRNG.Seed(c.cfg.Seed + 0x5eed)
-	agent.Reset(c.agentRNG)
+	agent.Reset(c.agentSrc)
 
 	var acc runAccum
-	prev := env.SlotInfo{First: true, Channel: c.rng.Intn(c.cfg.Channels)}
+	prev := env.SlotInfo{First: true, Channel: c.src.Intn(c.cfg.Channels)}
 	for i := 0; i < slots; i++ {
 		d := agent.Decide(prev)
 		if d.Channel < 0 || d.Channel >= c.cfg.Channels || d.Power < 0 || d.Power >= len(c.cfg.TxPowers) {

@@ -2,7 +2,8 @@ package jammer
 
 import (
 	"fmt"
-	"math/rand"
+
+	"ctjam/internal/rng"
 )
 
 // KindAdaptive is the Adaptive strategy kind.
@@ -28,12 +29,12 @@ type Adaptive struct {
 
 // NewAdaptive builds a learning jammer. alpha is the occupancy-estimate
 // learning rate, explore the epsilon-greedy exploration probability.
-func NewAdaptive(channels, width int, powers []float64, mode PowerMode, rng *rand.Rand, alpha, explore float64) (*Adaptive, error) {
+func NewAdaptive(channels, width int, powers []float64, mode PowerMode, src *rng.Source, alpha, explore float64) (*Adaptive, error) {
 	g, err := newGeom(channels, width)
 	if err != nil {
 		return nil, err
 	}
-	em, err := newEmitter(powers, mode, rng)
+	em, err := newEmitter(powers, mode, src)
 	if err != nil {
 		return nil, err
 	}
@@ -84,8 +85,8 @@ func (a *Adaptive) Step(victimChannel int) (jammed bool, power float64, err erro
 		return false, 0, err
 	}
 	target := a.hottest()
-	if a.explore > 0 && a.rng.Float64() < a.explore {
-		target = a.rng.Intn(a.blocks)
+	if a.explore > 0 && a.src.Float64() < a.explore {
+		target = a.src.Intn(a.blocks)
 	}
 	for b := range a.est {
 		obs := 0.0

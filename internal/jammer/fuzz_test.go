@@ -1,8 +1,9 @@
 package jammer
 
 import (
-	"math/rand"
 	"testing"
+
+	"ctjam/internal/rng"
 )
 
 // FuzzJammerSpec fuzzes the spec/scenario grammar end to end: any input must
@@ -51,7 +52,7 @@ func FuzzJammerSpec(f *testing.F) {
 		}
 		// A spec that parses must construct: validate mirrors the
 		// constructors exactly.
-		if _, err := sp.New(16, 4, []float64{11, 20}, ModeMax, rand.New(rand.NewSource(1))); err != nil {
+		if _, err := sp.New(16, 4, []float64{11, 20}, ModeMax, rng.NewSource(1)); err != nil {
 			t.Fatalf("accepted spec %q does not construct: %v", s, err)
 		}
 	})

@@ -3,11 +3,12 @@ package jammer
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ctjam/internal/rng"
 )
 
 // Golden traces for one scenario per new attacker: a fixed victim walk
@@ -30,7 +31,7 @@ var goldenScenarios = []struct{ name, spec string }{
 // victim's channel, the jam outcome and the strategy's focus after the step.
 func traceStrategy(t *testing.T, spec string, slots int) string {
 	t.Helper()
-	s := buildStrategy(t, spec, rand.New(rand.NewSource(31)))
+	s := buildStrategy(t, spec, rng.NewSource(31))
 	walk := victimWalk(17, slots)
 	var b strings.Builder
 	fmt.Fprintf(&b, "spec %s\n", spec)

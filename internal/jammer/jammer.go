@@ -11,7 +11,8 @@ package jammer
 
 import (
 	"fmt"
-	"math/rand"
+
+	"ctjam/internal/rng"
 )
 
 // PowerMode selects how the jammer picks its per-slot power level (§II-C1).
@@ -54,12 +55,12 @@ type Sweeper struct {
 
 // NewSweeper builds a jammer over `channels` channels scanning `width`
 // consecutive channels per slot with the given power levels.
-func NewSweeper(channels, width int, powers []float64, mode PowerMode, rng *rand.Rand) (*Sweeper, error) {
+func NewSweeper(channels, width int, powers []float64, mode PowerMode, src *rng.Source) (*Sweeper, error) {
 	g, err := newGeom(channels, width)
 	if err != nil {
 		return nil, err
 	}
-	em, err := newEmitter(powers, mode, rng)
+	em, err := newEmitter(powers, mode, src)
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +107,7 @@ func (s *Sweeper) popRandomBlock() int {
 	if len(s.remaining) == 0 {
 		s.refill()
 	}
-	i := s.rng.Intn(len(s.remaining))
+	i := s.src.Intn(len(s.remaining))
 	b := s.remaining[i]
 	s.remaining[i] = s.remaining[len(s.remaining)-1]
 	s.remaining = s.remaining[:len(s.remaining)-1]
@@ -122,7 +123,7 @@ func (s *Sweeper) Power() float64 { return s.emit() }
 func (s *Sweeper) MaxPower() float64 { return s.maxPower }
 
 // State implements Strategy. Layout: Ints = [locked, lockBlock,
-// remaining...]. The sweeper's RNG is shared with (and captured by) its
+// remaining...]. The sweeper's stream is shared with (and captured by) its
 // owner, so the state here is only the sweep-cycle progress and lock status.
 func (s *Sweeper) State() State {
 	ints := make([]int64, 0, 2+len(s.remaining))

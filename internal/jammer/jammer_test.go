@@ -2,14 +2,15 @@ package jammer
 
 import (
 	"math"
-	"math/rand"
 	"testing"
+
+	"ctjam/internal/rng"
 )
 
 func newTestSweeper(t *testing.T, mode PowerMode, seed int64) *Sweeper {
 	t.Helper()
 	powers := []float64{11, 12, 13, 14, 15, 16, 17, 18, 19, 20}
-	s, err := NewSweeper(16, 4, powers, mode, rand.New(rand.NewSource(seed)))
+	s, err := NewSweeper(16, 4, powers, mode, rng.NewSource(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,7 +18,7 @@ func newTestSweeper(t *testing.T, mode PowerMode, seed int64) *Sweeper {
 }
 
 func TestNewSweeperValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	src := rng.NewSource(1)
 	powers := []float64{20}
 	tests := []struct {
 		name     string
@@ -25,18 +26,18 @@ func TestNewSweeperValidation(t *testing.T) {
 		width    int
 		powers   []float64
 		mode     PowerMode
-		rng      *rand.Rand
+		src      *rng.Source
 	}{
-		{"zero channels", 0, 1, powers, ModeMax, rng},
-		{"zero width", 16, 0, powers, ModeMax, rng},
-		{"width too big", 16, 17, powers, ModeMax, rng},
-		{"no powers", 16, 4, nil, ModeMax, rng},
-		{"bad mode", 16, 4, powers, PowerMode(0), rng},
+		{"zero channels", 0, 1, powers, ModeMax, src},
+		{"zero width", 16, 0, powers, ModeMax, src},
+		{"width too big", 16, 17, powers, ModeMax, src},
+		{"no powers", 16, 4, nil, ModeMax, src},
+		{"bad mode", 16, 4, powers, PowerMode(0), src},
 		{"nil rng", 16, 4, powers, ModeMax, nil},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := NewSweeper(tt.channels, tt.width, tt.powers, tt.mode, tt.rng); err == nil {
+			if _, err := NewSweeper(tt.channels, tt.width, tt.powers, tt.mode, tt.src); err == nil {
 				t.Fatal("expected error")
 			}
 		})
@@ -69,7 +70,7 @@ func TestBlocksAndBlockOf(t *testing.T) {
 }
 
 func TestUnevenBlocks(t *testing.T) {
-	s, err := NewSweeper(10, 4, []float64{20}, ModeMax, rand.New(rand.NewSource(3)))
+	s, err := NewSweeper(10, 4, []float64{20}, ModeMax, rng.NewSource(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,9 +171,9 @@ func TestDiscoveryHazardMatchesPaperEq6(t *testing.T) {
 	// discovery probability after n safe slots is 1/(S-n) with S=4.
 	const trials = 30000
 	counts := make([]int, 5) // first-discovery slot 1..4
-	rng := rand.New(rand.NewSource(6))
+	src := rng.NewSource(6)
 	for trial := 0; trial < trials; trial++ {
-		s, err := NewSweeper(16, 4, []float64{20}, ModeMax, rng)
+		s, err := NewSweeper(16, 4, []float64{20}, ModeMax, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +254,7 @@ func TestResetClearsLock(t *testing.T) {
 }
 
 func BenchmarkSweeperStep(b *testing.B) {
-	s, err := NewSweeper(16, 4, []float64{11, 20}, ModeRandom, rand.New(rand.NewSource(10)))
+	s, err := NewSweeper(16, 4, []float64{11, 20}, ModeRandom, rng.NewSource(10))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,7 +2,8 @@ package jammer
 
 import (
 	"fmt"
-	"math/rand"
+
+	"ctjam/internal/rng"
 )
 
 // KindReactive is the Reactive strategy kind.
@@ -35,12 +36,12 @@ type Reactive struct {
 // slots (0 = an idealized instant follower), miss the per-slot sensing
 // failure probability, hold the number of extra slots a detection keeps the
 // jammer on the detected block.
-func NewReactive(channels, width int, powers []float64, mode PowerMode, rng *rand.Rand, delay int, miss float64, hold int) (*Reactive, error) {
+func NewReactive(channels, width int, powers []float64, mode PowerMode, src *rng.Source, delay int, miss float64, hold int) (*Reactive, error) {
 	g, err := newGeom(channels, width)
 	if err != nil {
 		return nil, err
 	}
-	em, err := newEmitter(powers, mode, rng)
+	em, err := newEmitter(powers, mode, src)
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +94,7 @@ func (r *Reactive) Step(victimChannel int) (jammed bool, power float64, err erro
 		return false, 0, err
 	}
 	obs := victimBlock
-	if r.miss > 0 && r.rng.Float64() < r.miss {
+	if r.miss > 0 && r.src.Float64() < r.miss {
 		obs = -1
 	}
 	due := obs

@@ -1,8 +1,8 @@
 package jammer
 
 import (
+	"ctjam/internal/rng"
 	"fmt"
-	"math/rand"
 	"strconv"
 	"strings"
 )
@@ -312,21 +312,21 @@ func (sp Spec) String() string {
 func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
 // New builds the strategy the spec describes over the given channel geometry,
-// power table and shared RNG. Construction draws nothing from the RNG.
-func (sp Spec) New(channels, width int, powers []float64, mode PowerMode, rng *rand.Rand) (Strategy, error) {
+// power table and shared stream. Construction draws nothing from it.
+func (sp Spec) New(channels, width int, powers []float64, mode PowerMode, src *rng.Source) (Strategy, error) {
 	switch sp.Kind {
 	case "", KindSweep:
-		return NewSweeper(channels, width, powers, mode, rng)
+		return NewSweeper(channels, width, powers, mode, src)
 	case KindReactive:
-		return NewReactive(channels, width, powers, mode, rng, sp.Delay, sp.Miss, sp.Hold)
+		return NewReactive(channels, width, powers, mode, src, sp.Delay, sp.Miss, sp.Hold)
 	case KindAdaptive:
-		return NewAdaptive(channels, width, powers, mode, rng, sp.Alpha, sp.Explore)
+		return NewAdaptive(channels, width, powers, mode, src, sp.Alpha, sp.Explore)
 	case KindBudget:
 		inner := Spec{Kind: KindSweep}
 		if sp.Inner != nil {
 			inner = *sp.Inner
 		}
-		in, err := inner.New(channels, width, powers, mode, rng)
+		in, err := inner.New(channels, width, powers, mode, src)
 		if err != nil {
 			return nil, err
 		}
@@ -338,10 +338,10 @@ func (sp Spec) New(channels, width int, powers []float64, mode PowerMode, rng *r
 
 // New parses a spec string and builds the described strategy. The empty
 // string builds the default sweeper.
-func New(spec string, channels, width int, powers []float64, mode PowerMode, rng *rand.Rand) (Strategy, error) {
+func New(spec string, channels, width int, powers []float64, mode PowerMode, src *rng.Source) (Strategy, error) {
 	sp, err := ParseSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	return sp.New(channels, width, powers, mode, rng)
+	return sp.New(channels, width, powers, mode, src)
 }

@@ -1,10 +1,11 @@
 package jammer
 
 import (
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+
+	"ctjam/internal/rng"
 )
 
 func TestParseSpecCanonical(t *testing.T) {
@@ -83,7 +84,7 @@ func TestParseSpecRejectsMalformed(t *testing.T) {
 				t.Fatalf("ParseSpec(%q) accepted: %+v", tt.in, sp)
 			}
 			// The package constructor surfaces the same rejection.
-			if _, err := New(tt.in, 16, 4, conformancePowers, ModeMax, rand.New(rand.NewSource(1))); err == nil {
+			if _, err := New(tt.in, 16, 4, conformancePowers, ModeMax, rng.NewSource(1)); err == nil {
 				t.Fatalf("New(%q) accepted a malformed spec", tt.in)
 			}
 		})
@@ -175,7 +176,7 @@ func TestGenerateScenariosRoundRobinAndValid(t *testing.T) {
 		if got, err := Canonical(canon); err != nil || got != canon {
 			t.Errorf("scenario %d spec %q does not round-trip: %q, %v", i, canon, got, err)
 		}
-		if _, err := sc.Spec.New(16, 4, conformancePowers, ModeMax, rand.New(rand.NewSource(1))); err != nil {
+		if _, err := sc.Spec.New(16, 4, conformancePowers, ModeMax, rng.NewSource(1)); err != nil {
 			t.Errorf("scenario %d spec %q does not build: %v", i, canon, err)
 		}
 	}

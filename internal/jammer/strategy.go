@@ -2,7 +2,8 @@ package jammer
 
 import (
 	"fmt"
-	"math/rand"
+
+	"ctjam/internal/rng"
 )
 
 // Strategy is a pluggable attacker: a time-slotted jammer that reacts to the
@@ -33,7 +34,9 @@ type Strategy interface {
 	// Focus returns the block the jammer is currently committed to jamming,
 	// if any — the generalization of the sweeper's lock that environments use
 	// to attribute useful hops (a hop away from the focused block that ends
-	// in success). It must not draw from the RNG.
+	// in success). It must neither draw from the RNG nor change the
+	// strategy's state: environments call it only on slots where the
+	// victim hops, so skipping a call must change nothing.
 	Focus() (block int, ok bool)
 	// State snapshots the strategy's mutable state for checkpointing. The
 	// RNG is shared with (and captured by) the owner, so it is not part of
@@ -47,8 +50,8 @@ type Strategy interface {
 	Reset()
 }
 
-// MaxStepDraws bounds the rand.Rand calls one Strategy.Step makes on the
-// shared RNG: the adaptive jammer's exploration coin and block pick, then
+// MaxStepDraws bounds the Intn and Float64 calls one Strategy.Step makes on
+// the shared RNG: the adaptive jammer's exploration coin and block pick, then
 // the emitter's power pick. The sweeper's block pick and the reactive
 // detector's miss coin stay within it, and the budget wrapper draws nothing
 // of its own. Owners restoring a stream position bound it with this.
@@ -116,17 +119,6 @@ func (g geom) BlockOf(channel int) (int, error) {
 	return channel / g.width, nil
 }
 
-// BlockIndex returns the block covering channel in a channels/width geometry,
-// for callers (environments, field clusters) that need the victim-side view
-// of the block layout without holding a strategy.
-func BlockIndex(channels, width, channel int) (int, error) {
-	g, err := newGeom(channels, width)
-	if err != nil {
-		return 0, err
-	}
-	return g.BlockOf(channel)
-}
-
 // emitter draws the per-slot jamming power according to the power mode. The
 // ModeMax level is hoisted to construction so a jammed slot costs no scan
 // over the power table.
@@ -134,17 +126,17 @@ type emitter struct {
 	powers   []float64
 	mode     PowerMode
 	maxPower float64
-	rng      *rand.Rand
+	src      *rng.Source
 }
 
-func newEmitter(powers []float64, mode PowerMode, rng *rand.Rand) (emitter, error) {
+func newEmitter(powers []float64, mode PowerMode, src *rng.Source) (emitter, error) {
 	if len(powers) == 0 {
 		return emitter{}, fmt.Errorf("jammer: at least one power level required")
 	}
 	if mode != ModeMax && mode != ModeRandom {
 		return emitter{}, fmt.Errorf("jammer: unknown power mode %d", mode)
 	}
-	if rng == nil {
+	if src == nil {
 		return emitter{}, fmt.Errorf("jammer: rng must not be nil")
 	}
 	ps := make([]float64, len(powers))
@@ -155,13 +147,13 @@ func newEmitter(powers []float64, mode PowerMode, rng *rand.Rand) (emitter, erro
 			best = p
 		}
 	}
-	return emitter{powers: ps, mode: mode, maxPower: best, rng: rng}, nil
+	return emitter{powers: ps, mode: mode, maxPower: best, src: src}, nil
 }
 
 // emit draws the jamming power for one jammed slot.
 func (e *emitter) emit() float64 {
 	if e.mode == ModeRandom {
-		return e.powers[e.rng.Intn(len(e.powers))]
+		return e.powers[e.src.Intn(len(e.powers))]
 	}
 	return e.maxPower
 }

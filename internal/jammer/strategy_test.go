@@ -1,7 +1,6 @@
 package jammer
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -29,9 +28,9 @@ var conformancePowers = []float64{11, 12, 13, 14, 15, 16, 17, 18, 19, 20}
 
 // buildStrategy constructs the spec'd strategy over the paper's geometry
 // (16 channels, width 4) with the given RNG.
-func buildStrategy(t testing.TB, spec string, rng *rand.Rand) Strategy {
+func buildStrategy(t testing.TB, spec string, src *rng.Source) Strategy {
 	t.Helper()
-	s, err := New(spec, 16, 4, conformancePowers, ModeRandom, rng)
+	s, err := New(spec, 16, 4, conformancePowers, ModeRandom, src)
 	if err != nil {
 		t.Fatalf("build %q: %v", spec, err)
 	}
@@ -40,14 +39,14 @@ func buildStrategy(t testing.TB, spec string, rng *rand.Rand) Strategy {
 
 // victimWalk returns a deterministic pseudo-random victim channel sequence.
 func victimWalk(seed int64, slots int) []int {
-	rng := rand.New(rand.NewSource(seed))
+	src := rng.NewSource(seed)
 	walk := make([]int, slots)
-	ch := rng.Intn(16)
+	ch := src.Intn(16)
 	for i := range walk {
 		// The victim stays put most slots and hops occasionally, like a
 		// defending agent would.
-		if rng.Float64() < 0.3 {
-			ch = rng.Intn(16)
+		if src.Float64() < 0.3 {
+			ch = src.Intn(16)
 		}
 		walk[i] = ch
 	}
@@ -80,7 +79,7 @@ func TestStrategyKinds(t *testing.T) {
 		t.Fatalf("Kinds() = %v, want %v", kinds, want)
 	}
 	for _, k := range kinds {
-		s := buildStrategy(t, k, rand.New(rand.NewSource(1)))
+		s := buildStrategy(t, k, rng.NewSource(1))
 		if s.Kind() != k {
 			t.Errorf("spec %q built a %q strategy", k, s.Kind())
 		}
@@ -97,7 +96,7 @@ func TestStrategyMidRunRoundTrip(t *testing.T) {
 	for _, spec := range conformanceSpecs() {
 		t.Run(spec, func(t *testing.T) {
 			// Uninterrupted reference run.
-			ref := buildStrategy(t, spec, rand.New(rand.NewSource(7)))
+			ref := buildStrategy(t, spec, rng.NewSource(7))
 			var want []stepObs
 			for i, ch := range walk {
 				o := observe(t, ref, ch)
@@ -108,13 +107,13 @@ func TestStrategyMidRunRoundTrip(t *testing.T) {
 
 			// Interrupted run: snapshot at slot pre, restore into a fresh
 			// instance built over the same (advanced) RNG.
-			rng := rand.New(rand.NewSource(7))
-			a := buildStrategy(t, spec, rng)
+			src := rng.NewSource(7)
+			a := buildStrategy(t, spec, src)
 			for _, ch := range walk[:pre] {
 				observe(t, a, ch)
 			}
 			snap := a.State()
-			b := buildStrategy(t, spec, rng)
+			b := buildStrategy(t, spec, src)
 			if err := b.SetState(snap); err != nil {
 				t.Fatalf("SetState: %v", err)
 			}
@@ -133,12 +132,12 @@ func TestStrategyStateRoundTripExact(t *testing.T) {
 	walk := victimWalk(5, 80)
 	for _, spec := range conformanceSpecs() {
 		t.Run(spec, func(t *testing.T) {
-			s := buildStrategy(t, spec, rand.New(rand.NewSource(3)))
+			s := buildStrategy(t, spec, rng.NewSource(3))
 			for _, ch := range walk {
 				observe(t, s, ch)
 			}
 			snap := s.State()
-			s2 := buildStrategy(t, spec, rand.New(rand.NewSource(4)))
+			s2 := buildStrategy(t, spec, rng.NewSource(4))
 			if err := s2.SetState(snap); err != nil {
 				t.Fatalf("SetState: %v", err)
 			}
@@ -154,12 +153,12 @@ func TestStrategyStateRoundTripExact(t *testing.T) {
 func TestStrategyRejectsForeignState(t *testing.T) {
 	kinds := Kinds()
 	for _, from := range kinds {
-		snap := buildStrategy(t, from, rand.New(rand.NewSource(1))).State()
+		snap := buildStrategy(t, from, rng.NewSource(1)).State()
 		for _, to := range kinds {
 			if to == from {
 				continue
 			}
-			s := buildStrategy(t, to, rand.New(rand.NewSource(2)))
+			s := buildStrategy(t, to, rng.NewSource(2))
 			if err := s.SetState(snap); err == nil {
 				t.Errorf("%s accepted a %s snapshot", to, from)
 			}
@@ -173,8 +172,8 @@ func TestStrategyResetRestartsCleanly(t *testing.T) {
 	walk := victimWalk(11, 60)
 	for _, spec := range conformanceSpecs() {
 		t.Run(spec, func(t *testing.T) {
-			fresh := buildStrategy(t, spec, rand.New(rand.NewSource(8))).State()
-			s := buildStrategy(t, spec, rand.New(rand.NewSource(8)))
+			fresh := buildStrategy(t, spec, rng.NewSource(8)).State()
+			s := buildStrategy(t, spec, rng.NewSource(8))
 			for _, ch := range walk {
 				observe(t, s, ch)
 			}
@@ -193,8 +192,8 @@ func TestStrategyStepDrawBound(t *testing.T) {
 	walk := victimWalk(31, 2000)
 	for _, spec := range append(conformanceSpecs(), "adaptive:explore=0.9", "budget:duty=0.9,over=(adaptive:explore=0.9)") {
 		t.Run(spec, func(t *testing.T) {
-			r, src := rng.New(4)
-			s := buildStrategy(t, spec, r)
+			src := rng.NewSource(4)
+			s := buildStrategy(t, spec, src)
 			if src.State() != 0 {
 				t.Fatalf("construction took %d draws", src.State())
 			}
@@ -215,7 +214,7 @@ func TestStrategyStepNoAllocs(t *testing.T) {
 	walk := victimWalk(21, 200)
 	for _, spec := range conformanceSpecs() {
 		t.Run(spec, func(t *testing.T) {
-			s := buildStrategy(t, spec, rand.New(rand.NewSource(6)))
+			s := buildStrategy(t, spec, rng.NewSource(6))
 			// Prime past any lazily grown buffers.
 			for _, ch := range walk {
 				observe(t, s, ch)
@@ -239,7 +238,7 @@ func TestStrategyStepNoAllocs(t *testing.T) {
 func BenchmarkStrategyStep(b *testing.B) {
 	for _, spec := range conformanceSpecs() {
 		b.Run(spec, func(b *testing.B) {
-			s := buildStrategy(b, spec, rand.New(rand.NewSource(10)))
+			s := buildStrategy(b, spec, rng.NewSource(10))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

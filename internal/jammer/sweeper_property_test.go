@@ -1,8 +1,9 @@
 package jammer
 
 import (
-	"math/rand"
 	"testing"
+
+	"ctjam/internal/rng"
 )
 
 // Property tests for the Sweeper's §II-C sweep-cycle invariants, pinned by
@@ -157,7 +158,7 @@ func TestSweeperCycleInvariants(t *testing.T) {
 // cycle as a whole scans every block exactly once.
 func TestSweeperCycleScansAllBlocksAgainstStaticVictim(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
-		s, err := NewSweeper(20, 4, []float64{20}, ModeMax, rand.New(rand.NewSource(seed)))
+		s, err := NewSweeper(20, 4, []float64{20}, ModeMax, rng.NewSource(seed))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 
 	"ctjam/internal/ckpt"
 )
@@ -98,25 +97,21 @@ func Load(r io.Reader) (*Network, error) {
 				return nil, fmt.Errorf("%w: %v", ErrBadModelFile, err)
 			}
 			// Bound the product, not just each dimension: two in-range
-			// dimensions can still multiply to a terabyte-scale allocation,
-			// and NewDense allocates before a truncated stream would fail.
+			// dimensions can still multiply to a terabyte-scale allocation.
 			if rows == 0 || cols == 0 || uint64(rows)*uint64(cols) > 1<<24 {
 				return nil, fmt.Errorf("%w: implausible dense shape %dx%d", ErrBadModelFile, rows, cols)
 			}
-			d := NewDense(int(rows), int(cols), rand.New(rand.NewSource(0)))
-			for i := range d.W.Value.Data {
-				var bitsv uint64
-				if err := read(&bitsv); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadModelFile, err)
-				}
-				d.W.Value.Data[i] = math.Float64frombits(bitsv)
+			w, err := readFloats(r, int(rows)*int(cols))
+			if err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrBadModelFile, err)
 			}
-			for i := range d.B.Value.Data {
-				var bitsv uint64
-				if err := read(&bitsv); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadModelFile, err)
-				}
-				d.B.Value.Data[i] = math.Float64frombits(bitsv)
+			b, err := readFloats(r, int(cols))
+			if err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrBadModelFile, err)
+			}
+			d := &Dense{
+				W: &Param{Value: &Matrix{Rows: int(rows), Cols: int(cols), Data: w}, Grad: NewMatrix(int(rows), int(cols))},
+				B: &Param{Value: &Matrix{Rows: 1, Cols: int(cols), Data: b}, Grad: NewMatrix(1, int(cols))},
 			}
 			net.Layers = append(net.Layers, d)
 		case layerKindReLU:
@@ -126,6 +121,30 @@ func Load(r io.Reader) (*Network, error) {
 		}
 	}
 	return net, nil
+}
+
+// readFloats reads n little-endian float64 values. It grows its result as
+// the values arrive, so a header that claims more values than the stream
+// holds fails having allocated about twice what the stream supplied, not
+// what the header claimed.
+func readFloats(r io.Reader, n int) ([]float64, error) {
+	var buf [8 * 512]byte
+	out := make([]float64, 0, min(n, len(buf)/8))
+	for len(out) < n {
+		if len(out) == cap(out) {
+			grown := make([]float64, len(out), min(n, 2*cap(out)))
+			copy(grown, out)
+			out = grown
+		}
+		k := min(cap(out)-len(out), len(buf)/8)
+		if _, err := io.ReadFull(r, buf[:8*k]); err != nil {
+			return nil, err
+		}
+		for i := 0; i < k; i++ {
+			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:])))
+		}
+	}
+	return out, nil
 }
 
 // SaveAdam writes an Adam optimizer's mutable state (step counter and first/

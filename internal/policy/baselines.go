@@ -2,9 +2,9 @@ package policy
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ctjam/internal/env"
+	"ctjam/internal/rng"
 )
 
 // Baseline scheme actions. The passive scheme's action space is
@@ -68,32 +68,30 @@ func PassiveFHScheme(channels, sweepWidth, jamThreshold int) (*Scheme, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewScheme(p, func() Encoder {
-		return &Streak{channels: channels, sweepWidth: sweepWidth}
-	})
+	geom := newHopGeom(channels, sweepWidth)
+	return NewScheme(p, func() Encoder { return &Streak{geom: &geom} })
 }
 
 // Streak is the passive scheme's per-link encoder: it counts consecutive
 // jammed slots and realizes hop actions with a block-aware target draw,
 // resetting the streak on every hop.
 type Streak struct {
-	channels   int
-	sweepWidth int
+	geom *hopGeom // shared by the scheme's encoders
 
-	rng    *rand.Rand
+	src    *rng.Source
 	streak int
 }
 
 var _ Encoder = (*Streak)(nil)
 
 // Reset implements Encoder.
-func (s *Streak) Reset(rng *rand.Rand) {
-	s.rng = rng
+func (s *Streak) Reset(src *rng.Source) {
+	s.src = src
 	s.streak = 0
 }
 
 // Encode implements Encoder: update the jam streak and emit it.
-func (s *Streak) Encode(prev env.SlotInfo, dst []float64) {
+func (s *Streak) Encode(prev *env.SlotInfo, dst []float64) {
 	switch {
 	case prev.First:
 		s.streak = 0
@@ -106,13 +104,10 @@ func (s *Streak) Encode(prev env.SlotInfo, dst []float64) {
 }
 
 // Decode implements Encoder.
-func (s *Streak) Decode(prev env.SlotInfo, action int) env.Decision {
+func (s *Streak) Decode(prev *env.SlotInfo, action int) env.Decision {
 	if action == actionHop && !prev.First {
 		s.streak = 0
-		return env.Decision{
-			Channel: HopTarget(s.rng, prev.Channel, s.channels, s.sweepWidth),
-			Power:   0,
-		}
+		return env.Decision{Channel: s.geom.target(s.src, prev.Channel), Power: 0}
 	}
 	return env.Decision{Channel: prev.Channel, Power: 0}
 }
@@ -165,31 +160,31 @@ func RandomFHScheme(channels, sweepWidth, powers int) (*Scheme, error) {
 type RandomWalk struct {
 	channels int
 	powers   int
-	rng      *rand.Rand
+	src      *rng.Source
 }
 
 var _ Encoder = (*RandomWalk)(nil)
 
 // Reset implements Encoder.
-func (r *RandomWalk) Reset(rng *rand.Rand) { r.rng = rng }
+func (r *RandomWalk) Reset(src *rng.Source) { r.src = src }
 
 // Encode implements Encoder (no state).
-func (r *RandomWalk) Encode(env.SlotInfo, []float64) {}
+func (r *RandomWalk) Encode(*env.SlotInfo, []float64) {}
 
 // Decode implements Encoder.
-func (r *RandomWalk) Decode(prev env.SlotInfo, action int) env.Decision {
+func (r *RandomWalk) Decode(prev *env.SlotInfo, action int) env.Decision {
 	if prev.First {
 		return env.Decision{Channel: prev.Channel, Power: 0}
 	}
-	if r.rng.Intn(2) == 0 {
+	if r.src.Intn(2) == 0 {
 		// Blind hop: uniform over the other channels, block-oblivious.
-		ch := r.rng.Intn(r.channels - 1)
+		ch := r.src.Intn(r.channels - 1)
 		if ch >= prev.Channel {
 			ch++
 		}
 		return env.Decision{Channel: ch, Power: 0}
 	}
-	return env.Decision{Channel: prev.Channel, Power: r.rng.Intn(r.powers)}
+	return env.Decision{Channel: prev.Channel, Power: r.src.Intn(r.powers)}
 }
 
 // StaticScheme builds the no-defense baseline: never hop, never raise power.
@@ -210,12 +205,12 @@ type stay struct{}
 var _ Encoder = stay{}
 
 // Reset implements Encoder.
-func (stay) Reset(*rand.Rand) {}
+func (stay) Reset(*rng.Source) {}
 
 // Encode implements Encoder (no state).
-func (stay) Encode(env.SlotInfo, []float64) {}
+func (stay) Encode(*env.SlotInfo, []float64) {}
 
 // Decode implements Encoder.
-func (stay) Decode(prev env.SlotInfo, action int) env.Decision {
+func (stay) Decode(prev *env.SlotInfo, action int) env.Decision {
 	return env.Decision{Channel: prev.Channel, Power: 0}
 }

@@ -3,9 +3,9 @@ package policy
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"ctjam/internal/env"
+	"ctjam/internal/rng"
 )
 
 // BeliefModel is the slice of the anti-jamming MDP the belief-state schemes
@@ -152,12 +152,61 @@ func QTableScheme(name string, model BeliefModel, q [][]float64, channels, sweep
 }
 
 func beliefScheme(p Policy, model BeliefModel, channels, sweepWidth int) (*Scheme, error) {
+	t, err := newBeliefTable(model, channels, sweepWidth)
+	if err != nil {
+		return nil, err
+	}
+	return NewScheme(p, func() Encoder { return &Belief{t: t, n: 1} })
+}
+
+// beliefTable is what a Belief encoder reads from its BeliefModel and
+// topology, looked up once per scheme and shared read-only by every encoder
+// the scheme builds, so a slot makes no interface call into the model.
+type beliefTable struct {
+	cycle   int   // S
+	stateTJ int   // state index of T_J
+	stateJ  int   // state index of J
+	stateN  []int // stateN[n] is the state index of n successes, 1 <= n < S
+	// actions[a] is action a split into (hop, power).
+	actions []beliefAction
+	hop     hopGeom
+}
+
+type beliefAction struct {
+	hop   bool
+	power int
+}
+
+func newBeliefTable(model BeliefModel, channels, sweepWidth int) (*beliefTable, error) {
 	if err := checkTopology(channels, sweepWidth); err != nil {
 		return nil, err
 	}
-	return NewScheme(p, func() Encoder {
-		return NewBelief(model, channels, sweepWidth)
-	})
+	t := &beliefTable{
+		cycle:   model.SweepCycle(),
+		stateTJ: model.StateTJ(),
+		stateJ:  model.StateJ(),
+		hop:     newHopGeom(channels, sweepWidth),
+	}
+	if t.cycle < 2 {
+		return nil, fmt.Errorf("policy: belief model sweep cycle %d must be >= 2", t.cycle)
+	}
+	t.stateN = make([]int, t.cycle)
+	for n := 1; n < t.cycle; n++ {
+		s, err := model.StateOfN(n)
+		if err != nil {
+			return nil, fmt.Errorf("policy: belief model state of n=%d: %w", n, err)
+		}
+		t.stateN[n] = s
+	}
+	t.actions = make([]beliefAction, model.NumActions())
+	for a := range t.actions {
+		hop, power, err := model.DecodeAction(a)
+		if err != nil {
+			return nil, fmt.Errorf("policy: belief model action %d: %w", a, err)
+		}
+		t.actions[a] = beliefAction{hop: hop, power: power}
+	}
+	return t, nil
 }
 
 // Belief is the per-link encoder for the belief-state schemes: it tracks the
@@ -166,11 +215,9 @@ func beliefScheme(p Policy, model BeliefModel, channels, sweepWidth int) (*Schem
 // single feature. Decode realizes hop actions with the block-aware HopTarget
 // draw.
 type Belief struct {
-	model      BeliefModel
-	channels   int
-	sweepWidth int
+	t *beliefTable
 
-	rng *rand.Rand
+	src *rng.Source
 	n   int // consecutive successes on current channel
 	tj  bool
 	j   bool
@@ -178,14 +225,19 @@ type Belief struct {
 
 var _ Encoder = (*Belief)(nil)
 
-// NewBelief builds a belief encoder for the given model and topology.
-func NewBelief(model BeliefModel, channels, sweepWidth int) *Belief {
-	return &Belief{model: model, channels: channels, sweepWidth: sweepWidth, n: 1}
+// NewBelief builds a belief encoder for the given model and topology. It
+// fails if the model cannot index every belief state and action.
+func NewBelief(model BeliefModel, channels, sweepWidth int) (*Belief, error) {
+	t, err := newBeliefTable(model, channels, sweepWidth)
+	if err != nil {
+		return nil, err
+	}
+	return &Belief{t: t, n: 1}, nil
 }
 
 // Reset implements Encoder.
-func (b *Belief) Reset(rng *rand.Rand) {
-	b.rng = rng
+func (b *Belief) Reset(src *rng.Source) {
+	b.src = src
 	b.n = 1
 	b.tj = false
 	b.j = false
@@ -198,7 +250,7 @@ func (b *Belief) Observe(outcome env.Outcome, hopped bool) {
 	case env.OutcomeSuccess:
 		if hopped || b.tj || b.j {
 			b.n = 1
-		} else if b.n < b.model.SweepCycle()-1 {
+		} else if b.n < b.t.cycle-1 {
 			b.n++
 		}
 		b.tj, b.j = false, false
@@ -213,20 +265,16 @@ func (b *Belief) Observe(outcome env.Outcome, hopped bool) {
 func (b *Belief) State() int {
 	switch {
 	case b.j:
-		return b.model.StateJ()
+		return b.t.stateJ
 	case b.tj:
-		return b.model.StateTJ()
+		return b.t.stateTJ
 	default:
-		s, err := b.model.StateOfN(b.n)
-		if err != nil {
-			return 0
-		}
-		return s
+		return b.t.stateN[b.n]
 	}
 }
 
 // Encode implements Encoder.
-func (b *Belief) Encode(prev env.SlotInfo, dst []float64) {
+func (b *Belief) Encode(prev *env.SlotInfo, dst []float64) {
 	if !prev.First {
 		b.Observe(prev.Outcome, prev.Hopped)
 	}
@@ -234,15 +282,16 @@ func (b *Belief) Encode(prev env.SlotInfo, dst []float64) {
 }
 
 // Decode implements Encoder: hop actions draw a block-aware target from the
-// link RNG (never on the first slot, which has no channel to hop from).
-func (b *Belief) Decode(prev env.SlotInfo, action int) env.Decision {
-	hop, power, err := b.model.DecodeAction(action)
-	if err != nil {
+// link RNG (never on the first slot, which has no channel to hop from). An
+// action the model does not define stays at minimum power.
+func (b *Belief) Decode(prev *env.SlotInfo, action int) env.Decision {
+	if action < 0 || action >= len(b.t.actions) {
 		return env.Decision{Channel: prev.Channel, Power: 0}
 	}
+	a := b.t.actions[action]
 	ch := prev.Channel
-	if hop && !prev.First {
-		ch = HopTarget(b.rng, prev.Channel, b.channels, b.sweepWidth)
+	if a.hop && !prev.First {
+		ch = b.t.hop.target(b.src, prev.Channel)
 	}
-	return env.Decision{Channel: ch, Power: power}
+	return env.Decision{Channel: ch, Power: a.power}
 }

@@ -5,6 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"ctjam/internal/core"
+	"ctjam/internal/env"
+	"ctjam/internal/jammer"
+	"ctjam/internal/policy"
 	"ctjam/internal/rl"
 )
 
@@ -54,6 +58,64 @@ func BenchmarkPolicyBatch(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
+		})
+	}
+}
+
+// BenchmarkSchemeRunSlot measures one slot of the lockstep evaluation loop —
+// env.BatchRun, the Batch adapter, the scheme's encoder and policy, and the
+// jammer strategy — on one link, as a sweep point runs it. One op is one
+// slot, so ns/op and allocs/op are per slot; the run's set-up (the batch,
+// the agent stream, the counters) is spread over b.N slots.
+func BenchmarkSchemeRunSlot(b *testing.B) {
+	mdp := func(cfg env.Config) (*policy.Scheme, error) {
+		model, err := core.NewModel(core.ParamsFromEnv(cfg))
+		if err != nil {
+			return nil, err
+		}
+		a, err := core.NewMDPAgent(model, nil, cfg.Channels, cfg.SweepWidth)
+		if err != nil {
+			return nil, err
+		}
+		return a.Scheme(), nil
+	}
+	psv := func(cfg env.Config) (*policy.Scheme, error) {
+		return policy.PassiveFHScheme(cfg.Channels, cfg.SweepWidth, 4)
+	}
+	rnd := func(cfg env.Config) (*policy.Scheme, error) {
+		return policy.RandomFHScheme(cfg.Channels, cfg.SweepWidth, len(cfg.TxPowers))
+	}
+	cases := []struct {
+		name   string
+		jammer string
+		mode   jammer.PowerMode
+		scheme func(env.Config) (*policy.Scheme, error)
+	}{
+		{"mdp/sweep-max", "", jammer.ModeMax, mdp},
+		{"mdp/sweep-random", "", jammer.ModeRandom, mdp},
+		{"psv/sweep-max", "", jammer.ModeMax, psv},
+		{"rand/sweep-max", "", jammer.ModeMax, rnd},
+		{"mdp/adaptive", "adaptive", jammer.ModeMax, mdp},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := env.DefaultConfig()
+			cfg.Jammer = c.jammer
+			cfg.JammerMode = c.mode
+			s, err := c.scheme(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			e, err := env.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if _, err := s.Run([]*env.Environment{e}, b.N); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/slot")
 		})
 	}
 }

@@ -2,10 +2,10 @@ package policy
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ctjam/internal/env"
 	"ctjam/internal/rl"
+	"ctjam/internal/rng"
 )
 
 // DQN plays greedy argmax over an immutable Q-network snapshot. One DQN
@@ -97,7 +97,7 @@ func NewHistory(channels, powers, historyLen int) *History {
 
 // Reset implements Encoder; the DQN scheme is deterministic at inference
 // time, so the RNG is unused.
-func (h *History) Reset(*rand.Rand) { h.Clear() }
+func (h *History) Reset(*rng.Source) { h.Clear() }
 
 // Clear zeroes the window (a fresh run).
 func (h *History) Clear() {
@@ -149,7 +149,7 @@ func (h *History) SetWindow(w []float64) error {
 
 // Encode implements Encoder: fold the previous slot into the window and emit
 // it as the feature vector.
-func (h *History) Encode(prev env.SlotInfo, dst []float64) {
+func (h *History) Encode(prev *env.SlotInfo, dst []float64) {
 	if !prev.First {
 		h.Push(prev.Outcome, prev.Channel, prev.Power)
 	}
@@ -157,6 +157,6 @@ func (h *History) Encode(prev env.SlotInfo, dst []float64) {
 }
 
 // Decode implements Encoder: actions enumerate (channel, power) pairs.
-func (h *History) Decode(prev env.SlotInfo, action int) env.Decision {
+func (h *History) Decode(prev *env.SlotInfo, action int) env.Decision {
 	return env.Decision{Channel: action / h.powers, Power: action % h.powers}
 }

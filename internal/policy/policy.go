@@ -26,9 +26,9 @@ package policy
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ctjam/internal/env"
+	"ctjam/internal/rng"
 )
 
 // Policy is a batched, stateless decision rule: given n encoded states it
@@ -51,16 +51,20 @@ type Policy interface {
 // slot outcomes, produces the policy's feature vector, and materializes
 // chosen actions into decisions. Encoders are not safe for concurrent use;
 // each link gets its own.
+//
+// Encode and Decode read the previous slot through a pointer they must not
+// retain or modify: the batch adapter passes its gathered slice's elements,
+// so one slot copies no SlotInfo.
 type Encoder interface {
-	// Reset prepares the encoder for a fresh run with the link's RNG.
-	Reset(rng *rand.Rand)
+	// Reset prepares the encoder for a fresh run with the link's stream.
+	Reset(src *rng.Source)
 	// Encode folds the previous slot into the link state and writes the
 	// policy's StateDim features into dst.
-	Encode(prev env.SlotInfo, dst []float64)
+	Encode(prev *env.SlotInfo, dst []float64)
 	// Decode turns the policy's chosen action into a channel/power
 	// decision, consuming link RNG where the scheme randomizes (e.g. hop
 	// targets).
-	Decode(prev env.SlotInfo, action int) env.Decision
+	Decode(prev *env.SlotInfo, action int) env.Decision
 }
 
 // Scheme pairs one shared Policy with a factory for its per-link Encoders.
@@ -120,12 +124,12 @@ func (b *Batch) Name() string { return b.pol.Name() }
 func (b *Batch) Len() int { return len(b.encs) }
 
 // ResetBatch implements env.BatchAgent.
-func (b *Batch) ResetBatch(rngs []*rand.Rand) error {
-	if len(rngs) != len(b.encs) {
-		return fmt.Errorf("policy: %d rngs for %d links", len(rngs), len(b.encs))
+func (b *Batch) ResetBatch(srcs []*rng.Source) error {
+	if len(srcs) != len(b.encs) {
+		return fmt.Errorf("policy: %d rngs for %d links", len(srcs), len(b.encs))
 	}
 	for i, e := range b.encs {
-		e.Reset(rngs[i])
+		e.Reset(srcs[i])
 	}
 	return nil
 }
@@ -138,13 +142,13 @@ func (b *Batch) DecideBatch(prev []env.SlotInfo, out []env.Decision) error {
 	}
 	dim := b.pol.StateDim()
 	for i, e := range b.encs {
-		e.Encode(prev[i], b.states[i*dim:(i+1)*dim])
+		e.Encode(&prev[i], b.states[i*dim:(i+1)*dim])
 	}
 	if err := b.pol.DecideBatch(b.states, b.actions); err != nil {
 		return err
 	}
 	for i, e := range b.encs {
-		out[i] = e.Decode(prev[i], b.actions[i])
+		out[i] = e.Decode(&prev[i], b.actions[i])
 	}
 	return nil
 }
@@ -157,6 +161,9 @@ type Agent struct {
 	enc    Encoder
 	state  []float64
 	action [1]int
+	// prev holds Decide's argument while the encoder reads it: a pointer
+	// to the parameter itself would move every call's copy to the heap.
+	prev env.SlotInfo
 }
 
 var _ env.Agent = (*Agent)(nil)
@@ -178,36 +185,50 @@ func (a *Agent) Scheme() *Scheme { return a.scheme }
 func (a *Agent) Name() string { return a.scheme.policy.Name() }
 
 // Reset implements env.Agent.
-func (a *Agent) Reset(rng *rand.Rand) { a.enc.Reset(rng) }
+func (a *Agent) Reset(src *rng.Source) { a.enc.Reset(src) }
 
 // Decide implements env.Agent. Like the pre-refactor agents it falls back to
 // staying at minimum power if the policy errors (it cannot propagate one).
 func (a *Agent) Decide(prev env.SlotInfo) env.Decision {
-	a.enc.Encode(prev, a.state)
+	a.prev = prev
+	a.enc.Encode(&a.prev, a.state)
 	if err := a.scheme.policy.DecideBatch(a.state, a.action[:]); err != nil {
 		return env.Decision{Channel: prev.Channel, Power: 0}
 	}
-	return a.enc.Decode(prev, a.action[0])
+	return a.enc.Decode(&a.prev, a.action[0])
 }
 
 // HopTarget picks a uniformly random channel outside the current channel's
 // sweep block, matching the MDP's assumption that a hop lands on one of the
 // other S-1 blocks (Eq. 9). Hopping within the jammer's block would not
 // escape a 4-channel-wide cross-technology jammer. Every scheme and the
-// tabular learner's training loop draw hop targets through it.
-func HopTarget(rng *rand.Rand, current, channels, sweepWidth int) int {
-	blocks := (channels + sweepWidth - 1) / sweepWidth
-	curBlock := current / sweepWidth
-	b := rng.Intn(blocks - 1)
-	if b >= curBlock {
+// tabular learner's training loop draw hop targets this way; the encoders
+// keep their hopGeom from construction.
+func HopTarget(src *rng.Source, current, channels, sweepWidth int) int {
+	return newHopGeom(channels, sweepWidth).target(src, current)
+}
+
+// hopGeom is the block layout hop targets are drawn over.
+type hopGeom struct {
+	channels, width, blocks int
+}
+
+func newHopGeom(channels, sweepWidth int) hopGeom {
+	return hopGeom{channels: channels, width: sweepWidth, blocks: (channels + sweepWidth - 1) / sweepWidth}
+}
+
+// target is HopTarget over the geometry.
+func (g hopGeom) target(src *rng.Source, current int) int {
+	b := src.Intn(g.blocks - 1)
+	if b >= current/g.width {
 		b++
 	}
-	lo := b * sweepWidth
-	hi := lo + sweepWidth
-	if hi > channels {
-		hi = channels
+	lo := b * g.width
+	hi := lo + g.width
+	if hi > g.channels {
+		hi = g.channels
 	}
-	return lo + rng.Intn(hi-lo)
+	return lo + src.Intn(hi-lo)
 }
 
 func checkTopology(channels, sweepWidth int) error {

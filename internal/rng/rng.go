@@ -2,7 +2,9 @@
 // the standard library's stream bit for bit: Fast, a drop-in for
 // rand.NewSource that reseeds in place without allocating, and Source, which
 // adds a single exportable stream position for bit-identical checkpoint and
-// resume of long simulations.
+// resume of long simulations. Source also draws Intn and Float64 itself,
+// exactly as a rand.Rand over it would, for hot loops that should not pay
+// rand.Rand's interface call per step.
 //
 // The standard library's generator hides its internal state (607 words of
 // lagged-Fibonacci history), which would make snapshotting impossible;
@@ -241,6 +243,47 @@ func (s *Source) Int63() int64 {
 func (s *Source) Uint64() uint64 {
 	s.count++
 	return s.fast.Uint64()
+}
+
+// Intn returns a value in [0, n), exactly as rand.New(s).Intn(n) would: the
+// same Int31n/Int63n masking and rejection sampling, so the stream position
+// advances by the same steps. It panics if n <= 0.
+func (s *Source) Intn(n int) int {
+	if n <= 0 {
+		panic("rng: invalid argument to Intn")
+	}
+	if n <= 1<<31-1 {
+		n := int32(n)
+		if n&(n-1) == 0 { // a power of two: mask
+			return int(int32(s.Int63()>>32) & (n - 1))
+		}
+		max := int32(1<<31 - 1 - (1<<31)%uint32(n))
+		v := int32(s.Int63() >> 32)
+		for v > max {
+			v = int32(s.Int63() >> 32)
+		}
+		return int(v % n)
+	}
+	n64 := int64(n)
+	if n64&(n64-1) == 0 {
+		return int(s.Int63() & (n64 - 1))
+	}
+	max := int64(1<<63 - 1 - (1<<63)%uint64(n64))
+	v := s.Int63()
+	for v > max {
+		v = s.Int63()
+	}
+	return int(v % n64)
+}
+
+// Float64 returns a value in [0, 1), exactly as rand.New(s).Float64() would,
+// redrawing in the (rare) case the division rounds up to 1.
+func (s *Source) Float64() float64 {
+	for {
+		if f := float64(s.Int63()) / (1 << 63); f < 1 {
+			return f
+		}
+	}
 }
 
 // State returns the stream position: the number of generator steps

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -98,4 +99,86 @@ func TestMixedDrawRestore(t *testing.T) {
 			t.Fatalf("draw %d after mixed-call restore: %d != %d", i, got[i], want[i])
 		}
 	}
+}
+
+// TestSourceDrawsMatchRand checks Source's own Intn and Float64 against
+// rand.Rand's over the same stream: every n in 1..64 (powers of two take the
+// mask branch, the rest the rejection branch), large n on both the Int31n and
+// the Int63n side, and n just above a power of two, where about half the raw
+// draws are rejected.
+func TestSourceDrawsMatchRand(t *testing.T) {
+	ns := []int{1<<31 - 1, 1 << 31, 1<<31 + 1, 1<<40 + 7, 1 << 62, 1<<62 + 1, 3<<61 + 5, math.MaxInt64}
+	for n := 1; n <= 64; n++ {
+		ns = append(ns, n)
+	}
+	for k := 2; k < 31; k++ {
+		ns = append(ns, 1<<k+1)
+	}
+	for seed := int64(-4); seed < 60; seed++ {
+		got := NewSource(seed)
+		want := rand.New(rand.NewSource(seed))
+		for i := 0; i < 600; i++ {
+			n := ns[(i+int(seed&0xff))%len(ns)]
+			if g, w := got.Intn(n), want.Intn(n); g != w {
+				t.Fatalf("seed %d draw %d: Intn(%d) %d != %d", seed, i, n, g, w)
+			}
+			if g, w := got.Float64(), want.Float64(); g != w {
+				t.Fatalf("seed %d draw %d: Float64 %v != %v", seed, i, g, w)
+			}
+		}
+		// The counted position must agree with the steps rand.Rand took.
+		ref := NewSource(seed)
+		r := rand.New(ref)
+		for i := 0; i < 600; i++ {
+			r.Intn(ns[(i+int(seed&0xff))%len(ns)])
+			r.Float64()
+		}
+		if got.State() != ref.State() {
+			t.Fatalf("seed %d: position %d after own draws, %d through rand.Rand", seed, got.State(), ref.State())
+		}
+	}
+}
+
+// TestSourceIntnRejects checks that Intn takes the rejection branch at all:
+// for n = 2³⁰+1 almost half of the raw 31-bit draws lie above the largest
+// multiple of n, so many of 1000 draws must consume more than one step.
+func TestSourceIntnRejects(t *testing.T) {
+	src := NewSource(5)
+	const n, draws = 1<<30 + 1, 1000
+	for i := 0; i < draws; i++ {
+		src.Intn(n)
+	}
+	if extra := src.State() - draws; extra < draws/4 {
+		t.Fatalf("%d rejected draws in %d, want about %d", extra, draws, draws/2)
+	}
+}
+
+func TestSourceIntnPanics(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Intn(%d) did not panic", n)
+				}
+			}()
+			NewSource(1).Intn(n)
+		}()
+	}
+}
+
+// BenchmarkIntn compares one Intn(3) draw on the concrete Source with the
+// same draw through rand.Rand.
+func BenchmarkIntn(b *testing.B) {
+	b.Run("source", func(b *testing.B) {
+		src := NewSource(1)
+		for i := 0; i < b.N; i++ {
+			src.Intn(3)
+		}
+	})
+	b.Run("rand", func(b *testing.B) {
+		r, _ := New(1)
+		for i := 0; i < b.N; i++ {
+			r.Intn(3)
+		}
+	})
 }

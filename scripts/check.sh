@@ -72,11 +72,12 @@ go test -race -count=1 -run 'TestFieldShardEquivalence|TestEnginePooledClustersC
 
 # Benchmark smoke: one iteration each of the Go micro-benchmarks that
 # CHANGES.md cites as per-layer evidence (sweep cache, batched policy
-# engine, DQN update, dense train step, batcher admission, decide body, field
-# engine), so they stay runnable. End-to-end numbers come from perfbench, not
+# engine, lockstep slot loop, DQN update, dense train step, batcher
+# admission, decide body, field engine), so they stay runnable. End-to-end numbers come from perfbench, not
 # from here.
 go test -run '^$' -bench '^BenchmarkAllSweeps$' -benchtime 1x .
 go test -run '^$' -bench '^BenchmarkPolicyBatch$' -benchtime 1x ./internal/policy
+go test -run '^$' -bench '^BenchmarkSchemeRunSlot$' -benchtime 1x ./internal/policy
 go test -run '^$' -bench '^BenchmarkDQNTrainStep$' -benchtime 1x ./internal/rl
 go test -run '^$' -bench '^BenchmarkTrainStepBatch64$' -benchtime 1x ./internal/nn
 go test -run '^$' -bench '^BenchmarkBatcherDecide$' -benchtime 1x ./internal/serve
@@ -93,6 +94,7 @@ go test -run '^$' -fuzz FuzzZigbeeFrameDecode -fuzztime "$FUZZTIME" ./internal/p
 go test -run '^$' -fuzz FuzzWifiPPDUDecode -fuzztime "$FUZZTIME" ./internal/phy/wifi
 go test -run '^$' -fuzz FuzzCheckpointLoad -fuzztime "$FUZZTIME" ./internal/rl
 go test -run '^$' -fuzz FuzzForwardBatchEngines -fuzztime "$FUZZTIME" ./internal/nn
+go test -run '^$' -fuzz FuzzNetworkLoad -fuzztime "$FUZZTIME" ./internal/nn
 go test -run '^$' -fuzz FuzzSchemeRoundTrip -fuzztime "$FUZZTIME" ./internal/core
 go test -run '^$' -fuzz FuzzJammerSpec -fuzztime "$FUZZTIME" ./internal/jammer
 go test -run '^$' -fuzz FuzzFaultParse -fuzztime "$FUZZTIME" ./internal/fault

@@ -37,6 +37,7 @@ promote internal/phy/zigbee FuzzZigbeeFrameDecode
 promote internal/phy/wifi FuzzWifiPPDUDecode
 promote internal/rl FuzzCheckpointLoad
 promote internal/nn FuzzForwardBatchEngines
+promote internal/nn FuzzNetworkLoad
 promote internal/core FuzzSchemeRoundTrip
 promote internal/jammer FuzzJammerSpec
 promote internal/fault FuzzFaultParse
