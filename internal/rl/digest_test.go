@@ -74,3 +74,18 @@ func TestDQNTrainedWeightsDigest(t *testing.T) {
 		t.Fatalf("trained weights SHA-256 = %s, want %s", got, want)
 	}
 }
+
+// TestDQNStateDigest pins the SHA-256 of the CTDQ stream SaveState writes
+// after trainSyntheticDQN: header, both networks, the Adam moments and the
+// replay ring. Any change to the layout or to a field's bytes moves it.
+func TestDQNStateDigest(t *testing.T) {
+	d := trainSyntheticDQN(t)
+	h := sha256.New()
+	if err := d.SaveState(h); err != nil {
+		t.Fatal(err)
+	}
+	const want = "8a7877d5c8e56308ca00be2d42b3bf0ef970376c53495dd29e0e92beddbab2e5"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("CTDQ stream SHA-256 = %s, want %s", got, want)
+	}
+}
