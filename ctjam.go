@@ -20,6 +20,7 @@
 package ctjam
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -276,7 +277,7 @@ func TrainDQNWithOptions(cfg Config, trainSlots int, opts TrainOptions) (*Policy
 				lastErr = err
 				continue
 			}
-			cur, lerr := agent.LoadTraining(f, e)
+			cur, lerr := agent.LoadTraining(bufio.NewReader(f), e)
 			f.Close()
 			if lerr != nil {
 				// Corrupt generation: rebuild the agent/env pair in case
@@ -297,7 +298,7 @@ func TrainDQNWithOptions(cfg Config, trainSlots int, opts TrainOptions) (*Policy
 		f, err := os.Open(opts.Checkpoint)
 		switch {
 		case err == nil:
-			cur, lerr := agent.LoadTraining(f, e)
+			cur, lerr := agent.LoadTraining(bufio.NewReader(f), e)
 			f.Close()
 			if lerr != nil {
 				return nil, lerr

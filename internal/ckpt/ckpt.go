@@ -3,8 +3,10 @@
 // keep-newest-N retention policy. Writers drop a new generation after each
 // checkpoint interval and GC the oldest beyond the retention count; resume
 // scans newest-to-oldest so a corrupt latest generation falls back to the
-// previous one instead of aborting the run. It also owns the magic + version
-// header every binary checkpoint format opens with (header.go).
+// previous one instead of aborting the run. It also owns the one codec of
+// the repo's binary formats: the magic + version header every format opens
+// with (header.go) and the Encoder/Decoder that write and read the fields
+// after it (codec.go).
 package ckpt
 
 import (

@@ -12,7 +12,9 @@ var errBad = errors.New("bad test stream")
 
 func TestHeaderRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteHeader(&buf, 0x43545343, 7); err != nil {
+	e := NewEncoder(&buf)
+	e.Header(0x43545343, 7)
+	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if want := []byte{'C', 'S', 'T', 'C', 7, 0, 0, 0}; !bytes.Equal(buf.Bytes(), want) {
@@ -22,14 +24,17 @@ func TestHeaderRoundTrip(t *testing.T) {
 	if m, err := PeekMagic(br); err != nil || m != 0x43545343 {
 		t.Fatalf("PeekMagic = %#x, %v", m, err)
 	}
-	if err := ReadHeader(br, 0x43545343, 7, errBad); err != nil {
-		t.Fatalf("ReadHeader after peek: %v", err)
+	d := NewDecoder(br, errBad)
+	if d.Header(0x43545343, 7); d.Err() != nil {
+		t.Fatalf("Header after peek: %v", d.Err())
 	}
 }
 
 func TestReadHeaderRejects(t *testing.T) {
 	var good bytes.Buffer
-	WriteHeader(&good, 0x43544A4D, 1)
+	e := NewEncoder(&good)
+	e.Header(0x43544A4D, 1)
+	e.Close()
 	for _, tc := range []struct {
 		name string
 		data []byte
@@ -40,7 +45,9 @@ func TestReadHeaderRejects(t *testing.T) {
 		{"other magic", append([]byte("CTDQ"), 1, 0, 0, 0), "bad magic"},
 		{"other version", append([]byte("MJTC"), 2, 0, 0, 0), "unsupported version 2"},
 	} {
-		err := ReadHeader(bytes.NewReader(tc.data), 0x43544A4D, 1, errBad)
+		d := NewDecoder(bytes.NewReader(tc.data), errBad)
+		d.Header(0x43544A4D, 1)
+		err := d.Err()
 		if !errors.Is(err, errBad) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %v naming %q", tc.name, err, errBad, tc.want)
 		}

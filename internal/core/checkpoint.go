@@ -1,11 +1,9 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"ctjam/internal/ckpt"
 	"ctjam/internal/env"
@@ -37,114 +35,57 @@ const (
 	maxJamNesting = 8
 )
 
-// writeJammerState encodes a jammer.State (recursively for wrappers).
-func writeJammerState(w io.Writer, st jammer.State) error {
-	write := func(v any) error { return binary.Write(w, binary.LittleEndian, v) }
+// encodeJammerState encodes a jammer.State (recursively for wrappers).
+func encodeJammerState(e *ckpt.Encoder, st jammer.State) {
 	if len(st.Kind) > maxJamKindLen {
-		return fmt.Errorf("core: jammer kind %q longer than %d bytes", st.Kind, maxJamKindLen)
+		e.Fail(fmt.Errorf("core: jammer kind %q longer than %d bytes", st.Kind, maxJamKindLen))
+		return
 	}
 	if len(st.Ints) > maxJamPayload || len(st.Floats) > maxJamPayload {
-		return fmt.Errorf("core: jammer state payload too large (%d ints, %d floats)", len(st.Ints), len(st.Floats))
+		e.Fail(fmt.Errorf("core: jammer state payload too large (%d ints, %d floats)", len(st.Ints), len(st.Floats)))
+		return
 	}
-	if err := write(uint32(len(st.Kind))); err != nil {
-		return err
-	}
-	if _, err := w.Write([]byte(st.Kind)); err != nil {
-		return err
-	}
-	if err := write(uint32(len(st.Ints))); err != nil {
-		return err
-	}
+	e.U32(uint32(len(st.Kind)))
+	e.Bytes([]byte(st.Kind))
+	e.U32(uint32(len(st.Ints)))
 	for _, x := range st.Ints {
-		if err := write(uint64(x)); err != nil {
-			return err
-		}
+		e.U64(uint64(x))
 	}
-	if err := write(uint32(len(st.Floats))); err != nil {
-		return err
+	e.U32(uint32(len(st.Floats)))
+	e.F64s(st.Floats)
+	e.Bool(st.Inner != nil)
+	if st.Inner != nil {
+		encodeJammerState(e, *st.Inner)
 	}
-	for _, x := range st.Floats {
-		if err := write(math.Float64bits(x)); err != nil {
-			return err
-		}
-	}
-	if st.Inner == nil {
-		return write(uint8(0))
-	}
-	if err := write(uint8(1)); err != nil {
-		return err
-	}
-	return writeJammerState(w, *st.Inner)
 }
 
-// readJammerState decodes an encoding written by writeJammerState.
-func readJammerState(r io.Reader, depth int) (jammer.State, error) {
-	read := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
+// decodeJammerState decodes an encoding written by encodeJammerState.
+func decodeJammerState(d *ckpt.Decoder, depth int) jammer.State {
 	if depth > maxJamNesting {
-		return jammer.State{}, fmt.Errorf("%w: jammer state nested deeper than %d", ErrBadTrainingCheckpoint, maxJamNesting)
+		d.Failf("jammer state nested deeper than %d", maxJamNesting)
+		return jammer.State{}
 	}
-	var kindLen uint32
-	if err := read(&kindLen); err != nil {
-		return jammer.State{}, fmt.Errorf("%w: jammer kind: %v", ErrBadTrainingCheckpoint, err)
-	}
+	d.Section("jammer state")
+	kindLen := d.U32()
 	if kindLen > maxJamKindLen {
-		return jammer.State{}, fmt.Errorf("%w: implausible jammer kind length %d", ErrBadTrainingCheckpoint, kindLen)
+		d.Failf("implausible jammer kind length %d", kindLen)
 	}
-	kind := make([]byte, kindLen)
-	if _, err := io.ReadFull(r, kind); err != nil {
-		return jammer.State{}, fmt.Errorf("%w: jammer kind: %v", ErrBadTrainingCheckpoint, err)
+	st := jammer.State{Kind: string(d.Bytes(int(kindLen)))}
+	if n := d.U32(); n > maxJamPayload {
+		d.Failf("implausible jammer int count %d", n)
+	} else if n > 0 {
+		st.Ints = d.I64s(int(n))
 	}
-	st := jammer.State{Kind: string(kind)}
-	var nInts uint32
-	if err := read(&nInts); err != nil {
-		return jammer.State{}, fmt.Errorf("%w: jammer ints: %v", ErrBadTrainingCheckpoint, err)
+	if n := d.U32(); n > maxJamPayload {
+		d.Failf("implausible jammer float count %d", n)
+	} else if n > 0 {
+		st.Floats = d.F64s(int(n))
 	}
-	if nInts > maxJamPayload {
-		return jammer.State{}, fmt.Errorf("%w: implausible jammer int count %d", ErrBadTrainingCheckpoint, nInts)
-	}
-	if nInts > 0 {
-		st.Ints = make([]int64, nInts)
-		for i := range st.Ints {
-			var x uint64
-			if err := read(&x); err != nil {
-				return jammer.State{}, fmt.Errorf("%w: jammer ints: %v", ErrBadTrainingCheckpoint, err)
-			}
-			st.Ints[i] = int64(x)
-		}
-	}
-	var nFloats uint32
-	if err := read(&nFloats); err != nil {
-		return jammer.State{}, fmt.Errorf("%w: jammer floats: %v", ErrBadTrainingCheckpoint, err)
-	}
-	if nFloats > maxJamPayload {
-		return jammer.State{}, fmt.Errorf("%w: implausible jammer float count %d", ErrBadTrainingCheckpoint, nFloats)
-	}
-	if nFloats > 0 {
-		st.Floats = make([]float64, nFloats)
-		for i := range st.Floats {
-			var bits uint64
-			if err := read(&bits); err != nil {
-				return jammer.State{}, fmt.Errorf("%w: jammer floats: %v", ErrBadTrainingCheckpoint, err)
-			}
-			st.Floats[i] = math.Float64frombits(bits)
-		}
-	}
-	var hasInner uint8
-	if err := read(&hasInner); err != nil {
-		return jammer.State{}, fmt.Errorf("%w: jammer inner flag: %v", ErrBadTrainingCheckpoint, err)
-	}
-	switch hasInner {
-	case 0:
-	case 1:
-		inner, err := readJammerState(r, depth+1)
-		if err != nil {
-			return jammer.State{}, err
-		}
+	if d.Bool("jammer inner") {
+		inner := decodeJammerState(d, depth+1)
 		st.Inner = &inner
-	default:
-		return jammer.State{}, fmt.Errorf("%w: bad jammer inner flag %d", ErrBadTrainingCheckpoint, hasInner)
 	}
-	return st, nil
+	return st
 }
 
 // ErrBadTrainingCheckpoint is returned when decoding an invalid training
@@ -162,35 +103,20 @@ type TrainingCursor struct {
 // SaveTraining writes a complete mid-training snapshot: the loop cursor, the
 // agent's history window, the environment state and the DQN learner state.
 func (a *DQNAgent) SaveTraining(w io.Writer, e *env.Environment, cur TrainingCursor) error {
-	write := func(v any) error { return binary.Write(w, binary.LittleEndian, v) }
 	st := e.State()
-	if err := ckpt.WriteHeader(w, trainMagic, trainVersion); err != nil {
-		return err
-	}
-	for _, v := range []any{
-		uint64(cur.Slot), math.Float64bits(cur.TotalReward),
-		uint32(len(a.hist.Window())),
-	} {
-		if err := write(v); err != nil {
-			return err
-		}
-	}
-	for _, x := range a.hist.Window() {
-		if err := write(math.Float64bits(x)); err != nil {
-			return err
-		}
-	}
-	for _, v := range []any{
-		st.RNG, uint32(st.Channel), uint64(st.Slot), boolByte(st.Started),
-	} {
-		if err := write(v); err != nil {
-			return err
-		}
-	}
-	if err := writeJammerState(w, st.Jammer); err != nil {
-		return err
-	}
-	return a.dqn.SaveState(w)
+	enc := ckpt.NewEncoder(w)
+	enc.Header(trainMagic, trainVersion)
+	enc.U64(uint64(cur.Slot))
+	enc.F64(cur.TotalReward)
+	enc.U32(uint32(len(a.hist.Window())))
+	enc.F64s(a.hist.Window())
+	enc.U64(st.RNG)
+	enc.U32(uint32(st.Channel))
+	enc.U64(uint64(st.Slot))
+	enc.Bool(st.Started)
+	encodeJammerState(enc, st.Jammer)
+	a.dqn.EncodeState(enc)
+	return enc.Close()
 }
 
 // trainingPrelude is everything a CTTC stream holds before the embedded
@@ -204,97 +130,56 @@ type trainingPrelude struct {
 // readTrainingPrelude reads a CTTC stream up to the embedded learner state.
 // It is the one parser of the prelude, shared by LoadTraining and
 // SnapshotFromCheckpoint, so it checks only what needs no agent
-// configuration; in-stream lengths are capped so a corrupt stream cannot
-// force a large allocation.
-func readTrainingPrelude(r io.Reader) (trainingPrelude, error) {
-	read := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
-	if err := ckpt.ReadHeader(r, trainMagic, trainVersion, ErrBadTrainingCheckpoint); err != nil {
-		return trainingPrelude{}, err
-	}
-	var slot, totalBits uint64
-	var histLen uint32
-	for _, v := range []any{&slot, &totalBits, &histLen} {
-		if err := read(v); err != nil {
-			return trainingPrelude{}, fmt.Errorf("%w: header: %v", ErrBadTrainingCheckpoint, err)
-		}
-	}
+// configuration; in-stream lengths are capped, and the history grows as its
+// bytes arrive, so a corrupt stream cannot force a large allocation.
+func readTrainingPrelude(d *ckpt.Decoder) trainingPrelude {
+	d.Header(trainMagic, trainVersion)
+	slot, total, histLen := d.U64(), d.F64(), d.U32()
 	if slot > 1<<40 {
-		return trainingPrelude{}, fmt.Errorf("%w: implausible slot %d", ErrBadTrainingCheckpoint, slot)
+		d.Failf("implausible slot %d", slot)
 	}
 	if histLen > 1<<20 {
-		return trainingPrelude{}, fmt.Errorf("%w: implausible history length %d", ErrBadTrainingCheckpoint, histLen)
+		d.Failf("implausible history length %d", histLen)
 	}
-	p := trainingPrelude{
-		cursor: TrainingCursor{Slot: int(slot), TotalReward: math.Float64frombits(totalBits)},
-		hist:   make([]float64, histLen),
-	}
-	for i := range p.hist {
-		var bits uint64
-		if err := read(&bits); err != nil {
-			return trainingPrelude{}, fmt.Errorf("%w: history: %v", ErrBadTrainingCheckpoint, err)
-		}
-		p.hist[i] = math.Float64frombits(bits)
-	}
-
-	var envRNG, envSlot uint64
-	var envChannel uint32
-	var started uint8
-	for _, v := range []any{&envRNG, &envChannel, &envSlot, &started} {
-		if err := read(v); err != nil {
-			return trainingPrelude{}, fmt.Errorf("%w: environment: %v", ErrBadTrainingCheckpoint, err)
-		}
-	}
-	if started > 1 {
-		return trainingPrelude{}, fmt.Errorf("%w: bad started flag %d", ErrBadTrainingCheckpoint, started)
-	}
+	p := trainingPrelude{cursor: TrainingCursor{Slot: int(slot), TotalReward: total}}
+	d.Section("history")
+	p.hist = d.F64s(int(histLen))
+	d.Section("environment")
+	p.env = env.State{RNG: d.U64(), Channel: int(d.U32())}
+	envSlot := d.U64()
+	p.env.Started = d.Bool("started")
 	if envSlot > 1<<40 {
-		return trainingPrelude{}, fmt.Errorf("%w: implausible env slot %d", ErrBadTrainingCheckpoint, envSlot)
+		d.Failf("implausible env slot %d", envSlot)
 	}
-	jamState, err := readJammerState(r, 1)
-	if err != nil {
-		return trainingPrelude{}, err
-	}
-	p.env = env.State{
-		RNG:     envRNG,
-		Channel: int(envChannel),
-		Slot:    int(envSlot),
-		Started: started == 1,
-		Jammer:  jamState,
-	}
-	return p, nil
+	p.env.Slot = int(envSlot)
+	p.env.Jammer = decodeJammerState(d, 1)
+	return p
 }
 
 // LoadTraining restores a snapshot written by SaveTraining into the agent
 // and environment, both of which must have been built with the same
 // configuration as at save time. It returns the restored loop cursor.
 func (a *DQNAgent) LoadTraining(r io.Reader, e *env.Environment) (TrainingCursor, error) {
-	p, err := readTrainingPrelude(r)
-	if err != nil {
+	d := ckpt.NewDecoder(r, ErrBadTrainingCheckpoint)
+	p := readTrainingPrelude(d)
+	if err := d.Err(); err != nil {
 		return TrainingCursor{}, err
 	}
 	if len(p.hist) != 3*a.cfg.HistoryLen {
-		return TrainingCursor{}, fmt.Errorf("%w: history has %d values, agent wants %d",
-			ErrBadTrainingCheckpoint, len(p.hist), 3*a.cfg.HistoryLen)
+		return TrainingCursor{}, d.Failf("history has %d values, agent wants %d", len(p.hist), 3*a.cfg.HistoryLen)
 	}
 
 	// Restore the learner first: it validates against the agent's config
 	// and leaves everything untouched on error, so the env and history are
 	// only mutated once the whole stream has decoded.
-	if err := a.dqn.LoadState(r); err != nil {
+	if err := a.dqn.DecodeState(d); err != nil {
 		return TrainingCursor{}, err
 	}
 	if err := e.SetState(p.env); err != nil {
-		return TrainingCursor{}, fmt.Errorf("%w: %v", ErrBadTrainingCheckpoint, err)
+		return TrainingCursor{}, d.Failf("%v", err)
 	}
 	if err := a.hist.SetWindow(p.hist); err != nil {
-		return TrainingCursor{}, fmt.Errorf("%w: %v", ErrBadTrainingCheckpoint, err)
+		return TrainingCursor{}, d.Failf("%v", err)
 	}
 	return p.cursor, nil
-}
-
-func boolByte(b bool) uint8 {
-	if b {
-		return 1
-	}
-	return 0
 }

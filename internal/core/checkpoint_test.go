@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -81,5 +82,80 @@ func TestLoadTrainingRejectsUnreachableRNGPosition(t *testing.T) {
 	a, e2 := build()
 	if _, err := a.LoadTraining(bytes.NewReader(good), e2); err != nil {
 		t.Fatalf("unpatched stream: %v", err)
+	}
+}
+
+// countingWriter counts the Write calls it receives and the bytes in them.
+type countingWriter struct{ writes, bytes int }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	w.bytes += len(p)
+	return len(p), nil
+}
+
+// TestSaveTrainingWriteCount: SaveTraining buffers its stream, so writing a
+// checkpoint straight to a file costs about one write per 4 KB, not one per
+// field.
+func TestSaveTrainingWriteCount(t *testing.T) {
+	agent, e := trainWrapped(t, 200) // 200 slots fill the 128-entry replay ring
+	var w countingWriter
+	if err := agent.SaveTraining(&w, e, TrainingCursor{Slot: 200}); err != nil {
+		t.Fatal(err)
+	}
+	if limit := (w.bytes+4095)/4096 + 1; w.writes > limit {
+		t.Fatalf("SaveTraining issued %d writes for %d bytes, want at most %d", w.writes, w.bytes, limit)
+	}
+}
+
+// cttcPrelude returns the start of a CTTC stream: header, cursor and a
+// history length field claiming histLen values, none of which follow.
+func cttcPrelude(histLen uint32) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, trainMagic)
+	b = binary.LittleEndian.AppendUint32(b, trainVersion)
+	b = binary.LittleEndian.AppendUint64(b, 0)
+	b = binary.LittleEndian.AppendUint64(b, 0)
+	return binary.LittleEndian.AppendUint32(b, histLen)
+}
+
+// nestedJammerPrelude returns a CTTC stream with an empty history and an
+// environment whose jammer state nests depth levels deep; the innermost
+// level claims ints int values, none of which follow.
+func nestedJammerPrelude(depth int, ints uint32) []byte {
+	b := cttcPrelude(0)
+	b = binary.LittleEndian.AppendUint64(b, 0) // env RNG position
+	b = binary.LittleEndian.AppendUint32(b, 0) // channel
+	b = binary.LittleEndian.AppendUint64(b, 0) // slot
+	b = append(b, 0)                           // started
+	for i := 1; i < depth; i++ {
+		b = append(b, make([]byte, 12)...) // empty kind, no ints, no floats
+		b = append(b, 1)                   // an inner state follows
+	}
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	return binary.LittleEndian.AppendUint32(b, ints)
+}
+
+// TestLoadTrainingOversizedHeaderAllocatesLittle: a CTTC prelude whose
+// counts claim far more values than the stream holds must fail having
+// allocated about what the stream supplied, not what the counts claimed.
+func TestLoadTrainingOversizedHeaderAllocatesLittle(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"2^20 history values", cttcPrelude(1 << 20)},
+		{"65536 jammer ints at depth 8", nestedJammerPrelude(maxJamNesting, maxJamPayload)},
+	} {
+		agent, e := trainWrapped(t, 0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := agent.LoadTraining(bytes.NewReader(tc.data), e)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadTrainingCheckpoint) {
+			t.Fatalf("%s: err %v, want ErrBadTrainingCheckpoint", tc.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+			t.Errorf("%s: rejecting a %d-byte stream allocated %d bytes", tc.name, len(tc.data), got)
+		}
 	}
 }

@@ -3,11 +3,9 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 
 	"ctjam/internal/ckpt"
 	"ctjam/internal/nn"
@@ -200,34 +198,31 @@ func (c *SchemeCheckpoint) Encode() ([]byte, error) {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	w := func(v any) { binary.Write(&buf, binary.LittleEndian, v) }
-	ckpt.WriteHeader(&buf, schemeMagic, schemeVersion)
-	w(uint8(c.Family))
-	w(uint8(0)) // engine flag: 1 selected the removed float32 engine
-	w(uint16(len(c.Name)))
-	buf.WriteString(c.Name)
-	w(uint32(c.Channels))
+	e := ckpt.NewEncoder(&buf)
+	e.Header(schemeMagic, schemeVersion)
+	e.U8(uint8(c.Family))
+	e.U8(0) // engine flag: 1 selected the removed float32 engine
+	e.U16(uint16(len(c.Name)))
+	e.Bytes([]byte(c.Name))
+	e.U32(uint32(c.Channels))
 	switch c.Family {
 	case SchemeDQN:
-		w(uint32(c.Powers))
-		w(uint32(c.HistoryLen))
-		if err := c.Net.Save(&buf); err != nil {
-			return nil, err
-		}
+		e.U32(uint32(c.Powers))
+		e.U32(uint32(c.HistoryLen))
+		c.Net.Encode(e)
 	case SchemeMDP:
-		w(uint32(c.SweepWidth))
-		w(uint32(len(c.Params.TxPowers)))
-		for _, v := range c.Params.TxPowers {
-			w(v)
-		}
-		for _, v := range c.Params.WinProb {
-			w(v)
-		}
-		w(c.Params.LossHop)
-		w(c.Params.LossJam)
+		e.U32(uint32(c.SweepWidth))
+		e.U32(uint32(len(c.Params.TxPowers)))
+		e.F64s(c.Params.TxPowers)
+		e.F64s(c.Params.WinProb)
+		e.F64(c.Params.LossHop)
+		e.F64(c.Params.LossJam)
 		for _, a := range c.Actions {
-			w(uint32(a))
+			e.U32(uint32(a))
 		}
+	}
+	if err := e.Close(); err != nil {
+		return nil, err
 	}
 	return buf.Bytes(), nil
 }
@@ -237,104 +232,60 @@ func (c *SchemeCheckpoint) Encode() ([]byte, error) {
 // data, bad magic or out-of-range fields are errors.
 func DecodeScheme(data []byte) (*SchemeCheckpoint, error) {
 	r := bytes.NewReader(data)
-	read := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
-	if err := ckpt.ReadHeader(r, schemeMagic, schemeVersion, ErrBadScheme); err != nil {
-		return nil, err
-	}
-	var family, engine uint8
-	var nameLen uint16
-	for _, v := range []any{&family, &engine, &nameLen} {
-		if err := read(v); err != nil {
-			return nil, fmt.Errorf("%w: header: %v", ErrBadScheme, err)
-		}
-	}
-	switch engine {
+	d := ckpt.NewDecoder(r, ErrBadScheme)
+	d.Header(schemeMagic, schemeVersion)
+	c := &SchemeCheckpoint{Family: SchemeFamily(d.U8())}
+	switch engine := d.U8(); engine {
 	case 0:
 	case 1:
-		return nil, fmt.Errorf("%w: engine flag 1 selects the fast32 engine, which was removed", ErrBadScheme)
+		d.Failf("engine flag 1 selects the fast32 engine, which was removed")
 	default:
-		return nil, fmt.Errorf("%w: engine flag %d", ErrBadScheme, engine)
+		d.Failf("engine flag %d", engine)
 	}
+	nameLen := d.U16()
 	if nameLen > maxSchemeName {
-		return nil, fmt.Errorf("%w: name of %d bytes exceeds %d", ErrBadScheme, nameLen, maxSchemeName)
+		d.Failf("name of %d bytes exceeds %d", nameLen, maxSchemeName)
 	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(r, name); err != nil {
-		return nil, fmt.Errorf("%w: name: %v", ErrBadScheme, err)
-	}
-	c := &SchemeCheckpoint{
-		Family: SchemeFamily(family),
-		Name:   string(name),
-	}
-	var channels uint32
-	if err := read(&channels); err != nil {
-		return nil, fmt.Errorf("%w: channels: %v", ErrBadScheme, err)
-	}
+	d.Section("body")
+	c.Name = string(d.Bytes(int(nameLen)))
 	// Bound before any allocation sized from it (the action table is
 	// SweepCycle+1 entries, and SweepCycle can approach Channels).
-	if channels < 2 || channels > maxSchemeChannels {
-		return nil, fmt.Errorf("%w: channels %d out of range [2,%d]", ErrBadScheme, channels, maxSchemeChannels)
+	c.Channels = int(d.U32())
+	if c.Channels < 2 || c.Channels > maxSchemeChannels {
+		d.Failf("channels %d out of range [2,%d]", c.Channels, maxSchemeChannels)
 	}
-	c.Channels = int(channels)
 	switch c.Family {
 	case SchemeDQN:
-		var powers, history uint32
-		for _, v := range []any{&powers, &history} {
-			if err := read(v); err != nil {
-				return nil, fmt.Errorf("%w: dqn header: %v", ErrBadScheme, err)
-			}
-		}
-		c.Powers, c.HistoryLen = int(powers), int(history)
-		net, err := nn.Load(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: network: %v", ErrBadScheme, err)
-		}
-		c.Net = net
+		c.Powers, c.HistoryLen = int(d.U32()), int(d.U32())
+		c.Net = nn.Decode(d)
 	case SchemeMDP:
-		var sweepWidth, nPowers uint32
-		for _, v := range []any{&sweepWidth, &nPowers} {
-			if err := read(v); err != nil {
-				return nil, fmt.Errorf("%w: mdp header: %v", ErrBadScheme, err)
-			}
-		}
+		c.SweepWidth = int(d.U32())
+		nPowers := d.U32()
 		if nPowers < 1 || nPowers > maxSchemePowers {
-			return nil, fmt.Errorf("%w: %d tx powers out of range [1,%d]", ErrBadScheme, nPowers, maxSchemePowers)
+			d.Failf("%d tx powers out of range [1,%d]", nPowers, maxSchemePowers)
 		}
-		c.SweepWidth = int(sweepWidth)
 		if c.SweepWidth < 1 || c.SweepWidth > c.Channels {
-			return nil, fmt.Errorf("%w: sweep width %d out of range [1,%d]", ErrBadScheme, c.SweepWidth, c.Channels)
+			d.Failf("sweep width %d out of range [1,%d]", c.SweepWidth, c.Channels)
+		}
+		if d.Err() != nil {
+			break
 		}
 		c.Params.SweepCycle = (c.Channels + c.SweepWidth - 1) / c.SweepWidth
-		c.Params.TxPowers = make([]float64, nPowers)
-		c.Params.WinProb = make([]float64, nPowers)
-		for i := range c.Params.TxPowers {
-			if err := read(&c.Params.TxPowers[i]); err != nil {
-				return nil, fmt.Errorf("%w: tx powers: %v", ErrBadScheme, err)
-			}
-		}
-		for i := range c.Params.WinProb {
-			if err := read(&c.Params.WinProb[i]); err != nil {
-				return nil, fmt.Errorf("%w: win probabilities: %v", ErrBadScheme, err)
-			}
-		}
-		for _, v := range []any{&c.Params.LossHop, &c.Params.LossJam} {
-			if err := read(v); err != nil {
-				return nil, fmt.Errorf("%w: losses: %v", ErrBadScheme, err)
-			}
-		}
+		c.Params.TxPowers = d.F64s(int(nPowers))
+		c.Params.WinProb = d.F64s(int(nPowers))
+		c.Params.LossHop, c.Params.LossJam = d.F64(), d.F64()
 		c.Actions = make([]int, c.Params.SweepCycle+1)
 		for i := range c.Actions {
-			var a uint32
-			if err := read(&a); err != nil {
-				return nil, fmt.Errorf("%w: actions: %v", ErrBadScheme, err)
-			}
-			c.Actions[i] = int(a)
+			c.Actions[i] = int(d.U32())
 		}
 	default:
-		return nil, fmt.Errorf("%w: unknown family %d", ErrBadScheme, family)
+		d.Failf("unknown family %d", uint8(c.Family))
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	if r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadScheme, r.Len())
+		return nil, d.Failf("%d trailing bytes", r.Len())
 	}
 	if err := c.validate(); err != nil {
 		return nil, err

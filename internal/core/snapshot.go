@@ -2,7 +2,6 @@ package core
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 
 	"ctjam/internal/ckpt"
@@ -19,13 +18,11 @@ import (
 // training run left behind.
 func SnapshotFromCheckpoint(r io.Reader) (*rl.Snapshot, error) {
 	br := bufio.NewReader(r)
-	magic, err := ckpt.PeekMagic(br)
-	if err != nil {
-		return nil, fmt.Errorf("core: read checkpoint magic: %w", err)
-	}
-	if magic == trainMagic {
-		if _, err := readTrainingPrelude(br); err != nil {
-			return nil, err
+	// A stream too short to peek fails in rl.ReadSnapshot, as ErrBadCheckpoint.
+	if magic, err := ckpt.PeekMagic(br); err == nil && magic == trainMagic {
+		d := ckpt.NewDecoder(br, ErrBadTrainingCheckpoint)
+		if readTrainingPrelude(d); d.Err() != nil {
+			return nil, d.Err()
 		}
 	}
 	return rl.ReadSnapshot(br)

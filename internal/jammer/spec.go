@@ -87,9 +87,6 @@ func Canonical(s string) (string, error) {
 }
 
 func parseSpec(s string, depth int) (Spec, error) {
-	if depth > maxSpecDepth {
-		return Spec{}, fmt.Errorf("jammer: spec nested deeper than %d", maxSpecDepth)
-	}
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return Spec{Kind: KindSweep}, nil
@@ -102,6 +99,10 @@ func parseSpec(s string, depth int) (Spec, error) {
 	sp, err := defaultSpec(name)
 	if err != nil {
 		return Spec{}, err
+	}
+	// A wrapper's inner spec, given or default, sits one level deeper.
+	if sp.Inner != nil && depth >= maxSpecDepth {
+		return Spec{}, fmt.Errorf("jammer: spec nested deeper than %d", maxSpecDepth)
 	}
 	if hasParams {
 		if strings.TrimSpace(params) == "" {

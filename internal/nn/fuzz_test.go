@@ -26,11 +26,11 @@ func fuzzModel(tb testing.TB) []byte {
 // oversizedHeader is a CTJM header for one dense layer of the given shape
 // with no parameters after it.
 func oversizedHeader(rows, cols uint32) []byte {
-	var buf bytes.Buffer
+	var buf []byte
 	for _, v := range []uint32{modelMagic, modelVersion, 1, layerKindDense, rows, cols} {
-		binary.Write(&buf, binary.LittleEndian, v)
+		buf = binary.LittleEndian.AppendUint32(buf, v)
 	}
-	return buf.Bytes()
+	return buf
 }
 
 // FuzzNetworkLoad feeds arbitrary bytes to the CTJM model decoder, which

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"ctjam/internal/ckpt"
 )
 
 func TestMatMulKnown(t *testing.T) {
@@ -504,13 +507,11 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	// A dense layer whose dimensions are individually plausible but whose
 	// product is terabyte-scale must be rejected before allocation (found
 	// by FuzzCheckpointLoad: 0x40000 x 0x80000 = 2^37 float64s).
-	var huge bytes.Buffer
+	var huge []byte
 	for _, v := range []uint32{modelMagic, modelVersion, 1, layerKindDense, 1 << 18, 1 << 19} {
-		if err := binary.Write(&huge, binary.LittleEndian, v); err != nil {
-			t.Fatal(err)
-		}
+		huge = binary.LittleEndian.AppendUint32(huge, v)
 	}
-	if _, err := Load(&huge); !errors.Is(err, ErrBadModelFile) {
+	if _, err := Load(bytes.NewReader(huge)); !errors.Is(err, ErrBadModelFile) {
 		t.Fatalf("huge shape: err = %v, want ErrBadModelFile", err)
 	}
 }
@@ -547,16 +548,24 @@ func TestAdamStateRoundTrip(t *testing.T) {
 		}
 	}
 
+	saveAdam := func(opt *Adam, w io.Writer) error {
+		e := ckpt.NewEncoder(w)
+		opt.SaveAdam(e, net.Params())
+		return e.Close()
+	}
+	loadAdam := func(opt *Adam, data []byte, params []*Param) error {
+		return opt.LoadAdam(ckpt.NewDecoder(bytes.NewReader(data), ErrBadModelFile), params)
+	}
 	opt := NewAdam(0.01)
 	var fresh bytes.Buffer // before the first Step the moments encode as zeros
-	if err := opt.SaveAdam(&fresh, net.Params()); err != nil {
+	if err := saveAdam(opt, &fresh); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
 		step(net, opt)
 	}
 	var state bytes.Buffer
-	if err := opt.SaveAdam(&state, net.Params()); err != nil {
+	if err := saveAdam(opt, &state); err != nil {
 		t.Fatal(err)
 	}
 	saved := state.Bytes()
@@ -565,7 +574,7 @@ func TestAdamStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	resumed := NewAdam(0.01)
-	if err := resumed.LoadAdam(bytes.NewReader(saved), twin.Params()); err != nil {
+	if err := loadAdam(resumed, saved, twin.Params()); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -579,14 +588,14 @@ func TestAdamStateRoundTrip(t *testing.T) {
 		}
 	}
 
-	if err := NewAdam(0.01).LoadAdam(bytes.NewReader(fresh.Bytes()), twin.Params()); err != nil {
+	if err := loadAdam(NewAdam(0.01), fresh.Bytes(), twin.Params()); err != nil {
 		t.Fatalf("zero-moment state: %v", err)
 	}
-	if err := NewAdam(0.01).LoadAdam(bytes.NewReader(saved), twin.Params()[:1]); !errors.Is(err, ErrBadModelFile) {
+	if err := loadAdam(NewAdam(0.01), saved, twin.Params()[:1]); !errors.Is(err, ErrBadModelFile) {
 		t.Fatalf("param count mismatch: err = %v, want ErrBadModelFile", err)
 	}
 	for _, n := range []int{0, 4, 12, 16, len(saved) - 1} {
-		if err := NewAdam(0.01).LoadAdam(bytes.NewReader(saved[:n]), twin.Params()); !errors.Is(err, ErrBadModelFile) {
+		if err := loadAdam(NewAdam(0.01), saved[:n], twin.Params()); !errors.Is(err, ErrBadModelFile) {
 			t.Fatalf("truncated to %d bytes: err = %v, want ErrBadModelFile", n, err)
 		}
 	}

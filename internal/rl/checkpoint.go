@@ -1,11 +1,9 @@
 package rl
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"ctjam/internal/ckpt"
 	"ctjam/internal/nn"
@@ -27,42 +25,40 @@ var ErrBadCheckpoint = errors.New("rl: bad checkpoint")
 
 // SaveState writes the learner's complete mutable state to w.
 func (d *DQN) SaveState(w io.Writer) error {
-	write := func(v any) error { return binary.Write(w, binary.LittleEndian, v) }
-	if err := ckpt.WriteHeader(w, stateMagic, stateVersion); err != nil {
-		return err
-	}
-	for _, v := range []any{
-		uint32(d.cfg.StateDim), uint32(d.cfg.NumActions),
-		uint64(d.envSteps), uint64(d.trainSteps),
-		uint64(d.rngSrc.SeedUsed()), d.rngSrc.State(),
-	} {
-		if err := write(v); err != nil {
-			return err
-		}
-	}
-	if err := d.online.Save(w); err != nil {
-		return err
-	}
-	if err := d.target.Save(w); err != nil {
-		return err
-	}
-	if err := d.opt.SaveAdam(w, d.params); err != nil {
-		return err
-	}
+	e := ckpt.NewEncoder(w)
+	d.EncodeState(e)
+	return e.Close()
+}
+
+// EncodeState writes the learner's CTDQ stream into e, for SaveState and
+// for the training checkpoint that embeds it.
+func (d *DQN) EncodeState(e *ckpt.Encoder) {
+	e.Header(stateMagic, stateVersion)
+	e.U32(uint32(d.cfg.StateDim))
+	e.U32(uint32(d.cfg.NumActions))
+	e.U64(uint64(d.envSteps))
+	e.U64(uint64(d.trainSteps))
+	e.U64(uint64(d.rngSrc.SeedUsed()))
+	e.U64(d.rngSrc.State())
+	d.online.Encode(e)
+	d.target.Encode(e)
+	d.opt.SaveAdam(e, d.params)
 	// Replay buffer: ring indices plus the live entries in storage order.
 	count := d.buffer.Len()
-	for _, v := range []any{uint32(d.buffer.next), boolByte(d.buffer.full), uint32(count)} {
-		if err := write(v); err != nil {
-			return err
+	e.U32(uint32(d.buffer.next))
+	e.Bool(d.buffer.full)
+	e.U32(uint32(count))
+	for _, t := range d.buffer.buf[:count] {
+		if len(t.State) != d.cfg.StateDim || len(t.Next) != d.cfg.StateDim {
+			e.Fail(fmt.Errorf("rl: transition dims %d/%d, want %d", len(t.State), len(t.Next), d.cfg.StateDim))
+			return
 		}
+		e.F64s(t.State)
+		e.F64s(t.Next)
+		e.U32(uint32(t.Action))
+		e.F64(t.Reward)
+		e.Bool(t.Done)
 	}
-	for i := 0; i < count; i++ {
-		t := d.buffer.buf[i]
-		if err := writeTransition(w, t, d.cfg.StateDim); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // stateHeader is the fixed CTDQ header that opens a learner checkpoint.
@@ -73,19 +69,15 @@ type stateHeader struct {
 }
 
 // readStateHeader reads a CTDQ header and checks its magic and version. It
-// is the one parser of the header, shared by LoadState and ReadSnapshot;
+// is the one parser of the header, shared by DecodeState and ReadSnapshot;
 // checks against a learner's configuration stay with the caller.
-func readStateHeader(r io.Reader) (stateHeader, error) {
-	if err := ckpt.ReadHeader(r, stateMagic, stateVersion, ErrBadCheckpoint); err != nil {
-		return stateHeader{}, err
+func readStateHeader(dec *ckpt.Decoder) stateHeader {
+	dec.Header(stateMagic, stateVersion)
+	return stateHeader{
+		stateDim: dec.U32(), numActions: dec.U32(),
+		envSteps: dec.U64(), trainSteps: dec.U64(),
+		rngSeed: dec.U64(), rngState: dec.U64(),
 	}
-	var h stateHeader
-	for _, v := range []any{&h.stateDim, &h.numActions, &h.envSteps, &h.trainSteps, &h.rngSeed, &h.rngState} {
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return stateHeader{}, fmt.Errorf("%w: header: %v", ErrBadCheckpoint, err)
-		}
-	}
-	return h, nil
 }
 
 // maxRNGState bounds the exploration stream position of a learner whose
@@ -109,28 +101,32 @@ func (d *DQN) maxRNGState(envSteps, trainSteps uint64) uint64 {
 // LoadState restores state written by SaveState into d, which must have been
 // built with the same DQNConfig. On any error d is left unchanged.
 func (d *DQN) LoadState(r io.Reader) error {
-	read := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
-	h, err := readStateHeader(r)
-	if err != nil {
+	return d.DecodeState(ckpt.NewDecoder(r, ErrBadCheckpoint))
+}
+
+// DecodeState reads a CTDQ stream from dec into d, for LoadState and for the
+// training checkpoint that embeds it. Its errors wrap ErrBadCheckpoint as
+// well as the sentinel dec was made with. On any error d is left unchanged.
+func (d *DQN) DecodeState(dec *ckpt.Decoder) error {
+	defer dec.Nest(ErrBadCheckpoint)()
+	h := readStateHeader(dec)
+	if err := dec.Err(); err != nil {
 		return err
 	}
 	if int(h.stateDim) != d.cfg.StateDim || int(h.numActions) != d.cfg.NumActions {
-		return fmt.Errorf("%w: dims %dx%d, learner wants %dx%d",
-			ErrBadCheckpoint, h.stateDim, h.numActions, d.cfg.StateDim, d.cfg.NumActions)
+		return dec.Failf("dims %dx%d, learner wants %dx%d",
+			h.stateDim, h.numActions, d.cfg.StateDim, d.cfg.NumActions)
 	}
 	if h.envSteps > 1<<40 || h.trainSteps > h.envSteps {
-		return fmt.Errorf("%w: implausible counters env=%d train=%d", ErrBadCheckpoint, h.envSteps, h.trainSteps)
+		return dec.Failf("implausible counters env=%d train=%d", h.envSteps, h.trainSteps)
 	}
 	if limit := d.maxRNGState(h.envSteps, h.trainSteps); h.rngState > limit {
-		return fmt.Errorf("%w: RNG position %d beyond the %d the counters allow", ErrBadCheckpoint, h.rngState, limit)
+		return dec.Failf("RNG position %d beyond the %d the counters allow", h.rngState, limit)
 	}
-	online, err := nn.Load(r)
-	if err != nil {
-		return fmt.Errorf("%w: online network: %v", ErrBadCheckpoint, err)
-	}
-	target, err := nn.Load(r)
-	if err != nil {
-		return fmt.Errorf("%w: target network: %v", ErrBadCheckpoint, err)
+	online := nn.Decode(dec)
+	target := nn.Decode(dec)
+	if err := dec.Err(); err != nil {
+		return err
 	}
 	// Stage the weights into clones so a failure below leaves d untouched,
 	// then validate shapes against the configured architecture.
@@ -143,38 +139,35 @@ func (d *DQN) LoadState(r io.Reader) error {
 		return err
 	}
 	if err := newOnline.CopyWeightsFrom(online); err != nil {
-		return fmt.Errorf("%w: online network: %v", ErrBadCheckpoint, err)
+		return dec.Failf("online network: %v", err)
 	}
 	if err := newTarget.CopyWeightsFrom(target); err != nil {
-		return fmt.Errorf("%w: target network: %v", ErrBadCheckpoint, err)
+		return dec.Failf("target network: %v", err)
 	}
 	opt := nn.NewAdam(d.cfg.LearningRate)
-	if err := opt.LoadAdam(r, newOnline.Params()); err != nil {
-		return fmt.Errorf("%w: adam: %v", ErrBadCheckpoint, err)
+	if err := opt.LoadAdam(dec, newOnline.Params()); err != nil {
+		return err
 	}
 
-	var next uint32
-	var fullB uint8
-	var count uint32
-	for _, v := range []any{&next, &fullB, &count} {
-		if err := read(v); err != nil {
-			return fmt.Errorf("%w: buffer header: %v", ErrBadCheckpoint, err)
-		}
-	}
+	dec.Section("replay buffer")
+	next, fullB, count := dec.U32(), dec.U8(), dec.U32()
 	capacity := d.buffer.Cap()
 	full := fullB != 0
 	if int(count) > capacity || int(next) >= capacity || fullB > 1 {
-		return fmt.Errorf("%w: buffer indices count=%d next=%d full=%d cap=%d",
-			ErrBadCheckpoint, count, next, fullB, capacity)
+		return dec.Failf("buffer indices count=%d next=%d full=%d cap=%d", count, next, fullB, capacity)
 	}
 	if (full && int(count) != capacity) || (!full && int(count) != int(next)) {
-		return fmt.Errorf("%w: inconsistent buffer fill count=%d next=%d full=%v",
-			ErrBadCheckpoint, count, next, full)
+		return dec.Failf("inconsistent buffer fill count=%d next=%d full=%v", count, next, full)
 	}
 	buf := make([]Transition, capacity)
-	for i := 0; i < int(count); i++ {
-		t, err := readTransition(r, d.cfg.StateDim, d.cfg.NumActions)
-		if err != nil {
+	for i := range buf[:count] {
+		t := Transition{State: dec.F64s(d.cfg.StateDim), Next: dec.F64s(d.cfg.StateDim)}
+		action := dec.U32()
+		if int(action) >= d.cfg.NumActions {
+			return dec.Failf("action %d out of range [0,%d)", action, d.cfg.NumActions)
+		}
+		t.Action, t.Reward, t.Done = int(action), dec.F64(), dec.Bool("transition done")
+		if err := dec.Err(); err != nil {
 			return err
 		}
 		buf[i] = t
@@ -191,68 +184,4 @@ func (d *DQN) LoadState(r io.Reader) error {
 	d.trainSteps = int(h.trainSteps)
 	d.rngSrc.Restore(int64(h.rngSeed), h.rngState)
 	return nil
-}
-
-func boolByte(b bool) uint8 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func writeTransition(w io.Writer, t Transition, stateDim int) error {
-	write := func(v any) error { return binary.Write(w, binary.LittleEndian, v) }
-	if len(t.State) != stateDim || len(t.Next) != stateDim {
-		return fmt.Errorf("rl: transition dims %d/%d, want %d", len(t.State), len(t.Next), stateDim)
-	}
-	for _, s := range [2][]float64{t.State, t.Next} {
-		for _, x := range s {
-			if err := write(math.Float64bits(x)); err != nil {
-				return err
-			}
-		}
-	}
-	if err := write(uint32(t.Action)); err != nil {
-		return err
-	}
-	if err := write(math.Float64bits(t.Reward)); err != nil {
-		return err
-	}
-	return write(boolByte(t.Done))
-}
-
-func readTransition(r io.Reader, stateDim, numActions int) (Transition, error) {
-	read := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
-	t := Transition{State: make([]float64, stateDim), Next: make([]float64, stateDim)}
-	for _, s := range [2][]float64{t.State, t.Next} {
-		for i := range s {
-			var bits uint64
-			if err := read(&bits); err != nil {
-				return Transition{}, fmt.Errorf("%w: transition: %v", ErrBadCheckpoint, err)
-			}
-			s[i] = math.Float64frombits(bits)
-		}
-	}
-	var action uint32
-	if err := read(&action); err != nil {
-		return Transition{}, fmt.Errorf("%w: transition action: %v", ErrBadCheckpoint, err)
-	}
-	if int(action) >= numActions {
-		return Transition{}, fmt.Errorf("%w: action %d out of range [0,%d)", ErrBadCheckpoint, action, numActions)
-	}
-	var rewardBits uint64
-	if err := read(&rewardBits); err != nil {
-		return Transition{}, fmt.Errorf("%w: transition reward: %v", ErrBadCheckpoint, err)
-	}
-	var done uint8
-	if err := read(&done); err != nil {
-		return Transition{}, fmt.Errorf("%w: transition done: %v", ErrBadCheckpoint, err)
-	}
-	if done > 1 {
-		return Transition{}, fmt.Errorf("%w: transition done flag %d", ErrBadCheckpoint, done)
-	}
-	t.Action = int(action)
-	t.Reward = math.Float64frombits(rewardBits)
-	t.Done = done == 1
-	return t, nil
 }

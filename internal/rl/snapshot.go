@@ -150,13 +150,11 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		}
 		return NewSnapshot(net)
 	}
-	h, err := readStateHeader(br)
-	if err != nil {
+	dec := ckpt.NewDecoder(br, ErrBadCheckpoint)
+	h := readStateHeader(dec)
+	net := nn.Decode(dec)
+	if err := dec.Err(); err != nil {
 		return nil, err
-	}
-	net, err := nn.Load(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: online network: %v", ErrBadCheckpoint, err)
 	}
 	s, err := NewSnapshot(net)
 	if err != nil {

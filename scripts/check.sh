@@ -96,6 +96,7 @@ go test -run '^$' -fuzz FuzzCheckpointLoad -fuzztime "$FUZZTIME" ./internal/rl
 go test -run '^$' -fuzz FuzzForwardBatchEngines -fuzztime "$FUZZTIME" ./internal/nn
 go test -run '^$' -fuzz FuzzNetworkLoad -fuzztime "$FUZZTIME" ./internal/nn
 go test -run '^$' -fuzz FuzzSchemeRoundTrip -fuzztime "$FUZZTIME" ./internal/core
+go test -run '^$' -fuzz FuzzTrainingLoad -fuzztime "$FUZZTIME" ./internal/core
 go test -run '^$' -fuzz FuzzJammerSpec -fuzztime "$FUZZTIME" ./internal/jammer
 go test -run '^$' -fuzz FuzzFaultParse -fuzztime "$FUZZTIME" ./internal/fault
 go test -run '^$' -fuzz FuzzDecideBody -fuzztime "$FUZZTIME" ./internal/serve

@@ -39,6 +39,7 @@ promote internal/rl FuzzCheckpointLoad
 promote internal/nn FuzzForwardBatchEngines
 promote internal/nn FuzzNetworkLoad
 promote internal/core FuzzSchemeRoundTrip
+promote internal/core FuzzTrainingLoad
 promote internal/jammer FuzzJammerSpec
 promote internal/fault FuzzFaultParse
 promote internal/serve FuzzDecideBody
