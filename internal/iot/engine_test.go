@@ -86,19 +86,41 @@ func TestEngineSingleClusterMatchesSimulator(t *testing.T) {
 }
 
 // TestEngineClustersDecorrelated checks distinct clusters see distinct
-// randomness: with everything else equal, per-cluster runs should not be
-// copies of cluster 0.
+// randomness: with everything else equal, the runs of the clusters an
+// engine plays should not be copies of cluster 0's.
 func TestEngineClustersDecorrelated(t *testing.T) {
-	st := runEngine(t, 8, 2, 40, engineTemplate())
+	cfg := engineTemplate()
+	eng, err := NewEngine(EngineConfig{Clusters: 8, Template: cfg, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := make([]RunStats, eng.Clusters())
+	for i := range runs {
+		sim, err := New(eng.clusterConfig(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if runs[i], err = sim.Run(randomAgent(t, cfg), 40); err != nil {
+			t.Fatal(err)
+		}
+	}
 	distinct := false
-	for _, r := range st.PerCluster[1:] {
-		if !reflect.DeepEqual(r, st.PerCluster[0]) {
+	for _, r := range runs[1:] {
+		if !reflect.DeepEqual(r, runs[0]) {
 			distinct = true
 			break
 		}
 	}
 	if !distinct {
 		t.Error("all 8 clusters produced identical RunStats; per-cluster seeds look correlated")
+	}
+	newAgent := func() (env.Agent, error) { return randomAgent(t, cfg), nil }
+	got, err := eng.Run(func(int) (env.Agent, error) { return newAgent() }, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameTotals(got, simulatorSum(t, eng, newAgent, 40)) {
+		t.Error("the engine's field differs from the sum of its clusters' Simulator runs")
 	}
 }
 
@@ -113,17 +135,34 @@ func TestEngineFaultStreamsScoped(t *testing.T) {
 	}
 
 	// Cluster 0 must match a plain Simulator under the same injector: the
-	// scoped stream applies only to clusters > 0.
-	sim, err := New(cfg)
+	// scoped stream applies only to clusters > 0. So the field is a plain
+	// Simulator run plus cluster 1's run on its scoped stream.
+	eng, err := NewEngine(EngineConfig{Clusters: 2, Template: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.Run(randomAgent(t, cfg), 40)
-	if err != nil {
-		t.Fatal(err)
+	if c1 := eng.clusterConfig(1); c1.Faults != (fault.Scoped{Inner: cfg.Faults, Stream: 1}) {
+		t.Errorf("cluster 1 runs under %#v, want the injector scoped to stream 1", c1.Faults)
 	}
-	if !reflect.DeepEqual(st.PerCluster[0], want) {
-		t.Error("cluster 0 under faults differs from the equivalent Simulator run")
+	var want RunStats
+	for _, ccfg := range []Config{cfg, eng.clusterConfig(1)} {
+		sim, err := New(ccfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := sim.Run(randomAgent(t, cfg), 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Attempted += r.Attempted
+		want.Delivered += r.Delivered
+		want.FrameLosses += r.FrameLosses
+		want.Counters.Add(r.Counters)
+	}
+	got := st.RunStats()
+	if got.Attempted != want.Attempted || got.Delivered != want.Delivered ||
+		got.FrameLosses != want.FrameLosses || got.Counters != want.Counters {
+		t.Error("the faulted field differs from a plain Simulator run of cluster 0 plus cluster 1's scoped run")
 	}
 }
 

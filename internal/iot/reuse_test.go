@@ -12,6 +12,7 @@ import (
 	"ctjam/internal/env"
 	"ctjam/internal/fault"
 	"ctjam/internal/jammer"
+	"ctjam/internal/policy"
 )
 
 // TestTinyServiceRejected: a packet service the slowest clock drift (0.5×)
@@ -270,6 +271,108 @@ func TestEnginePooledClustersCarryNothing(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, fresh[i]) {
 			t.Errorf("round %d: engine %d's pooled run differs from its fresh build", round, i)
+		}
+	}
+}
+
+// simulatorSum runs every cluster of eng through its own Simulator over
+// clusterConfig(i), each with a fresh agent from newAgent, and folds the runs
+// into field totals: integer counts in any order, utilizations summed in
+// cluster order. It is the reference an engine run must equal, however the
+// engine shares agents and clusters between its workers.
+func simulatorSum(t *testing.T, eng *Engine, newAgent func() (env.Agent, error), slots int) EngineStats {
+	t.Helper()
+	out := EngineStats{
+		Clusters:       eng.Clusters(),
+		Nodes:          eng.Nodes(),
+		Slots:          slots,
+		SlotDeliveries: eng.Clusters() * slots,
+	}
+	var util float64
+	var ovh time.Duration
+	for i := 0; i < eng.Clusters(); i++ {
+		sim, err := New(eng.clusterConfig(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := newAgent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := sim.Run(a, slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Attempted += r.Attempted
+		out.Delivered += r.Delivered
+		out.FrameLosses += r.FrameLosses
+		out.Counters.Add(r.Counters)
+		util += r.MeanUtilization
+		ovh += r.MeanOverhead
+	}
+	out.GoodputPktsPerSlot = float64(out.Delivered) / float64(slots)
+	out.MeanUtilization = util / float64(out.Clusters)
+	out.MeanOverhead = ovh / time.Duration(out.Clusters)
+	return out
+}
+
+// sameTotals reports whether two field runs agree on their size and on every
+// field-wide total.
+func sameTotals(a, b EngineStats) bool {
+	return a.Clusters == b.Clusters && a.Nodes == b.Nodes && a.SlotDeliveries == b.SlotDeliveries &&
+		reflect.DeepEqual(a.RunStats(), b.RunStats())
+}
+
+// TestEngineAgentReuseCarriesNothing runs one field per encoder kind — the
+// MDP's belief, the passive streak, the random walk, the static stay, and a
+// DQN's history window — at one and at three workers. Each run must equal
+// the sum of Simulator runs over the same clusters with a fresh agent each,
+// so an agent the engine hands from one cluster to the next carries nothing
+// across.
+func TestEngineAgentReuseCarriesNothing(t *testing.T) {
+	cfg := engineTemplate()
+	cfg.JammerMode = jammer.ModeRandom
+	model, err := core.NewModel(core.ParamsFromEnv(env.DefaultConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mdp, err := core.NewMDPAgent(model, nil, cfg.Channels, cfg.SweepWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	passive, err := policy.PassiveFHScheme(cfg.Channels, cfg.SweepWidth, core.DefaultJamThreshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	random, err := policy.RandomFHScheme(cfg.Channels, cfg.SweepWidth, len(cfg.TxPowers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	acfg := core.DefaultDQNAgentConfig(cfg.Channels, len(cfg.TxPowers), cfg.SweepWidth)
+	acfg.Hidden = []int{16}
+	dqn, err := core.NewDQNAgent(acfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dqnScheme, err := dqn.Scheme()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clusters, slots = 7, 30
+	for _, sch := range []*policy.Scheme{mdp.Scheme(), passive, random, policy.StaticScheme(), dqnScheme} {
+		newAgent := func() (env.Agent, error) { return sch.NewAgent(), nil }
+		for _, workers := range []int{1, 3} {
+			eng, err := NewEngine(EngineConfig{Clusters: clusters, Template: cfg, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := eng.Run(func(int) (env.Agent, error) { return newAgent() }, slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := simulatorSum(t, eng, newAgent, slots); !sameTotals(got, want) {
+				t.Errorf("%s at %d workers: engine %+v, want the Simulator sum %+v", sch.Name(), workers, got.RunStats(), want.RunStats())
+			}
 		}
 	}
 }
