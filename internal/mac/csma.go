@@ -9,8 +9,9 @@ package mac
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
+
+	"ctjam/internal/rng"
 )
 
 // IEEE 802.15.4 MAC timing at 2.4 GHz: 1 symbol = 16 us.
@@ -58,9 +59,9 @@ func (p Params) Validate() error {
 }
 
 // DrawBackoff returns a random backoff delay of 0..2^be-1 unit periods.
-func DrawBackoff(be int, rng *rand.Rand) time.Duration {
+func DrawBackoff(be int, src *rng.Source) time.Duration {
 	n := 1 << be
-	return time.Duration(rng.Intn(n)) * UnitBackoffPeriod
+	return time.Duration(src.Intn(n)) * UnitBackoffPeriod
 }
 
 // ErrChannelAccessFailure is reported when a node exhausts its CCA attempts
@@ -90,7 +91,7 @@ type Outcome struct {
 type Arbiter struct {
 	params Params
 	nodes  int
-	rng    *rand.Rand
+	src    *rng.Source
 
 	// Per-call scratch, reused across NextTransmission calls: the field
 	// simulator resolves one contention per data packet, so these would
@@ -101,20 +102,20 @@ type Arbiter struct {
 }
 
 // NewArbiter builds an arbiter for n saturated nodes.
-func NewArbiter(n int, params Params, rng *rand.Rand) (*Arbiter, error) {
+func NewArbiter(n int, params Params, src *rng.Source) (*Arbiter, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("mac: need at least 1 node, got %d", n)
 	}
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	if rng == nil {
-		return nil, errors.New("mac: rng must not be nil")
+	if src == nil {
+		return nil, errors.New("mac: rng source must not be nil")
 	}
 	return &Arbiter{
 		params:  params,
 		nodes:   n,
-		rng:     rng,
+		src:     src,
 		be:      make([]int, n),
 		draws:   make([]time.Duration, n),
 		winners: make([]int, 0, n),
@@ -143,7 +144,7 @@ func (a *Arbiter) NextTransmission() (Outcome, error) {
 		draws := a.draws
 		minD := time.Duration(1<<62 - 1)
 		for i := range draws {
-			draws[i] = DrawBackoff(be[i], a.rng)
+			draws[i] = DrawBackoff(be[i], a.src)
 			if draws[i] < minD {
 				minD = draws[i]
 			}
@@ -207,6 +208,6 @@ func (a *Arbiter) MeanAccessDelay(trials int, collisionCost time.Duration) (mean
 // SingleNodeTransaction models the uncontended LBT cost of one frame: one
 // minimum backoff draw plus CCA and turnaround. The field simulator's fixed
 // LBT constant approximates its mean (~0.9 ms with the defaults).
-func SingleNodeTransaction(params Params, rng *rand.Rand) time.Duration {
-	return DrawBackoff(params.MinBE, rng) + CCADuration + TurnaroundTime
+func SingleNodeTransaction(params Params, src *rng.Source) time.Duration {
+	return DrawBackoff(params.MinBE, src) + CCADuration + TurnaroundTime
 }

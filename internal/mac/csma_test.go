@@ -1,10 +1,11 @@
 package mac
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"ctjam/internal/rng"
 )
 
 func TestParamsValidate(t *testing.T) {
@@ -31,10 +32,10 @@ func TestParamsValidate(t *testing.T) {
 }
 
 func TestDrawBackoffBoundsProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	src := rng.NewSource(1)
 	f := func(beSel uint8) bool {
 		be := int(beSel % 8)
-		d := DrawBackoff(be, rng)
+		d := DrawBackoff(be, src)
 		if d < 0 {
 			return false
 		}
@@ -47,20 +48,20 @@ func TestDrawBackoffBoundsProperty(t *testing.T) {
 }
 
 func TestDrawBackoffZeroExponent(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
+	src := rng.NewSource(2)
 	for i := 0; i < 20; i++ {
-		if d := DrawBackoff(0, rng); d != 0 {
+		if d := DrawBackoff(0, src); d != 0 {
 			t.Fatalf("BE=0 backoff = %v, want 0", d)
 		}
 	}
 }
 
 func TestNewArbiterValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	if _, err := NewArbiter(0, DefaultParams(), rng); err == nil {
+	src := rng.NewSource(3)
+	if _, err := NewArbiter(0, DefaultParams(), src); err == nil {
 		t.Fatal("0 nodes: expected error")
 	}
-	if _, err := NewArbiter(3, Params{MinBE: 9, MaxBE: 2}, rng); err == nil {
+	if _, err := NewArbiter(3, Params{MinBE: 9, MaxBE: 2}, src); err == nil {
 		t.Fatal("bad params: expected error")
 	}
 	if _, err := NewArbiter(3, DefaultParams(), nil); err == nil {
@@ -69,7 +70,7 @@ func TestNewArbiterValidation(t *testing.T) {
 }
 
 func TestSingleNodeNeverCollides(t *testing.T) {
-	a, err := NewArbiter(1, DefaultParams(), rand.New(rand.NewSource(4)))
+	a, err := NewArbiter(1, DefaultParams(), rng.NewSource(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestSingleNodeNeverCollides(t *testing.T) {
 
 func TestContentionFairness(t *testing.T) {
 	const nodes = 4
-	a, err := NewArbiter(nodes, DefaultParams(), rand.New(rand.NewSource(5)))
+	a, err := NewArbiter(nodes, DefaultParams(), rng.NewSource(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestContentionFairness(t *testing.T) {
 
 func TestCollisionRateGrowsWithContention(t *testing.T) {
 	rate := func(nodes int) float64 {
-		a, err := NewArbiter(nodes, DefaultParams(), rand.New(rand.NewSource(6)))
+		a, err := NewArbiter(nodes, DefaultParams(), rng.NewSource(6))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +136,7 @@ func TestCollisionRateGrowsWithContention(t *testing.T) {
 
 func TestAccessDelayGrowsWithContention(t *testing.T) {
 	delay := func(nodes int) time.Duration {
-		a, err := NewArbiter(nodes, DefaultParams(), rand.New(rand.NewSource(7)))
+		a, err := NewArbiter(nodes, DefaultParams(), rng.NewSource(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +152,7 @@ func TestAccessDelayGrowsWithContention(t *testing.T) {
 }
 
 func TestMeanAccessDelayValidation(t *testing.T) {
-	a, err := NewArbiter(2, DefaultParams(), rand.New(rand.NewSource(8)))
+	a, err := NewArbiter(2, DefaultParams(), rng.NewSource(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +166,11 @@ func TestMeanAccessDelayValidation(t *testing.T) {
 
 func TestSingleNodeTransactionMean(t *testing.T) {
 	// Mean = E[U{0..7}] * 320us + CCA + turnaround ≈ 1.12ms + 0.32ms.
-	rng := rand.New(rand.NewSource(9))
+	src := rng.NewSource(9)
 	var sum time.Duration
 	const n = 20000
 	for i := 0; i < n; i++ {
-		sum += SingleNodeTransaction(DefaultParams(), rng)
+		sum += SingleNodeTransaction(DefaultParams(), src)
 	}
 	mean := sum / n
 	lo := 1300 * time.Microsecond
@@ -180,7 +181,7 @@ func TestSingleNodeTransactionMean(t *testing.T) {
 }
 
 func BenchmarkNextTransmission4Nodes(b *testing.B) {
-	a, err := NewArbiter(4, DefaultParams(), rand.New(rand.NewSource(10)))
+	a, err := NewArbiter(4, DefaultParams(), rng.NewSource(10))
 	if err != nil {
 		b.Fatal(err)
 	}
