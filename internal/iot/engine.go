@@ -63,9 +63,9 @@ func clusterSeed(seed int64, c int) int64 {
 //
 // An Engine holds only its configuration: a cluster is a pure function of
 // its index, so Run builds each one in its worker, on a cluster value (with
-// its two generators) reused across runs. A field's working memory is
-// therefore bounded by the worker count; only the per-cluster RunStats of
-// the result grow with the cluster count.
+// its two generators) reused across runs, and hands each worker's agent on
+// from cluster to cluster. A run's working memory is therefore one cluster
+// and one agent per worker, plus 8 bytes per cluster for its utilization.
 type Engine struct {
 	cfg EngineConfig
 }
@@ -92,9 +92,17 @@ func (e *Engine) clusterConfig(i int) Config {
 }
 
 // clusterPool recycles cluster values, with their generators and scratch
-// buffers, across the runs of every Engine. A worker takes one per cluster
-// run; reset reseeds it in place, so no state crosses runs.
+// buffers, across the runs of every Engine. A run takes one per lane it
+// builds and puts them back when it ends; reset reseeds a cluster in place
+// before every cluster it plays, so no state crosses clusters or runs.
 var clusterPool = sync.Pool{New: func() any { return new(cluster) }}
+
+// lane is what a worker needs to play one cluster: an agent and a cluster
+// value. Run hands lanes from cluster to cluster through a free list.
+type lane struct {
+	agent env.Agent
+	c     *cluster
+}
 
 // Clusters returns the cluster count.
 func (e *Engine) Clusters() int { return e.cfg.Clusters }
@@ -102,9 +110,9 @@ func (e *Engine) Clusters() int { return e.cfg.Clusters }
 // Nodes returns the total peripheral-node count across the field.
 func (e *Engine) Nodes() int { return e.cfg.Clusters * e.cfg.Template.Nodes }
 
-// EngineStats aggregates one field run: per-cluster RunStats plus the
-// field-wide totals. SlotDeliveries counts cluster-slots resolved
-// (Clusters × Slots) — the unit of the engine's throughput benchmark.
+// EngineStats aggregates one field run into field-wide totals.
+// SlotDeliveries counts cluster-slots resolved (Clusters × Slots) — the unit
+// of the engine's throughput benchmark.
 type EngineStats struct {
 	// Clusters and Nodes describe the field size.
 	Clusters int
@@ -123,15 +131,13 @@ type EngineStats struct {
 	GoodputPktsPerSlot float64
 	// MeanUtilization averages the per-cluster slot utilizations (all
 	// clusters run the same slot count, so the unweighted mean is the
-	// per-cluster-slot mean).
+	// per-cluster-slot mean). The sum runs in cluster order, so the value
+	// is the same at any worker count.
 	MeanUtilization float64
 	// MeanOverhead averages the per-cluster mean slot overheads.
 	MeanOverhead time.Duration
 	// Counters merges the per-cluster Table I counters.
 	Counters metrics.Counters
-	// PerCluster holds each cluster's own run statistics, indexed by
-	// cluster.
-	PerCluster []RunStats
 }
 
 // RunStats projects the field-wide statistics onto the single-network
@@ -151,61 +157,73 @@ func (s EngineStats) RunStats() RunStats {
 	}
 }
 
-// merge folds per-cluster runs into field-wide statistics.
-func (e *Engine) merge(per []RunStats) EngineStats {
-	out := EngineStats{
-		Clusters:   len(per),
-		Nodes:      e.Nodes(),
-		Slots:      per[0].Slots,
-		PerCluster: per,
-	}
-	out.SlotDeliveries = out.Clusters * out.Slots
-	var util float64
-	var ovh time.Duration
-	for _, r := range per {
-		out.Attempted += r.Attempted
-		out.Delivered += r.Delivered
-		out.FrameLosses += r.FrameLosses
-		util += r.MeanUtilization
-		ovh += r.MeanOverhead
-		out.Counters.Add(r.Counters)
-	}
-	out.GoodputPktsPerSlot = float64(out.Delivered) / float64(out.Slots)
-	out.MeanUtilization = util / float64(len(per))
-	out.MeanOverhead = ovh / time.Duration(len(per))
-	return out
-}
-
-// Run drives the whole field for the given number of Tx slots, building one
-// agent per cluster via newAgent (called from worker goroutines; build
-// agents from the cluster index only). Clusters run independently —
-// full-run-per-shard — each through the same cluster.run loop a Simulator
-// uses. Results are bit-identical at any worker count. The generator an
-// agent receives through Reset belongs to the engine and is reused once
-// the agent's cluster finishes, so agents must not draw from it after Run.
+// Run drives the whole field for the given number of Tx slots. Clusters run
+// independently — full-run-per-shard — each through the same cluster.run
+// loop a Simulator uses, and results are bit-identical at any worker count.
+//
+// Agents are shared between clusters: a worker that finishes a cluster puts
+// its agent, with its cluster value, on a free list, and the next cluster
+// any worker starts takes them from there. cluster.run resets the agent on
+// the cluster's own stream before its first slot, so a reused agent plays
+// each cluster exactly as a fresh one would. newAgent is called only when
+// the free list is empty, so at most once per worker, from worker
+// goroutines; the index it gets is the first cluster the agent plays. The
+// generator an agent receives through Reset belongs to the engine and is
+// reseeded for the agent's next cluster, so agents must not draw from it
+// after Run.
 func (e *Engine) Run(newAgent func(cluster int) (env.Agent, error), slots int) (EngineStats, error) {
 	if slots <= 0 {
 		return EngineStats{}, fmt.Errorf("iot: slots %d must be positive", slots)
 	}
-	per := make([]RunStats, e.cfg.Clusters)
-	workers := parallel.Workers(e.cfg.Workers, e.cfg.Clusters)
-	err := parallel.ForEach(workers, e.cfg.Clusters, func(i int) error {
-		agent, err := newAgent(i)
-		if err != nil {
-			return fmt.Errorf("iot: cluster %d agent: %w", i, err)
+	n := e.cfg.Clusters
+	out := EngineStats{Clusters: n, Nodes: e.Nodes(), Slots: slots, SlotDeliveries: n * slots}
+	util := make([]float64, n)
+	var ovh time.Duration
+	var mu sync.Mutex // guards free and the totals in out and ovh
+	var free []lane
+	workers := parallel.Workers(e.cfg.Workers, n)
+	err := parallel.ForEach(workers, n, func(i int) error {
+		var l lane
+		mu.Lock()
+		if k := len(free); k > 0 {
+			l, free = free[k-1], free[:k-1]
 		}
-		c := clusterPool.Get().(*cluster)
-		c.cfg = e.clusterConfig(i)
-		st, err := c.run(agent, slots)
-		clusterPool.Put(c)
+		mu.Unlock()
+		if l.agent == nil {
+			agent, err := newAgent(i)
+			if err != nil {
+				return fmt.Errorf("iot: cluster %d agent: %w", i, err)
+			}
+			l = lane{agent: agent, c: clusterPool.Get().(*cluster)}
+		}
+		l.c.cfg = e.clusterConfig(i)
+		st, err := l.c.run(l.agent, slots)
 		if err != nil {
 			return fmt.Errorf("iot: cluster %d: %w", i, err)
 		}
-		per[i] = st
+		util[i] = st.MeanUtilization
+		mu.Lock()
+		free = append(free, l)
+		out.Attempted += st.Attempted
+		out.Delivered += st.Delivered
+		out.FrameLosses += st.FrameLosses
+		ovh += st.MeanOverhead
+		out.Counters.Add(st.Counters)
+		mu.Unlock()
 		return nil
 	})
+	for _, l := range free {
+		clusterPool.Put(l.c)
+	}
 	if err != nil {
 		return EngineStats{}, err
 	}
-	return e.merge(per), nil
+	var sum float64
+	for _, u := range util {
+		sum += u
+	}
+	out.GoodputPktsPerSlot = float64(out.Delivered) / float64(slots)
+	out.MeanUtilization = sum / float64(n)
+	out.MeanOverhead = ovh / time.Duration(n)
+	return out, nil
 }

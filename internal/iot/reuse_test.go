@@ -170,23 +170,6 @@ func TestEngineBuildMemory(t *testing.T) {
 	}
 }
 
-// freshEngineRun runs eng's field with every cluster built afresh by
-// newCluster, bypassing the pool: the reference a pooled run must match.
-func freshEngineRun(t *testing.T, eng *Engine, slots int) EngineStats {
-	t.Helper()
-	per := make([]RunStats, eng.Clusters())
-	for i := range per {
-		c, err := newCluster(eng.clusterConfig(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if per[i], err = c.run(randomAgent(t, c.cfg), slots); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return eng.merge(per)
-}
-
 // TestEnginePooledClustersCarryNothing runs fields of different shapes —
 // plain, faulted, CSMA, another jammer — concurrently and repeatedly
 // through the shared cluster pool; each must equal its own first run, so
@@ -259,7 +242,8 @@ func TestEnginePooledClustersCarryNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		engines[i], fresh[i] = eng, freshEngineRun(t, eng, 12)
+		newAgent := func() (env.Agent, error) { return randomAgent(t, cfg), nil }
+		engines[i], fresh[i] = eng, simulatorSum(t, eng, newAgent, 12)
 	}
 	for round := 0; round < 2*len(jamCfgs); round++ {
 		i := round % len(jamCfgs)
@@ -269,7 +253,7 @@ func TestEnginePooledClustersCarryNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, fresh[i]) {
+		if got != fresh[i] {
 			t.Errorf("round %d: engine %d's pooled run differs from its fresh build", round, i)
 		}
 	}
@@ -314,13 +298,6 @@ func simulatorSum(t *testing.T, eng *Engine, newAgent func() (env.Agent, error),
 	out.MeanUtilization = util / float64(out.Clusters)
 	out.MeanOverhead = ovh / time.Duration(out.Clusters)
 	return out
-}
-
-// sameTotals reports whether two field runs agree on their size and on every
-// field-wide total.
-func sameTotals(a, b EngineStats) bool {
-	return a.Clusters == b.Clusters && a.Nodes == b.Nodes && a.SlotDeliveries == b.SlotDeliveries &&
-		reflect.DeepEqual(a.RunStats(), b.RunStats())
 }
 
 // TestEngineAgentReuseCarriesNothing runs one field per encoder kind — the
@@ -370,9 +347,68 @@ func TestEngineAgentReuseCarriesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := simulatorSum(t, eng, newAgent, slots); !sameTotals(got, want) {
-				t.Errorf("%s at %d workers: engine %+v, want the Simulator sum %+v", sch.Name(), workers, got.RunStats(), want.RunStats())
+			if want := simulatorSum(t, eng, newAgent, slots); got != want {
+				t.Errorf("%s at %d workers: engine %+v, want the Simulator sum %+v", sch.Name(), workers, got, want)
 			}
 		}
+	}
+}
+
+// TestEngineAgentPerWorker: Run builds at most one agent per worker, and the
+// index newAgent gets is the first cluster that agent plays, so a serial run
+// builds one agent, for cluster 0.
+func TestEngineAgentPerWorker(t *testing.T) {
+	cfg := engineTemplate()
+	for _, workers := range []int{1, 3} {
+		eng, err := NewEngine(EngineConfig{Clusters: 40, Template: cfg, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		var built []int
+		_, err = eng.Run(func(i int) (env.Agent, error) {
+			mu.Lock()
+			built = append(built, i)
+			mu.Unlock()
+			return randomAgent(t, cfg), nil
+		}, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(built) < 1 || len(built) > workers {
+			t.Errorf("%d workers built %d agents, want 1 to %d", workers, len(built), workers)
+		}
+		if workers == 1 && (len(built) != 1 || built[0] != 0) {
+			t.Errorf("a serial run built agents for clusters %v, want only cluster 0's", built)
+		}
+	}
+}
+
+// TestEngineRunMemory: what Run allocates grows by at most 16 B per cluster
+// between a 2,000- and a 20,000-cluster field, so a run's memory is set by
+// its workers and not by its field size. Building an agent per cluster
+// and keeping a RunStats per cluster cost about 330 B per cluster with
+// this agent; a run now keeps one float64 per cluster.
+func TestEngineRunMemory(t *testing.T) {
+	cfg := engineTemplate()
+	newAgent := func(int) (env.Agent, error) { return randomAgent(t, cfg), nil }
+	alloc := func(clusters int) int64 {
+		eng, err := NewEngine(EngineConfig{Clusters: clusters, Template: cfg, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := eng.Run(newAgent, 2); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	alloc(2) // fill the cluster pool
+	small, large := alloc(2000), alloc(20000)
+	if per := (large - small) / 18000; per > 16 {
+		t.Errorf("Run allocates %d B more per cluster from 2,000 to 20,000 clusters (%d B, then %d B), want ≤ 16", per, small, large)
 	}
 }

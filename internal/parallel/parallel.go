@@ -61,11 +61,12 @@ func ForEach(workers, n int, fn func(i int) error) error {
 		return nil
 	}
 
-	errs := make([]error, n)
 	var (
 		next     atomic.Int64
 		wg       sync.WaitGroup
-		panicMu  sync.Mutex
+		mu       sync.Mutex // guards failed, firstErr and panicked
+		failed   = n        // lowest failed index, n while none failed
+		firstErr error
 		panicked *panicError
 	)
 	for w := 0; w < workers; w++ {
@@ -80,14 +81,20 @@ func ForEach(workers, n int, fn func(i int) error) error {
 				func() {
 					defer func() {
 						if r := recover(); r != nil {
-							panicMu.Lock()
+							mu.Lock()
 							if panicked == nil || i < panicked.index {
 								panicked = &panicError{index: i, value: r}
 							}
-							panicMu.Unlock()
+							mu.Unlock()
 						}
 					}()
-					errs[i] = fn(i)
+					if err := fn(i); err != nil {
+						mu.Lock()
+						if i < failed {
+							failed, firstErr = i, err
+						}
+						mu.Unlock()
+					}
 				}()
 			}
 		}()
@@ -96,12 +103,7 @@ func ForEach(workers, n int, fn func(i int) error) error {
 	if panicked != nil {
 		panic(fmt.Sprintf("parallel: task %d panicked: %v", panicked.index, panicked.value))
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return firstErr
 }
 
 // Map runs fn over [0, n) with at most `workers` goroutines and collects the
