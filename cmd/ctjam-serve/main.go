@@ -103,7 +103,7 @@ func main() {
 	batch := flag.Bool("batch", true, "coalesce concurrent single-state decisions into batched forward passes")
 	window := flag.Duration("batch-window", serve.DefaultWindow, "micro-batch latency budget (max queueing delay for a lone request)")
 	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatch, "max states per batched forward pass")
-	maxBody := flag.Int64("max-body", serve.DefaultMaxBody, "decide request body cap in bytes (larger bodies get 413)")
+	maxBody := flag.Int64("max-body", serve.DefaultMaxBody, "decide request body and session line cap in bytes (larger bodies get 413, longer lines end the session)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "grace period for draining in-flight requests on SIGTERM/SIGINT")
 	pprofOn := flag.Bool("pprof", true, "expose net/http/pprof under /debug/pprof/ on the same listener")
 	flag.Parse()

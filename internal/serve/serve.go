@@ -68,8 +68,9 @@ type Config struct {
 	// waits before its partial batch flushes (default 200µs).
 	Window time.Duration
 
-	// MaxBody caps decide request bodies in bytes (default 8 MiB, negative
-	// is an error); larger bodies get a JSON 413.
+	// MaxBody caps decide request bodies and session lines in bytes
+	// (default 8 MiB, negative is an error); a larger body gets a JSON 413,
+	// and a longer session line an error line that ends the session.
 	MaxBody int64
 
 	// PProf mounts net/http/pprof under /debug/pprof/.
@@ -97,6 +98,7 @@ type Server struct {
 // reqScratch holds one request's buffers, reused through Server.scratch.
 type reqScratch struct {
 	body    bytes.Buffer // the decide request body
+	line    []byte       // the session line being read
 	flat    []float64    // its states, stacked row after row
 	actions []int
 	q       []float64

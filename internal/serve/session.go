@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"time"
@@ -17,11 +20,11 @@ import (
 // micro-batcher and batch up with every other client's.
 //
 // Recoverable request errors (wrong dimensions, empty batch) come back as
-// {"error": ...} lines and the session continues; a malformed JSON stream
-// ends the session after one final error line, and client EOF ends it
-// cleanly. Sessions are exempt from the decide body cap: the stream is
-// unbounded by design, and each line still has to parse into a DecideRequest
-// the dimension checks accept.
+// {"error": ...} lines and the session continues; a line that is not one
+// JSON value, or is longer than Config.MaxBody, ends the session after one
+// final error line, and client EOF ends it cleanly. The stream is unbounded
+// by design, but a line is read only up to the cap, so a session holds at
+// most one line of MaxBody bytes however long the line it is sent.
 func (s *Server) handleSession(w http.ResponseWriter, r *http.Request, m *Model) {
 	if s.draining() {
 		s.failModel(m, w, http.StatusServiceUnavailable, errors.New("server is draining"))
@@ -52,23 +55,28 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request, m *Model)
 		}
 	}()
 
-	dec := json.NewDecoder(r.Body)
+	br := bufio.NewReader(r.Body)
 	enc := json.NewEncoder(w)
 	sc := s.scratch.Get().(*reqScratch)
 	defer s.scratch.Put(sc)
 	var req DecideRequest
 	for {
-		// Reset rather than reallocate: json.Decode reuses State's backing
-		// array across lines, and absent fields must not inherit the
-		// previous line's values. Reuse is safe because decide() returns
-		// only after the state has been copied into the session's scratch.
+		// Reset rather than reallocate: json.Unmarshal reuses State's
+		// backing array across lines, and absent fields must not inherit
+		// the previous line's values. Reuse is safe because decide()
+		// returns only after the state has been copied into the session's
+		// scratch.
 		req.State = req.State[:0]
 		req.States = req.States[:0]
 		req.QValues = false
-		if err := dec.Decode(&req); err != nil {
+		line, err := s.readLine(br, sc)
+		if err == nil {
+			err = json.Unmarshal(line, &req)
+		}
+		if err != nil {
 			if err != io.EOF && !s.draining() {
-				// Framing is broken (syntax error or truncated value):
-				// answer once and end the session.
+				// Framing is broken (an over-long line, a syntax error or
+				// a truncated value): answer once and end the session.
 				enc.Encode(&DecideResponse{Error: "decode request: " + err.Error()})
 				rc.Flush()
 				m.stats.Errors.Add(1)
@@ -89,6 +97,38 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request, m *Model)
 		}
 		if err := rc.Flush(); err != nil {
 			return
+		}
+	}
+}
+
+// readLine returns the next line of br that is not blank, without its
+// surrounding space, in sc.line. It reads at most MaxBody bytes of a line
+// plus one buffer of br before it fails a longer line, so the line buffer
+// never grows past the cap. A last line that ends without a newline is
+// still a line; after it, readLine returns io.EOF.
+func (s *Server) readLine(br *bufio.Reader, sc *reqScratch) ([]byte, error) {
+	for {
+		sc.line = sc.line[:0]
+		for {
+			frag, err := br.ReadSlice('\n')
+			n := len(sc.line) + len(frag)
+			if err == nil {
+				n-- // the newline is not part of the line
+			}
+			if int64(n) > s.cfg.MaxBody {
+				return nil, fmt.Errorf("request line exceeds %d bytes", s.cfg.MaxBody)
+			}
+			sc.line = append(sc.line, frag...)
+			if err == bufio.ErrBufferFull {
+				continue
+			}
+			if err != nil && (err != io.EOF || len(sc.line) == 0) {
+				return nil, err
+			}
+			break
+		}
+		if line := bytes.TrimSpace(sc.line); len(line) > 0 {
+			return line, nil
 		}
 	}
 }

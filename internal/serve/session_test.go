@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -222,5 +226,73 @@ func TestConcurrentSessionsBatchTogether(t *testing.T) {
 	}
 	if m.stats.SessionDecisions.Load() != sessions*perSession {
 		t.Fatalf("session decisions %d, want %d", m.stats.SessionDecisions.Load(), sessions*perSession)
+	}
+}
+
+// TestSessionLineCap: a session line of MaxBody bytes is served and one of
+// MaxBody+1 bytes ends the session with an error line naming the cap. A line
+// many times the cap is refused after the server has read about the cap's
+// worth of it, so the exchange allocates far less than the line's size.
+func TestSessionLineCap(t *testing.T) {
+	const maxBody = 64 << 10
+	srv, snap, _ := newTestServer(t, func(c *Config) { c.MaxBody = maxBody })
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	state := randStates(rand.New(rand.NewSource(3)), 1, testStateDim)[0]
+	want := make([]int, 1)
+	if err := snap.GreedyBatch(want, state); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(DecideRequest{State: state})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// padded returns body followed by spaces up to n bytes, and a newline.
+	padded := func(n int) []byte {
+		return append(append(body, bytes.Repeat([]byte{' '}, n-len(body))...), '\n')
+	}
+
+	c := openSession(t, ts.URL+"/v1/session")
+	defer c.close()
+	for _, n := range []int{maxBody, maxBody + 1} {
+		if _, err := c.pw.Write(padded(n)); err != nil {
+			t.Fatal(err)
+		}
+		var out DecideResponse
+		if err := c.dec.Decode(&out); err != nil {
+			t.Fatalf("%d-byte line: no answer: %v", n, err)
+		}
+		if n == maxBody && (out.Error != "" || out.Action == nil || *out.Action != want[0]) {
+			t.Fatalf("%d-byte line under a %d-byte cap: got %+v, want action %d", n, maxBody, out, want[0])
+		}
+		if n > maxBody && !strings.Contains(out.Error, fmt.Sprint(maxBody)) {
+			t.Fatalf("%d-byte line over a %d-byte cap: got %+v, want an error naming the cap", n, maxBody, out)
+		}
+	}
+	var out DecideResponse
+	if err := c.dec.Decode(&out); err != io.EOF {
+		t.Fatalf("session kept going after an over-long line: %+v, %v", out, err)
+	}
+
+	// A 4 MiB line of zeros, which a JSON decoder would buffer and parse
+	// into a half-million-element state.
+	long := append([]byte(`{"state":[0`), bytes.Repeat([]byte(",0"), 2<<20)...)
+	long = append(long, "]}\n"...)
+	c = openSession(t, ts.URL+"/v1/session")
+	written := make(chan struct{})
+	defer func() { c.close(); <-written }() // closing the pipe ends the write
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	go func() {
+		defer close(written)
+		c.pw.Write(long)
+	}()
+	if err := c.dec.Decode(&out); err != nil || !strings.Contains(out.Error, fmt.Sprint(maxBody)) {
+		t.Fatalf("%d-byte line: got %+v, %v, want an error naming the cap", len(long), out, err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; !raceEnabled && alloc > uint64(len(long)/8) {
+		t.Errorf("refusing a %d-byte line allocated %d B, want under an eighth of the line", len(long), alloc)
 	}
 }
