@@ -35,7 +35,8 @@ go test -race -count=1 ./cmd/ctjam-serve
 # (noasm) so the pure-Go fallbacks stay proven, and the committed-checkpoint
 # suite under -race since one snapshot serves many goroutines. The rng and
 # iot packages ride along so the portable seeding loop, not the AVX2 kernel,
-# reproduces the standard stream and every field golden.
+# reproduces the standard stream and every field golden, and so Source's own
+# Intn, Int63n, Float64 and NormFloat64 still match rand.Rand's draws.
 go test -count=1 -tags noasm ./internal/nn ./internal/rl ./internal/policy ./internal/rng ./internal/iot
 # Training runs on the same GEMM as inference; with the asm compiled out the
 # portable kernel must train a network with the same SHA-256.
@@ -63,12 +64,13 @@ go test -race -count=1 -run 'TestSweepCache|TestBatchedSerialEvalCounters|TestFi
 # coordinator's lease ledger must stay race-clean under concurrent workers.
 go test -race -count=1 -run 'TestDistributed' ./internal/dist
 
-# The sharded field engine writes per-cluster results into index-addressed
-# slices from worker goroutines, and its pooled clusters (each with two
-# in-place-reseeded generators) move between worker goroutines and between
-# concurrent engines; its bit-identical-at-any-worker-count guarantee must
-# stay race-clean.
-go test -race -count=1 -run 'TestFieldShardEquivalence|TestEnginePooledClustersCarryNothing|TestEngineSingleClusterMatchesSimulator|TestFixedDataMatchesNaive' ./internal/iot
+# The sharded field engine writes per-cluster utilizations into an
+# index-addressed slice from worker goroutines and hands agents and pooled
+# clusters (each with two in-place-reseeded generators) between workers
+# through a locked free list, and clusters move between concurrent engines;
+# its bit-identical-at-any-worker-count guarantee and its per-cluster memory
+# bound must stay race-clean.
+go test -race -count=1 -run 'TestFieldShardEquivalence|TestEnginePooledClustersCarryNothing|TestEngineAgentReuseCarriesNothing|TestEngineAgentPerWorker|TestEngineRunMemory|TestEngineSingleClusterMatchesSimulator|TestFixedDataMatchesNaive' ./internal/iot
 
 # Benchmark smoke: one iteration each of the Go micro-benchmarks that
 # CHANGES.md cites as per-layer evidence (sweep cache, batched policy
