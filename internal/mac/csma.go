@@ -110,7 +110,7 @@ func NewArbiter(n int, params Params, src *rng.Source) (*Arbiter, error) {
 		return nil, err
 	}
 	if src == nil {
-		return nil, errors.New("mac: rng source must not be nil")
+		return nil, errors.New("mac: rng must not be nil")
 	}
 	return &Arbiter{
 		params:  params,
