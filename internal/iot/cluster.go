@@ -2,6 +2,7 @@ package iot
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"sync"
 	"time"
@@ -50,10 +51,12 @@ type jamSpan struct {
 type cluster struct {
 	cfg Config
 	// src is the cluster stream (overheads, jammer, arbiter, first
-	// channel), seeded with cfg.Seed. agentSrc is the agent's stream,
+	// channel), seeded with cfg.Seed; rng draws from it for the timing
+	// jitter, which takes a rand.Rand. agentSrc is the agent's stream,
 	// seeded with cfg.Seed+0x5eed. Both streams are reseeded in place every
 	// run and stream exactly like rand.NewSource.
 	src      *rng.Source
+	rng      *rand.Rand
 	agentSrc *rng.Source
 	jam      jammer.Strategy
 	// jamBuilt is what jam was built from; reset rewinds jam in place
@@ -86,7 +89,7 @@ type cluster struct {
 }
 
 // jamBuild records the arguments a cluster's jammer was built with. The
-// generator is not among them: a cluster value makes its generator once and
+// generator is not among them: a cluster value makes its rng once and
 // builds every jammer on it.
 type jamBuild struct {
 	spec            string
@@ -120,6 +123,7 @@ func newCluster(cfg Config) (*cluster, error) {
 func (c *cluster) reset() error {
 	if c.src == nil {
 		c.src = rng.NewSource(c.cfg.Seed)
+		c.rng = rand.New(c.src)
 	} else {
 		c.src.Seed(c.cfg.Seed)
 	}
@@ -256,12 +260,11 @@ func (c *cluster) runSlot(channel, power int, hopped bool) (SlotStats, error) {
 	}
 
 	// Phase 1: policy inference + polling-mode FH/PC negotiation.
-	tm := &c.cfg.Timing
-	overheadDur := tm.sample(tm.DQNDecision, c.src)
+	overheadDur := c.cfg.Timing.sample(c.cfg.Timing.DQNDecision, c.rng)
 	for n := 0; n < c.cfg.Nodes; n++ {
-		overheadDur += tm.sample(tm.PollPerNode, c.src)
-		if c.src.Float64() < tm.OffChannelProb {
-			overheadDur += tm.sampleRecovery(c.src)
+		overheadDur += c.cfg.Timing.sample(c.cfg.Timing.PollPerNode, c.rng)
+		if c.src.Float64() < c.cfg.Timing.OffChannelProb {
+			overheadDur += c.cfg.Timing.sampleRecovery(c.rng)
 		}
 	}
 	overheadDur = stretch(overheadDur)

@@ -2,13 +2,13 @@ package iot
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"ctjam/internal/env"
 	"ctjam/internal/fault"
 	"ctjam/internal/jammer"
 	"ctjam/internal/metrics"
-	"ctjam/internal/rng"
 )
 
 // Config parameterizes the field simulator. DefaultConfig mirrors the
@@ -180,8 +180,8 @@ func (s *Simulator) Run(agent env.Agent, slots int) (RunStats, error) {
 // DQN inference, data/ACK round trip, hub packet processing, and per-node
 // polling. Each entry holds `trials` samples in seconds.
 func (s *Simulator) FunctionTimings(trials int) map[string][]float64 {
-	tm := &s.c.cfg.Timing
-	src := rng.NewSource(s.c.cfg.Seed + 0x9a)
+	cfg := s.c.cfg
+	rng := rand.New(rand.NewSource(cfg.Seed + 0x9a))
 	out := map[string][]float64{
 		"DQN":     make([]float64, trials),
 		"ACK":     make([]float64, trials),
@@ -189,10 +189,10 @@ func (s *Simulator) FunctionTimings(trials int) map[string][]float64 {
 		"Polling": make([]float64, trials),
 	}
 	for i := 0; i < trials; i++ {
-		out["DQN"][i] = tm.sample(tm.DQNDecision, src).Seconds()
-		out["ACK"][i] = tm.sample(tm.AckRTT, src).Seconds()
-		out["Proc"][i] = tm.sample(tm.Processing, src).Seconds()
-		out["Polling"][i] = tm.sample(tm.PollPerNode, src).Seconds()
+		out["DQN"][i] = cfg.Timing.sample(cfg.Timing.DQNDecision, rng).Seconds()
+		out["ACK"][i] = cfg.Timing.sample(cfg.Timing.AckRTT, rng).Seconds()
+		out["Proc"][i] = cfg.Timing.sample(cfg.Timing.Processing, rng).Seconds()
+		out["Polling"][i] = cfg.Timing.sample(cfg.Timing.PollPerNode, rng).Seconds()
 	}
 	return out
 }
@@ -213,15 +213,15 @@ func (s *Simulator) NegotiationTimes(nodes, trials int, offProb float64) ([]floa
 	if offProb < 0 || offProb > 1 {
 		return nil, fmt.Errorf("iot: off probability %v outside [0,1]", offProb)
 	}
-	tm := &s.c.cfg.Timing
-	src := rng.NewSource(s.c.cfg.Seed + 0x9b)
+	cfg := s.c.cfg
+	rng := rand.New(rand.NewSource(cfg.Seed + 0x9b))
 	out := make([]float64, trials)
 	for i := range out {
 		var total time.Duration
 		for n := 0; n < nodes; n++ {
-			total += tm.sample(tm.PollPerNode, src)
-			if src.Float64() < offProb {
-				total += tm.sampleRecovery(src)
+			total += cfg.Timing.sample(cfg.Timing.PollPerNode, rng)
+			if rng.Float64() < offProb {
+				total += cfg.Timing.sampleRecovery(rng)
 			}
 		}
 		out[i] = total.Seconds()

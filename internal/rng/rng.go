@@ -2,9 +2,9 @@
 // the standard library's stream bit for bit: Fast, a drop-in for
 // rand.NewSource that reseeds in place without allocating, and Source, which
 // adds a single exportable stream position for bit-identical checkpoint and
-// resume of long simulations. Source also draws Intn, Int63n, Float64 and
-// NormFloat64 itself, exactly as a rand.Rand over it would, for hot loops
-// that should not pay rand.Rand's interface call per step.
+// resume of long simulations. Source also draws Intn and Float64 itself,
+// exactly as a rand.Rand over it would, for hot loops that should not pay
+// rand.Rand's interface call per step.
 //
 // The standard library's generator hides its internal state (607 words of
 // lagged-Fibonacci history), which would make snapshotting impossible;
@@ -264,24 +264,16 @@ func (s *Source) Intn(n int) int {
 		}
 		return int(v % n)
 	}
-	return int(s.Int63n(int64(n)))
-}
-
-// Int63n returns a value in [0, n), exactly as rand.New(s).Int63n(n) would.
-// It panics if n <= 0.
-func (s *Source) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("rng: invalid argument to Int63n")
+	n64 := int64(n)
+	if n64&(n64-1) == 0 {
+		return int(s.Int63() & (n64 - 1))
 	}
-	if n&(n-1) == 0 { // a power of two: mask
-		return s.Int63() & (n - 1)
-	}
-	max := int64(1<<63 - 1 - (1<<63)%uint64(n))
+	max := int64(1<<63 - 1 - (1<<63)%uint64(n64))
 	v := s.Int63()
 	for v > max {
 		v = s.Int63()
 	}
-	return v % n
+	return int(v % n64)
 }
 
 // Float64 returns a value in [0, 1), exactly as rand.New(s).Float64() would,

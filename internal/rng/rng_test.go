@@ -139,61 +139,6 @@ func TestSourceDrawsMatchRand(t *testing.T) {
 	}
 }
 
-// TestSourceNormFloat64MatchesRand checks Source's own NormFloat64 against
-// rand.Rand's over 64 seeds and about 10⁶ draws: the values, and the counted
-// position against the steps rand.Rand took. Draws that took more than one
-// step went through a fallback: the base strip when the value lies beyond
-// the ziggurat's edge rn, a wedge otherwise. Both must be hit.
-func TestSourceNormFloat64MatchesRand(t *testing.T) {
-	const seeds, draws = 64, 1 << 14
-	var base, wedge int
-	for seed := int64(-3); seed < seeds-3; seed++ {
-		got := NewSource(seed)
-		ref := NewSource(seed)
-		want := rand.New(ref)
-		for i := 0; i < draws; i++ {
-			at := got.State()
-			g, w := got.NormFloat64(), want.NormFloat64()
-			if g != w {
-				t.Fatalf("seed %d draw %d: NormFloat64 %v != %v", seed, i, g, w)
-			}
-			if got.State() != ref.State() {
-				t.Fatalf("seed %d draw %d: position %d after own draws, %d through rand.Rand", seed, i, got.State(), ref.State())
-			}
-			switch {
-			case math.Abs(g) >= rn:
-				base++
-			case got.State()-at > 1:
-				wedge++
-			}
-		}
-	}
-	if base == 0 || wedge == 0 {
-		t.Fatalf("%d base-strip and %d wedge draws in %d, want both fallbacks hit", base, wedge, seeds*draws)
-	}
-}
-
-// TestSourceInt63nMatchesRand checks Source's own Int63n against rand.Rand's
-// over 64 seeds: powers of two take the mask branch, the rest the rejection
-// branch, which n just above 2⁶² takes for about half of the raw draws.
-func TestSourceInt63nMatchesRand(t *testing.T) {
-	ns := []int64{1, 2, 3, 7, 1 << 20, 1<<31 - 1, 1 << 31, 1<<40 + 7, 1 << 62, 1<<62 + 1, 3<<61 + 5, math.MaxInt64}
-	for seed := int64(0); seed < 64; seed++ {
-		got := NewSource(seed)
-		ref := NewSource(seed)
-		want := rand.New(ref)
-		for i := 0; i < 2000; i++ {
-			n := ns[(i+int(seed))%len(ns)]
-			if g, w := got.Int63n(n), want.Int63n(n); g != w {
-				t.Fatalf("seed %d draw %d: Int63n(%d) %d != %d", seed, i, n, g, w)
-			}
-		}
-		if got.State() != ref.State() {
-			t.Fatalf("seed %d: position %d after own draws, %d through rand.Rand", seed, got.State(), ref.State())
-		}
-	}
-}
-
 // TestSourceIntnRejects checks that Intn takes the rejection branch at all:
 // for n = 2³⁰+1 almost half of the raw 31-bit draws lie above the largest
 // multiple of n, so many of 1000 draws must consume more than one step.
@@ -217,14 +162,6 @@ func TestSourceIntnPanics(t *testing.T) {
 				}
 			}()
 			NewSource(1).Intn(n)
-		}()
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("Int63n(%d) did not panic", n)
-				}
-			}()
-			NewSource(1).Int63n(int64(n))
 		}()
 	}
 }

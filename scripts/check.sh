@@ -35,8 +35,7 @@ go test -race -count=1 ./cmd/ctjam-serve
 # (noasm) so the pure-Go fallbacks stay proven, and the committed-checkpoint
 # suite under -race since one snapshot serves many goroutines. The rng and
 # iot packages ride along so the portable seeding loop, not the AVX2 kernel,
-# reproduces the standard stream and every field golden, and so Source's own
-# Intn, Int63n, Float64 and NormFloat64 still match rand.Rand's draws.
+# reproduces the standard stream and every field golden.
 go test -count=1 -tags noasm ./internal/nn ./internal/rl ./internal/policy ./internal/rng ./internal/iot
 # Training runs on the same GEMM as inference; with the asm compiled out the
 # portable kernel must train a network with the same SHA-256.
