@@ -165,9 +165,10 @@ func (s EngineStats) RunStats() RunStats {
 // its agent, with its cluster value, on a free list, and the next cluster
 // any worker starts takes them from there. cluster.run resets the agent on
 // the cluster's own stream before its first slot, so a reused agent plays
-// each cluster exactly as a fresh one would. newAgent is called only when
-// the free list is empty, so at most once per worker, from worker
-// goroutines; the index it gets is the first cluster the agent plays. The
+// each cluster exactly as a fresh one would, and a cluster that fails hands
+// its lane on too. newAgent is called only when the free list is empty, so
+// at most once per worker unless it fails itself, from worker goroutines;
+// the index it gets is the first cluster the agent plays. The
 // generator an agent receives through Reset belongs to the engine and is
 // reseeded for the agent's next cluster, so agents must not draw from it
 // after Run.
@@ -198,18 +199,18 @@ func (e *Engine) Run(newAgent func(cluster int) (env.Agent, error), slots int) (
 		}
 		l.c.cfg = e.clusterConfig(i)
 		st, err := l.c.run(l.agent, slots)
+		mu.Lock()
+		defer mu.Unlock()
+		free = append(free, l) // a failed cluster's lane is reset like any other
 		if err != nil {
 			return fmt.Errorf("iot: cluster %d: %w", i, err)
 		}
 		util[i] = st.MeanUtilization
-		mu.Lock()
-		free = append(free, l)
 		out.Attempted += st.Attempted
 		out.Delivered += st.Delivered
 		out.FrameLosses += st.FrameLosses
 		ovh += st.MeanOverhead
 		out.Counters.Add(st.Counters)
-		mu.Unlock()
 		return nil
 	})
 	for _, l := range free {

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"ctjam/internal/fault"
 	"ctjam/internal/jammer"
 	"ctjam/internal/policy"
+	"ctjam/internal/rng"
 )
 
 // TestTinyServiceRejected: a packet service the slowest clock drift (0.5×)
@@ -381,8 +384,29 @@ func TestEngineAgentPerWorker(t *testing.T) {
 		if workers == 1 && (len(built) != 1 || built[0] != 0) {
 			t.Errorf("a serial run built agents for clusters %v, want only cluster 0's", built)
 		}
+
+		// A cluster that fails hands its agent on like one that succeeds.
+		var failed atomic.Int64
+		_, err = eng.Run(func(int) (env.Agent, error) {
+			failed.Add(1)
+			return offChannelAgent{}, nil
+		}, 3)
+		if err == nil || !strings.HasPrefix(err.Error(), "iot: cluster 0: ") {
+			t.Errorf("every cluster failing: Run returned %v, want cluster 0's error", err)
+		}
+		if n := failed.Load(); n < 1 || n > int64(workers) {
+			t.Errorf("%d workers built %d agents for failing clusters, want 1 to %d", workers, n, workers)
+		}
 	}
 }
+
+// offChannelAgent always picks a channel no field has, so every cluster it
+// plays fails on its first slot.
+type offChannelAgent struct{}
+
+func (offChannelAgent) Name() string                     { return "off-channel" }
+func (offChannelAgent) Reset(*rng.Source)                {}
+func (offChannelAgent) Decide(env.SlotInfo) env.Decision { return env.Decision{Channel: -1} }
 
 // TestEngineRunMemory: what Run allocates grows by at most 16 B per cluster
 // between a 2,000- and a 20,000-cluster field, so a run's memory is set by
