@@ -136,33 +136,32 @@ func TestEngineFaultStreamsScoped(t *testing.T) {
 
 	// Cluster 0 must match a plain Simulator under the same injector: the
 	// scoped stream applies only to clusters > 0. So the field is a plain
-	// Simulator run plus cluster 1's run on its scoped stream.
+	// Simulator run plus cluster 1's run on its scoped stream, and a
+	// one-cluster field is that plain run, every statistic included.
 	eng, err := NewEngine(EngineConfig{Clusters: 2, Template: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if c0 := eng.clusterConfig(0); !reflect.DeepEqual(c0, cfg) {
+		t.Errorf("cluster 0 runs under %#v, want the template itself", c0)
+	}
 	if c1 := eng.clusterConfig(1); c1.Faults != (fault.Scoped{Inner: cfg.Faults, Stream: 1}) {
 		t.Errorf("cluster 1 runs under %#v, want the injector scoped to stream 1", c1.Faults)
 	}
-	var want RunStats
-	for _, ccfg := range []Config{cfg, eng.clusterConfig(1)} {
-		sim, err := New(ccfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := sim.Run(randomAgent(t, cfg), 40)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want.Attempted += r.Attempted
-		want.Delivered += r.Delivered
-		want.FrameLosses += r.FrameLosses
-		want.Counters.Add(r.Counters)
-	}
-	got := st.RunStats()
-	if got.Attempted != want.Attempted || got.Delivered != want.Delivered ||
-		got.FrameLosses != want.FrameLosses || got.Counters != want.Counters {
+	newAgent := func() (env.Agent, error) { return randomAgent(t, cfg), nil }
+	if st != simulatorSum(t, eng, newAgent, 40) {
 		t.Error("the faulted field differs from a plain Simulator run of cluster 0 plus cluster 1's scoped run")
+	}
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sim.Run(randomAgent(t, cfg), 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runEngine(t, 1, 1, 40, cfg).RunStats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("cluster 0 under faults differs from the equivalent Simulator run:\n got %+v\nwant %+v", got, want)
 	}
 }
 
