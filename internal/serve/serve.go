@@ -98,7 +98,6 @@ type Server struct {
 // reqScratch holds one request's buffers, reused through Server.scratch.
 type reqScratch struct {
 	body    bytes.Buffer // the decide request body
-	line    []byte       // the session line being read
 	flat    []float64    // its states, stacked row after row
 	actions []int
 	q       []float64

@@ -23,8 +23,8 @@ import (
 // {"error": ...} lines and the session continues; a line that is not one
 // JSON value, or is longer than Config.MaxBody, ends the session after one
 // final error line, and client EOF ends it cleanly. The stream is unbounded
-// by design, but a line is read only up to the cap, so a session holds at
-// most one line of MaxBody bytes however long the line it is sent.
+// by design, but a line is read only up to the cap, so a session's line
+// buffer holds at most MaxBody+1 bytes however long the line it is sent.
 func (s *Server) handleSession(w http.ResponseWriter, r *http.Request, m *Model) {
 	if s.draining() {
 		s.failModel(m, w, http.StatusServiceUnavailable, errors.New("server is draining"))
@@ -55,7 +55,10 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request, m *Model)
 		}
 	}()
 
-	br := bufio.NewReader(r.Body)
+	// The buffer holds a line of MaxBody bytes with its newline and grows
+	// no further, so a longer line fails with bufio.ErrTooLong.
+	lines := bufio.NewScanner(r.Body)
+	lines.Buffer(nil, int(s.cfg.MaxBody)+1)
 	enc := json.NewEncoder(w)
 	sc := s.scratch.Get().(*reqScratch)
 	defer s.scratch.Put(sc)
@@ -69,7 +72,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request, m *Model)
 		req.State = req.State[:0]
 		req.States = req.States[:0]
 		req.QValues = false
-		line, err := s.readLine(br, sc)
+		line, err := s.nextLine(lines)
 		if err == nil {
 			err = json.Unmarshal(line, &req)
 		}
@@ -101,34 +104,20 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request, m *Model)
 	}
 }
 
-// readLine returns the next line of br that is not blank, without its
-// surrounding space, in sc.line. It reads at most MaxBody bytes of a line
-// plus one buffer of br before it fails a longer line, so the line buffer
-// never grows past the cap. A last line that ends without a newline is
-// still a line; after it, readLine returns io.EOF.
-func (s *Server) readLine(br *bufio.Reader, sc *reqScratch) ([]byte, error) {
-	for {
-		sc.line = sc.line[:0]
-		for {
-			frag, err := br.ReadSlice('\n')
-			n := len(sc.line) + len(frag)
-			if err == nil {
-				n-- // the newline is not part of the line
-			}
-			if int64(n) > s.cfg.MaxBody {
-				return nil, fmt.Errorf("request line exceeds %d bytes", s.cfg.MaxBody)
-			}
-			sc.line = append(sc.line, frag...)
-			if err == bufio.ErrBufferFull {
-				continue
-			}
-			if err != nil && (err != io.EOF || len(sc.line) == 0) {
-				return nil, err
-			}
-			break
-		}
-		if line := bytes.TrimSpace(sc.line); len(line) > 0 {
+// nextLine returns the next line of lines that is not blank, without its
+// surrounding space, and io.EOF after the last one.
+func (s *Server) nextLine(lines *bufio.Scanner) ([]byte, error) {
+	for lines.Scan() {
+		if line := bytes.TrimSpace(lines.Bytes()); len(line) > 0 {
 			return line, nil
 		}
+	}
+	switch err := lines.Err(); err {
+	case nil:
+		return nil, io.EOF
+	case bufio.ErrTooLong:
+		return nil, fmt.Errorf("request line exceeds %d bytes", s.cfg.MaxBody)
+	default:
+		return nil, err
 	}
 }
