@@ -37,9 +37,12 @@
 //	                   static mode (no networking): evaluate shard I of a
 //	                   round-robin N-way split of the work list and write
 //	                   DIR/shard-III-of-NNN.json atomically.
-//	-merge -spool DIR  merge a complete spool set from DIR and print the
-//	                   experiments from it. Fails unless every shard file
-//	                   is present, consistent, and covers every unit.
+//	-merge -spool DIR  replay a complete spool set from DIR into the
+//	                   coordinator's ledger, through the checks a worker's
+//	                   report meets, and print the experiments from it.
+//	                   Fails unless every shard file is present and
+//	                   consistent and every unit, train units included,
+//	                   is covered.
 //
 // Any shard or worker failure exits non-zero.
 //
@@ -186,18 +189,9 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "ctjam-experiments: shard %d/%d: %d units -> %s\n", *shardIndex, *shards, n, path)
 		return nil
 	}
-	if *merge {
-		units, err := dist.UnitsFor(opts, ids)
-		if err != nil {
-			return err
-		}
-		n, err := dist.MergeSpools(*spool, opts.Cache, units)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "ctjam-experiments: merged %d units from %s\n", n, *spool)
-	}
-	if *distribute != "" {
+	if *merge || *distribute != "" {
+		// A merge is a coordinator that replays the spools into its ledger
+		// instead of leasing units; both modes import the ledger the same way.
 		coord, err := dist.NewCoordinator(opts, ids, dist.CoordinatorOptions{})
 		if err != nil {
 			return err
@@ -205,11 +199,15 @@ func run(args []string) error {
 		logf := func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, "ctjam-experiments: "+format+"\n", a...)
 		}
-		if err := coord.ListenAndWait(context.Background(), *distribute, logf); err != nil {
+		if *merge {
+			err = coord.ReplaySpools(*spool)
+		} else {
+			err = coord.ListenAndWait(context.Background(), *distribute, logf)
+		}
+		if err != nil {
 			return err
 		}
-		n := coord.ImportInto(opts.Cache)
-		logf("imported %d distributed units", n)
+		logf("imported %d units", coord.ImportInto(opts.Cache))
 	}
 
 	if *csvDir != "" {

@@ -21,7 +21,6 @@ package ctjam
 
 import (
 	"bufio"
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -30,7 +29,6 @@ import (
 	"ctjam/internal/atomicfile"
 	"ctjam/internal/ckpt"
 	"ctjam/internal/core"
-	"ctjam/internal/dist"
 	"ctjam/internal/env"
 	"ctjam/internal/experiments"
 	"ctjam/internal/fault"
@@ -240,13 +238,8 @@ func TrainDQNWithOptions(cfg Config, trainSlots int, opts TrainOptions) (*Policy
 	if err != nil {
 		return nil, err
 	}
-	acfg := core.DefaultDQNAgentConfig(ecfg.Channels, len(ecfg.TxPowers), ecfg.SweepWidth)
-	acfg.Seed = cfg.Seed
-	if trainSlots > 0 {
-		acfg.Epsilon.DecaySteps = trainSlots * 2 / 3
-	}
 	build := func() (*core.DQNAgent, *env.Environment, error) {
-		agent, err := core.NewDQNAgent(acfg)
+		agent, err := core.NewTrainingDQNAgent(ecfg, cfg.Seed, trainSlots)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -495,11 +488,7 @@ func EvaluateBatch(cfg Config, scheme Scheme, policy *Policy, k, slots int) ([]M
 			return nil, err
 		}
 	}
-	b, err := s.NewBatch(k)
-	if err != nil {
-		return nil, err
-	}
-	counters, err := env.BatchRun(envs, b, slots)
+	counters, err := s.Run(envs, slots)
 	if err != nil {
 		return nil, err
 	}
@@ -823,39 +812,11 @@ func RunExperiment(w io.Writer, id string, scale ExperimentScale) error {
 // unique point exactly once; results are bit-identical to separate
 // RunExperiment calls.
 func RunExperiments(w io.Writer, ids []string, scale ExperimentScale) error {
-	return runExperiments(w, ids, experimentOptions(scale))
-}
-
-// RunExperimentsDistributed is RunExperiments with the cache-backed sweep
-// points computed by external worker processes: it serves the work units on
-// addr (host:port; ":0" picks a free port, reported through logf) until
-// workers started with `ctjam-experiments -worker URL` have returned every
-// result, then runs the experiments from the merged cache. Output is
-// bit-identical to RunExperiments with the same ids and scale. logf, when
-// non-nil, receives progress lines (pass log.Printf).
-func RunExperimentsDistributed(ctx context.Context, w io.Writer, ids []string, scale ExperimentScale, addr string, logf func(format string, args ...any)) error {
-	opts := experimentOptions(scale)
-	coord, err := dist.NewCoordinator(opts, ids, dist.CoordinatorOptions{})
-	if err != nil {
-		return err
-	}
-	if err := coord.ListenAndWait(ctx, addr, logf); err != nil {
-		return err
-	}
-	coord.ImportInto(opts.Cache)
-	return runExperiments(w, ids, opts)
-}
-
-func experimentOptions(scale ExperimentScale) experiments.Options {
 	opts := experiments.DefaultOptions()
 	if scale == ScaleQuick {
 		opts = experiments.QuickOptions()
 	}
 	opts.Cache = experiments.NewCache()
-	return opts
-}
-
-func runExperiments(w io.Writer, ids []string, opts experiments.Options) error {
 	for i, id := range ids {
 		if i > 0 {
 			if _, err := fmt.Fprintln(w); err != nil {

@@ -62,6 +62,19 @@ func DefaultDQNAgentConfig(channels, powers, sweepWidth int) DQNAgentConfig {
 	}
 }
 
+// NewTrainingDQNAgent builds the agent of the one DQN training recipe: the
+// default architecture for cfg's topology, seeded with seed, whose
+// exploration decays over the first two thirds of trainSlots (the default
+// schedule when trainSlots is not positive).
+func NewTrainingDQNAgent(cfg env.Config, seed int64, trainSlots int) (*DQNAgent, error) {
+	acfg := DefaultDQNAgentConfig(cfg.Channels, len(cfg.TxPowers), cfg.SweepWidth)
+	acfg.Seed = seed
+	if trainSlots > 0 {
+		acfg.Epsilon.DecaySteps = trainSlots * 2 / 3
+	}
+	return NewDQNAgent(acfg)
+}
+
 // DQNAgent is the paper's deep-RL anti-jamming scheme. Train it online in a
 // simulation environment, then run it greedily (it implements env.Agent for
 // evaluation).

@@ -35,7 +35,7 @@ func cacheBackedIDs(t *testing.T, o experiments.Options) []string {
 	t.Helper()
 	var ids []string
 	for _, id := range experiments.IDs() {
-		units, err := UnitsFor(o, []string{id})
+		units, _, err := UnitsFor(o, []string{id})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,12 +80,15 @@ func TestDistributedSerialEquivalence(t *testing.T) {
 	base.Cache = experiments.NewCache()
 	baseline := trace(t, base, ids)
 
-	units, err := UnitsFor(o, ids)
+	units, trains, err := UnitsFor(o, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(units) == 0 {
 		t.Fatal("no units to distribute")
+	}
+	if len(trains) == 0 {
+		t.Fatal("no train units: scheme reuse has nothing to assert")
 	}
 
 	for _, shards := range []int{1, 2, 5} {
@@ -99,13 +102,16 @@ func TestDistributedSerialEquivalence(t *testing.T) {
 				}
 				t.Logf("shard %d/%d evaluated %d units", s, shards, n)
 			}
-			merged := o
-			merged.Cache = experiments.NewCache()
-			n, err := MergeSpools(dir, merged.Cache, units)
+			coord, err := NewCoordinator(o, ids, CoordinatorOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n != len(units) {
+			if err := coord.ReplaySpools(dir); err != nil {
+				t.Fatal(err)
+			}
+			merged := o
+			merged.Cache = experiments.NewCache()
+			if n := coord.ImportInto(merged.Cache); n != len(units) {
 				t.Fatalf("merged %d units, want %d", n, len(units))
 			}
 			got := trace(t, merged, ids)
@@ -119,17 +125,13 @@ func TestDistributedSerialEquivalence(t *testing.T) {
 			if st.FieldMisses != 0 {
 				t.Errorf("merged run recomputed %d field runs; want pure cache hits", st.FieldMisses)
 			}
+			if st.SchemeImports != int64(len(trains)) {
+				t.Errorf("merged cache imported %d schemes, want %d", st.SchemeImports, len(trains))
+			}
 		})
 	}
 
 	t.Run("http-3-workers", func(t *testing.T) {
-		trains, err := TrainUnitsFor(o, ids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(trains) == 0 {
-			t.Fatal("no train units: scheme reuse has nothing to assert")
-		}
 		coord, err := NewCoordinator(o, ids, CoordinatorOptions{Linger: time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
@@ -212,7 +214,7 @@ func TestDistributedWorkerLossRetry(t *testing.T) {
 	base.Cache = experiments.NewCache()
 	baseline := trace(t, base, ids)
 
-	units, err := UnitsFor(o, ids)
+	units, _, err := UnitsFor(o, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,11 +290,7 @@ func TestDistributedTrainLossRetry(t *testing.T) {
 	base.Cache = experiments.NewCache()
 	baseline := trace(t, base, ids)
 
-	units, err := UnitsFor(o, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trains, err := TrainUnitsFor(o, ids)
+	units, trains, err := UnitsFor(o, ids)
 	if err != nil {
 		t.Fatal(err)
 	}

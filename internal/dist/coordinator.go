@@ -66,7 +66,9 @@ type unitState struct {
 // is also the scheme store of fleet-wide scheme reuse: each unique scheme
 // key is a train unit whose result is its checkpoint, that result gates the
 // units evaluating the scheme, and they ship with its bytes inline instead
-// of retraining. Safe for concurrent use by any number of HTTP workers.
+// of retraining. A static merge fills the same ledger from spool files
+// (ReplaySpools) instead of leasing. Safe for concurrent use by any number
+// of HTTP workers.
 type Coordinator struct {
 	opts CoordinatorOptions
 
@@ -80,19 +82,19 @@ type Coordinator struct {
 
 // NewCoordinator builds the coordinator for the cache-backed points and
 // field runs of the given experiment ids under o, plus one train unit per
-// unique trainable scheme key they evaluate. Ids without cache-backed
-// points contribute no units; a run whose ids produce none completes
-// immediately.
+// unique trainable scheme key they evaluate (see UnitsFor). Ids without
+// cache-backed points contribute no units; a run whose ids produce none
+// completes immediately.
 func NewCoordinator(o experiments.Options, ids []string, copts CoordinatorOptions) (*Coordinator, error) {
-	units, err := UnitsFor(o, ids)
+	units, trains, err := UnitsFor(o, ids)
 	if err != nil {
 		return nil, err
 	}
-	trains, err := TrainUnitsFor(o, ids)
-	if err != nil {
-		return nil, err
-	}
-	units = append(units, trains...)
+	return newCoordinator(append(units, trains...), copts), nil
+}
+
+// newCoordinator builds the ledger of the given work list.
+func newCoordinator(units []Unit, copts CoordinatorOptions) *Coordinator {
 	c := &Coordinator{
 		opts:      copts.withDefaults(),
 		states:    make(map[string]*unitState, len(units)),
@@ -107,7 +109,7 @@ func NewCoordinator(o experiments.Options, ids []string, copts CoordinatorOption
 	if c.remaining == 0 {
 		close(c.done)
 	}
-	return c, nil
+	return c
 }
 
 // fail records the first fatal error and releases every waiter. Must be
@@ -213,13 +215,13 @@ func (c *Coordinator) assign() pollResponse {
 	return pollResponse{Units: units}
 }
 
-// record ingests one worker's results. Known results are ingested even when
-// others in the same report are rejected; the returned rejected list names
-// the keys the coordinator refused, which the handler surfaces as a
-// structured 409: unknown keys (a worker claiming work it was never handed),
-// payloads that do not fit the unit's kind, unverifiable checkpoints, and
-// checkpoints conflicting with a train unit's recorded one. A refused
-// payload for an open unit also burns the attempt.
+// record ingests one worker's results, or one replayed spool result. Known
+// results are ingested even when others in the same report are rejected;
+// the returned rejected list names the keys the coordinator refused, which
+// the handler surfaces as a structured 409: unknown keys (a worker claiming
+// work it was never handed), payloads that do not fit the unit's kind,
+// unverifiable checkpoints, and checkpoints conflicting with a train unit's
+// recorded one. A refused payload for an open unit also burns the attempt.
 func (c *Coordinator) record(results []UnitResult) (resultResponse, []string) {
 	// Verify every checkpoint before taking the lock: decoding rebuilds a
 	// whole network, and polls should not queue behind it.

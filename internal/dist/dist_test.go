@@ -23,7 +23,7 @@ import (
 
 func TestShardUnitsPartition(t *testing.T) {
 	o := testOptions()
-	units, err := UnitsFor(o, []string{"fig6a", "fig6d"})
+	units, _, err := UnitsFor(o, []string{"fig6a", "fig6d"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestWireConfigFaultSpecDecode(t *testing.T) {
 
 func TestEvaluateKeyMismatch(t *testing.T) {
 	o := testOptions()
-	units, err := UnitsFor(o, []string{"table1"})
+	units, _, err := UnitsFor(o, []string{"table1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +138,17 @@ func writeSpool(t *testing.T, dir string, sp Spool) {
 	}
 }
 
+// merge replays the spools in dir into a ledger of units, as -merge does,
+// and imports the ledger into cache.
+func merge(dir string, cache *experiments.Cache, units ...Unit) (int, error) {
+	coord := newCoordinator(units, CoordinatorOptions{})
+	if err := coord.ReplaySpools(dir); err != nil {
+		return 0, err
+	}
+	return coord.ImportInto(cache), nil
+}
+
 func TestMergeSpoolsErrors(t *testing.T) {
-	units := []Unit{{Key: "a"}, {Key: "b"}}
 	res := func(keys ...string) []UnitResult {
 		out := make([]UnitResult, len(keys))
 		for i, k := range keys {
@@ -164,7 +173,7 @@ func TestMergeSpoolsErrors(t *testing.T) {
 			{Shard: 0, Shards: 2, Results: res("a")},
 			{Shard: 1, Shards: 2, Results: res("a")},
 		}, "already imported"},
-		{"missing unit", []Spool{{Shard: 0, Shards: 1, Results: res("a")}}, "missing unit"},
+		{"missing unit", []Spool{{Shard: 0, Shards: 1, Results: res("a")}}, "missing unit b"},
 		{"unknown unit", []Spool{{Shard: 0, Shards: 1, Results: res("a", "b", "c")}}, "not in the work list"},
 		{"wrong payload kind", []Spool{{Shard: 0, Shards: 1, Results: append(res("a"),
 			UnitResult{Key: "b", Field: &WireRunStats{Slots: 1}})}}, "point unit b: result carries field stats"},
@@ -175,11 +184,54 @@ func TestMergeSpoolsErrors(t *testing.T) {
 			for _, sp := range tc.spools {
 				writeSpool(t, dir, sp)
 			}
-			_, err := MergeSpools(dir, experiments.NewCache(), units)
+			_, err := merge(dir, experiments.NewCache(), Unit{Key: "a"}, Unit{Key: "b"})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("err = %v, want substring %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestMergeSpoolsMissingCheckpoint drops one scheme checkpoint from a real
+// spool: the merge must refuse the set and name that scheme's train unit,
+// as a coordinator would never finish a run with a train unit open.
+func TestMergeSpoolsMissingCheckpoint(t *testing.T) {
+	o := testOptions()
+	ids := []string{"table1"}
+	dir := t.TempDir()
+	path := filepath.Join(dir, SpoolName(0, 1))
+	if _, err := RunShard(context.Background(), o, ids, 0, 1, path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sp Spool
+	if err := json.Unmarshal(data, &sp); err != nil {
+		t.Fatal(err)
+	}
+	dropped := ""
+	kept := sp.Results[:0]
+	for _, r := range sp.Results {
+		if r.Scheme != nil && dropped == "" {
+			dropped = r.Key
+			continue
+		}
+		kept = append(kept, r)
+	}
+	if dropped == "" {
+		t.Fatal("table1 spool holds no scheme checkpoint")
+	}
+	sp.Results = kept
+	writeSpool(t, dir, sp)
+	coord, err := NewCoordinator(o, ids, CoordinatorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = coord.ReplaySpools(dir)
+	if err == nil || !strings.Contains(err.Error(), "missing unit "+dropped) {
+		t.Errorf("err = %v, want the missing train unit %s named", err, dropped)
 	}
 }
 
@@ -306,7 +358,7 @@ func TestWireRunStatsRoundTrip(t *testing.T) {
 
 func TestEvaluateFieldKeyMismatch(t *testing.T) {
 	o := testOptions()
-	units, err := UnitsFor(o, []string{"fig10a"})
+	units, _, err := UnitsFor(o, []string{"fig10a"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,11 +374,7 @@ func TestEvaluateFieldKeyMismatch(t *testing.T) {
 
 func TestTrainUnitsForSchemeKeys(t *testing.T) {
 	o := testOptions()
-	trains, err := TrainUnitsFor(o, experiments.IDs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	points, err := UnitsFor(o, experiments.IDs())
+	points, trains, err := UnitsFor(o, experiments.IDs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +421,7 @@ func TestTrainUnitsForSchemeKeys(t *testing.T) {
 // protocol tests real CTSC blobs to report.
 func trainTestSchemes(t *testing.T, o experiments.Options) ([]Unit, [][]byte) {
 	t.Helper()
-	trains, err := TrainUnitsFor(o, []string{"table1"})
+	_, trains, err := UnitsFor(o, []string{"table1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,6 +663,7 @@ func TestMergeSpoolsSchemeVerification(t *testing.T) {
 	o := testOptions()
 	trains, blobs := trainTestSchemes(t, o)
 	key := trains[0].Key
+	train := Unit{Key: key, Train: true}
 	spool := func(shard, shards int, unit string, scheme UnitResult) Spool {
 		return Spool{Shard: shard, Shards: shards, Results: []UnitResult{
 			{Key: unit, Counters: metrics.Counters{Slots: 1}}, scheme,
@@ -626,7 +675,7 @@ func TestMergeSpoolsSchemeVerification(t *testing.T) {
 		r := schemeResult(key, blobs[0])
 		r.SchemeFP = "beef"
 		writeSpool(t, dir, spool(0, 1, "a", r))
-		_, err := MergeSpools(dir, experiments.NewCache(), []Unit{{Key: "a"}})
+		_, err := merge(dir, experiments.NewCache(), Unit{Key: "a"}, train)
 		if err == nil || !strings.Contains(err.Error(), "hash to") {
 			t.Errorf("err = %v, want fingerprint mismatch", err)
 		}
@@ -634,15 +683,16 @@ func TestMergeSpoolsSchemeVerification(t *testing.T) {
 	t.Run("undecodable scheme", func(t *testing.T) {
 		dir := t.TempDir()
 		writeSpool(t, dir, spool(0, 1, "a", schemeResult(key, []byte{9, 9, 9})))
-		if _, err := MergeSpools(dir, experiments.NewCache(), []Unit{{Key: "a"}}); err == nil {
-			t.Error("spool with undecodable scheme bytes merged cleanly")
+		_, err := merge(dir, experiments.NewCache(), Unit{Key: "a"}, train)
+		if err == nil || !strings.Contains(err.Error(), "bad scheme checkpoint") {
+			t.Errorf("err = %v, want undecodable checkpoint", err)
 		}
 	})
 	t.Run("cross-shard conflict", func(t *testing.T) {
 		dir := t.TempDir()
 		writeSpool(t, dir, spool(0, 2, "a", schemeResult(key, blobs[0])))
 		writeSpool(t, dir, spool(1, 2, "b", schemeResult(key, blobs[1])))
-		_, err := MergeSpools(dir, experiments.NewCache(), []Unit{{Key: "a"}, {Key: "b"}})
+		_, err := merge(dir, experiments.NewCache(), Unit{Key: "a"}, Unit{Key: "b"}, train)
 		if err == nil || !strings.Contains(err.Error(), "conflicts with another shard") {
 			t.Errorf("err = %v, want cross-shard scheme conflict", err)
 		}
@@ -652,7 +702,7 @@ func TestMergeSpoolsSchemeVerification(t *testing.T) {
 		writeSpool(t, dir, spool(0, 2, "a", schemeResult(key, blobs[0])))
 		writeSpool(t, dir, spool(1, 2, "b", schemeResult(key, blobs[0])))
 		cache := experiments.NewCache()
-		n, err := MergeSpools(dir, cache, []Unit{{Key: "a"}, {Key: "b"}})
+		n, err := merge(dir, cache, Unit{Key: "a"}, Unit{Key: "b"}, train)
 		if err != nil || n != 2 {
 			t.Fatalf("merge = %d, %v; want the 2 point units", n, err)
 		}
@@ -694,7 +744,7 @@ func TestCoordinatorRejectsFieldResultWithoutStats(t *testing.T) {
 func TestEvaluateRejectsFast32Unit(t *testing.T) {
 	o := testOptions()
 	o.Engine = experiments.EngineDQN
-	units, err := UnitsFor(o, []string{"table1"})
+	units, _, err := UnitsFor(o, []string{"table1"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,12 @@
 // over a small HTTP/JSON protocol, and merges the returned Counters and
 // RunStats back into an experiments.Cache, after which the experiments
 // themselves run entirely from cache — producing output bit-identical to a
-// single-process run. A static, networkless mode (RunShard / MergeSpools)
-// partitions the same sorted unit list round-robin across shard indices and
-// exchanges results through atomically written spool files instead of
-// sockets.
+// single-process run. A static, networkless mode (RunShard) partitions the
+// same sorted unit list round-robin across shard indices and exchanges
+// results through atomically written spool files instead of sockets; a
+// merge replays the spools into a coordinator's ledger
+// (Coordinator.ReplaySpools), so one set of rules decides which results a
+// run accepts, whichever way they arrived.
 //
 // Correctness rests on two properties the rest of the repo already
 // guarantees. First, every point result is a pure function of its canonical
@@ -304,48 +306,70 @@ func fingerprintError(r UnitResult) string {
 	return ""
 }
 
-// UnitsFor enumerates the distributable work units of the given experiment
-// ids under o — the cache-backed sweep points plus the field-simulator
-// replica runs — sorted by key: the shared, deterministic work list every
-// coordinator and shard derives identically from identical inputs. The
-// "pt|" / "fd|" key prefixes keep the two unit kinds from ever colliding.
-func UnitsFor(o experiments.Options, ids []string) ([]Unit, error) {
+// UnitsFor enumerates the distributable work of the given experiment ids
+// under o in one pass over their cache-backed points and field runs, each
+// list sorted by key so every coordinator and shard derives it identically
+// from identical inputs. units holds the sweep points plus the
+// field-simulator replica runs; the "pt|" / "fd|" key prefixes keep the two
+// kinds from ever colliding. trains holds one train unit per unique RL FH
+// scheme key they evaluate: its Key is the scheme cache key itself
+// ("sc|..."), and its Config is the seed-zeroed canonical form — scheme
+// construction never reads the evaluation seed, so every config sharing a
+// scheme reduces to the same wire payload. A coordinator leases both lists,
+// so each unique scheme is trained exactly once fleet-wide; static shards
+// split units only.
+func UnitsFor(o experiments.Options, ids []string) (units, trains []Unit, err error) {
 	specs, err := experiments.CachePoints(o, ids)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	fields, err := experiments.CacheFieldSpecs(o, ids)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	wo := wireOptions(o)
-	units := make([]Unit, 0, len(specs)+len(fields))
+	seen := make(map[string]bool)
+	// add appends u, which plays point p. An RL FH unit names its scheme,
+	// and the first one to name it adds the scheme's train unit; baseline
+	// schemes are deterministic functions of the config, with nothing to
+	// train fleet-wide.
+	add := func(u Unit, p experiments.Point) error {
+		if p.Defense == experiments.DefenseRL {
+			u.SchemeKey = experiments.SchemeKey(o, p.Config)
+			if !seen[u.SchemeKey] {
+				seen[u.SchemeKey] = true
+				cfg := p.Config
+				cfg.Seed = 0
+				wc, err := wireConfig(cfg)
+				if err != nil {
+					return err
+				}
+				trains = append(trains, Unit{Key: u.SchemeKey, Opts: wo, Config: wc, Train: true})
+			}
+		}
+		units = append(units, u)
+		return nil
+	}
 	for _, sp := range specs {
 		wc, err := wireConfig(sp.Config)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		u := Unit{
-			Key:     sp.Key,
-			Opts:    wo,
-			Config:  wc,
-			Defense: sp.Defense,
+		u := Unit{Key: sp.Key, Opts: wo, Config: wc, Defense: sp.Defense}
+		if err := add(u, experiments.Point{Config: sp.Config, Defense: sp.Defense}); err != nil {
+			return nil, nil, err
 		}
-		if sp.Defense == experiments.DefenseRL {
-			u.SchemeKey = experiments.SchemeKey(o, sp.Config)
-		}
-		units = append(units, u)
 	}
 	for _, fs := range fields {
 		ws := wireFieldSpec(fs.Spec)
-		u := Unit{Key: fs.Key, Opts: wo, Field: &ws}
-		if p := fs.Spec.Point(); p.Defense == experiments.DefenseRL {
-			u.SchemeKey = experiments.SchemeKey(o, p.Config)
+		if err := add(Unit{Key: fs.Key, Opts: wo, Field: &ws}, fs.Spec.Point()); err != nil {
+			return nil, nil, err
 		}
-		units = append(units, u)
 	}
-	sort.Slice(units, func(i, j int) bool { return units[i].Key < units[j].Key })
-	return units, nil
+	for _, us := range [][]Unit{units, trains} {
+		sort.Slice(us, func(i, j int) bool { return us[i].Key < us[j].Key })
+	}
+	return units, trains, nil
 }
 
 // importResult installs one completed result into cache under its
@@ -362,55 +386,6 @@ func importResult(cache *experiments.Cache, u Unit, r UnitResult) error {
 		cache.ImportPoint(r.Key, r.Counters)
 	}
 	return nil
-}
-
-// TrainUnitsFor enumerates one train unit per unique RL FH scheme key of the
-// given experiment ids' points and field runs under o, sorted by key. The unit's Key is the scheme cache
-// key itself ("sc|..."), and its Config is the seed-zeroed canonical form:
-// scheme construction never reads the evaluation seed, so every point config
-// sharing a scheme reduces to the same wire payload and every process derives
-// an identical train list. Coordinators append these to the work list so each
-// unique scheme is trained exactly once fleet-wide.
-func TrainUnitsFor(o experiments.Options, ids []string) ([]Unit, error) {
-	specs, err := experiments.CachePoints(o, ids)
-	if err != nil {
-		return nil, err
-	}
-	fields, err := experiments.CacheFieldSpecs(o, ids)
-	if err != nil {
-		return nil, err
-	}
-	var pts []experiments.Point
-	for _, sp := range specs {
-		pts = append(pts, experiments.Point{Config: sp.Config, Defense: sp.Defense})
-	}
-	for _, fs := range fields {
-		pts = append(pts, fs.Spec.Point())
-	}
-	wo := wireOptions(o)
-	seen := make(map[string]bool, len(pts))
-	var units []Unit
-	for _, p := range pts {
-		if p.Defense != experiments.DefenseRL {
-			// Baseline schemes are deterministic functions of the config;
-			// nothing to train fleet-wide.
-			continue
-		}
-		key := experiments.SchemeKey(o, p.Config)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		cfg := p.Config
-		cfg.Seed = 0
-		wc, err := wireConfig(cfg)
-		if err != nil {
-			return nil, err
-		}
-		units = append(units, Unit{Key: key, Opts: wo, Config: wc, Train: true})
-	}
-	sort.Slice(units, func(i, j int) bool { return units[i].Key < units[j].Key })
-	return units, nil
 }
 
 // evaluate computes every unit's result against the local cache, grouping

@@ -3,10 +3,12 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"ctjam/internal/atomicfile"
 	"ctjam/internal/core"
@@ -17,8 +19,8 @@ import (
 // shard's results, tagged with its place in the shard set so a merge can
 // verify it is combining a complete, consistent partition. Besides the
 // shard's point and field results, Results holds one train result (scheme
-// key, CTSC bytes, fingerprint) per scheme the shard trained, so a merge can
-// account for fleet-wide training work (and reuse the schemes) without
+// key, CTSC bytes, fingerprint) per scheme the shard trained, so a merge
+// completes the train units of the ledger (and reuses the schemes) without
 // retraining.
 type Spool struct {
 	Shard   int          `json:"shard"`
@@ -54,7 +56,7 @@ func ShardUnits(units []Unit, shard, shards int) ([]Unit, error) {
 // writes the spool file to path atomically. Any unit that fails to evaluate
 // fails the shard: a spool on disk means every result in it is good.
 func RunShard(ctx context.Context, o experiments.Options, ids []string, shard, shards int, path string) (int, error) {
-	units, err := UnitsFor(o, ids)
+	units, _, err := UnitsFor(o, ids)
 	if err != nil {
 		return 0, err
 	}
@@ -85,80 +87,52 @@ func RunShard(ctx context.Context, o experiments.Options, ids []string, shard, s
 	return n, nil
 }
 
-// MergeSpools reads the spool files of one complete shard set from dir and
-// imports every result into cache. It verifies the set is consistent (all
-// spools agree on the shard count), complete (every index 0..shards-1
-// present exactly once), and covers every expected unit key exactly once
-// with a payload of its kind; the only other results it accepts are scheme
-// checkpoints whose bytes hash to their fingerprint, one fingerprint per
-// scheme key across shards. The returned count covers point and field units.
-func MergeSpools(dir string, cache *experiments.Cache, units []Unit) (int, error) {
+// ReplaySpools fills the ledger from the spool files of one complete shard
+// set in dir: a merge is a coordinator that starts on every result and has
+// nothing left to lease. Each result goes through record, the rules a
+// POST /v1/result meets, so the merge keeps only the checks on the shard
+// set itself: spools exist, agree on the shard count and hold every index
+// 0..shards-1 exactly once, and no result carries an error or reports a
+// point or field unit that is already done (record would take that for a
+// retried lease). A train unit's checkpoint may come from every shard that
+// trained it, with identical bytes. Call it on a fresh coordinator, then
+// ImportInto.
+func (c *Coordinator) ReplaySpools(dir string) error {
 	matches, err := filepath.Glob(filepath.Join(dir, "shard-*-of-*.json"))
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if len(matches) == 0 {
-		return 0, fmt.Errorf("dist: no spool files in %s", dir)
+		return fmt.Errorf("dist: no spool files in %s", dir)
 	}
 	shards, firstPath := 0, ""
 	seen := make(map[int]string)
-	want := make(map[string]Unit, len(units))
-	for _, u := range units {
-		want[u.Key] = u
-	}
-	imported := make(map[string]bool)
-	schemeFPs := make(map[string]string)
 	for _, path := range matches {
 		data, err := os.ReadFile(path)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		var sp Spool
 		if err := json.Unmarshal(data, &sp); err != nil {
-			return 0, fmt.Errorf("dist: %s: %w", path, err)
+			return fmt.Errorf("dist: %s: %w", path, err)
 		}
 		if shards == 0 {
 			shards, firstPath = sp.Shards, path
 		}
 		if sp.Shards != shards {
-			return 0, fmt.Errorf("dist: %s declares %d shards, %s declared %d",
+			return fmt.Errorf("dist: %s declares %d shards, %s declared %d",
 				path, sp.Shards, firstPath, shards)
 		}
 		if prev, dup := seen[sp.Shard]; dup {
-			return 0, fmt.Errorf("dist: shard %d appears in both %s and %s", sp.Shard, prev, path)
+			return fmt.Errorf("dist: shard %d appears in both %s and %s", sp.Shard, prev, path)
 		}
 		if sp.Shard < 0 || sp.Shard >= shards {
-			return 0, fmt.Errorf("dist: %s: shard index %d out of range [0,%d)", path, sp.Shard, shards)
+			return fmt.Errorf("dist: %s: shard index %d out of range [0,%d)", path, sp.Shard, shards)
 		}
 		seen[sp.Shard] = path
 		for _, r := range sp.Results {
-			if r.Err != "" {
-				return 0, fmt.Errorf("dist: %s: unit %s carries error: %s", path, r.Key, r.Err)
-			}
-			u, ok := want[r.Key]
-			switch {
-			case ok:
-				if imported[r.Key] {
-					return 0, fmt.Errorf("dist: %s: unit %s already imported from another shard", path, r.Key)
-				}
-				imported[r.Key] = true
-			case r.Scheme != nil:
-				u = Unit{Key: r.Key, Train: true}
-				if msg := fingerprintError(r); msg != "" {
-					return 0, fmt.Errorf("dist: %s: %s", path, msg)
-				}
-				if prev, dup := schemeFPs[r.Key]; dup && prev != r.SchemeFP {
-					return 0, fmt.Errorf("dist: %s: scheme %s conflicts with another shard's checkpoint", path, r.Key)
-				}
-				schemeFPs[r.Key] = r.SchemeFP
-			default:
-				return 0, fmt.Errorf("dist: %s: unit %s is not in the work list", path, r.Key)
-			}
-			if msg := payloadError(u, r); msg != "" {
-				return 0, fmt.Errorf("dist: %s: %s", path, msg)
-			}
-			if err := importResult(cache, u, r); err != nil {
-				return 0, fmt.Errorf("dist: %s: unit %s: %w", path, r.Key, err)
+			if err := c.replay(r); err != nil {
+				return fmt.Errorf("dist: %s: %w", path, err)
 			}
 		}
 	}
@@ -169,12 +143,41 @@ func MergeSpools(dir string, cache *experiments.Cache, units []Unit) (int, error
 				missing = append(missing, i)
 			}
 		}
-		return 0, fmt.Errorf("dist: incomplete shard set in %s: missing %v of %d", dir, missing, shards)
+		return fmt.Errorf("dist: incomplete shard set in %s: missing %v of %d", dir, missing, shards)
 	}
-	for _, u := range units {
-		if !imported[u.Key] {
-			return 0, fmt.Errorf("dist: merged spools are missing unit %s", u.Key)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, k := range c.order {
+		if !c.states[k].done {
+			return fmt.Errorf("dist: merged spools are missing unit %s", k)
 		}
 	}
-	return len(imported), nil
+	return nil
+}
+
+// replay records one spool result and says why record refused it, if it
+// did.
+func (c *Coordinator) replay(r UnitResult) error {
+	if r.Err != "" {
+		return fmt.Errorf("unit %s carries error: %s", r.Key, r.Err)
+	}
+	c.mu.Lock()
+	st := c.states[r.Key]
+	dup := st != nil && st.done && !st.unit.Train
+	c.mu.Unlock()
+	if dup {
+		return fmt.Errorf("unit %s already imported from another result", r.Key)
+	}
+	if _, rejected := c.record([]UnitResult{r}); len(rejected) == 0 {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case st == nil:
+		return fmt.Errorf("unit %s is not in the work list", r.Key)
+	case st.done:
+		return fmt.Errorf("scheme %s conflicts with another shard's checkpoint", r.Key)
+	}
+	return errors.New(strings.TrimPrefix(st.lastErr, "dist: "))
 }

@@ -164,8 +164,8 @@ type SchemeBlob struct {
 }
 
 // ExportSchemes returns every resolved scheme checkpoint the cache holds,
-// sorted by key. Static-mode spool shards persist these so MergeSpools can
-// account for fleet-wide training work.
+// sorted by key. Static-mode spool shards persist these so a merge can
+// complete the run's train units without retraining.
 func (c *Cache) ExportSchemes() []SchemeBlob {
 	var out []SchemeBlob
 	for k, b := range c.schemes.values() {
@@ -262,10 +262,7 @@ func schemeKey(o Options, p Point) string {
 func schemeCheckpoint(o Options, cfg env.Config) (*core.SchemeCheckpoint, env.Agent, error) {
 	switch o.Engine {
 	case EngineDQN:
-		acfg := core.DefaultDQNAgentConfig(cfg.Channels, len(cfg.TxPowers), cfg.SweepWidth)
-		acfg.Seed = o.Seed
-		acfg.Epsilon.DecaySteps = o.TrainSlots * 2 / 3
-		agent, err := core.NewDQNAgent(acfg)
+		agent, err := core.NewTrainingDQNAgent(cfg, o.Seed, o.TrainSlots)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -13,10 +13,7 @@ import (
 func runTrain(o Options) (*Result, error) {
 	cfg := env.DefaultConfig()
 	cfg.Seed = o.Seed
-	acfg := core.DefaultDQNAgentConfig(cfg.Channels, len(cfg.TxPowers), cfg.SweepWidth)
-	acfg.Seed = o.Seed
-	acfg.Epsilon.DecaySteps = o.TrainSlots * 2 / 3
-	agent, err := core.NewDQNAgent(acfg)
+	agent, err := core.NewTrainingDQNAgent(cfg, o.Seed, o.TrainSlots)
 	if err != nil {
 		return nil, err
 	}
