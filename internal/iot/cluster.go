@@ -2,7 +2,6 @@ package iot
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"sync"
 	"time"
@@ -50,13 +49,11 @@ type jamSpan struct {
 // worker at a time.
 type cluster struct {
 	cfg Config
-	// src is the cluster stream (overheads, jammer, arbiter, first
-	// channel), seeded with cfg.Seed; rng draws from it for the timing
-	// jitter, which takes a rand.Rand. agentSrc is the agent's stream,
-	// seeded with cfg.Seed+0x5eed. Both streams are reseeded in place every
-	// run and stream exactly like rand.NewSource.
+	// src is the cluster stream (overheads and their timing jitter, jammer,
+	// arbiter, first channel), seeded with cfg.Seed. agentSrc is the agent's
+	// stream, seeded with cfg.Seed+0x5eed. Both streams are reseeded in
+	// place every run and stream exactly like rand.NewSource.
 	src      *rng.Source
-	rng      *rand.Rand
 	agentSrc *rng.Source
 	jam      jammer.Strategy
 	// jamBuilt is what jam was built from; reset rewinds jam in place
@@ -123,7 +120,6 @@ func newCluster(cfg Config) (*cluster, error) {
 func (c *cluster) reset() error {
 	if c.src == nil {
 		c.src = rng.NewSource(c.cfg.Seed)
-		c.rng = rand.New(c.src)
 	} else {
 		c.src.Seed(c.cfg.Seed)
 	}
@@ -227,15 +223,15 @@ func overlap(a0, a1, b0, b1 time.Duration) time.Duration {
 	return hi - lo
 }
 
-// runSlot simulates one Tx slot on the given channel and power index,
-// returning its statistics. hopped marks a channel change decided at the
-// slot boundary.
-func (c *cluster) runSlot(channel, power int, hopped bool) (SlotStats, error) {
+// runSlot simulates one Tx slot on the given channel and power index and
+// writes its statistics into stats, which the caller reuses across slots.
+// hopped marks a channel change decided at the slot boundary.
+func (c *cluster) runSlot(stats *SlotStats, channel, power int, hopped bool) error {
 	if channel < 0 || channel >= c.cfg.Channels {
-		return SlotStats{}, fmt.Errorf("iot: channel %d out of range", channel)
+		return fmt.Errorf("iot: channel %d out of range", channel)
 	}
 	if power < 0 || power >= len(c.cfg.TxPowers) {
-		return SlotStats{}, fmt.Errorf("iot: power index %d out of range", power)
+		return fmt.Errorf("iot: power index %d out of range", power)
 	}
 	slotStart := c.now
 	slotEnd := slotStart + c.cfg.SlotDuration
@@ -256,15 +252,19 @@ func (c *cluster) runSlot(channel, power int, hopped bool) (SlotStats, error) {
 		drift = 0.5
 	}
 	stretch := func(d time.Duration) time.Duration {
+		if drift == 1 {
+			return d
+		}
 		return time.Duration(float64(d) * drift)
 	}
 
 	// Phase 1: policy inference + polling-mode FH/PC negotiation.
-	overheadDur := c.cfg.Timing.sample(c.cfg.Timing.DQNDecision, c.rng)
+	tm := &c.cfg.Timing
+	overheadDur := tm.sample(tm.DQNDecision, c.src)
 	for n := 0; n < c.cfg.Nodes; n++ {
-		overheadDur += c.cfg.Timing.sample(c.cfg.Timing.PollPerNode, c.rng)
-		if c.src.Float64() < c.cfg.Timing.OffChannelProb {
-			overheadDur += c.cfg.Timing.sampleRecovery(c.rng)
+		overheadDur += tm.sample(tm.PollPerNode, c.src)
+		if c.src.Float64() < tm.OffChannelProb {
+			overheadDur += tm.sampleRecovery(c.src)
 		}
 	}
 	overheadDur = stretch(overheadDur)
@@ -275,7 +275,7 @@ func (c *cluster) runSlot(channel, power int, hopped bool) (SlotStats, error) {
 
 	// Drive the jammer across this slot.
 	if err := c.advanceJammer(channel, slotEnd); err != nil {
-		return SlotStats{}, err
+		return err
 	}
 
 	victimBlock := channel / c.cfg.SweepWidth
@@ -283,18 +283,18 @@ func (c *cluster) runSlot(channel, power int, hopped bool) (SlotStats, error) {
 	c.wheel.build(c.spans, victimBlock, txPower)
 
 	// Phase 2: data exchange under LBT / CSMA-CA.
-	fixedService := stretch(c.cfg.Timing.PacketServiceTime())
-	air := stretch(c.cfg.Timing.LBT + c.cfg.Timing.PacketAirtime)
-	tail := stretch(c.cfg.Timing.AckRTT + c.cfg.Timing.Processing)
-	stats := SlotStats{
+	fixedService := stretch(tm.PacketServiceTime())
+	air := stretch(tm.LBT + tm.PacketAirtime)
+	tail := stretch(tm.AckRTT + tm.Processing)
+	*stats = SlotStats{
 		Overhead: overheadDur,
 		DataTime: slotEnd - dataStart,
 		Hopped:   hopped,
 	}
 	if c.arbiter == nil {
-		c.fixedData(&stats, flt, dataStart, slotEnd, fixedService, tail, txPower)
+		c.fixedData(stats, flt, dataStart, slotEnd, fixedService, tail, txPower)
 	} else {
-		c.csmaData(&stats, flt, dataStart, slotEnd, air, tail, txPower)
+		c.csmaData(stats, flt, dataStart, slotEnd, air, tail, txPower)
 	}
 	if flt.AckLoss {
 		// The ACK channel is out for this slot: packets may have reached
@@ -344,7 +344,7 @@ func (c *cluster) runSlot(channel, power int, hopped bool) (SlotStats, error) {
 
 	c.now = slotEnd
 	c.slotIdx++
-	return stats, nil
+	return nil
 }
 
 // fixedData resolves the data phase when every packet costs the same
@@ -440,7 +440,7 @@ type runAccum struct {
 }
 
 // add folds one resolved slot into the accumulator.
-func (a *runAccum) add(cfg *Config, d env.Decision, st SlotStats, hopped bool) {
+func (a *runAccum) add(cfg *Config, d env.Decision, st *SlotStats, hopped bool) {
 	a.run.Slots++
 	a.run.Attempted += st.Attempted
 	a.run.Delivered += st.Delivered
@@ -497,6 +497,7 @@ func (c *cluster) run(agent env.Agent, slots int) (RunStats, error) {
 	agent.Reset(c.agentSrc)
 
 	var acc runAccum
+	var st SlotStats
 	prev := env.SlotInfo{First: true, Channel: c.src.Intn(c.cfg.Channels)}
 	for i := 0; i < slots; i++ {
 		d := agent.Decide(prev)
@@ -504,11 +505,10 @@ func (c *cluster) run(agent env.Agent, slots int) (RunStats, error) {
 			return RunStats{}, fmt.Errorf("iot: agent %s returned invalid decision %+v", agent.Name(), d)
 		}
 		hopped := !prev.First && d.Channel != prev.Channel
-		st, err := c.runSlot(d.Channel, d.Power, hopped)
-		if err != nil {
+		if err := c.runSlot(&st, d.Channel, d.Power, hopped); err != nil {
 			return RunStats{}, err
 		}
-		acc.add(&c.cfg, d, st, hopped)
+		acc.add(&c.cfg, d, &st, hopped)
 		prev = env.SlotInfo{
 			Slot:    i + 1,
 			Channel: d.Channel,

@@ -2,13 +2,13 @@ package iot
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"ctjam/internal/env"
 	"ctjam/internal/fault"
 	"ctjam/internal/jammer"
 	"ctjam/internal/metrics"
+	"ctjam/internal/rng"
 )
 
 // Config parameterizes the field simulator. DefaultConfig mirrors the
@@ -167,7 +167,9 @@ func New(cfg Config) (*Simulator, error) {
 // returning its statistics. hopped marks a channel change decided at the
 // slot boundary.
 func (s *Simulator) RunSlot(channel, power int, hopped bool) (SlotStats, error) {
-	return s.c.runSlot(channel, power, hopped)
+	var st SlotStats
+	err := s.c.runSlot(&st, channel, power, hopped)
+	return st, err
 }
 
 // Run drives an anti-jamming agent through the simulator for the given
@@ -180,8 +182,8 @@ func (s *Simulator) Run(agent env.Agent, slots int) (RunStats, error) {
 // DQN inference, data/ACK round trip, hub packet processing, and per-node
 // polling. Each entry holds `trials` samples in seconds.
 func (s *Simulator) FunctionTimings(trials int) map[string][]float64 {
-	cfg := s.c.cfg
-	rng := rand.New(rand.NewSource(cfg.Seed + 0x9a))
+	tm := &s.c.cfg.Timing
+	src := rng.NewSource(s.c.cfg.Seed + 0x9a)
 	out := map[string][]float64{
 		"DQN":     make([]float64, trials),
 		"ACK":     make([]float64, trials),
@@ -189,10 +191,10 @@ func (s *Simulator) FunctionTimings(trials int) map[string][]float64 {
 		"Polling": make([]float64, trials),
 	}
 	for i := 0; i < trials; i++ {
-		out["DQN"][i] = cfg.Timing.sample(cfg.Timing.DQNDecision, rng).Seconds()
-		out["ACK"][i] = cfg.Timing.sample(cfg.Timing.AckRTT, rng).Seconds()
-		out["Proc"][i] = cfg.Timing.sample(cfg.Timing.Processing, rng).Seconds()
-		out["Polling"][i] = cfg.Timing.sample(cfg.Timing.PollPerNode, rng).Seconds()
+		out["DQN"][i] = tm.sample(tm.DQNDecision, src).Seconds()
+		out["ACK"][i] = tm.sample(tm.AckRTT, src).Seconds()
+		out["Proc"][i] = tm.sample(tm.Processing, src).Seconds()
+		out["Polling"][i] = tm.sample(tm.PollPerNode, src).Seconds()
 	}
 	return out
 }
@@ -213,15 +215,15 @@ func (s *Simulator) NegotiationTimes(nodes, trials int, offProb float64) ([]floa
 	if offProb < 0 || offProb > 1 {
 		return nil, fmt.Errorf("iot: off probability %v outside [0,1]", offProb)
 	}
-	cfg := s.c.cfg
-	rng := rand.New(rand.NewSource(cfg.Seed + 0x9b))
+	tm := &s.c.cfg.Timing
+	src := rng.NewSource(s.c.cfg.Seed + 0x9b)
 	out := make([]float64, trials)
 	for i := range out {
 		var total time.Duration
 		for n := 0; n < nodes; n++ {
-			total += cfg.Timing.sample(cfg.Timing.PollPerNode, rng)
-			if rng.Float64() < offProb {
-				total += cfg.Timing.sampleRecovery(rng)
+			total += tm.sample(tm.PollPerNode, src)
+			if src.Float64() < offProb {
+				total += tm.sampleRecovery(src)
 			}
 		}
 		out[i] = total.Seconds()

@@ -13,10 +13,10 @@ package iot
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"ctjam/internal/phy/zigbee"
+	"ctjam/internal/rng"
 )
 
 // Timing collects the protocol-level timing model.
@@ -112,11 +112,11 @@ func (t Timing) PacketServiceTime() time.Duration {
 }
 
 // sample draws a jittered duration around the nominal value.
-func (t Timing) sample(nominal time.Duration, rng *rand.Rand) time.Duration {
+func (t *Timing) sample(nominal time.Duration, src *rng.Source) time.Duration {
 	if t.Jitter == 0 || nominal == 0 {
 		return nominal
 	}
-	f := 1 + rng.NormFloat64()*t.Jitter
+	f := 1 + src.NormFloat64()*t.Jitter
 	if f < 0.5 {
 		f = 0.5
 	}
@@ -124,9 +124,9 @@ func (t Timing) sample(nominal time.Duration, rng *rand.Rand) time.Duration {
 }
 
 // sampleRecovery draws one off-channel recovery wait.
-func (t Timing) sampleRecovery(rng *rand.Rand) time.Duration {
+func (t *Timing) sampleRecovery(src *rng.Source) time.Duration {
 	if t.RecoveryMax == t.RecoveryMin {
 		return t.RecoveryMin
 	}
-	return t.RecoveryMin + time.Duration(rng.Int63n(int64(t.RecoveryMax-t.RecoveryMin)))
+	return t.RecoveryMin + time.Duration(src.Int63n(int64(t.RecoveryMax-t.RecoveryMin)))
 }

@@ -1,11 +1,11 @@
 package iot
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
 	"ctjam/internal/policy"
+	"ctjam/internal/rng"
 )
 
 func TestTimingValidateEdgeCases(t *testing.T) {
@@ -40,15 +40,15 @@ func TestTimingValidateEdgeCases(t *testing.T) {
 
 func TestTimingSample(t *testing.T) {
 	tm := DefaultTiming()
-	rng := rand.New(rand.NewSource(1))
+	src := rng.NewSource(1)
 
 	// Zero jitter and zero nominal both bypass the draw entirely.
 	noJitter := tm
 	noJitter.Jitter = 0
-	if got := noJitter.sample(time.Second, rng); got != time.Second {
+	if got := noJitter.sample(time.Second, src); got != time.Second {
 		t.Errorf("zero jitter: sample = %v, want 1s", got)
 	}
-	if got := tm.sample(0, rng); got != 0 {
+	if got := tm.sample(0, src); got != 0 {
 		t.Errorf("zero nominal: sample = %v, want 0", got)
 	}
 
@@ -57,7 +57,7 @@ func TestTimingSample(t *testing.T) {
 	wild := tm
 	wild.Jitter = 0.5
 	for i := 0; i < 10000; i++ {
-		got := wild.sample(time.Second, rng)
+		got := wild.sample(time.Second, src)
 		if got < 500*time.Millisecond {
 			t.Fatalf("sample %v fell below the 0.5 clamp", got)
 		}
@@ -66,17 +66,17 @@ func TestTimingSample(t *testing.T) {
 
 func TestSampleRecovery(t *testing.T) {
 	tm := DefaultTiming()
-	rng := rand.New(rand.NewSource(1))
+	src := rng.NewSource(1)
 
 	degenerate := tm
 	degenerate.RecoveryMin = 700 * time.Millisecond
 	degenerate.RecoveryMax = 700 * time.Millisecond
-	if got := degenerate.sampleRecovery(rng); got != 700*time.Millisecond {
+	if got := degenerate.sampleRecovery(src); got != 700*time.Millisecond {
 		t.Errorf("degenerate window: recovery = %v, want 700ms", got)
 	}
 
 	for i := 0; i < 1000; i++ {
-		got := tm.sampleRecovery(rng)
+		got := tm.sampleRecovery(src)
 		if got < tm.RecoveryMin || got >= tm.RecoveryMax {
 			t.Fatalf("recovery %v outside [%v,%v)", got, tm.RecoveryMin, tm.RecoveryMax)
 		}

@@ -90,3 +90,24 @@ func batchReLU(dst, src []float64) {
 		}
 	}
 }
+
+// batchReLUGrad writes dst[i] = grad[i] where out[i] > 0 and +0 where out[i]
+// is not positive or is NaN, vectorized where available: the AVX path masks
+// grad's bits with an ordered greater-than compare, which matches the scalar
+// branch bit for bit without branching on signs that are random in training.
+func batchReLUGrad(dst, grad, out []float64) {
+	i := 0
+	if useAVX {
+		if n4 := len(grad) &^ 3; n4 > 0 {
+			vecMaskPositive(&dst[0], &grad[0], &out[0], n4)
+			i = n4
+		}
+	}
+	for ; i < len(grad); i++ {
+		if out[i] > 0 {
+			dst[i] = grad[i]
+		} else {
+			dst[i] = 0
+		}
+	}
+}

@@ -40,6 +40,14 @@ func block8AVX(dst, a, b *float64, k, stride, cols4 int)
 //go:noescape
 func vecMaxZero(dst, src *float64, n4 int)
 
+// vecMaskPositive writes dst[i] = grad[i] where out[i] > 0 and +0 where
+// out[i] <= 0 or is NaN, for i in [0, n4), n4 %% 4 == 0: a VCMPPD/VANDPD
+// mask, bit-identical to the scalar `out > 0 ? grad : 0` (grad's -0 and NaN
+// pass unchanged). Implemented in gemm_amd64.s.
+//
+//go:noescape
+func vecMaskPositive(dst, grad, out *float64, n4 int)
+
 // vecAddRows adds the cols4-prefix (cols4 %% 4 == 0) of a row vector into
 // each of `rows` rows of dst (row stride `stride` values): one IEEE add per
 // element, bit-identical to the portable loop in Matrix.AddRowVector.

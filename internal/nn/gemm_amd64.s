@@ -285,6 +285,31 @@ mzloop:
 	VZEROUPPER
 	RET
 
+// func vecMaskPositive(dst, grad, out *float64, n4 int)
+//
+// dst[i] = out[i] > 0 ? grad[i] : +0 for i in [0, n4), n4 % 4 == 0 and > 0.
+// VCMPPD's ordered greater-than against +0 (predicate GT_OQ) sets a lane to
+// all ones where out > 0 and to zero where out <= 0 or out is NaN; VANDPD of
+// that mask with grad keeps grad's bits (-0 and NaN included) or gives +0.
+TEXT ·vecMaskPositive(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ out+16(FP), DX
+	MOVQ n4+24(FP), CX
+	VXORPD Y1, Y1, Y1
+mploop:
+	VMOVUPD (DX), Y0
+	VCMPPD  $0x1e, Y1, Y0, Y0
+	VANDPD  (SI), Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DX
+	ADDQ $32, DI
+	SUBQ $4, CX
+	JNZ  mploop
+	VZEROUPPER
+	RET
+
 // func vecAddRows(dst, row *float64, rows, stride, cols4 int)
 //
 // Adds row[0:cols4] into each of `rows` rows of dst (row stride `stride`

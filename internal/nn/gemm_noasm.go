@@ -19,6 +19,10 @@ func vecMaxZero(dst, src *float64, n4 int) {
 	panic("nn: assembly kernel not available on this architecture")
 }
 
+func vecMaskPositive(dst, grad, out *float64, n4 int) {
+	panic("nn: assembly kernel not available on this architecture")
+}
+
 func vecAddRows(dst, row *float64, rows, stride, cols4 int) {
 	panic("nn: assembly kernel not available on this architecture")
 }

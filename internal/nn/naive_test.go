@@ -541,3 +541,53 @@ func TestAdamStepMatchesScalarBitwise(t *testing.T) {
 		})
 	}
 }
+
+// naiveReLUGrad is the per-element branch ReLU.Backward used before the mask
+// kernel, kept as the reference batchReLUGrad must match bit for bit.
+func naiveReLUGrad(dst, grad, out []float64) {
+	for i, v := range grad {
+		if out[i] > 0 {
+			dst[i] = v
+		} else {
+			dst[i] = 0
+		}
+	}
+}
+
+// TestReLUGradMatchesNaive compares batchReLUGrad with the scalar branch at
+// every length from 0 to 67 (whole kernel blocks plus every tail), on inputs
+// salted with ±0, NaN and ±Inf in both the gradient and the forward output:
+// the bits must agree, so a -0 or NaN gradient passes unchanged where out > 0
+// and +0 lands wherever out ≤ 0 or is NaN.
+func TestReLUGradMatchesNaive(t *testing.T) {
+	special := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 1e-310, -1e-310}
+	rng := rand.New(rand.NewSource(67))
+	fill := func(xs []float64) {
+		for i := range xs {
+			if rng.Intn(3) == 0 {
+				xs[i] = special[rng.Intn(len(special))]
+			} else {
+				xs[i] = rng.NormFloat64()
+			}
+		}
+	}
+	for n := 0; n <= 67; n++ {
+		for trial := 0; trial < 20; trial++ {
+			grad, out := make([]float64, n), make([]float64, n)
+			fill(grad)
+			fill(out)
+			got, want := make([]float64, n), make([]float64, n)
+			for i := range got {
+				got[i], want[i] = 1, 1 // both must be overwritten
+			}
+			batchReLUGrad(got, grad, out)
+			naiveReLUGrad(want, grad, out)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d trial %d element %d (grad %v, out %v): got %v (%#x), want %v (%#x)",
+						n, trial, i, grad[i], out[i], got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}

@@ -249,13 +249,7 @@ func (r *ReLU) Backward(gradOut *Matrix) (*Matrix, error) {
 		return nil, fmt.Errorf("relu backward: mask size %d vs grad %d", len(r.out.Data), len(gradOut.Data))
 	}
 	r.gout.Reshape(gradOut.Rows, gradOut.Cols)
-	for i, v := range gradOut.Data {
-		if r.out.Data[i] > 0 {
-			r.gout.Data[i] = v
-		} else {
-			r.gout.Data[i] = 0
-		}
-	}
+	batchReLUGrad(r.gout.Data, gradOut.Data, r.out.Data)
 	return &r.gout, nil
 }
 

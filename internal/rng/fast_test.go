@@ -116,30 +116,48 @@ func TestFastReseedInPlace(t *testing.T) {
 	}
 }
 
-// TestSeedKernelMatchesPortable runs the AVX2 kernel and the portable loop
-// on the same seeds and requires equal registers, at every edge seed and at
-// 10⁴ random ones.
-func TestSeedKernelMatchesPortable(t *testing.T) {
-	if !useAVX2 {
-		t.Skip("AVX2 kernel not available")
+// seedKernels are the tiers this CPU runs, each with its kernel by name.
+func seedKernels() map[string]seedTier {
+	tiers := map[string]seedTier{}
+	if hasAVX512 {
+		tiers["avx512"] = tierAVX512
 	}
+	if hasAVX2 {
+		tiers["avx2"] = tierAVX2
+	}
+	return tiers
+}
+
+// TestSeedKernelMatchesPortable runs every kernel the CPU has, the AVX-512
+// and the AVX2 one each called directly, and the portable loop on the same
+// seeds, and requires equal registers at every edge seed and at 10⁴ random
+// ones.
+func TestSeedKernelMatchesPortable(t *testing.T) {
 	seeds := append([]int64(nil), edgeSeeds...)
 	r := rand.New(rand.NewSource(607))
 	for len(seeds) < len(edgeSeeds)+10000 {
 		seeds = append(seeds, int64(r.Uint64()))
 	}
-	var got, want [regLen]uint64
-	for _, seed := range seeds {
-		s := reduceSeed(seed)
-		seedRegister(&got, s)
-		seedPortable(&want, cooked, s, 0)
-		if got != want {
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d word %d: kernel %#x, portable %#x", seed, i, got[i], want[i])
+	for _, name := range []string{"avx512", "avx2"} {
+		t.Run(name, func(t *testing.T) {
+			tier, ok := seedKernels()[name]
+			if !ok {
+				t.Skipf("%s kernel not available", name)
+			}
+			var got, want [regLen]uint64
+			for _, seed := range seeds {
+				s := reduceSeed(seed)
+				seedRegister(tier, &got, s)
+				seedPortable(&want, cooked, s, 0)
+				if got != want {
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("seed %d word %d: kernel %#x, portable %#x", seed, i, got[i], want[i])
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -160,15 +178,19 @@ func FuzzFastSeed(f *testing.F) {
 }
 
 // TestSeedAllocs guards the point of Fast: reseeding a Fast, or a Source,
-// and restoring a Source allocate nothing.
+// restoring a Source and drawing from it allocate nothing.
 func TestSeedAllocs(t *testing.T) {
 	f := seeded(1)
 	s := NewSource(1)
 	seed := int64(0)
 	for name, fn := range map[string]func(){
-		"Fast.Seed":      func() { seed++; f.Seed(seed) },
-		"Source.Seed":    func() { seed++; s.Seed(seed) },
-		"Source.Restore": func() { seed++; s.Restore(seed, 100) },
+		"Fast.Seed":          func() { seed++; f.Seed(seed) },
+		"Source.Seed":        func() { seed++; s.Seed(seed) },
+		"Source.Restore":     func() { seed++; s.Restore(seed, 100) },
+		"Source.NormFloat64": func() { s.NormFloat64() },
+		"Source.Int63n":      func() { s.Int63n(900_000_000) },
+		"Source.Intn":        func() { s.Intn(97) },
+		"Source.Float64":     func() { s.Float64() },
 	} {
 		if n := testing.AllocsPerRun(20, fn); n != 0 {
 			t.Errorf("%s: %v allocs, want 0", name, n)
@@ -176,10 +198,23 @@ func TestSeedAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkFastSeed reseeds a Fast through each seeding tier the CPU runs.
 func BenchmarkFastSeed(b *testing.B) {
-	f := &Fast{}
-	for i := 0; i < b.N; i++ {
-		f.Seed(int64(i))
+	tiers := seedKernels()
+	tiers["portable"] = tierPortable
+	for _, name := range []string{"avx512", "avx2", "portable"} {
+		b.Run(name, func(b *testing.B) {
+			tier, ok := tiers[name]
+			if !ok {
+				b.Skipf("%s kernel not available", name)
+			}
+			defer func(used seedTier) { seedTierUsed = used }(seedTierUsed)
+			seedTierUsed = tier
+			f := &Fast{}
+			for i := 0; i < b.N; i++ {
+				f.Seed(int64(i))
+			}
+		})
 	}
 }
 

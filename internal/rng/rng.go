@@ -2,9 +2,9 @@
 // the standard library's stream bit for bit: Fast, a drop-in for
 // rand.NewSource that reseeds in place without allocating, and Source, which
 // adds a single exportable stream position for bit-identical checkpoint and
-// resume of long simulations. Source also draws Intn and Float64 itself,
-// exactly as a rand.Rand over it would, for hot loops that should not pay
-// rand.Rand's interface call per step.
+// resume of long simulations. Source also draws Intn, Int63n, Float64 and
+// NormFloat64 itself, exactly as a rand.Rand over it would, for hot loops
+// that should not pay rand.Rand's interface call per step.
 //
 // The standard library's generator hides its internal state (607 words of
 // lagged-Fibonacci history), which would make snapshotting impossible;
@@ -28,17 +28,29 @@
 // multiplication at a time: 20 warm-up steps, then x_{21+3i}, x_{22+3i} and
 // x_{23+3i} make u_i = x_{21+3i}<<40 ^ x_{22+3i}<<20 ^ x_{23+3i}. Fast instead
 // keeps a table of the powers 48271^(21+3i+k) built once at init, so every
-// x it needs is one product s·48271ⁿ mod M and no word depends on another:
-// a portable loop serves every build, and on amd64 an AVX2 kernel computes
-// four words at a time.
+// x it needs is one product s·48271ⁿ mod M and no word depends on another.
+//
+// Seeding runs in one of three tiers, picked once at init from CPUID and
+// XCR0: on amd64 an AVX-512F kernel computes eight words per instruction, an
+// AVX2 kernel four, and the portable loop serves every other build (and the
+// noasm tag) as well as the 607 mod 8 words the kernels leave. Both kernels
+// read the one power table in groups of eight words. Fast keeps its register
+// as its first field, so a Source, allocated in a size class of 64-byte
+// slots, hands the kernels a cache-line-aligned register whose 64-byte
+// stores never split a line. The kernels run no legacy-SSE instruction (a
+// non-VEX MOVQ into an X register, say) after a VEX.256 or EVEX.512 one:
+// with the upper register halves dirty such an instruction costs an SSE/AVX
+// state transition, about 190 ns per seeding on an AVX-512 Xeon.
+// scripts/check.sh rejects such a mix.
 //
 // A product p = s·P is reduced mod M by one Mersenne fold,
 // t = (p & M) + (p >> 31), and one correction. One fold suffices: with
 // 0 < s, P < M the product is below M·2³¹, so t < 2M, and t ≠ M because the
-// prime M divides neither factor. The kernel then picks t or t − M on the
-// sign of t − M; the portable loop folds t once more, which maps such a t to
-// t mod M without a branch. Both yield exactly the value of the standard
-// library's Schrage division.
+// prime M divides neither factor. The kernels then pick t or t − M: the
+// AVX2 one on the sign of t − M, the AVX-512 one as the unsigned minimum of
+// t and t − M, which wraps above t when t < M. The portable loop folds t
+// once more, which maps such a t to t mod M without a branch. All three
+// yield exactly the value of the standard library's Schrage division.
 //
 // The cooked table is not copied from the standard library: init recovers
 // it from the first 607 Uint64 draws of rand.NewSource(1). Draw j (1-based)
@@ -89,14 +101,18 @@ func recoverCooked() *[regLen]uint64 {
 // lehmer is the seeding multiplier.
 const lehmer = 48271
 
-// powGroup holds the Lehmer powers of four consecutive register words:
-// powGroup[k][j] is 48271^(21+3i+k) mod 2³¹−1 for word i = 4g+j of group g.
-// This is the layout seedAVX2 loads, one 32-byte vector per k.
-type powGroup [3][4]uint64
+// seedLanes is the number of register words per power-table group: one
+// 512-bit vector of the AVX-512 kernel, two 256-bit ones of the AVX2 kernel.
+const seedLanes = 8
 
-// seedGroups is the number of whole four-word groups; the remaining
-// regLen%4 words sit in a final, partly used group.
-const seedGroups = regLen / 4
+// powGroup holds the Lehmer powers of seedLanes consecutive register words:
+// powGroup[k][j] is 48271^(21+3i+k) mod 2³¹−1 for word i = 8g+j of group g.
+// Both kernels load it one 64-byte row per k.
+type powGroup [3][seedLanes]uint64
+
+// seedGroups is the number of whole groups; the remaining regLen%seedLanes
+// words sit in a final, partly used group.
+const seedGroups = regLen / seedLanes
 
 // seedPow is the power table every seeding reads (about 14.6 KB).
 var seedPow = func() (t [seedGroups + 1]powGroup) {
@@ -105,9 +121,9 @@ var seedPow = func() (t [seedGroups + 1]powGroup) {
 		x = mulmod(x, lehmer)
 	}
 	for i := 0; i < regLen; i++ {
-		for k := range t[i/4] {
+		for k := range t[i/seedLanes] {
 			x = mulmod(x, lehmer)
-			t[i/4][k][i%4] = x
+			t[i/seedLanes][k][i%seedLanes] = x
 		}
 	}
 	return t
@@ -137,23 +153,49 @@ func reduceSeed(seed int64) uint64 {
 
 // seedPortable writes base[i] ^ u_i(s) into dst[i] for the register words
 // i ≥ from, s being a reduced seed. dst and base may be the same array. It is
-// the reference seedAVX2 is tested against, the tail the kernel leaves, and
-// the whole seeding on builds without the kernel.
+// the reference the kernels are tested against, the tail they leave, and
+// the whole seeding on builds without them.
 func seedPortable(dst, base *[regLen]uint64, s uint64, from int) {
 	for i := from; i < regLen; i++ {
-		p := &seedPow[i/4]
-		j := i % 4
+		p := &seedPow[i/seedLanes]
+		j := i % seedLanes
 		dst[i] = base[i] ^ mulmod(s, p[0][j])<<40 ^ mulmod(s, p[1][j])<<20 ^ mulmod(s, p[2][j])
 	}
 }
 
-// seedRegister writes cooked ^ u(s) into vec, through the AVX2 kernel for
-// the whole four-word groups when the CPU has it.
-func seedRegister(vec *[regLen]uint64, s uint64) {
+// seedTier names a seeding kernel.
+type seedTier int
+
+const (
+	tierPortable seedTier = iota
+	tierAVX2
+	tierAVX512
+)
+
+// seedTierUsed is the fastest tier the CPU runs, picked once at init.
+var seedTierUsed = bestSeedTier()
+
+func bestSeedTier() seedTier {
+	switch {
+	case hasAVX512:
+		return tierAVX512
+	case hasAVX2:
+		return tierAVX2
+	}
+	return tierPortable
+}
+
+// seedRegister writes cooked ^ u(s) into vec, through tier's kernel for the
+// whole groups and seedPortable for the rest.
+func seedRegister(tier seedTier, vec *[regLen]uint64, s uint64) {
 	from := 0
-	if useAVX2 {
+	switch tier {
+	case tierAVX512:
+		seedAVX512(&vec[0], &cooked[0], &seedPow[0][0][0], s, seedGroups)
+		from = seedLanes * seedGroups
+	case tierAVX2:
 		seedAVX2(&vec[0], &cooked[0], &seedPow[0][0][0], s, seedGroups)
-		from = 4 * seedGroups
+		from = seedLanes * seedGroups
 	}
 	seedPortable(vec, cooked, s, from)
 }
@@ -163,8 +205,10 @@ func seedRegister(vec *[regLen]uint64, s uint64) {
 // nothing, so one Fast can serve many short seeded runs. The zero value
 // must be seeded before use. Not safe for concurrent use.
 type Fast struct {
-	tap, feed int
+	// vec comes first: a Source is allocated in a size class whose slots
+	// are 64-byte aligned, so the kernels' stores never split a cache line.
 	vec       [regLen]uint64
+	tap, feed int
 }
 
 var _ rand.Source64 = (*Fast)(nil)
@@ -173,7 +217,7 @@ var _ rand.Source64 = (*Fast)(nil)
 func (f *Fast) Seed(seed int64) {
 	f.tap = 0
 	f.feed = regLen - regTap
-	seedRegister(&f.vec, reduceSeed(seed))
+	seedRegister(seedTierUsed, &f.vec, reduceSeed(seed))
 }
 
 // Uint64 implements rand.Source64: one generator step.
@@ -264,16 +308,25 @@ func (s *Source) Intn(n int) int {
 		}
 		return int(v % n)
 	}
-	n64 := int64(n)
-	if n64&(n64-1) == 0 {
-		return int(s.Int63() & (n64 - 1))
+	return int(s.Int63n(int64(n)))
+}
+
+// Int63n returns a value in [0, n), exactly as rand.New(s).Int63n(n) would:
+// a mask for a power of two, rejection sampling otherwise. It panics if
+// n <= 0.
+func (s *Source) Int63n(n int64) int64 {
+	if n <= 0 {
+		panic("rng: invalid argument to Int63n")
 	}
-	max := int64(1<<63 - 1 - (1<<63)%uint64(n64))
+	if n&(n-1) == 0 {
+		return s.Int63() & (n - 1)
+	}
+	max := int64(1<<63 - 1 - (1<<63)%uint64(n))
 	v := s.Int63()
 	for v > max {
 		v = s.Int63()
 	}
-	return int(v % n64)
+	return v % n
 }
 
 // Float64 returns a value in [0, 1), exactly as rand.New(s).Float64() would,

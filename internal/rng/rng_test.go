@@ -101,12 +101,15 @@ func TestMixedDrawRestore(t *testing.T) {
 	}
 }
 
-// TestSourceDrawsMatchRand checks Source's own Intn and Float64 against
-// rand.Rand's over the same stream: every n in 1..64 (powers of two take the
-// mask branch, the rest the rejection branch), large n on both the Int31n and
-// the Int63n side, and n just above a power of two, where about half the raw
-// draws are rejected.
+// TestSourceDrawsMatchRand checks Source's own draws against rand.Rand's over
+// the same stream: Intn with Float64 here, Int63n and NormFloat64 in their
+// subtests. Intn takes every n in 1..64 (powers of two take the mask branch,
+// the rest the rejection branch), large n on both the Int31n and the Int63n
+// side, and n just above a power of two, where about half the raw draws are
+// rejected.
 func TestSourceDrawsMatchRand(t *testing.T) {
+	t.Run("Int63n", testInt63nMatchesRand)
+	t.Run("NormFloat64", testNormFloat64MatchesRand)
 	ns := []int{1<<31 - 1, 1 << 31, 1<<31 + 1, 1<<40 + 7, 1 << 62, 1<<62 + 1, 3<<61 + 5, math.MaxInt64}
 	for n := 1; n <= 64; n++ {
 		ns = append(ns, n)
@@ -139,6 +142,71 @@ func TestSourceDrawsMatchRand(t *testing.T) {
 	}
 }
 
+// testInt63nMatchesRand checks Source's Int63n against rand.Rand's over
+// 64 seeds, value by value and position by position: n = 1, every power of
+// two (the mask), every power of two plus one (about half the raw draws
+// rejected near 2⁶²), the 900,000,000 ns range of the field's recovery waits
+// and values above 2³¹.
+func testInt63nMatchesRand(t *testing.T) {
+	ns := []int64{1, 900_000_000, 1<<31 + 1, 1<<40 + 7, 3<<61 + 5, math.MaxInt64}
+	for k := 1; k < 63; k++ {
+		ns = append(ns, 1<<k, 1<<k+1)
+	}
+	for seed := int64(-4); seed < 60; seed++ {
+		got := NewSource(seed)
+		ref := NewSource(seed)
+		want := rand.New(ref)
+		for i := 0; i < 600; i++ {
+			n := ns[(i+int(seed&0xff))%len(ns)]
+			if g, w := got.Int63n(n), want.Int63n(n); g != w {
+				t.Fatalf("seed %d draw %d: Int63n(%d) %d != %d", seed, i, n, g, w)
+			}
+			if got.State() != ref.State() {
+				t.Fatalf("seed %d draw %d: Int63n(%d) position %d, rand.Rand's %d", seed, i, n, got.State(), ref.State())
+			}
+		}
+	}
+}
+
+// testNormFloat64MatchesRand checks Source's NormFloat64 against
+// rand.Rand's over 64 seeds, value by value and position by position. It
+// classifies every draw by the first raw step it reads, as the ziggurat
+// does, and requires both slow branches to be taken: the base strip
+// (i = 0, an exponential tail sample) and the wedge (an Exp comparison).
+func testNormFloat64MatchesRand(t *testing.T) {
+	var fast, base, wedge int
+	for seed := int64(-4); seed < 60; seed++ {
+		got := NewSource(seed)
+		ref := NewSource(seed)
+		want := rand.New(ref)
+		peek := NewSource(seed)
+		for i := 0; i < 1500; i++ {
+			for peek.State() < got.State() {
+				peek.Int63()
+			}
+			j := int32(peek.Int63() >> 31)
+			switch k := j & 0x7f; {
+			case absInt32(j) < kn[k]:
+				fast++
+			case k == 0:
+				base++
+			default:
+				wedge++
+			}
+			if g, w := got.NormFloat64(), want.NormFloat64(); g != w {
+				t.Fatalf("seed %d draw %d: NormFloat64 %v != %v", seed, i, g, w)
+			}
+			if got.State() != ref.State() {
+				t.Fatalf("seed %d draw %d: NormFloat64 position %d, rand.Rand's %d", seed, i, got.State(), ref.State())
+			}
+		}
+	}
+	t.Logf("ziggurat branches: %d fast, %d base strip, %d wedge", fast, base, wedge)
+	if base == 0 || wedge == 0 {
+		t.Fatalf("ziggurat branches: %d fast, %d base strip, %d wedge; want both slow branches taken", fast, base, wedge)
+	}
+}
+
 // TestSourceIntnRejects checks that Intn takes the rejection branch at all:
 // for n = 2³⁰+1 almost half of the raw 31-bit draws lie above the largest
 // multiple of n, so many of 1000 draws must consume more than one step.
@@ -154,15 +222,20 @@ func TestSourceIntnRejects(t *testing.T) {
 }
 
 func TestSourceIntnPanics(t *testing.T) {
-	for _, n := range []int{0, -1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("Intn(%d) did not panic", n)
-				}
+	for _, n := range []int{0, -1, math.MinInt64} {
+		for name, draw := range map[string]func(*Source){
+			"Intn":   func(s *Source) { s.Intn(n) },
+			"Int63n": func(s *Source) { s.Int63n(int64(n)) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s(%d) did not panic", name, n)
+					}
+				}()
+				draw(NewSource(1))
 			}()
-			NewSource(1).Intn(n)
-		}()
+		}
 	}
 }
 

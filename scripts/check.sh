@@ -53,6 +53,32 @@ fused=$(GOARCH=arm64 go build -gcflags=-S ./internal/nn ./internal/rl 2>&1 |
 	awk '/FMULD/ { listed = 1 } /[[:space:]]FN?M(ADD|SUB)D[[:space:]]/ { print } END { if (!listed) print "no arm64 listing" }')
 test -z "$fused"
 
+# A legacy-SSE instruction (one without a VEX prefix, such as MOVQ AX, X0)
+# that runs while the upper halves of the vector registers are dirty costs an
+# SSE/AVX state transition on every call; the AVX2 seed kernel once lost
+# ~190 ns per seeding that way. Fail if any amd64 assembly function that uses
+# a Y or Z register also holds a non-VEX instruction with an X-register
+# operand (the CPUID probes touch no vector register, so they pass).
+sse=$(find . -name '*_amd64.s' -not -path './.bench_build/*' | sort | xargs awk '
+	function flush(   i) {
+		if (wide) for (i = 1; i <= n; i++) print legacy[i]
+		wide = 0; n = 0
+	}
+	FNR == 1 || /^TEXT/ { flush() }
+	{
+		code = $0
+		sub(/\/\/.*/, "", code)
+		if (code !~ /^[ \t]+[A-Z]/) next
+		if (code ~ /[^A-Za-z0-9_][YZ]([0-9]|[12][0-9]|3[01])([^A-Za-z0-9_]|$)/) wide = 1
+		ops = code
+		sub(/^[ \t]+[A-Z0-9_.]+/, "", ops)
+		if (code !~ /^[ \t]+V/ && ops ~ /(^|[^A-Za-z0-9_])X([0-9]|[12][0-9]|3[01])([^A-Za-z0-9_]|$)/)
+			legacy[++n] = FILENAME ":" FNR ": " code
+	}
+	END { flush() }
+')
+test -z "$sse"
+
 # The sweep-point cache shares memoized counters and trained schemes across
 # concurrent experiment runs, and field runs claim scheme entries from it
 # concurrently; its claim/wait protocol must stay race-clean and
@@ -76,7 +102,7 @@ go test -race -count=1 -run 'TestFieldShardEquivalence|TestEnginePooledClustersC
 # Benchmark smoke: one iteration each of the Go micro-benchmarks that
 # CHANGES.md cites as per-layer evidence (sweep cache, batched policy
 # engine, lockstep slot loop, DQN update, dense train step, batcher
-# admission, decide body, field engine), so they stay runnable. End-to-end numbers come from perfbench, not
+# admission, decide body, field engine, seeding tiers), so they stay runnable. End-to-end numbers come from perfbench, not
 # from here.
 go test -run '^$' -bench '^BenchmarkAllSweeps$' -benchtime 1x .
 go test -run '^$' -bench '^BenchmarkPolicyBatch$' -benchtime 1x ./internal/policy
@@ -86,6 +112,7 @@ go test -run '^$' -bench '^BenchmarkTrainStepBatch64$' -benchtime 1x ./internal/
 go test -run '^$' -bench '^BenchmarkBatcherDecide$' -benchtime 1x ./internal/serve
 go test -run '^$' -bench '^BenchmarkDecideBody$' -benchtime 1x ./internal/serve
 go test -run '^$' -bench '^BenchmarkFieldEngine/nodes-1e3$' -benchtime 1x ./internal/iot
+go test -run '^$' -bench '^BenchmarkFastSeed$' -benchtime 1x ./internal/rng
 
 # Fuzz smoke: a few seconds per target catches shallow panics and keeps the
 # committed corpora replaying. Override the budget with CHECK_FUZZTIME
