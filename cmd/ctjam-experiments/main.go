@@ -15,11 +15,12 @@
 // at any worker count. All experiments share one sweep-point cache, so the
 // 20 metric panels of Figs. 6-8 (and Table I) train and evaluate each unique
 // (config, engine, budget) point exactly once; -cache-stats reports the
-// reuse on stderr.
+// reuse, and the schemes trained here or imported, on stderr.
 //
 // Distributed execution (see internal/dist and DESIGN.md) shards those
 // unique sweep points across processes, with output bit-identical to a
-// single-process run:
+// single-process run. The field-simulator panels (fig10a/b, fig11a/b,
+// scale) are cheap and always run in the printing process:
 //
 //	-distribute addr   coordinate: serve work units over HTTP on addr
 //	                   (":0" picks a port, reported on stderr), wait for
@@ -29,13 +30,14 @@
 //	                   coordinator leases train units first, records the
 //	                   CTSC checkpoint each one reports as its result, and
 //	                   ships it inline with the units evaluating dependent
-//	                   points and field runs.
+//	                   points.
 //	-worker URL        work: poll the coordinator at URL (e.g.
 //	                   http://host:9077), evaluate assigned units locally,
 //	                   report results, exit when the run completes.
 //	-shards N -shard-index I -spool DIR
-//	                   static mode (no networking): evaluate shard I of a
-//	                   round-robin N-way split of the work list and write
+//	                   static mode (no networking): evaluate shard I of an
+//	                   N-way split of the work list that keeps the points
+//	                   of one scheme together, and write
 //	                   DIR/shard-III-of-NNN.json atomically.
 //	-merge -spool DIR  replay a complete spool set from DIR into the
 //	                   coordinator's ledger, through the checks a worker's
@@ -256,8 +258,6 @@ func run(args []string) error {
 		cs := opts.Cache.Stats()
 		fmt.Fprintf(os.Stderr, "sweep-point cache: %d unique points computed, %d reused, %d schemes (%d trained here, %d imported)\n",
 			cs.PointMisses, cs.PointHits, cs.Schemes, cs.SchemeBuilds, cs.SchemeImports)
-		fmt.Fprintf(os.Stderr, "field-run cache: %d unique field runs computed, %d reused\n",
-			cs.FieldMisses, cs.FieldHits)
 	}
 	return nil
 }

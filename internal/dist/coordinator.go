@@ -48,8 +48,8 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 }
 
 // unitState tracks one unit through the lease protocol. result holds the
-// completed payload — Counters for sweep points, Field for field replicas,
-// the verified checkpoint for train units.
+// completed payload — Counters for sweep points, the verified checkpoint for
+// train units.
 type unitState struct {
 	unit       Unit
 	done       bool
@@ -80,11 +80,10 @@ type Coordinator struct {
 	done      chan struct{}
 }
 
-// NewCoordinator builds the coordinator for the cache-backed points and
-// field runs of the given experiment ids under o, plus one train unit per
-// unique trainable scheme key they evaluate (see UnitsFor). Ids without
-// cache-backed points contribute no units; a run whose ids produce none
-// completes immediately.
+// NewCoordinator builds the coordinator for the cache-backed points of the
+// given experiment ids under o, plus one train unit per unique trainable
+// scheme key they evaluate (see UnitsFor). Ids without cache-backed points
+// contribute no units; a run whose ids produce none completes immediately.
 func NewCoordinator(o experiments.Options, ids []string, copts CoordinatorOptions) (*Coordinator, error) {
 	units, trains, err := UnitsFor(o, ids)
 	if err != nil {
@@ -173,11 +172,11 @@ func (c *Coordinator) assign() pollResponse {
 		if st.done || st.leaseUntil.After(now) {
 			continue
 		}
-		// A point or field unit whose train unit is not done yet is
-		// blocked: skipping it (without burning an attempt) keeps the pull
-		// protocol deadlock-free — the train unit itself stays assignable,
-		// and its own lease/retry machinery bounds how long dependent units
-		// can wait. ts is nil for train units and baseline defenses.
+		// A point unit whose train unit is not done yet is blocked:
+		// skipping it (without burning an attempt) keeps the pull protocol
+		// deadlock-free — the train unit itself stays assignable, and its
+		// own lease/retry machinery bounds how long dependent units can
+		// wait. ts is nil for train units and baseline defenses.
 		ts := c.states[st.unit.SchemeKey]
 		if ts != nil && !ts.done {
 			continue
@@ -309,7 +308,7 @@ func (p *UnitProgress) count(st *unitState, now time.Time) {
 }
 
 // Status is the /v1/status snapshot. Total/Done/Leased/Attempts aggregate
-// every unit; Train/Point/Field break the same progress down by unit type,
+// every unit; Train/Point break the same progress down by unit type,
 // and SchemesStored/SchemeStoreBytes size the checkpoints of the done train
 // units — see DESIGN.md for the JSON shape.
 type Status struct {
@@ -322,7 +321,6 @@ type Status struct {
 
 	Train UnitProgress `json:"train"`
 	Point UnitProgress `json:"point"`
-	Field UnitProgress `json:"field"`
 
 	SchemesStored    int   `json:"schemes_stored"`
 	SchemeStoreBytes int64 `json:"scheme_store_bytes"`
@@ -344,17 +342,14 @@ func (c *Coordinator) Snapshot() Status {
 			s.Leased++
 		}
 		s.Attempts += st.attempts
-		switch st.unit.kind() {
-		case "train":
-			s.Train.count(st, now)
-			if st.done {
-				s.SchemesStored++
-				s.SchemeStoreBytes += int64(len(st.result.Scheme))
-			}
-		case "field":
-			s.Field.count(st, now)
-		default:
+		if !st.unit.Train {
 			s.Point.count(st, now)
+			continue
+		}
+		s.Train.count(st, now)
+		if st.done {
+			s.SchemesStored++
+			s.SchemeStoreBytes += int64(len(st.result.Scheme))
 		}
 	}
 	return s
@@ -409,8 +404,8 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 // ImportInto feeds every completed unit's result into cache under its
 // canonical key (see importResult), after which experiment runs sharing
 // that cache read the distributed results instead of recomputing them. The
-// returned count covers point and field results (the units UnitsFor
-// enumerates); schemes ride along uncounted. Call after Wait succeeds.
+// returned count covers point results (the units UnitsFor enumerates);
+// schemes ride along uncounted. Call after Wait succeeds.
 func (c *Coordinator) ImportInto(cache *experiments.Cache) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

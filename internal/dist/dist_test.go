@@ -17,7 +17,6 @@ import (
 	"ctjam/internal/env"
 	"ctjam/internal/experiments"
 	"ctjam/internal/fault"
-	"ctjam/internal/iot"
 	"ctjam/internal/metrics"
 )
 
@@ -55,6 +54,42 @@ func TestShardUnitsPartition(t *testing.T) {
 	}
 	if _, err := ShardUnits(units, -1, 2); err == nil {
 		t.Error("ShardUnits accepted negative index")
+	}
+}
+
+// TestShardUnitsKeepSchemesTogether checks the static partition of the
+// full work list: every unit lands in exactly one shard, and all units of
+// one SchemeKey land in the same shard, so no scheme is trained twice.
+func TestShardUnitsKeepSchemesTogether(t *testing.T) {
+	units, _, err := UnitsFor(testOptions(), experiments.IDs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{2, 3, 5} {
+		shardOf := make(map[string]int)
+		schemeShard := make(map[string]int)
+		for s := 0; s < shards; s++ {
+			mine, err := ShardUnits(units, s, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, u := range mine {
+				if prev, dup := shardOf[u.Key]; dup {
+					t.Errorf("shards=%d: unit %s in shards %d and %d", shards, u.Key, prev, s)
+				}
+				shardOf[u.Key] = s
+				if u.SchemeKey == "" {
+					continue
+				}
+				if prev, ok := schemeShard[u.SchemeKey]; ok && prev != s {
+					t.Errorf("shards=%d: scheme %s split across shards %d and %d", shards, u.SchemeKey, prev, s)
+				}
+				schemeShard[u.SchemeKey] = s
+			}
+		}
+		if len(shardOf) != len(units) {
+			t.Errorf("shards=%d covered %d of %d units", shards, len(shardOf), len(units))
+		}
 	}
 }
 
@@ -176,7 +211,7 @@ func TestMergeSpoolsErrors(t *testing.T) {
 		{"missing unit", []Spool{{Shard: 0, Shards: 1, Results: res("a")}}, "missing unit b"},
 		{"unknown unit", []Spool{{Shard: 0, Shards: 1, Results: res("a", "b", "c")}}, "not in the work list"},
 		{"wrong payload kind", []Spool{{Shard: 0, Shards: 1, Results: append(res("a"),
-			UnitResult{Key: "b", Field: &WireRunStats{Slots: 1}})}}, "point unit b: result carries field stats"},
+			schemeResult("b", []byte("checkpoint")))}}, "point unit b: result carries a scheme checkpoint"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -312,63 +347,6 @@ func TestWorkerContextCancel(t *testing.T) {
 	w := NewWorker(srv.URL, WorkerOptions{PollInterval: time.Millisecond})
 	if _, err := w.Run(ctx); err == nil {
 		t.Error("cancelled worker returned nil error")
-	}
-}
-
-func TestWireFieldSpecRoundTrip(t *testing.T) {
-	spec := experiments.FieldSpec{
-		Scheme:       experiments.FieldSchemeRand,
-		Jammer:       true,
-		Clusters:     8,
-		Nodes:        5,
-		SlotDuration: 500 * time.Millisecond,
-		JammerSlot:   250 * time.Millisecond,
-		Seed:         7,
-		Slots:        100,
-	}
-	got, err := wireFieldSpec(spec).fieldSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, spec) {
-		t.Errorf("round trip drifted:\ngot  %+v\nwant %+v", got, spec)
-	}
-	bad := wireFieldSpec(spec)
-	bad.Scheme = "no-such-scheme"
-	if _, err := bad.fieldSpec(); err == nil {
-		t.Error("invalid wire field spec decoded without error")
-	}
-}
-
-func TestWireRunStatsRoundTrip(t *testing.T) {
-	run := iot.RunStats{
-		Slots:              100,
-		Attempted:          4000,
-		Delivered:          3500,
-		FrameLosses:        12,
-		GoodputPktsPerSlot: 35,
-		MeanUtilization:    0.91,
-		MeanOverhead:       48 * time.Millisecond,
-		Counters:           metrics.Counters{Slots: 100, Successes: 80, JamLosses: 20},
-	}
-	if got := wireRunStats(run).runStats(); !reflect.DeepEqual(got, run) {
-		t.Errorf("round trip drifted:\ngot  %+v\nwant %+v", got, run)
-	}
-}
-
-func TestEvaluateFieldKeyMismatch(t *testing.T) {
-	o := testOptions()
-	units, _, err := UnitsFor(o, []string{"fig10a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(units) == 0 {
-		t.Fatal("fig10a yielded no field units")
-	}
-	units[0].Key = "fd|tampered"
-	results := evaluate(context.Background(), units[:1], experiments.NewCache(), 1)
-	if !strings.Contains(results[0].Err, "key mismatch") {
-		t.Errorf("tampered field unit: Err = %q, want key mismatch", results[0].Err)
 	}
 }
 
@@ -520,46 +498,39 @@ func TestSchemeUploadVerification(t *testing.T) {
 // unit stays open, and nothing reaches a cache.
 func TestRecordRejectsWrongPayloadKind(t *testing.T) {
 	o := testOptions()
-	coord, err := NewCoordinator(o, []string{"table1", "fig10a"}, CoordinatorOptions{Linger: time.Millisecond})
+	coord, err := NewCoordinator(o, []string{"table1"}, CoordinatorOptions{Linger: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	keys := make(map[string]string)
 	for _, k := range coord.order {
-		if kind := coord.states[k].unit.kind(); keys[kind] == "" {
+		kind := "point"
+		if coord.states[k].unit.Train {
+			kind = "train"
+		}
+		if keys[kind] == "" {
 			keys[kind] = k
 		}
 	}
-	if len(keys) != 3 {
+	if len(keys) != 2 {
 		t.Fatalf("want one unit of each kind, got %v", keys)
 	}
-	stats := &WireRunStats{Slots: 1}
 	blob := []byte("checkpoint")
-	fp := core.SchemeFingerprint(blob)
 	for _, tc := range []struct {
 		kind string
 		r    UnitResult
 	}{
-		{"point", UnitResult{Field: stats}},
-		{"point", UnitResult{Scheme: blob, SchemeFP: fp}},
-		{"point", UnitResult{Field: stats, Scheme: blob, SchemeFP: fp}},
-		{"field", UnitResult{}},
-		{"field", UnitResult{Scheme: blob, SchemeFP: fp}},
-		{"field", UnitResult{Field: stats, Scheme: blob, SchemeFP: fp}},
+		{"point", schemeResult("", blob)},
 		{"train", UnitResult{}},
-		{"train", UnitResult{Field: stats}},
-		{"train", UnitResult{Field: stats, Scheme: blob, SchemeFP: fp}},
 	} {
 		key := keys[tc.kind]
 		tc.r.Key = key
 		_, rejected := coord.record([]UnitResult{tc.r})
 		if !reflect.DeepEqual(rejected, []string{key}) {
-			t.Errorf("%s unit, field=%t scheme=%t: rejected %v, want [%s]",
-				tc.kind, tc.r.Field != nil, tc.r.Scheme != nil, rejected, key)
+			t.Errorf("%s unit, scheme=%t: rejected %v, want [%s]", tc.kind, tc.r.Scheme != nil, rejected, key)
 		}
 		if st := coord.states[key]; st.done || !strings.Contains(st.lastErr, tc.kind+" unit") {
-			t.Errorf("%s unit, field=%t scheme=%t: done=%t, attempt error %q",
-				tc.kind, tc.r.Field != nil, tc.r.Scheme != nil, st.done, st.lastErr)
+			t.Errorf("%s unit, scheme=%t: done=%t, attempt error %q", tc.kind, tc.r.Scheme != nil, st.done, st.lastErr)
 		}
 	}
 	if snap := coord.Snapshot(); snap.Done != 0 {
@@ -712,30 +683,6 @@ func TestMergeSpoolsSchemeVerification(t *testing.T) {
 	})
 }
 
-// TestCoordinatorRejectsFieldResultWithoutStats checks a field unit reported
-// "successfully" but with no RunStats payload counts as a failed attempt, not
-// a completed unit.
-func TestCoordinatorRejectsFieldResultWithoutStats(t *testing.T) {
-	coord, err := NewCoordinator(testOptions(), []string{"scale"}, CoordinatorOptions{
-		MaxAttempts: 1,
-		Linger:      time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	poll := coord.assign()
-	if len(poll.Units) == 0 || poll.Units[0].Field == nil {
-		t.Fatalf("expected a field unit first, got %+v", poll.Units)
-	}
-	coord.record([]UnitResult{{Key: poll.Units[0].Key}}) // no Field payload
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	err = coord.Wait(ctx)
-	if err == nil || !strings.Contains(err.Error(), "missing field stats") {
-		t.Errorf("Wait = %v, want missing-field-stats failure", err)
-	}
-}
-
 // TestEvaluateRejectsFast32Unit covers version skew with a coordinator that
 // still offered the removed float32 engine: its unit carries "fast32":true
 // and a fast=true key. The worker ignores the unknown option, derives the
@@ -750,7 +697,7 @@ func TestEvaluateRejectsFast32Unit(t *testing.T) {
 	}
 	var point *Unit
 	for i := range units {
-		if !units[i].Train && units[i].Field == nil && units[i].Defense == "" {
+		if !units[i].Train && units[i].Defense == "" {
 			point = &units[i]
 			break
 		}

@@ -18,10 +18,9 @@ import (
 // Spool is the on-disk exchange format of static (networkless) sharding: one
 // shard's results, tagged with its place in the shard set so a merge can
 // verify it is combining a complete, consistent partition. Besides the
-// shard's point and field results, Results holds one train result (scheme
-// key, CTSC bytes, fingerprint) per scheme the shard trained, so a merge
-// completes the train units of the ledger (and reuses the schemes) without
-// retraining.
+// shard's point results, Results holds one train result (scheme key, CTSC
+// bytes, fingerprint) per scheme the shard trained, so a merge completes the
+// train units of the ledger (and reuses the schemes) without retraining.
 type Spool struct {
 	Shard   int          `json:"shard"`
 	Shards  int          `json:"shards"`
@@ -34,10 +33,13 @@ func SpoolName(shard, shards int) string {
 	return fmt.Sprintf("shard-%03d-of-%03d.json", shard, shards)
 }
 
-// ShardUnits returns the slice of units shard index owns under a static
-// round-robin partition of the sorted unit list: unit i belongs to shard
-// i%shards. Every process derives the same partition from the same
-// (Options, ids) inputs — no coordination needed.
+// ShardUnits returns the units shard index owns under a static partition of
+// the sorted unit list. The units that share a SchemeKey form one group and
+// every other (baseline) unit is a group of its own; the groups are dealt
+// round-robin in the order of their first unit, group g to shard g%shards.
+// So exactly one shard trains each scheme, and every process derives the
+// same partition from the same (Options, ids) inputs — no coordination
+// needed.
 func ShardUnits(units []Unit, shard, shards int) ([]Unit, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("dist: shards must be positive, got %d", shards)
@@ -45,9 +47,21 @@ func ShardUnits(units []Unit, shard, shards int) ([]Unit, error) {
 	if shard < 0 || shard >= shards {
 		return nil, fmt.Errorf("dist: shard index %d out of range [0,%d)", shard, shards)
 	}
+	groupOf := make(map[string]int)
+	groups := 0
 	var out []Unit
-	for i := shard; i < len(units); i += shards {
-		out = append(out, units[i])
+	for _, u := range units {
+		g, ok := groupOf[u.SchemeKey]
+		if !ok {
+			g = groups
+			groups++
+			if u.SchemeKey != "" {
+				groupOf[u.SchemeKey] = g
+			}
+		}
+		if g%shards == shard {
+			out = append(out, u)
+		}
 	}
 	return out, nil
 }
@@ -93,9 +107,9 @@ func RunShard(ctx context.Context, o experiments.Options, ids []string, shard, s
 // POST /v1/result meets, so the merge keeps only the checks on the shard
 // set itself: spools exist, agree on the shard count and hold every index
 // 0..shards-1 exactly once, and no result carries an error or reports a
-// point or field unit that is already done (record would take that for a
-// retried lease). A train unit's checkpoint may come from every shard that
-// trained it, with identical bytes. Call it on a fresh coordinator, then
+// point unit that is already done (record would take that for a retried
+// lease). A train unit's checkpoint may come from every shard that trained
+// it, with identical bytes. Call it on a fresh coordinator, then
 // ImportInto.
 func (c *Coordinator) ReplaySpools(dir string) error {
 	matches, err := filepath.Glob(filepath.Join(dir, "shard-*-of-*.json"))

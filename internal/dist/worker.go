@@ -121,9 +121,9 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 			continue
 		}
 
-		// Point and field units first install their inlined scheme
-		// checkpoint so evaluation reuses the fleet-trained scheme instead
-		// of training locally.
+		// Point units first install their inlined scheme checkpoint so
+		// evaluation reuses the fleet-trained scheme instead of training
+		// locally.
 		var results []UnitResult
 		var evals []Unit
 		done := false
@@ -205,8 +205,8 @@ func (w *Worker) train(ctx context.Context, u Unit) UnitResult {
 	return UnitResult{Key: u.Key, Scheme: blob, SchemeFP: core.SchemeFingerprint(blob)}
 }
 
-// installScheme makes the scheme a point or field unit plays resolvable from
-// the local cache before evaluation: a no-op when the coordinator shipped no
+// installScheme makes the scheme a point unit plays resolvable from the
+// local cache before evaluation: a no-op when the coordinator shipped no
 // checkpoint (baseline defenses) or the scheme is already installed,
 // otherwise the inlined checkpoint is fingerprint-verified and imported. A
 // non-nil result is the unit-level error to report instead of evaluating.

@@ -8,7 +8,6 @@ import (
 
 	"ctjam/internal/core"
 	"ctjam/internal/env"
-	"ctjam/internal/iot"
 	"ctjam/internal/metrics"
 	"ctjam/internal/parallel"
 	"ctjam/internal/policy"
@@ -24,18 +23,19 @@ import (
 // env.DefaultConfig (L_J = 100, lower bound 6) and is deduplicated the same
 // way.
 //
-// Three tables are memoized, each keyed by a canonical fingerprint
-// (env.Config.Fingerprint or the field spec, plus the Options fields that
-// feed the result):
+// Two tables are memoized, each keyed by a canonical fingerprint
+// (env.Config.Fingerprint plus the Options fields that feed the result):
 //
 //   - points: the Table I Counters of one evaluated sweep point;
 //   - schemes: the trained/solved policy.Scheme a point evaluates. Training
 //     never reads the evaluation seed (the DQN trains in a Seed+1000
 //     environment), so points differing only in evaluation seed share one
-//     trained scheme and are evaluated in lockstep through env.BatchRun;
-//   - fields: the RunStats of one field-simulator run (see runFieldSpecs).
+//     trained scheme and are evaluated in lockstep through env.BatchRun.
+//     The field panels' RL FH runs play the Table I scheme from here too
+//     (see runFieldSpecs); the field runs themselves are cheap and not
+//     memoized.
 //
-// All three are instances of one memo table type, so they share one
+// Both are instances of one memo table type, so they share one
 // claim/fill/wait protocol and one pair of hit/miss counters each.
 //
 // A Cache is safe for concurrent use from any number of experiment runs.
@@ -48,7 +48,6 @@ import (
 type Cache struct {
 	points  memo[metrics.Counters]
 	schemes memo[builtScheme]
-	fields  memo[iot.RunStats]
 
 	schemeBuilds  atomic.Int64
 	schemeImports atomic.Int64
@@ -87,10 +86,6 @@ type CacheStats struct {
 	// of unique trainable scheme keys when checkpoint distribution works.
 	SchemeBuilds  int64
 	SchemeImports int64
-	// FieldHits / FieldMisses count the same for memoized field-simulator
-	// runs (fig10/fig11/scale share their runs through this layer).
-	FieldHits   int64
-	FieldMisses int64
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -101,8 +96,6 @@ func (c *Cache) Stats() CacheStats {
 		Schemes:       c.schemes.len(),
 		SchemeBuilds:  c.schemeBuilds.Load(),
 		SchemeImports: c.schemeImports.Load(),
-		FieldHits:     c.fields.hits.Load(),
-		FieldMisses:   c.fields.misses.Load(),
 	}
 }
 
@@ -224,8 +217,8 @@ func (c *Cache) ImportPoint(key string, counters metrics.Counters) {
 // scheme construction (see schemeCheckpoint) and Slots the evaluation length.
 // The defense tag joins the key only when it deviates from the default RL FH,
 // so every pre-matchup key stays byte-identical. The literal fast=false field
-// once named the inference engine; it stays (here, in schemeKey and in
-// fieldKey) so keys in existing caches and spools keep their bytes.
+// once named the inference engine; it stays (here and in schemeKey) so keys
+// in existing caches and spools keep their bytes.
 func pointKey(o Options, p Point) string {
 	key := fmt.Sprintf("pt|%s|eng=%d|fast=false|train=%d|seed=%d|slots=%d",
 		p.Config.Fingerprint(), int(o.Engine), o.TrainSlots, o.Seed, o.Slots)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"ctjam/internal/core"
 	"ctjam/internal/env"
@@ -42,7 +41,7 @@ func TestCacheKeysIncludeEngineChoice(t *testing.T) {
 }
 
 // TestEngineKeysPinned pins the external bytes of one fixed EngineDQN
-// configuration: the literal point, scheme and field cache keys (which
+// configuration: the literal point and scheme cache keys (which
 // distributed workers recompute and compare as strings, and which spools
 // store on disk) and the SHA-256 of the trained scheme's CTSC encoding
 // (which workers ship inline and fingerprint). The keys keep the historical
@@ -54,12 +53,9 @@ func TestEngineKeysPinned(t *testing.T) {
 	o.Engine = EngineDQN
 	o.TrainSlots = 600
 	p := Point{Config: cfg}
-	fs := FieldSpec{Scheme: FieldSchemeRL, Jammer: true, Clusters: 4, Nodes: 3,
-		SlotDuration: time.Second, JammerSlot: 200 * time.Millisecond, Seed: 9, Slots: 40}
 	for _, c := range []struct{ name, got, want string }{
 		{"point", PointKey(o, p), "pt|" + fmt.Sprintf(cfgFP, 1) + "|eng=2|fast=false|train=600|seed=5|slots=600"},
 		{"scheme", schemeKey(o.withFloor(), p), "sc|" + fmt.Sprintf(cfgFP, 0) + "|eng=2|fast=false|train=600|seed=5"},
-		{"field", FieldKey(o, fs), "fd|sch=rl|jam=true|cl=4|n=3|slot=1000000000|jslot=200000000|seed=9|slots=40|eng=2|fast=false|train=600|oseed=5"},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s key\n got %q\nwant %q", c.name, c.got, c.want)

@@ -180,10 +180,6 @@ type entry struct {
 	// evaluates through the point cache; nil for experiments whose compute
 	// is not cache-backed (PHY Monte-Carlo, field simulator, training).
 	points func(Options) []Point
-	// fields enumerates the field-simulator runs the runner evaluates
-	// through the field cache (fig10/fig11/scale); nil otherwise. These are
-	// the whole-simulation replica units distributed execution ships.
-	fields func(Options) []FieldSpec
 }
 
 // registry holds all experiments in presentation order.
@@ -225,16 +221,13 @@ func buildRegistry() []entry {
 	addSweep("fig8f", "success rate of PC vs L_H", sweepLH, metricSP)
 	addSweep("fig8g", "success rate of FH vs lower bound of L^T", sweepLp, metricSH)
 	addSweep("fig8h", "success rate of PC vs lower bound of L^T", sweepLp, metricSP)
-	addField := func(id, desc string, r Runner, f func(Options) []FieldSpec) {
-		es = append(es, entry{id: id, desc: desc, runner: r, fields: f})
-	}
 	add("fig9a", "time consumption of typical functions", runFig9a)
 	add("fig9b", "FH negotiation time vs network size", runFig9b)
-	addField("fig10a", "goodput vs Tx timeslot duration", runFig10a, fig10Specs)
-	addField("fig10b", "timeslot utilization vs Tx timeslot duration", runFig10b, fig10Specs)
-	addField("fig11a", "goodput by anti-jamming scheme", runFig11a, fig11aSpecs)
-	addField("fig11b", "goodput vs jammer timeslot duration", runFig11b, fig11bSpecs)
-	addField("scale", "field goodput vs network scale (sharded engine)", runScale, scaleSpecs)
+	add("fig10a", "goodput vs Tx timeslot duration", runFig10a)
+	add("fig10b", "timeslot utilization vs Tx timeslot duration", runFig10b)
+	add("fig11a", "goodput by anti-jamming scheme", runFig11a)
+	add("fig11b", "goodput vs jammer timeslot duration", runFig11b)
+	add("scale", "field goodput vs network scale (sharded engine)", runScale)
 	es = append(es, entry{
 		id: "table1", desc: "Table I metrics at the paper's default parameters",
 		runner: runTable1,

@@ -4,10 +4,85 @@ import (
 	"fmt"
 	"time"
 
+	"ctjam/internal/env"
 	"ctjam/internal/iot"
 	"ctjam/internal/metrics"
 	"ctjam/internal/parallel"
+	"ctjam/internal/policy"
 )
+
+// FieldSpec describes one field-simulator run: the network layout, jammer
+// setting, defense scheme and run length. Together with the Options budget
+// (which shapes the RL FH scheme) it fully determines an iot.RunStats.
+type FieldSpec struct {
+	// Defense is the Point.Defense tag of the scheme every cluster plays:
+	// DefenseRL ("") for the engine-selected RL FH, or a baseline tag.
+	Defense string
+	// Jammer enables the cross-technology jammer.
+	Jammer bool
+	// Clusters is the number of independent hopping clusters of the field
+	// engine (1 = the paper's single star network).
+	Clusters int
+	// Nodes is the peripheral-node count per cluster.
+	Nodes int
+	// SlotDuration / JammerSlot follow iot.Config.
+	SlotDuration time.Duration
+	JammerSlot   time.Duration
+	// Seed is the base simulation seed (cluster streams derive from it).
+	Seed int64
+	// Slots is the run length in Tx slots per cluster.
+	Slots int
+}
+
+// fieldConfig materializes the per-cluster iot.Config of a spec.
+func fieldConfig(s FieldSpec) iot.Config {
+	cfg := iot.DefaultConfig()
+	cfg.Nodes = s.Nodes
+	cfg.SlotDuration = s.SlotDuration
+	cfg.JammerSlot = s.JammerSlot
+	cfg.JammerEnabled = s.Jammer
+	cfg.Seed = s.Seed
+	return cfg
+}
+
+// Point returns the sweep point whose scheme the field run plays: the
+// paper's default environment (the field simulator's channel and power
+// layout) with the spec's defense. The RL FH field runs thereby share the
+// Table I scheme of the scheme memo instead of training their own.
+func (s FieldSpec) Point() Point {
+	cfg := env.DefaultConfig()
+	cfg.Seed = s.Seed
+	return Point{Config: cfg, Defense: s.Defense}
+}
+
+// runFieldSpecs executes one run per spec on the field engine, every cluster
+// playing the spec's scheme (a 1-cluster engine is the paper's single star
+// network), fanning the specs out across o.Workers goroutines. Field
+// runs are cheap and not memoized; only their schemes come from the scheme
+// memo. Results are collected into a slice indexed by spec and o.Workers
+// only shards the engine, so the output is bit-identical at any worker
+// count.
+func runFieldSpecs(o Options, specs []FieldSpec) ([]iot.RunStats, error) {
+	return parallel.Map(o.Workers, len(specs), func(i int) (iot.RunStats, error) {
+		s := specs[i]
+		p := s.Point()
+		sch, err := o.Cache.scheme(o.Context, schemeKey(o, p), func() (*policy.Scheme, []byte, error) {
+			return buildSchemeFor(o, p)
+		})
+		if err != nil {
+			return iot.RunStats{}, err
+		}
+		eng, err := iot.NewEngine(iot.EngineConfig{Clusters: s.Clusters, Template: fieldConfig(s), Workers: o.Workers})
+		if err != nil {
+			return iot.RunStats{}, err
+		}
+		st, err := eng.Run(func(int) (env.Agent, error) { return sch.NewAgent(), nil }, s.Slots)
+		if err != nil {
+			return iot.RunStats{}, err
+		}
+		return st.RunStats(), nil
+	})
+}
 
 // runFig9a samples the per-function time consumption (Fig. 9a).
 func runFig9a(o Options) (*Result, error) {
@@ -111,13 +186,13 @@ func runFig10a(o Options) (*Result, error) {
 
 // fig10Specs enumerates the per-slot-duration field runs of Fig. 10: an
 // unjammed static network per duration. Both fig10 panels read the same
-// runs, so sharing a cache across them evaluates each duration once.
+// runs.
 func fig10Specs(o Options) []FieldSpec {
 	base := iot.DefaultConfig()
 	specs := make([]FieldSpec, len(fig10Slots))
 	for i, d := range fig10Slots {
 		specs[i] = FieldSpec{
-			Scheme:       FieldSchemeStatic,
+			Defense:      DefenseStatic,
 			Jammer:       false,
 			Clusters:     1,
 			Nodes:        base.Nodes,
@@ -130,7 +205,7 @@ func fig10Specs(o Options) []FieldSpec {
 	return specs
 }
 
-// fig10Runs evaluates the Fig. 10 field runs through the shared field cache.
+// fig10Runs evaluates the Fig. 10 field runs.
 func fig10Runs(o Options) ([]iot.RunStats, error) {
 	return runFieldSpecs(o, fig10Specs(o))
 }
@@ -163,9 +238,9 @@ func runFig10b(o Options) (*Result, error) {
 // three FH schemes under the jammer plus the static no-jammer reference.
 func fig11aSpecs(o Options) []FieldSpec {
 	base := iot.DefaultConfig()
-	mk := func(scheme string, jam bool) FieldSpec {
+	mk := func(defense string, jam bool) FieldSpec {
 		return FieldSpec{
-			Scheme:       scheme,
+			Defense:      defense,
 			Jammer:       jam,
 			Clusters:     1,
 			Nodes:        base.Nodes,
@@ -176,17 +251,17 @@ func fig11aSpecs(o Options) []FieldSpec {
 		}
 	}
 	return []FieldSpec{
-		mk(FieldSchemePSV, true),
-		mk(FieldSchemeRand, true),
-		mk(FieldSchemeRL, true),
-		mk(FieldSchemeStatic, false),
+		mk(DefensePassive, true),
+		mk(DefenseRandom, true),
+		mk(DefenseRL, true),
+		mk(DefenseStatic, false),
 	}
 }
 
 // runFig11a compares the anti-jamming schemes' goodput (Fig. 11a). Each run
 // plays a fresh agent of its scheme on its own 1-cluster engine (see
-// computeFieldSpec), so the four runs are independent and fan out across
-// o.Workers goroutines through the field cache.
+// runFieldSpecs), so the four runs are independent and fan out across
+// o.Workers goroutines.
 func runFig11a(o Options) (*Result, error) {
 	res := &Result{
 		Title:  "goodput by anti-jamming scheme (3 s slots, CTJ jammer)",
@@ -226,7 +301,7 @@ func fig11bSpecs(o Options) []FieldSpec {
 	specs := make([]FieldSpec, len(fig11bJamSecs))
 	for i, sec := range fig11bJamSecs {
 		specs[i] = FieldSpec{
-			Scheme:       FieldSchemeRL,
+			Defense:      DefenseRL,
 			Jammer:       true,
 			Clusters:     1,
 			Nodes:        base.Nodes,
@@ -274,7 +349,7 @@ func scaleSpecs(o Options) []FieldSpec {
 	specs := make([]FieldSpec, len(scaleClusterCounts))
 	for i, cl := range scaleClusterCounts {
 		specs[i] = FieldSpec{
-			Scheme:       FieldSchemeRand,
+			Defense:      DefenseRandom,
 			Jammer:       true,
 			Clusters:     cl,
 			Nodes:        base.Nodes,

@@ -3,22 +3,13 @@ package experiments
 import (
 	"context"
 	"testing"
-	"time"
 
 	"ctjam/internal/env"
-	"ctjam/internal/iot"
 	"ctjam/internal/metrics"
 )
 
-// memoTestField is a small valid field run; its result is always imported,
-// never simulated.
-func memoTestField() FieldSpec {
-	return FieldSpec{Scheme: FieldSchemeRand, Jammer: true, Clusters: 1, Nodes: 2,
-		SlotDuration: time.Second, JammerSlot: time.Second, Seed: 1, Slots: 5}
-}
-
 // TestResolvedWaitIgnoresCancelledContext pins the wait half of the memo
-// protocol for all three tables: a lookup of a key that is already resolved
+// protocol for both tables: a lookup of a key that is already resolved
 // returns its value even when the caller's context has ended. The
 // context only bounds waits on entries still in flight.
 func TestResolvedWaitIgnoresCancelledContext(t *testing.T) {
@@ -53,17 +44,6 @@ func TestResolvedWaitIgnoresCancelledContext(t *testing.T) {
 			},
 			lookup: func(c *Cache) error {
 				_, _, err := c.TrainScheme(dead, o, cfg)
-				return err
-			},
-		},
-		{
-			name: "field",
-			resolve: func(c *Cache) error {
-				c.ImportFieldRun(fieldKey(o, memoTestField()), iot.RunStats{Slots: 5})
-				return nil
-			},
-			lookup: func(c *Cache) error {
-				_, err := EvaluateFieldSpecs(cancelled, []FieldSpec{memoTestField()})
 				return err
 			},
 		},
@@ -134,25 +114,6 @@ func TestImportLeavesInFlightKeyToClaimant(t *testing.T) {
 		e.fill(builtScheme{blob: own}, nil)
 		if got, ok := c.SchemeBytes(key); !ok || &got[0] != &own[0] {
 			t.Error("resolved scheme does not hold the claimant's checkpoint")
-		}
-	})
-	t.Run("field", func(t *testing.T) {
-		c := NewCache()
-		o := o
-		o.Cache = c
-		key := fieldKey(o, memoTestField())
-		e, _ := c.fields.claim(key)
-		c.ImportFieldRun(key, iot.RunStats{Slots: 1})
-		if e.resolved() {
-			t.Fatal("ImportFieldRun resolved an in-flight key")
-		}
-		e.fill(iot.RunStats{Slots: 2}, nil)
-		got, err := EvaluateFieldSpecs(o, []FieldSpec{memoTestField()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[0].Slots != 2 {
-			t.Errorf("waiter read Slots=%d, want the claimant's 2", got[0].Slots)
 		}
 	})
 }

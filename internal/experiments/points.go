@@ -21,7 +21,7 @@ type Point struct {
 	Defense string
 }
 
-// Defense tags for Point.Defense, matching the field cache's scheme tags.
+// Defense tags for Point.Defense (and FieldSpec.Defense).
 const (
 	DefenseRL      = "" // engine-selected RL FH (MDP or DQN)
 	DefensePassive = "psv"

@@ -14,6 +14,20 @@ go vet ./...
 go build ./...
 # Code size is reported, not gated: the ROADMAP tracks it across changes.
 echo "non-test Go lines outside perfbench/: $(scripts/loc.sh)"
+
+# A -run alternative that names no test turns its line below into a silent
+# no-op once the test is deleted or renamed. Every alternative of every -run
+# pattern in this script (but the benchmarks' and fuzz targets' '^$') must
+# match at least one test of its packages.
+awk -v q="'" '$1 == "go" && $2 == "test" && index($0, "-run " q) {
+	split($0, part, q)
+	if (part[2] == "^$") next
+	n = split(part[2], alt, "|")
+	for (i = 1; i <= n; i++) print alt[i], part[3]
+}' scripts/check.sh | while read -r alt pkgs; do
+	go test -list "$alt" $pkgs | grep -Eq '^(Test|Example|Fuzz)' ||
+		{ echo "check.sh: -run alternative $alt matches no test in $pkgs"; exit 1; }
+done
 go test -race ./...
 
 # The benchmark harness is its own module (it imports ctjam through a
