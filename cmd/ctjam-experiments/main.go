@@ -15,36 +15,33 @@
 // at any worker count. All experiments share one sweep-point cache, so the
 // 20 metric panels of Figs. 6-8 (and Table I) train and evaluate each unique
 // (config, engine, budget) point exactly once; -cache-stats reports the
-// reuse, and the schemes trained here or imported, on stderr.
+// reuse, and how many schemes were trained here, imported or built as
+// baselines, on stderr.
 //
-// Distributed execution (see internal/dist and DESIGN.md) shards those
-// unique sweep points across processes, with output bit-identical to a
-// single-process run. The field-simulator panels (fig10a/b, fig11a/b,
-// scale) are cheap and always run in the printing process:
+// Distributed execution (see internal/dist and DESIGN.md) trains the RL FH
+// schemes behind those points across processes, one train unit per unique
+// scheme, with output bit-identical to a single-process run. The printing
+// process imports the checkpoints and evaluates every sweep point and
+// field panel itself, a few percent of the run's CPU:
 //
-//	-distribute addr   coordinate: serve work units over HTTP on addr
+//	-distribute addr   coordinate: serve train units over HTTP on addr
 //	                   (":0" picks a port, reported on stderr), wait for
-//	                   workers to return every result, then print the
-//	                   experiments from the merged cache. Each unique
-//	                   scheme is trained exactly once fleet-wide: the
-//	                   coordinator leases train units first, records the
-//	                   CTSC checkpoint each one reports as its result, and
-//	                   ships it inline with the units evaluating dependent
-//	                   points.
+//	                   workers to return every CTSC checkpoint, then print
+//	                   the experiments playing them.
 //	-worker URL        work: poll the coordinator at URL (e.g.
-//	                   http://host:9077), evaluate assigned units locally,
-//	                   report results, exit when the run completes.
+//	                   http://host:9077), train assigned units one at a
+//	                   time, report each checkpoint, exit when the run
+//	                   completes. Run one worker per core.
 //	-shards N -shard-index I -spool DIR
-//	                   static mode (no networking): evaluate shard I of an
-//	                   N-way split of the work list that keeps the points
-//	                   of one scheme together, and write
+//	                   static mode (no networking): train shard I's units
+//	                   of the sorted work list (unit i belongs to shard
+//	                   i mod N) over -workers goroutines, and write
 //	                   DIR/shard-III-of-NNN.json atomically.
 //	-merge -spool DIR  replay a complete spool set from DIR into the
 //	                   coordinator's ledger, through the checks a worker's
 //	                   report meets, and print the experiments from it.
 //	                   Fails unless every shard file is present and
-//	                   consistent and every unit, train units included,
-//	                   is covered.
+//	                   consistent and every unit is covered.
 //
 // Any shard or worker failure exits non-zero.
 //
@@ -129,14 +126,13 @@ func run(args []string) error {
 			host, _ := os.Hostname()
 			id = fmt.Sprintf("%s-%d", host, os.Getpid())
 		}
-		w := dist.NewWorker(*workerURL, dist.WorkerOptions{ID: id, Workers: *workers})
+		w := dist.NewWorker(*workerURL, dist.WorkerOptions{ID: id})
 		n, err := w.Run(context.Background())
 		if err != nil {
 			return err
 		}
-		cs := w.CacheStats()
-		fmt.Fprintf(os.Stderr, "ctjam-experiments: worker %s evaluated %d units (%d schemes trained here, %d fetched from coordinator)\n",
-			id, n, cs.SchemeBuilds, cs.SchemeImports)
+		fmt.Fprintf(os.Stderr, "ctjam-experiments: worker %s completed %d units (%d schemes trained here)\n",
+			id, n, w.CacheStats().SchemeBuilds)
 		return nil
 	}
 
@@ -256,8 +252,8 @@ func run(args []string) error {
 	}
 	if *stats {
 		cs := opts.Cache.Stats()
-		fmt.Fprintf(os.Stderr, "sweep-point cache: %d unique points computed, %d reused, %d schemes (%d trained here, %d imported)\n",
-			cs.PointMisses, cs.PointHits, cs.Schemes, cs.SchemeBuilds, cs.SchemeImports)
+		fmt.Fprintf(os.Stderr, "sweep-point cache: %d unique points computed, %d reused, %d schemes (%d trained here, %d imported, %d baselines)\n",
+			cs.PointMisses, cs.PointHits, cs.Schemes, cs.SchemeBuilds, cs.SchemeImports, cs.SchemeBaselines)
 	}
 	return nil
 }

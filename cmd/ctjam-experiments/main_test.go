@@ -3,6 +3,8 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -82,5 +84,66 @@ func TestRunWorkersFlag(t *testing.T) {
 		if err := run([]string{"-id", "fig10a", "-scale", "quick", "-workers", w}); err != nil {
 			t.Fatalf("workers=%s: %v", w, err)
 		}
+	}
+}
+
+// cacheStats runs the command with -cache-stats, its stdout discarded, and
+// returns the four scheme counts of the stderr report: schemes held, and of
+// them trained here, imported and baselines.
+func cacheStats(t *testing.T, args ...string) [4]int {
+	t.Helper()
+	dir := t.TempDir()
+	stdout, stderr := os.Stdout, os.Stderr
+	outF, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errF, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout, os.Stderr = outF, errF
+	err = run(append(args, "-cache-stats"))
+	os.Stdout, os.Stderr = stdout, stderr
+	outF.Close()
+	errF.Close()
+	if err != nil {
+		t.Fatalf("run %v: %v", args, err)
+	}
+	report, err := os.ReadFile(errF.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(\d+) schemes \((\d+) trained here, (\d+) imported, (\d+) baselines\)`).FindSubmatch(report)
+	if m == nil {
+		t.Fatalf("run %v: no scheme counts in stderr:\n%s", args, report)
+	}
+	var n [4]int
+	for i := range n {
+		n[i], _ = strconv.Atoi(string(m[i+1]))
+	}
+	return n
+}
+
+// TestRunCacheStatsAddUp checks that the -cache-stats scheme counts add up
+// — trained here + imported + baselines = schemes — in a single-process run,
+// which trains every scheme, and in a -merge, which imports them all.
+func TestRunCacheStatsAddUp(t *testing.T) {
+	quick := []string{"-id", "all", "-scale", "quick"}
+	single := cacheStats(t, quick...)
+	if single[0] != single[1]+single[2]+single[3] || single[2] != 0 || single[3] == 0 {
+		t.Errorf("single process: %d schemes, %d trained, %d imported, %d baselines", single[0], single[1], single[2], single[3])
+	}
+
+	dir := t.TempDir()
+	for _, idx := range []string{"0", "1", "2"} {
+		if err := run(append(quick, "-shards", "3", "-shard-index", idx, "-spool", dir)); err != nil {
+			t.Fatalf("shard %s: %v", idx, err)
+		}
+	}
+	merged := cacheStats(t, append(quick, "-merge", "-spool", dir)...)
+	if merged[0] != merged[1]+merged[2]+merged[3] || merged[1] != 0 || merged[2] != single[1] {
+		t.Errorf("merge: %d schemes, %d trained, %d imported, %d baselines; want the %d schemes the single process trained imported",
+			merged[0], merged[1], merged[2], merged[3], single[1])
 	}
 }

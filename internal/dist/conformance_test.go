@@ -27,14 +27,14 @@ func testOptions() experiments.Options {
 	}
 }
 
-// cacheBackedIDs filters the registry down to the experiments whose compute
-// is distributable: the 20 Figs. 6-8 metric panels plus Table I, its
-// seed-replicated variant and the jammer-zoo matchup (sweep points).
+// cacheBackedIDs filters the registry down to the experiments whose RL FH
+// schemes are distributable: the 20 Figs. 6-8 metric panels plus Table I,
+// its seed-replicated variant and the jammer-zoo matchup (sweep points).
 func cacheBackedIDs(t *testing.T, o experiments.Options) []string {
 	t.Helper()
 	var ids []string
 	for _, id := range experiments.IDs() {
-		units, _, err := UnitsFor(o, []string{id})
+		units, err := UnitsFor(o, []string{id})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,16 +67,17 @@ func trace(t *testing.T, o experiments.Options, ids []string) []byte {
 	return b
 }
 
-// fieldIDs are the field-simulator panels. They ship no units, but their RL
-// FH runs play the Table I scheme from the merged cache, so the traces pin
-// them too.
+// fieldIDs are the field-simulator panels. They add no units, but their RL
+// FH runs play the Table I scheme from the imported cache, so the traces
+// pin them too.
 var fieldIDs = []string{"fig10a", "fig10b", "fig11a", "fig11b", "scale"}
 
 // TestDistributedSerialEquivalence pins the tentpole guarantee: static
 // sharding at shard counts 1, 2 and 5, and the coordinator/worker HTTP
 // protocol with three concurrent workers, all produce experiment traces
 // byte-identical to a single-process run over every cache-backed id and
-// the field panels.
+// the field panels. The printing process evaluates every point itself but
+// trains no scheme: each one arrives as a checkpoint.
 func TestDistributedSerialEquivalence(t *testing.T) {
 	o := testOptions()
 	ids := cacheBackedIDs(t, o)
@@ -86,15 +87,30 @@ func TestDistributedSerialEquivalence(t *testing.T) {
 	base.Cache = experiments.NewCache()
 	baseline := trace(t, base, traced)
 
-	units, trains, err := UnitsFor(o, ids)
+	units, err := UnitsFor(o, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(units) == 0 {
 		t.Fatal("no units to distribute")
 	}
-	if len(trains) == 0 {
-		t.Fatal("no train units: scheme reuse has nothing to assert")
+	// checkPrinted runs the traced ids against the imported cache and checks
+	// the trace and that no scheme was trained in the printing process.
+	checkPrinted := func(t *testing.T, coord *Coordinator, mode string) {
+		t.Helper()
+		printed := o
+		printed.Cache = experiments.NewCache()
+		if n := coord.ImportInto(printed.Cache); n != len(units) {
+			t.Fatalf("imported %d checkpoints, want %d", n, len(units))
+		}
+		if got := trace(t, printed, traced); !bytes.Equal(got, baseline) {
+			t.Errorf("%s trace differs from single-process baseline", mode)
+		}
+		st := printed.Cache.Stats()
+		if st.SchemeBuilds != 0 || st.SchemeImports != int64(len(units)) {
+			t.Errorf("printing process trained %d and imported %d schemes, want 0 and %d",
+				st.SchemeBuilds, st.SchemeImports, len(units))
+		}
 	}
 
 	for _, shards := range []int{1, 2, 5} {
@@ -115,22 +131,7 @@ func TestDistributedSerialEquivalence(t *testing.T) {
 			if err := coord.ReplaySpools(dir); err != nil {
 				t.Fatal(err)
 			}
-			merged := o
-			merged.Cache = experiments.NewCache()
-			if n := coord.ImportInto(merged.Cache); n != len(units) {
-				t.Fatalf("merged %d units, want %d", n, len(units))
-			}
-			got := trace(t, merged, traced)
-			if !bytes.Equal(got, baseline) {
-				t.Errorf("static %d-shard trace differs from single-process baseline", shards)
-			}
-			st := merged.Cache.Stats()
-			if st.PointMisses != 0 {
-				t.Errorf("merged run recomputed %d points; want pure cache hits", st.PointMisses)
-			}
-			if st.SchemeImports != int64(len(trains)) {
-				t.Errorf("merged cache imported %d schemes, want %d", st.SchemeImports, len(trains))
-			}
+			checkPrinted(t, coord, fmt.Sprintf("static %d-shard", shards))
 		})
 	}
 
@@ -147,7 +148,6 @@ func TestDistributedSerialEquivalence(t *testing.T) {
 		for i := range workers {
 			workers[i] = NewWorker(srv.URL, WorkerOptions{
 				ID:           fmt.Sprintf("w%d", i),
-				Workers:      2,
 				PollInterval: 10 * time.Millisecond,
 			})
 			wg.Add(1)
@@ -165,43 +165,23 @@ func TestDistributedSerialEquivalence(t *testing.T) {
 		}
 		wg.Wait()
 
-		// The tentpole accounting: each unique scheme key is trained exactly
-		// once fleet-wide — the sum of local trainings across every worker
-		// equals the number of train units, with no retraining on workers
-		// that merely evaluated dependent points.
+		// The train-once accounting: the sum of local trainings across
+		// every worker equals the number of unique scheme keys.
 		var builds int64
 		for i, w := range workers {
 			st := w.CacheStats()
 			builds += st.SchemeBuilds
-			t.Logf("worker %d: %d schemes trained here, %d imported", i, st.SchemeBuilds, st.SchemeImports)
+			t.Logf("worker %d: %d schemes trained here", i, st.SchemeBuilds)
 		}
-		if builds != int64(len(trains)) {
-			t.Errorf("fleet trained %d schemes, want exactly %d (one per unique scheme key)", builds, len(trains))
+		if builds != int64(len(units)) {
+			t.Errorf("fleet trained %d schemes, want exactly %d (one per unique scheme key)", builds, len(units))
 		}
 		snap := coord.Snapshot()
-		if snap.Train.Done != len(trains) {
-			t.Errorf("status reports %d train units done, want %d", snap.Train.Done, len(trains))
+		if snap.Done != len(units) || snap.SchemeStoreBytes <= 0 {
+			t.Errorf("status reports %d units done / %d checkpoint bytes, want %d and positive size",
+				snap.Done, snap.SchemeStoreBytes, len(units))
 		}
-		if snap.SchemesStored != len(trains) || snap.SchemeStoreBytes <= 0 {
-			t.Errorf("scheme store holds %d schemes / %d bytes, want %d schemes and positive size",
-				snap.SchemesStored, snap.SchemeStoreBytes, len(trains))
-		}
-		if snap.Point.Done != len(units) {
-			t.Errorf("status reports %d point units done, want %d", snap.Point.Done, len(units))
-		}
-
-		merged := o
-		merged.Cache = experiments.NewCache()
-		if n := coord.ImportInto(merged.Cache); n != len(units) {
-			t.Fatalf("imported %d units, want %d", n, len(units))
-		}
-		if st := merged.Cache.Stats(); st.SchemeImports != int64(len(trains)) {
-			t.Errorf("merged cache imported %d schemes, want %d", st.SchemeImports, len(trains))
-		}
-		got := trace(t, merged, traced)
-		if !bytes.Equal(got, baseline) {
-			t.Error("distributed HTTP trace differs from single-process baseline")
-		}
+		checkPrinted(t, coord, "distributed HTTP")
 	})
 }
 
@@ -216,7 +196,7 @@ func TestDistributedWorkerLossRetry(t *testing.T) {
 	base.Cache = experiments.NewCache()
 	baseline := trace(t, base, ids)
 
-	units, _, err := UnitsFor(o, ids)
+	units, err := UnitsFor(o, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +230,7 @@ func TestDistributedWorkerLossRetry(t *testing.T) {
 	// A healthy worker picks up everything, including the re-leased units.
 	done := make(chan error, 1)
 	go func() {
-		w := NewWorker(srv.URL, WorkerOptions{ID: "healthy", Workers: 2, PollInterval: 20 * time.Millisecond})
+		w := NewWorker(srv.URL, WorkerOptions{ID: "healthy", PollInterval: 20 * time.Millisecond})
 		_, err := w.Run(context.Background())
 		done <- err
 	}()
@@ -280,10 +260,11 @@ func TestDistributedWorkerLossRetry(t *testing.T) {
 	}
 }
 
-// TestDistributedTrainLossRetry kills a worker that claimed train units
-// before reporting any checkpoint. The blocked point units must not deadlock
-// the run: the train leases expire, a healthy worker retrains and reports,
-// and the output converges byte-identical to the single-process run.
+// TestDistributedTrainLossRetry kills a worker after it reported the first
+// checkpoint of its poll and before it reported the rest. Only the
+// unreported units run again: their leases expire, a healthy worker trains
+// them and every unit not yet leased, no scheme is trained twice, and the
+// output converges byte-identical to the single-process run.
 func TestDistributedTrainLossRetry(t *testing.T) {
 	o := testOptions()
 	ids := []string{"fig6a", "table1"}
@@ -292,12 +273,9 @@ func TestDistributedTrainLossRetry(t *testing.T) {
 	base.Cache = experiments.NewCache()
 	baseline := trace(t, base, ids)
 
-	units, trains, err := UnitsFor(o, ids)
+	units, err := UnitsFor(o, ids)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(trains) == 0 {
-		t.Fatal("no train units to lose")
 	}
 
 	coord, err := NewCoordinator(o, ids, CoordinatorOptions{
@@ -311,9 +289,7 @@ func TestDistributedTrainLossRetry(t *testing.T) {
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 
-	// A worker that claims a batch and dies mid-training. Every point of
-	// these ids is gated on an unresolved scheme, so the first poll can only
-	// hand out train units.
+	// A worker that claims a batch, reports its first checkpoint and dies.
 	body, _ := json.Marshal(pollRequest{Worker: "doomed"})
 	resp, err := http.Post(srv.URL+"/v1/poll", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -324,17 +300,16 @@ func TestDistributedTrainLossRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(claimed.Units) == 0 {
-		t.Fatal("doomed worker claimed no units")
+	if len(claimed.Units) < 2 {
+		t.Fatalf("doomed worker claimed %d units, want at least 2", len(claimed.Units))
 	}
-	for _, u := range claimed.Units {
-		if !u.Train {
-			t.Fatalf("first poll handed out non-train unit %s before its scheme resolved", u.Key)
-		}
+	first := train(context.Background(), experiments.NewCache(), claimed.Units[0])
+	if _, rejected := coord.record([]UnitResult{first}); first.Err != "" || len(rejected) > 0 {
+		t.Fatalf("doomed worker's checkpoint refused: %q %v", first.Err, rejected)
 	}
 
 	done := make(chan error, 1)
-	healthy := NewWorker(srv.URL, WorkerOptions{ID: "healthy", Workers: 2, PollInterval: 20 * time.Millisecond})
+	healthy := NewWorker(srv.URL, WorkerOptions{ID: "healthy", PollInterval: 20 * time.Millisecond})
 	go func() {
 		_, err := healthy.Run(context.Background())
 		done <- err
@@ -350,18 +325,14 @@ func TestDistributedTrainLossRetry(t *testing.T) {
 	}
 
 	st := coord.Snapshot()
-	if st.Train.Done != len(trains) {
-		t.Errorf("train units done = %d, want %d", st.Train.Done, len(trains))
+	if st.Done != len(units) {
+		t.Errorf("units done = %d, want %d", st.Done, len(units))
 	}
-	if st.Train.Retried == 0 {
-		t.Error("no train unit was retried despite the doomed worker's lost leases")
+	if want := len(claimed.Units) - 1; st.Retried != want {
+		t.Errorf("%d units retried, want the doomed worker's %d unreported ones", st.Retried, want)
 	}
-	if st.Attempts <= st.Total {
-		t.Errorf("attempts = %d, want > %d (the doomed worker's train units must have been re-leased)",
-			st.Attempts, st.Total)
-	}
-	if got := healthy.CacheStats().SchemeBuilds; got != int64(len(trains)) {
-		t.Errorf("healthy worker trained %d schemes, want all %d", got, len(trains))
+	if got := healthy.CacheStats().SchemeBuilds; got != int64(len(units)-1) {
+		t.Errorf("healthy worker trained %d schemes, want all %d but the reported one", got, len(units)-1)
 	}
 
 	merged := o

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"ctjam/internal/core"
 	"ctjam/internal/experiments"
 )
 
@@ -19,7 +18,7 @@ import (
 type CoordinatorOptions struct {
 	// Lease is how long a polled unit stays assigned before a silent
 	// worker is presumed dead and the unit becomes assignable again
-	// (default 2 minutes — generous against a DQN training point).
+	// (default 2 minutes — generous against a poll's DQN trainings).
 	Lease time.Duration
 	// MaxAttempts bounds assignments per unit, counting the first; once a
 	// unit has burned this many leases or explicit failures the run fails
@@ -48,8 +47,7 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 }
 
 // unitState tracks one unit through the lease protocol. result holds the
-// completed payload — Counters for sweep points, the verified checkpoint for
-// train units.
+// verified checkpoint once the unit is done.
 type unitState struct {
 	unit       Unit
 	done       bool
@@ -61,12 +59,10 @@ type unitState struct {
 
 // Coordinator owns the work-unit ledger of one distributed run: it hands out
 // leases in sorted-key order, re-leases units whose workers went silent,
-// fails fast once a unit exhausts its attempts, and collects the Counters
-// that Wait-then-ImportInto feeds back into a sweep-point cache. The ledger
-// is also the scheme store of fleet-wide scheme reuse: each unique scheme
-// key is a train unit whose result is its checkpoint, that result gates the
-// units evaluating the scheme, and they ship with its bytes inline instead
-// of retraining. A static merge fills the same ledger from spool files
+// fails fast once a unit exhausts its attempts, and collects the scheme
+// checkpoints that Wait-then-ImportInto feeds into an experiments.Cache. The
+// ledger is the run's only scheme store: a done unit's result is its
+// checkpoint. A static merge fills the same ledger from spool files
 // (ReplaySpools) instead of leasing. Safe for concurrent use by any number
 // of HTTP workers.
 type Coordinator struct {
@@ -80,16 +76,16 @@ type Coordinator struct {
 	done      chan struct{}
 }
 
-// NewCoordinator builds the coordinator for the cache-backed points of the
-// given experiment ids under o, plus one train unit per unique trainable
-// scheme key they evaluate (see UnitsFor). Ids without cache-backed points
-// contribute no units; a run whose ids produce none completes immediately.
+// NewCoordinator builds the coordinator of one train unit per unique RL FH
+// scheme key the given experiment ids evaluate under o (see UnitsFor). Ids
+// without cache-backed points contribute no units; a run whose ids produce
+// none completes immediately.
 func NewCoordinator(o experiments.Options, ids []string, copts CoordinatorOptions) (*Coordinator, error) {
-	units, trains, err := UnitsFor(o, ids)
+	units, err := UnitsFor(o, ids)
 	if err != nil {
 		return nil, err
 	}
-	return newCoordinator(append(units, trains...), copts), nil
+	return newCoordinator(units, copts), nil
 }
 
 // newCoordinator builds the ledger of the given work list.
@@ -139,7 +135,7 @@ type pollResponse struct {
 	RetryMS int    `json:"retry_ms,omitempty"`
 }
 
-// resultRequest reports evaluated units for a worker.
+// resultRequest reports completed units for a worker.
 type resultRequest struct {
 	Worker  string       `json:"worker"`
 	Results []UnitResult `json:"results"`
@@ -151,8 +147,8 @@ type resultResponse struct {
 }
 
 // rejectResponse is the body of a structured 409: the coordinator refused
-// part of a report because a key, payload or checkpoint did not match what
-// the worker claimed.
+// part of a report because a key or checkpoint did not match what the worker
+// claimed.
 type rejectResponse struct {
 	Error        string   `json:"error"`
 	RejectedKeys []string `json:"rejected_keys,omitempty"`
@@ -172,15 +168,6 @@ func (c *Coordinator) assign() pollResponse {
 		if st.done || st.leaseUntil.After(now) {
 			continue
 		}
-		// A point unit whose train unit is not done yet is blocked:
-		// skipping it (without burning an attempt) keeps the pull protocol
-		// deadlock-free — the train unit itself stays assignable, and its
-		// own lease/retry machinery bounds how long dependent units can
-		// wait. ts is nil for train units and baseline defenses.
-		ts := c.states[st.unit.SchemeKey]
-		if ts != nil && !ts.done {
-			continue
-		}
 		if st.attempts >= c.opts.MaxAttempts {
 			// A unit out of attempts with no result left to wait for: the
 			// run cannot complete.
@@ -190,11 +177,7 @@ func (c *Coordinator) assign() pollResponse {
 		}
 		st.attempts++
 		st.leaseUntil = now.Add(c.opts.Lease)
-		u := st.unit
-		if ts != nil {
-			u.Scheme, u.SchemeFP = ts.result.Scheme, ts.result.SchemeFP
-		}
-		units = append(units, u)
+		units = append(units, st.unit)
 		if len(units) == unitsPerPoll {
 			break
 		}
@@ -218,21 +201,16 @@ func (c *Coordinator) assign() pollResponse {
 // results are ingested even when others in the same report are rejected;
 // the returned rejected list names the keys the coordinator refused, which
 // the handler surfaces as a structured 409: unknown keys (a worker claiming
-// work it was never handed), payloads that do not fit the unit's kind,
-// unverifiable checkpoints, and checkpoints conflicting with a train unit's
-// recorded one. A refused payload for an open unit also burns the attempt.
+// work it was never handed), missing or unverifiable checkpoints, and
+// checkpoints conflicting with a unit's recorded one. A refused checkpoint
+// for an open unit also burns the attempt.
 func (c *Coordinator) record(results []UnitResult) (resultResponse, []string) {
 	// Verify every checkpoint before taking the lock: decoding rebuilds a
 	// whole network, and polls should not queue behind it.
 	bad := make([]string, len(results))
 	for i, r := range results {
-		if r.Err != "" || r.Scheme == nil {
-			continue
-		}
-		if bad[i] = fingerprintError(r); bad[i] == "" {
-			if _, err := core.DecodeScheme(r.Scheme); err != nil {
-				bad[i] = fmt.Sprintf("scheme %s: %v", r.Key, err)
-			}
+		if r.Err == "" {
+			bad[i] = checkpointError(r)
 		}
 	}
 
@@ -252,21 +230,15 @@ func (c *Coordinator) record(results []UnitResult) (resultResponse, []string) {
 			// A duplicate from a retried lease: results are pure functions
 			// of the key, so the first one stands. Training is deterministic
 			// too, so a checkpoint with other bytes can only be corruption.
-			if r.Err == "" && st.unit.Train && (bad[i] != "" || !bytes.Equal(r.Scheme, st.result.Scheme)) {
+			if r.Err == "" && (bad[i] != "" || !bytes.Equal(r.Scheme, st.result.Scheme)) {
 				rejected = append(rejected, r.Key)
 			}
 			continue
 		}
 		msg := r.Err
-		if msg == "" {
-			reason := payloadError(st.unit, r)
-			if reason == "" {
-				reason = bad[i]
-			}
-			if reason != "" {
-				msg = "dist: " + reason
-				rejected = append(rejected, r.Key)
-			}
+		if msg == "" && bad[i] != "" {
+			msg = "dist: " + bad[i]
+			rejected = append(rejected, r.Key)
 		}
 		if msg != "" {
 			st.lastErr = msg
@@ -285,45 +257,19 @@ func (c *Coordinator) record(results []UnitResult) (resultResponse, []string) {
 	return resultResponse{OK: true, Done: c.finished()}, rejected
 }
 
-// UnitProgress is the per-unit-type progress breakdown of a Status: how many
-// units of one kind exist, how many are done, currently leased, or have
-// burned more than one attempt.
-type UnitProgress struct {
-	Total   int `json:"total"`
-	Done    int `json:"done"`
-	Leased  int `json:"leased"`
-	Retried int `json:"retried"`
-}
-
-func (p *UnitProgress) count(st *unitState, now time.Time) {
-	p.Total++
-	if st.done {
-		p.Done++
-	} else if st.leaseUntil.After(now) {
-		p.Leased++
-	}
-	if st.attempts > 1 {
-		p.Retried++
-	}
-}
-
-// Status is the /v1/status snapshot. Total/Done/Leased/Attempts aggregate
-// every unit; Train/Point break the same progress down by unit type,
-// and SchemesStored/SchemeStoreBytes size the checkpoints of the done train
-// units — see DESIGN.md for the JSON shape.
+// Status is the /v1/status snapshot of the ledger: unit counts (done,
+// currently leased, leased more than once), attempts summed over units, and
+// the bytes of the checkpoints the done units hold — see DESIGN.md for the
+// JSON shape.
 type Status struct {
-	Total     int    `json:"total"`
-	Done      int    `json:"done"`
-	Leased    int    `json:"leased"`
-	Attempts  int    `json:"attempts"`
-	Failed    bool   `json:"failed"`
-	LastError string `json:"last_error,omitempty"`
-
-	Train UnitProgress `json:"train"`
-	Point UnitProgress `json:"point"`
-
-	SchemesStored    int   `json:"schemes_stored"`
-	SchemeStoreBytes int64 `json:"scheme_store_bytes"`
+	Total            int    `json:"total"`
+	Done             int    `json:"done"`
+	Leased           int    `json:"leased"`
+	Retried          int    `json:"retried"`
+	Attempts         int    `json:"attempts"`
+	SchemeStoreBytes int64  `json:"scheme_store_bytes"`
+	Failed           bool   `json:"failed"`
+	LastError        string `json:"last_error,omitempty"`
 }
 
 // Snapshot reports run progress.
@@ -338,19 +284,14 @@ func (c *Coordinator) Snapshot() Status {
 	for _, st := range c.states {
 		if st.done {
 			s.Done++
+			s.SchemeStoreBytes += int64(len(st.result.Scheme))
 		} else if st.leaseUntil.After(now) {
 			s.Leased++
 		}
+		if st.attempts > 1 {
+			s.Retried++
+		}
 		s.Attempts += st.attempts
-		if !st.unit.Train {
-			s.Point.count(st, now)
-			continue
-		}
-		s.Train.count(st, now)
-		if st.done {
-			s.SchemesStored++
-			s.SchemeStoreBytes += int64(len(st.result.Scheme))
-		}
 	}
 	return s
 }
@@ -376,7 +317,7 @@ func (c *Coordinator) Handler() http.Handler {
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusConflict)
 			json.NewEncoder(w).Encode(rejectResponse{
-				Error:        "dist: results rejected: unknown key, wrong payload kind or unverifiable checkpoint",
+				Error:        "dist: results rejected: unknown key or unverifiable checkpoint",
 				RejectedKeys: rejected,
 			})
 			return
@@ -401,23 +342,18 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 	}
 }
 
-// ImportInto feeds every completed unit's result into cache under its
-// canonical key (see importResult), after which experiment runs sharing
-// that cache read the distributed results instead of recomputing them. The
-// returned count covers point results (the units UnitsFor enumerates);
-// schemes ride along uncounted. Call after Wait succeeds.
+// ImportInto installs every done unit's checkpoint into cache under its
+// scheme key (Cache.ImportScheme), after which experiment runs sharing that
+// cache play the fleet's schemes instead of training them. It returns the
+// number of checkpoints imported. Call after Wait succeeds.
 func (c *Coordinator) ImportInto(cache *experiments.Cache) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
 	for _, k := range c.order {
-		st := c.states[k]
-		if !st.done {
-			continue
-		}
-		// record decoded every checkpoint, so no import here can fail.
-		importResult(cache, st.unit, st.result)
-		if !st.unit.Train {
+		if st := c.states[k]; st.done {
+			// record decoded every checkpoint, so no import here can fail.
+			cache.ImportScheme(k, st.result.Scheme)
 			n++
 		}
 	}

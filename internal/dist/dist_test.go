@@ -17,12 +17,11 @@ import (
 	"ctjam/internal/env"
 	"ctjam/internal/experiments"
 	"ctjam/internal/fault"
-	"ctjam/internal/metrics"
 )
 
 func TestShardUnitsPartition(t *testing.T) {
 	o := testOptions()
-	units, _, err := UnitsFor(o, []string{"fig6a", "fig6d"})
+	units, err := UnitsFor(o, []string{"fig6a", "fig6d"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,42 +56,6 @@ func TestShardUnitsPartition(t *testing.T) {
 	}
 }
 
-// TestShardUnitsKeepSchemesTogether checks the static partition of the
-// full work list: every unit lands in exactly one shard, and all units of
-// one SchemeKey land in the same shard, so no scheme is trained twice.
-func TestShardUnitsKeepSchemesTogether(t *testing.T) {
-	units, _, err := UnitsFor(testOptions(), experiments.IDs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 3, 5} {
-		shardOf := make(map[string]int)
-		schemeShard := make(map[string]int)
-		for s := 0; s < shards; s++ {
-			mine, err := ShardUnits(units, s, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, u := range mine {
-				if prev, dup := shardOf[u.Key]; dup {
-					t.Errorf("shards=%d: unit %s in shards %d and %d", shards, u.Key, prev, s)
-				}
-				shardOf[u.Key] = s
-				if u.SchemeKey == "" {
-					continue
-				}
-				if prev, ok := schemeShard[u.SchemeKey]; ok && prev != s {
-					t.Errorf("shards=%d: scheme %s split across shards %d and %d", shards, u.SchemeKey, prev, s)
-				}
-				schemeShard[u.SchemeKey] = s
-			}
-		}
-		if len(shardOf) != len(units) {
-			t.Errorf("shards=%d covered %d of %d units", shards, len(shardOf), len(units))
-		}
-	}
-}
-
 func TestWireConfigRoundTrip(t *testing.T) {
 	cfg := env.DefaultConfig()
 	cfg.Seed = 42
@@ -121,29 +84,11 @@ func TestWireConfigRejectsInjector(t *testing.T) {
 	}
 }
 
-func TestWireConfigFaultSpecDecode(t *testing.T) {
-	cfg := env.DefaultConfig()
-	wc, err := wireConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wc.FaultSpec = "burst:p=0.1"
-	got, err := wc.envConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Faults == nil {
-		t.Error("fault spec did not decode into an injector")
-	}
-	wc.FaultSpec = "no-such-fault:p=1"
-	if _, err := wc.envConfig(); err == nil {
-		t.Error("bad fault spec decoded without error")
-	}
-}
-
+// TestEvaluateKeyMismatch checks that a unit whose key does not recompute
+// from its payload fails alone: its sibling in the same cache still trains.
 func TestEvaluateKeyMismatch(t *testing.T) {
 	o := testOptions()
-	units, _, err := UnitsFor(o, []string{"table1"})
+	units, err := UnitsFor(o, []string{"table1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +96,12 @@ func TestEvaluateKeyMismatch(t *testing.T) {
 		t.Fatalf("table1 yielded %d units, want 2", len(units))
 	}
 	units[0].Key = "tampered"
-	results := evaluate(context.Background(), units, experiments.NewCache(), 1)
-	if !strings.Contains(results[0].Err, "key mismatch") {
-		t.Errorf("tampered unit: Err = %q, want key mismatch", results[0].Err)
+	cache := experiments.NewCache()
+	if r := train(context.Background(), cache, units[0]); !strings.Contains(r.Err, "key mismatch") || r.Scheme != nil {
+		t.Errorf("tampered unit: Err = %q, %d checkpoint bytes; want key mismatch and none", r.Err, len(r.Scheme))
 	}
-	if results[1].Err != "" {
-		t.Errorf("healthy sibling failed too: %q", results[1].Err)
+	if r := train(context.Background(), cache, units[1]); r.Err != "" || checkpointError(r) != "" {
+		t.Errorf("healthy sibling failed too: %q %s", r.Err, checkpointError(r))
 	}
 }
 
@@ -184,10 +129,11 @@ func merge(dir string, cache *experiments.Cache, units ...Unit) (int, error) {
 }
 
 func TestMergeSpoolsErrors(t *testing.T) {
+	_, blobs := trainTestSchemes(t, testOptions())
 	res := func(keys ...string) []UnitResult {
 		out := make([]UnitResult, len(keys))
 		for i, k := range keys {
-			out[i] = UnitResult{Key: k, Counters: metrics.Counters{Slots: 1}}
+			out[i] = schemeResult(k, blobs[0])
 		}
 		return out
 	}
@@ -205,13 +151,13 @@ func TestMergeSpoolsErrors(t *testing.T) {
 		{"index out of range", []Spool{{Shard: 5, Shards: 1, Results: res("a", "b")}}, "out of range"},
 		{"result with error", []Spool{{Shard: 0, Shards: 1, Results: []UnitResult{{Key: "a", Err: "boom"}}}}, "carries error"},
 		{"duplicate unit", []Spool{
-			{Shard: 0, Shards: 2, Results: res("a")},
-			{Shard: 1, Shards: 2, Results: res("a")},
-		}, "already imported"},
+			{Shard: 0, Shards: 2, Results: res("a", "b")},
+			{Shard: 1, Shards: 2, Results: []UnitResult{schemeResult("a", blobs[1])}},
+		}, "scheme a conflicts with another shard's checkpoint"},
 		{"missing unit", []Spool{{Shard: 0, Shards: 1, Results: res("a")}}, "missing unit b"},
 		{"unknown unit", []Spool{{Shard: 0, Shards: 1, Results: res("a", "b", "c")}}, "not in the work list"},
 		{"wrong payload kind", []Spool{{Shard: 0, Shards: 1, Results: append(res("a"),
-			schemeResult("b", []byte("checkpoint")))}}, "point unit b: result carries a scheme checkpoint"},
+			UnitResult{Key: "b"})}}, "train unit b: result missing scheme checkpoint"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -246,19 +192,11 @@ func TestMergeSpoolsMissingCheckpoint(t *testing.T) {
 	if err := json.Unmarshal(data, &sp); err != nil {
 		t.Fatal(err)
 	}
-	dropped := ""
-	kept := sp.Results[:0]
-	for _, r := range sp.Results {
-		if r.Scheme != nil && dropped == "" {
-			dropped = r.Key
-			continue
-		}
-		kept = append(kept, r)
-	}
-	if dropped == "" {
+	if len(sp.Results) == 0 {
 		t.Fatal("table1 spool holds no scheme checkpoint")
 	}
-	sp.Results = kept
+	dropped := sp.Results[0].Key
+	sp.Results = sp.Results[1:]
 	writeSpool(t, dir, sp)
 	coord, err := NewCoordinator(o, ids, CoordinatorOptions{})
 	if err != nil {
@@ -309,10 +247,9 @@ func TestCoordinatorFailsAfterMaxAttempts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The points wait on their schemes, so the poll leases train units.
 		poll := coord.assign()
-		if len(poll.Units) == 0 || !poll.Units[0].Train {
-			t.Fatalf("expected a train unit first, got %+v", poll.Units)
+		if len(poll.Units) == 0 {
+			t.Fatal("poll leased no unit")
 		}
 		tc.r.Key = poll.Units[0].Key
 		coord.record([]UnitResult{tc.r})
@@ -352,35 +289,36 @@ func TestWorkerContextCancel(t *testing.T) {
 
 func TestTrainUnitsForSchemeKeys(t *testing.T) {
 	o := testOptions()
-	points, trains, err := UnitsFor(o, experiments.IDs())
+	units, err := UnitsFor(o, experiments.IDs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := experiments.CachePoints(o, experiments.IDs())
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := make(map[string]bool)
-	schemePoints := 0
-	for _, u := range points {
-		if u.SchemeKey != "" {
-			want[u.SchemeKey] = true
-			schemePoints++
+	rlPoints := 0
+	for _, sp := range specs {
+		if sp.Defense == experiments.DefenseRL {
+			want[experiments.SchemeKey(o, sp.Config)] = true
+			rlPoints++
 		}
 	}
-	if len(trains) != len(want) {
-		t.Errorf("%d train units for %d unique point scheme keys", len(trains), len(want))
+	if len(units) != len(want) {
+		t.Errorf("%d train units for %d unique RL FH scheme keys", len(units), len(want))
 	}
 	// Scheme reuse must exist in the registry: strictly fewer trainings than
-	// scheme-backed points (table1-seeds replicas share per-mode schemes).
-	if len(trains) >= schemePoints {
-		t.Errorf("no scheme sharing: %d train units for %d scheme-backed points", len(trains), schemePoints)
+	// RL FH points (table1-seeds replicas share per-mode schemes).
+	if len(units) >= rlPoints {
+		t.Errorf("no scheme sharing: %d train units for %d RL FH points", len(units), rlPoints)
 	}
-	for i, u := range trains {
-		if !u.Train {
-			t.Fatalf("train unit %s lacks Train flag", u.Key)
-		}
-		if i > 0 && trains[i-1].Key >= u.Key {
-			t.Fatalf("train units not sorted: %q then %q", trains[i-1].Key, u.Key)
+	for i, u := range units {
+		if i > 0 && units[i-1].Key >= u.Key {
+			t.Fatalf("train units not sorted: %q then %q", units[i-1].Key, u.Key)
 		}
 		if !want[u.Key] {
-			t.Errorf("train unit %s backs no point unit", u.Key)
+			t.Errorf("train unit %s backs no RL FH point", u.Key)
 		}
 		cfg, err := u.Config.envConfig()
 		if err != nil {
@@ -393,34 +331,40 @@ func TestTrainUnitsForSchemeKeys(t *testing.T) {
 			t.Errorf("train unit key %q does not recompute from its wire config (got %q)", u.Key, got)
 		}
 	}
+
+	// Quick -id all: one unit per unique scheme, and no point ever ships.
+	quick, err := UnitsFor(experiments.QuickOptions(), experiments.IDs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(quick) != 84 {
+		t.Errorf("quick -id all yields %d train units, want 84", len(quick))
+	}
+	for _, u := range quick {
+		if !strings.HasPrefix(u.Key, "sc|") {
+			t.Errorf("unit key %q is not a scheme key", u.Key)
+		}
+	}
 }
 
 // trainTestSchemes trains the checkpoint of every table1 train unit, giving
 // protocol tests real CTSC blobs to report.
 func trainTestSchemes(t *testing.T, o experiments.Options) ([]Unit, [][]byte) {
 	t.Helper()
-	_, trains, err := UnitsFor(o, []string{"table1"})
+	trains, err := UnitsFor(o, []string{"table1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(trains) < 2 {
 		t.Fatalf("table1 yielded %d train units, want 2", len(trains))
 	}
-	cache := experiments.NewCache()
+	results, err := trainAll(context.Background(), 1, trains)
+	if err != nil {
+		t.Fatal(err)
+	}
 	blobs := make([][]byte, len(trains))
-	for i, u := range trains {
-		cfg, err := u.Config.envConfig()
-		if err != nil {
-			t.Fatal(err)
-		}
-		key, blob, err := cache.TrainScheme(context.Background(), u.Opts.options(context.Background(), cache, 1), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if key != u.Key {
-			t.Fatalf("TrainScheme derived key %q, unit key %q", key, u.Key)
-		}
-		blobs[i] = blob
+	for i, r := range results {
+		blobs[i] = r.Scheme
 	}
 	if core.SchemeFingerprint(blobs[0]) == core.SchemeFingerprint(blobs[1]) {
 		t.Fatal("the two table1 modes trained identical schemes; conflict tests would be vacuous")
@@ -468,7 +412,7 @@ func TestSchemeUploadVerification(t *testing.T) {
 	if _, rejected := coord.record([]UnitResult{schemeResult("sc|bogus", blobs[0])}); !reflect.DeepEqual(rejected, []string{"sc|bogus"}) {
 		t.Errorf("unknown train key: rejected %v", rejected)
 	}
-	if snap := coord.Snapshot(); snap.Train.Done != 0 || snap.SchemesStored != 0 {
+	if snap := coord.Snapshot(); snap.Done != 0 || snap.SchemeStoreBytes != 0 {
 		t.Fatalf("rejected checkpoints mutated the store: %+v", snap)
 	}
 
@@ -487,121 +431,69 @@ func TestSchemeUploadVerification(t *testing.T) {
 	if _, rejected := coord.record([]UnitResult{{Key: key, Err: "late failure"}}); len(rejected) > 0 {
 		t.Errorf("error-only duplicate rejected: %v", rejected)
 	}
-	if snap := coord.Snapshot(); snap.Train.Done != 1 || snap.SchemesStored != 1 ||
-		snap.SchemeStoreBytes != int64(len(blobs[0])) {
+	if snap := coord.Snapshot(); snap.Done != 1 || snap.SchemeStoreBytes != int64(len(blobs[0])) {
 		t.Errorf("store after one resolved scheme: %+v", snap)
 	}
 }
 
-// TestRecordRejectsWrongPayloadKind checks every unit kind against every
-// payload of another kind: each is a rejected key and a failed attempt, the
-// unit stays open, and nothing reaches a cache.
+// TestRecordRejectsWrongPayloadKind checks that a result without a
+// checkpoint — the shape a sweep-point result had — is a rejected key and a
+// failed attempt for every unit: the unit stays open, and nothing reaches a
+// cache.
 func TestRecordRejectsWrongPayloadKind(t *testing.T) {
-	o := testOptions()
-	coord, err := NewCoordinator(o, []string{"table1"}, CoordinatorOptions{Linger: time.Millisecond})
+	coord, err := NewCoordinator(testOptions(), []string{"table1"}, CoordinatorOptions{Linger: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := make(map[string]string)
-	for _, k := range coord.order {
-		kind := "point"
-		if coord.states[k].unit.Train {
-			kind = "train"
-		}
-		if keys[kind] == "" {
-			keys[kind] = k
-		}
-	}
-	if len(keys) != 2 {
-		t.Fatalf("want one unit of each kind, got %v", keys)
-	}
-	blob := []byte("checkpoint")
-	for _, tc := range []struct {
-		kind string
-		r    UnitResult
-	}{
-		{"point", schemeResult("", blob)},
-		{"train", UnitResult{}},
-	} {
-		key := keys[tc.kind]
-		tc.r.Key = key
-		_, rejected := coord.record([]UnitResult{tc.r})
+	for _, key := range coord.order {
+		_, rejected := coord.record([]UnitResult{{Key: key}})
 		if !reflect.DeepEqual(rejected, []string{key}) {
-			t.Errorf("%s unit, scheme=%t: rejected %v, want [%s]", tc.kind, tc.r.Scheme != nil, rejected, key)
+			t.Errorf("unit %s: rejected %v, want [%s]", key, rejected, key)
 		}
-		if st := coord.states[key]; st.done || !strings.Contains(st.lastErr, tc.kind+" unit") {
-			t.Errorf("%s unit, scheme=%t: done=%t, attempt error %q", tc.kind, tc.r.Scheme != nil, st.done, st.lastErr)
+		if st := coord.states[key]; st.done || !strings.Contains(st.lastErr, "missing scheme checkpoint") {
+			t.Errorf("unit %s: done=%t, attempt error %q", key, st.done, st.lastErr)
 		}
 	}
 	if snap := coord.Snapshot(); snap.Done != 0 {
-		t.Errorf("wrong-kind payloads completed %d units", snap.Done)
+		t.Errorf("checkpoint-less results completed %d units", snap.Done)
 	}
 	if n := coord.ImportInto(experiments.NewCache()); n != 0 {
-		t.Errorf("ImportInto imported %d wrong-kind results", n)
-	}
-}
-
-// TestDispatchShipsResolvedScheme checks that once its train unit is done,
-// every unit playing that scheme is dispatched with the checkpoint bytes and
-// fingerprint inline.
-func TestDispatchShipsResolvedScheme(t *testing.T) {
-	o := testOptions()
-	trains, blobs := trainTestSchemes(t, o)
-	coord, err := NewCoordinator(o, []string{"table1", "table1-seeds"}, CoordinatorOptions{Linger: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byKey := make(map[string][]byte)
-	for i, u := range trains {
-		byKey[u.Key] = blobs[i]
-		if _, rejected := coord.record([]UnitResult{schemeResult(u.Key, blobs[i])}); len(rejected) > 0 {
-			t.Fatalf("checkpoint %s rejected", u.Key)
-		}
-	}
-	if snap := coord.Snapshot(); snap.Train.Done != snap.Train.Total {
-		t.Fatalf("table1-seeds needs schemes table1 does not train: %+v", snap.Train)
-	}
-	shipped := 0
-	for poll := coord.assign(); len(poll.Units) > 0; poll = coord.assign() {
-		for _, u := range poll.Units {
-			if u.SchemeKey == "" {
-				continue
-			}
-			shipped++
-			if !bytes.Equal(u.Scheme, byKey[u.SchemeKey]) || u.SchemeFP != core.SchemeFingerprint(byKey[u.SchemeKey]) {
-				t.Errorf("unit %s dispatched without the bytes of scheme %s", u.Key, u.SchemeKey)
-			}
-		}
-	}
-	if snap := coord.Snapshot(); shipped == 0 || shipped != snap.Point.Leased {
-		t.Errorf("dispatched %d scheme-backed units, %d point units leased", shipped, snap.Point.Leased)
+		t.Errorf("ImportInto imported %d checkpoint-less results", n)
 	}
 }
 
 // TestResultUnknownKeyRejected checks that one /v1/result body mixing a
-// train result, a point result, an unknown key and a conflicting checkpoint
-// is ingested except for the keys its structured 409 names.
+// good checkpoint, a sweep-point key (which no ledger holds any more) and a
+// conflicting checkpoint is ingested except for the keys its structured 409
+// names.
 func TestResultUnknownKeyRejected(t *testing.T) {
 	o := testOptions()
 	coord, err := NewCoordinator(o, []string{"table1"}, CoordinatorOptions{Linger: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Resolve the first train unit: the poll then leases the point it gates
-	// and the other train unit.
+	// Resolve the first unit: the poll then leases only the other one.
 	trains, blobs := trainTestSchemes(t, o)
 	if _, rejected := coord.record([]UnitResult{schemeResult(trains[0].Key, blobs[0])}); len(rejected) > 0 {
 		t.Fatalf("checkpoint %s rejected", trains[0].Key)
 	}
 	poll := coord.assign()
-	if len(poll.Units) != 2 || poll.Units[0].Train || poll.Units[1].Key != trains[1].Key {
-		t.Fatalf("assigned %+v, want the point of the resolved scheme and the other train unit", poll.Units)
+	if len(poll.Units) != 1 || poll.Units[0].Key != trains[1].Key {
+		t.Fatalf("assigned %+v, want only the open unit %s", poll.Units, trains[1].Key)
 	}
-	results := evaluate(context.Background(), poll.Units[:1], experiments.NewCache(), 1)
-	results = append(results,
+	points, err := experiments.CachePoints(o, []string{"table1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pointKey := points[0].Key
+	if !strings.HasPrefix(pointKey, "pt|") {
+		t.Fatalf("CachePoints key %q is not a point key", pointKey)
+	}
+	results := []UnitResult{
 		schemeResult(trains[1].Key, blobs[1]),
-		UnitResult{Key: "pt|bogus", Counters: metrics.Counters{Slots: 1}},
-		schemeResult(trains[0].Key, blobs[1])) // conflicts with the recorded checkpoint
+		schemeResult(pointKey, blobs[0]),
+		schemeResult(trains[0].Key, blobs[1]), // conflicts with the recorded checkpoint
+	}
 
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
@@ -621,11 +513,11 @@ func TestResultUnknownKeyRejected(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&rej); err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"pt|bogus", trains[0].Key}; rej.Error == "" || !reflect.DeepEqual(rej.RejectedKeys, want) {
+	if want := []string{pointKey, trains[0].Key}; rej.Error == "" || !reflect.DeepEqual(rej.RejectedKeys, want) {
 		t.Errorf("409 body = %+v, want an error naming %v", rej, want)
 	}
-	// The point and train results in the same report were still ingested.
-	if st := coord.Snapshot(); st.Point.Done != 1 || st.Train.Done != 2 || st.Failed {
+	// The good checkpoint in the same report was still ingested.
+	if st := coord.Snapshot(); st.Done != 2 || st.Failed {
 		t.Errorf("known results not ingested alongside the rejection: %+v", st)
 	}
 }
@@ -634,48 +526,46 @@ func TestMergeSpoolsSchemeVerification(t *testing.T) {
 	o := testOptions()
 	trains, blobs := trainTestSchemes(t, o)
 	key := trains[0].Key
-	train := Unit{Key: key, Train: true}
-	spool := func(shard, shards int, unit string, scheme UnitResult) Spool {
-		return Spool{Shard: shard, Shards: shards, Results: []UnitResult{
-			{Key: unit, Counters: metrics.Counters{Slots: 1}}, scheme,
-		}}
+	train := Unit{Key: key}
+	spool := func(shard, shards int, scheme UnitResult) Spool {
+		return Spool{Shard: shard, Shards: shards, Results: []UnitResult{scheme}}
 	}
 
 	t.Run("corrupt fingerprint", func(t *testing.T) {
 		dir := t.TempDir()
 		r := schemeResult(key, blobs[0])
 		r.SchemeFP = "beef"
-		writeSpool(t, dir, spool(0, 1, "a", r))
-		_, err := merge(dir, experiments.NewCache(), Unit{Key: "a"}, train)
+		writeSpool(t, dir, spool(0, 1, r))
+		_, err := merge(dir, experiments.NewCache(), train)
 		if err == nil || !strings.Contains(err.Error(), "hash to") {
 			t.Errorf("err = %v, want fingerprint mismatch", err)
 		}
 	})
 	t.Run("undecodable scheme", func(t *testing.T) {
 		dir := t.TempDir()
-		writeSpool(t, dir, spool(0, 1, "a", schemeResult(key, []byte{9, 9, 9})))
-		_, err := merge(dir, experiments.NewCache(), Unit{Key: "a"}, train)
+		writeSpool(t, dir, spool(0, 1, schemeResult(key, []byte{9, 9, 9})))
+		_, err := merge(dir, experiments.NewCache(), train)
 		if err == nil || !strings.Contains(err.Error(), "bad scheme checkpoint") {
 			t.Errorf("err = %v, want undecodable checkpoint", err)
 		}
 	})
 	t.Run("cross-shard conflict", func(t *testing.T) {
 		dir := t.TempDir()
-		writeSpool(t, dir, spool(0, 2, "a", schemeResult(key, blobs[0])))
-		writeSpool(t, dir, spool(1, 2, "b", schemeResult(key, blobs[1])))
-		_, err := merge(dir, experiments.NewCache(), Unit{Key: "a"}, Unit{Key: "b"}, train)
+		writeSpool(t, dir, spool(0, 2, schemeResult(key, blobs[0])))
+		writeSpool(t, dir, spool(1, 2, schemeResult(key, blobs[1])))
+		_, err := merge(dir, experiments.NewCache(), train)
 		if err == nil || !strings.Contains(err.Error(), "conflicts with another shard") {
 			t.Errorf("err = %v, want cross-shard scheme conflict", err)
 		}
 	})
 	t.Run("shared scheme", func(t *testing.T) {
 		dir := t.TempDir()
-		writeSpool(t, dir, spool(0, 2, "a", schemeResult(key, blobs[0])))
-		writeSpool(t, dir, spool(1, 2, "b", schemeResult(key, blobs[0])))
+		writeSpool(t, dir, spool(0, 2, schemeResult(key, blobs[0])))
+		writeSpool(t, dir, spool(1, 2, schemeResult(key, blobs[0])))
 		cache := experiments.NewCache()
-		n, err := merge(dir, cache, Unit{Key: "a"}, Unit{Key: "b"}, train)
-		if err != nil || n != 2 {
-			t.Fatalf("merge = %d, %v; want the 2 point units", n, err)
+		n, err := merge(dir, cache, train)
+		if err != nil || n != 1 {
+			t.Fatalf("merge = %d, %v; want the 1 train unit", n, err)
 		}
 		if got, ok := cache.SchemeBytes(key); !ok || !bytes.Equal(got, blobs[0]) {
 			t.Error("merged cache lacks the shared scheme")
@@ -686,26 +576,20 @@ func TestMergeSpoolsSchemeVerification(t *testing.T) {
 // TestEvaluateRejectsFast32Unit covers version skew with a coordinator that
 // still offered the removed float32 engine: its unit carries "fast32":true
 // and a fast=true key. The worker ignores the unknown option, derives the
-// fast=false key, and fails the unit on the mismatch instead of evaluating
-// it on the exact engine under the wrong key.
+// fast=false key, and fails the unit on the mismatch instead of training it
+// on the exact engine under the wrong key — on the worker path (the run
+// fails with the worker's report) and on the shard path alike.
 func TestEvaluateRejectsFast32Unit(t *testing.T) {
 	o := testOptions()
 	o.Engine = experiments.EngineDQN
-	units, _, err := UnitsFor(o, []string{"table1"})
+	units, err := UnitsFor(o, []string{"table1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var point *Unit
-	for i := range units {
-		if !units[i].Train && units[i].Defense == "" {
-			point = &units[i]
-			break
-		}
+	if len(units) == 0 {
+		t.Fatal("table1 yielded no train unit")
 	}
-	if point == nil {
-		t.Fatal("table1 yielded no RL FH point unit")
-	}
-	data, err := json.Marshal(point)
+	data, err := json.Marshal(units[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -718,8 +602,24 @@ func TestEvaluateRejectsFast32Unit(t *testing.T) {
 	if !strings.Contains(u.Key, "|fast=true|") {
 		t.Fatalf("unit key %q does not carry the old fast tag", u.Key)
 	}
-	results := evaluate(context.Background(), []Unit{u}, experiments.NewCache(), 1)
-	if !strings.Contains(results[0].Err, "key mismatch") {
-		t.Errorf("fast32 unit: Err = %q, want key mismatch", results[0].Err)
+
+	if _, err := trainAll(context.Background(), 1, []Unit{u}); err == nil || !strings.Contains(err.Error(), "key mismatch") {
+		t.Errorf("shard path: err = %v, want key mismatch", err)
+	}
+
+	coord := newCoordinator([]Unit{u}, CoordinatorOptions{MaxAttempts: 1, Linger: time.Millisecond})
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	w := NewWorker(srv.URL, WorkerOptions{ID: "w", PollInterval: time.Millisecond})
+	if _, err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := coord.Wait(ctx); err == nil || !strings.Contains(err.Error(), "key mismatch") {
+		t.Errorf("worker path: Wait = %v, want key mismatch", err)
+	}
+	if n := w.CacheStats().SchemeBuilds; n != 0 {
+		t.Errorf("worker trained %d schemes for a mismatched unit", n)
 	}
 }

@@ -1,50 +1,43 @@
-// Package dist shards the cache-backed compute of the experiment harness
-// across processes: a coordinator enumerates the unique work units of a set
-// of experiment ids — the sweep points (experiments.CachePoints) and one
-// train unit per RL FH scheme they play — serves them over a small
-// HTTP/JSON protocol, and merges the returned Counters and scheme
-// checkpoints back into an experiments.Cache, after which the experiments
-// themselves run from cache — producing output bit-identical to a
-// single-process run. Field-simulator panels are cheap and always run in
-// the printing process; their RL FH runs read the Table I scheme the fleet
-// trained. A static, networkless mode (RunShard) partitions the same sorted
-// unit list across shard indices, keeping the units of one scheme on one
-// shard, and exchanges results through atomically written spool files
-// instead of sockets; a merge replays the spools into a coordinator's
-// ledger (Coordinator.ReplaySpools), so one set of rules decides which
-// results a run accepts, whichever way they arrived.
+// Package dist shards the expensive half of the experiment harness across
+// processes: training (or solving) the RL FH schemes that the cache-backed
+// sweep points play. A coordinator enumerates one train unit per unique
+// scheme key of a set of experiment ids, serves them over a small HTTP/JSON
+// protocol, and imports the returned CTSC checkpoints into an
+// experiments.Cache. The printing process then runs the experiments against
+// that cache: it evaluates every sweep point itself through the point memo,
+// playing the imported schemes, so its output is bit-identical to a
+// single-process run. Point evaluation and the field-simulator panels cost a
+// few percent of a run and never leave that process. A static, networkless
+// mode (RunShard) deals the same sorted unit list round-robin across shard
+// indices and exchanges checkpoints through atomically written spool files
+// instead of sockets; a merge replays the spools into a coordinator's ledger
+// (Coordinator.ReplaySpools), so one set of rules decides which checkpoints
+// a run accepts, whichever way they arrived.
 //
 // Correctness rests on two properties the rest of the repo already
-// guarantees. First, every point result is a pure function of its canonical
-// key — configs carry explicit seeds, fault streams are counter-based, and
-// evaluation is bit-identical at any batch size or worker count — so it does
-// not matter which process computes a point, or whether retry computes it
-// twice. Second, work assignment is deterministic: units are the sorted
-// CachePoints list, shards own fixed groups of it dealt round-robin (see
-// ShardUnits), and the coordinator hands out leases in sorted-key order,
-// never arrival order.
-// Workers verify each unit's key by recomputing it from the decoded payload,
-// so codec or version drift between processes is an error, not a silent
-// wrong answer.
+// guarantees. First, a scheme is a pure function of its canonical key —
+// training reads only the config, engine, budget and seed the key names, and
+// the CTSC encoding is canonical — so it does not matter which process trains
+// a scheme, or whether retry trains it twice. Second, work assignment is
+// deterministic: units are sorted by key, shards own fixed positions of that
+// list (see ShardUnits), and the coordinator hands out leases in sorted-key
+// order, never arrival order. Workers verify each unit's key by recomputing
+// it from the decoded payload, so codec or version drift between processes
+// is an error, not a silent wrong answer.
 package dist
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 
 	"ctjam/internal/core"
 	"ctjam/internal/env"
 	"ctjam/internal/experiments"
-	"ctjam/internal/fault"
 	"ctjam/internal/jammer"
-	"ctjam/internal/metrics"
 )
 
-// WireConfig is the JSON form of env.Config. Fault injectors travel as their
-// internal/fault flag-grammar spec; the sweep points distributed today never
-// carry any, but the field keeps the format ready for configs that do.
+// WireConfig is the JSON form of env.Config.
 type WireConfig struct {
 	Channels   int       `json:"channels"`
 	SweepWidth int       `json:"sweep_width"`
@@ -55,12 +48,11 @@ type WireConfig struct {
 	LossHop    float64   `json:"loss_hop"`
 	LossJam    float64   `json:"loss_jam"`
 	Seed       int64     `json:"seed"`
-	FaultSpec  string    `json:"fault_spec,omitempty"`
 }
 
 // wireConfig converts an env.Config for the wire. Configs carrying live
 // fault injectors are rejected: injectors have no spec back-formatter, and
-// silently dropping them would change the point's meaning.
+// silently dropping them would change the scheme's meaning.
 func wireConfig(cfg env.Config) (WireConfig, error) {
 	if cfg.Faults != nil {
 		return WireConfig{}, fmt.Errorf("dist: config with fault injector %q is not distributable", cfg.Faults.Name())
@@ -78,7 +70,7 @@ func wireConfig(cfg env.Config) (WireConfig, error) {
 	}, nil
 }
 
-// envConfig rebuilds the env.Config a WireConfig describes.
+// envConfig rebuilds and validates the env.Config a WireConfig describes.
 func (c WireConfig) envConfig() (env.Config, error) {
 	cfg := env.Config{
 		Channels:   c.Channels,
@@ -91,224 +83,118 @@ func (c WireConfig) envConfig() (env.Config, error) {
 		LossJam:    c.LossJam,
 		Seed:       c.Seed,
 	}
-	if c.FaultSpec != "" {
-		inj, err := fault.Parse(c.FaultSpec, c.Seed)
-		if err != nil {
-			return env.Config{}, err
-		}
-		cfg.Faults = inj
-	}
 	if err := cfg.Validate(); err != nil {
 		return env.Config{}, fmt.Errorf("dist: wire config invalid: %w", err)
 	}
 	return cfg, nil
 }
 
-// WireOptions pins the experiments.Options fields that feed a point's cache
-// key. Worker-local fields (parallelism, cache, context) deliberately do not
-// travel: they cannot change results.
+// WireOptions pins the experiments.Options fields that feed a scheme key.
+// Worker-local fields (parallelism, cache, context) and the evaluation
+// length deliberately do not travel: they cannot change a scheme.
 type WireOptions struct {
 	Engine     int   `json:"engine"`
 	TrainSlots int   `json:"train_slots"`
 	Seed       int64 `json:"seed"`
-	Slots      int   `json:"slots"`
 }
 
 // wireOptions extracts the wire-relevant fields of o.
 func wireOptions(o experiments.Options) WireOptions {
-	return WireOptions{
-		Engine:     int(o.Engine),
-		TrainSlots: o.TrainSlots,
-		Seed:       o.Seed,
-		Slots:      o.Slots,
-	}
+	return WireOptions{Engine: int(o.Engine), TrainSlots: o.TrainSlots, Seed: o.Seed}
 }
 
-// options rebuilds worker-side experiments.Options around the wire fields.
-func (w WireOptions) options(ctx context.Context, cache *experiments.Cache, workers int) experiments.Options {
-	return experiments.Options{
-		Engine:     experiments.Engine(w.Engine),
-		TrainSlots: w.TrainSlots,
-		Seed:       w.Seed,
-		Slots:      w.Slots,
-		Workers:    workers,
-		Cache:      cache,
-		Context:    ctx,
-	}
+// options rebuilds the experiments.Options the wire fields describe.
+func (w WireOptions) options() experiments.Options {
+	return experiments.Options{Engine: experiments.Engine(w.Engine), TrainSlots: w.TrainSlots, Seed: w.Seed}
 }
 
-// Unit is one distributable work item: a sweep point, or a scheme training
-// (Train true), plus the options pinning its cache key and the
-// coordinator's canonical key for it.
+// Unit is one distributable work item: the training (or solve) of one RL
+// FH scheme. Key is the scheme cache key ("sc|..."), Opts the options
+// feeding it, and Config the seed-zeroed canonical config: scheme
+// construction never reads the evaluation seed, so every sweep point
+// sharing the scheme reduces to the same payload.
 type Unit struct {
 	Key    string      `json:"key"`
 	Opts   WireOptions `json:"opts"`
-	Config WireConfig  `json:"config,omitempty"`
+	Config WireConfig  `json:"config"`
+}
 
-	// Defense is the point's defense scheme tag (experiments.Point.Defense):
-	// "" for the engine-selected RL FH, or a deterministic baseline tag.
-	// Baseline points carry no SchemeKey — their schemes are rebuilt from the
-	// config alone on whatever worker evaluates them.
-	Defense string `json:"defense,omitempty"`
-
-	// Train marks a scheme-training unit: the worker trains/solves the
-	// scheme the seed-zeroed Config selects under Opts and reports its CTSC
-	// checkpoint as the unit's result instead of evaluating anything.
-	Train bool `json:"train,omitempty"`
-	// SchemeKey, on RL FH point units, is the canonical key of the scheme
-	// the unit plays — the Key of its train unit. Such units are
-	// only dispatched once that train unit is done.
-	SchemeKey string `json:"scheme_key,omitempty"`
-	// Scheme and SchemeFP carry the resolved checkpoint and its fingerprint
-	// inline in every dispatched unit that has a SchemeKey, so the worker
-	// verifies and installs the fleet-trained scheme instead of training.
+// UnitResult reports one completed unit: its CTSC checkpoint and
+// fingerprint, or the error that kept a worker from producing them.
+type UnitResult struct {
+	Key      string `json:"key"`
 	Scheme   []byte `json:"scheme,omitempty"`
 	SchemeFP string `json:"scheme_fp,omitempty"`
+	Err      string `json:"err,omitempty"`
 }
 
-// UnitResult reports one completed unit: its Counters (sweep points) or its
-// CTSC checkpoint and fingerprint (train units), or the error that kept a
-// worker from producing them.
-type UnitResult struct {
-	Key      string           `json:"key"`
-	Counters metrics.Counters `json:"counters"`
-	Scheme   []byte           `json:"scheme,omitempty"`
-	SchemeFP string           `json:"scheme_fp,omitempty"`
-	Err      string           `json:"err,omitempty"`
-}
-
-// payloadError reports why r's payload does not fit the kind of u, or ""
-// when it does: a point result carries no scheme checkpoint, a train result
-// carries one.
-func payloadError(u Unit, r UnitResult) string {
-	switch {
-	case u.Train && r.Scheme == nil:
+// checkpointError reports why a result's checkpoint cannot be accepted, or
+// "" when it can: it must be present, hash to the fingerprint it claims and
+// decode. Neither the coordinator nor a merge trusts the claimed identity.
+func checkpointError(r UnitResult) string {
+	if r.Scheme == nil {
 		return fmt.Sprintf("train unit %s: result missing scheme checkpoint", r.Key)
-	case !u.Train && r.Scheme != nil:
-		return fmt.Sprintf("point unit %s: result carries a scheme checkpoint", r.Key)
 	}
-	return ""
-}
-
-// fingerprintError reports why a train result's checkpoint bytes do not
-// hash to the fingerprint it claims, or "" when they do: neither the
-// coordinator nor a merge trusts the claimed identity.
-func fingerprintError(r UnitResult) string {
 	if fp := core.SchemeFingerprint(r.Scheme); fp != r.SchemeFP {
 		return fmt.Sprintf("scheme %s: claimed fingerprint %s, bytes hash to %s", r.Key, r.SchemeFP, fp)
+	}
+	if _, err := core.DecodeScheme(r.Scheme); err != nil {
+		return fmt.Sprintf("scheme %s: %v", r.Key, err)
 	}
 	return ""
 }
 
 // UnitsFor enumerates the distributable work of the given experiment ids
-// under o in one pass over their cache-backed points, each list sorted by
-// key so every coordinator and shard derives it identically from identical
-// inputs. units holds the sweep points ("pt|..." keys). trains holds one
-// train unit per unique RL FH scheme key they evaluate: its Key is the
-// scheme cache key itself ("sc|..."), and its Config is the seed-zeroed
-// canonical form — scheme construction never reads the evaluation seed, so
-// every config sharing a scheme reduces to the same wire payload. A
-// coordinator leases both lists, so each unique scheme is trained exactly
-// once fleet-wide; static shards split units only.
-func UnitsFor(o experiments.Options, ids []string) (units, trains []Unit, err error) {
+// under o: one train unit per unique RL FH scheme key among their
+// cache-backed sweep points, sorted by key so every coordinator and shard
+// derives the same list from the same inputs. Baseline defenses are
+// deterministic functions of the config, with nothing to train.
+func UnitsFor(o experiments.Options, ids []string) ([]Unit, error) {
 	specs, err := experiments.CachePoints(o, ids)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	wo := wireOptions(o)
 	seen := make(map[string]bool)
+	var units []Unit
 	for _, sp := range specs {
-		wc, err := wireConfig(sp.Config)
-		if err != nil {
-			return nil, nil, err
-		}
-		u := Unit{Key: sp.Key, Opts: wo, Config: wc, Defense: sp.Defense}
-		// An RL FH point names its scheme, and the first one to name it
-		// adds the scheme's train unit; baseline schemes are deterministic
-		// functions of the config, with nothing to train fleet-wide.
-		if sp.Defense == experiments.DefenseRL {
-			u.SchemeKey = experiments.SchemeKey(o, sp.Config)
-			if !seen[u.SchemeKey] {
-				seen[u.SchemeKey] = true
-				tc := wc
-				tc.Seed = 0
-				trains = append(trains, Unit{Key: u.SchemeKey, Opts: wo, Config: tc, Train: true})
-			}
-		}
-		units = append(units, u)
-	}
-	sort.Slice(trains, func(i, j int) bool { return trains[i].Key < trains[j].Key })
-	return units, trains, nil
-}
-
-// importResult installs one completed result into cache under its
-// canonical key, dispatching on the kind of its unit u: Counters into the
-// point cache, a checkpoint into the scheme cache. Only a checkpoint import
-// can fail (it decodes the scheme).
-func importResult(cache *experiments.Cache, u Unit, r UnitResult) error {
-	if u.Train {
-		return cache.ImportScheme(r.Key, r.Scheme)
-	}
-	cache.ImportPoint(r.Key, r.Counters)
-	return nil
-}
-
-// evaluate computes every point unit's result against the local cache,
-// grouping units that share WireOptions into one EvaluatePoints call so
-// sibling points of a shared scheme evaluate in lockstep through the batched
-// inference engine. Each unit's key is recomputed from the decoded payload
-// first; a mismatch (or any evaluation error) is reported per unit rather
-// than failing the batch silently. The returned slice is index-aligned with
-// units.
-func evaluate(ctx context.Context, units []Unit, cache *experiments.Cache, workers int) []UnitResult {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make([]UnitResult, len(units))
-	for i, u := range units {
-		out[i] = UnitResult{Key: u.Key}
-	}
-
-	// Group by wire options, preserving order inside a group.
-	var order []WireOptions
-	groups := make(map[WireOptions][]int)
-	for i, u := range units {
-		if _, ok := groups[u.Opts]; !ok {
-			order = append(order, u.Opts)
-		}
-		groups[u.Opts] = append(groups[u.Opts], i)
-	}
-
-	for _, wo := range order {
-		idxs := groups[wo]
-		o := wo.options(ctx, cache, workers)
-		pts := make([]experiments.Point, 0, len(idxs))
-		ok := idxs[:0:0]
-		for _, i := range idxs {
-			cfg, err := units[i].Config.envConfig()
-			if err != nil {
-				out[i].Err = err.Error()
-				continue
-			}
-			p := experiments.Point{Config: cfg, Defense: units[i].Defense}
-			if got := experiments.PointKey(o, p); got != units[i].Key {
-				out[i].Err = fmt.Sprintf("dist: key mismatch: coordinator sent %q, worker derives %q", units[i].Key, got)
-				continue
-			}
-			ok = append(ok, i)
-			pts = append(pts, p)
-		}
-		if len(ok) == 0 {
+		if sp.Defense != experiments.DefenseRL {
 			continue
 		}
-		counters, err := experiments.EvaluatePoints(o, pts)
-		for j, i := range ok {
-			if err != nil {
-				out[i].Err = err.Error()
-			} else {
-				out[i].Counters = counters[j]
-			}
+		key := experiments.SchemeKey(o, sp.Config)
+		if seen[key] {
+			continue
 		}
+		seen[key] = true
+		cfg := sp.Config
+		cfg.Seed = 0
+		wc, err := wireConfig(cfg)
+		if err != nil {
+			return nil, err
+		}
+		units = append(units, Unit{Key: key, Opts: wo, Config: wc})
 	}
-	return out
+	sort.Slice(units, func(i, j int) bool { return units[i].Key < units[j].Key })
+	return units, nil
+}
+
+// train runs one unit against cache: it recomputes the scheme key from the
+// decoded payload, refuses a mismatch, and trains the scheme (or returns the
+// checkpoint cache already holds). Workers and static shards both train
+// through here.
+func train(ctx context.Context, cache *experiments.Cache, u Unit) UnitResult {
+	cfg, err := u.Config.envConfig()
+	if err != nil {
+		return UnitResult{Key: u.Key, Err: err.Error()}
+	}
+	o := u.Opts.options()
+	if got := experiments.SchemeKey(o, cfg); got != u.Key {
+		return UnitResult{Key: u.Key, Err: fmt.Sprintf(
+			"dist: key mismatch: coordinator sent %q, worker derives %q", u.Key, got)}
+	}
+	_, blob, err := cache.TrainScheme(ctx, o, cfg)
+	if err != nil {
+		return UnitResult{Key: u.Key, Err: err.Error()}
+	}
+	return UnitResult{Key: u.Key, Scheme: blob, SchemeFP: core.SchemeFingerprint(blob)}
 }

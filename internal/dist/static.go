@@ -11,16 +11,14 @@ import (
 	"strings"
 
 	"ctjam/internal/atomicfile"
-	"ctjam/internal/core"
 	"ctjam/internal/experiments"
+	"ctjam/internal/parallel"
 )
 
 // Spool is the on-disk exchange format of static (networkless) sharding: one
-// shard's results, tagged with its place in the shard set so a merge can
-// verify it is combining a complete, consistent partition. Besides the
-// shard's point results, Results holds one train result (scheme key, CTSC
-// bytes, fingerprint) per scheme the shard trained, so a merge completes the
-// train units of the ledger (and reuses the schemes) without retraining.
+// shard's results — scheme key, CTSC bytes and fingerprint per unit it owns
+// — tagged with its place in the shard set so a merge can verify it is
+// combining a complete, consistent partition.
 type Spool struct {
 	Shard   int          `json:"shard"`
 	Shards  int          `json:"shards"`
@@ -34,12 +32,10 @@ func SpoolName(shard, shards int) string {
 }
 
 // ShardUnits returns the units shard index owns under a static partition of
-// the sorted unit list. The units that share a SchemeKey form one group and
-// every other (baseline) unit is a group of its own; the groups are dealt
-// round-robin in the order of their first unit, group g to shard g%shards.
-// So exactly one shard trains each scheme, and every process derives the
-// same partition from the same (Options, ids) inputs — no coordination
-// needed.
+// the sorted unit list: unit i goes to shard i%shards. Every unit is a
+// distinct scheme, so exactly one shard trains each scheme, and every
+// process derives the same partition from the same (Options, ids) inputs —
+// no coordination needed.
 func ShardUnits(units []Unit, shard, shards int) ([]Unit, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("dist: shards must be positive, got %d", shards)
@@ -47,30 +43,19 @@ func ShardUnits(units []Unit, shard, shards int) ([]Unit, error) {
 	if shard < 0 || shard >= shards {
 		return nil, fmt.Errorf("dist: shard index %d out of range [0,%d)", shard, shards)
 	}
-	groupOf := make(map[string]int)
-	groups := 0
 	var out []Unit
-	for _, u := range units {
-		g, ok := groupOf[u.SchemeKey]
-		if !ok {
-			g = groups
-			groups++
-			if u.SchemeKey != "" {
-				groupOf[u.SchemeKey] = g
-			}
-		}
-		if g%shards == shard {
-			out = append(out, u)
-		}
+	for i := shard; i < len(units); i += shards {
+		out = append(out, units[i])
 	}
 	return out, nil
 }
 
-// RunShard evaluates shard index's slice of the work list for (o, ids) and
-// writes the spool file to path atomically. Any unit that fails to evaluate
-// fails the shard: a spool on disk means every result in it is good.
+// RunShard trains shard index's slice of the work list for (o, ids) over
+// o.Workers goroutines and writes the spool file to path atomically. Any
+// unit that fails fails the shard: a spool on disk means every result in it
+// is good.
 func RunShard(ctx context.Context, o experiments.Options, ids []string, shard, shards int, path string) (int, error) {
-	units, _, err := UnitsFor(o, ids)
+	units, err := UnitsFor(o, ids)
 	if err != nil {
 		return 0, err
 	}
@@ -78,16 +63,9 @@ func RunShard(ctx context.Context, o experiments.Options, ids []string, shard, s
 	if err != nil {
 		return 0, err
 	}
-	cache := experiments.NewCache()
-	results := evaluate(ctx, mine, cache, o.Workers)
-	for _, r := range results {
-		if r.Err != "" {
-			return 0, fmt.Errorf("dist: shard %d/%d: unit %s: %s", shard, shards, r.Key, r.Err)
-		}
-	}
-	n := len(results)
-	for _, sb := range cache.ExportSchemes() {
-		results = append(results, UnitResult{Key: sb.Key, Scheme: sb.Data, SchemeFP: core.SchemeFingerprint(sb.Data)})
+	results, err := trainAll(ctx, o.Workers, mine)
+	if err != nil {
+		return 0, fmt.Errorf("dist: shard %d/%d: %w", shard, shards, err)
 	}
 	sp := Spool{Shard: shard, Shards: shards, Results: results}
 	err = atomicfile.WriteFile(path, 0o644, func(w io.Writer) error {
@@ -98,7 +76,21 @@ func RunShard(ctx context.Context, o experiments.Options, ids []string, shard, s
 	if err != nil {
 		return 0, err
 	}
-	return n, nil
+	return len(results), nil
+}
+
+// trainAll trains units over workers goroutines against one cache, the
+// shard path's counterpart of a worker's poll loop, and fails on the first
+// unit that fails.
+func trainAll(ctx context.Context, workers int, units []Unit) ([]UnitResult, error) {
+	cache := experiments.NewCache()
+	return parallel.Map(workers, len(units), func(i int) (UnitResult, error) {
+		r := train(ctx, cache, units[i])
+		if r.Err != "" {
+			return r, fmt.Errorf("unit %s: %s", r.Key, r.Err)
+		}
+		return r, nil
+	})
 }
 
 // ReplaySpools fills the ledger from the spool files of one complete shard
@@ -106,11 +98,9 @@ func RunShard(ctx context.Context, o experiments.Options, ids []string, shard, s
 // nothing left to lease. Each result goes through record, the rules a
 // POST /v1/result meets, so the merge keeps only the checks on the shard
 // set itself: spools exist, agree on the shard count and hold every index
-// 0..shards-1 exactly once, and no result carries an error or reports a
-// point unit that is already done (record would take that for a retried
-// lease). A train unit's checkpoint may come from every shard that trained
-// it, with identical bytes. Call it on a fresh coordinator, then
-// ImportInto.
+// 0..shards-1 exactly once, and no result carries an error. As with a
+// retried lease, a unit's checkpoint may arrive more than once, with
+// identical bytes. Call it on a fresh coordinator, then ImportInto.
 func (c *Coordinator) ReplaySpools(dir string) error {
 	matches, err := filepath.Glob(filepath.Join(dir, "shard-*-of-*.json"))
 	if err != nil {
@@ -175,18 +165,12 @@ func (c *Coordinator) replay(r UnitResult) error {
 	if r.Err != "" {
 		return fmt.Errorf("unit %s carries error: %s", r.Key, r.Err)
 	}
-	c.mu.Lock()
-	st := c.states[r.Key]
-	dup := st != nil && st.done && !st.unit.Train
-	c.mu.Unlock()
-	if dup {
-		return fmt.Errorf("unit %s already imported from another result", r.Key)
-	}
 	if _, rejected := c.record([]UnitResult{r}); len(rejected) == 0 {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	st := c.states[r.Key]
 	switch {
 	case st == nil:
 		return fmt.Errorf("unit %s is not in the work list", r.Key)

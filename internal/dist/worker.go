@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"time"
 
-	"ctjam/internal/core"
 	"ctjam/internal/experiments"
 )
 
@@ -19,8 +18,6 @@ type WorkerOptions struct {
 	// ID names the worker in protocol requests — diagnostics only, results
 	// are keyed by unit.
 	ID string
-	// Workers is the local evaluation parallelism (default GOMAXPROCS).
-	Workers int
 	// PollInterval paces polls that return no work and no retry hint
 	// (default 500ms).
 	PollInterval time.Duration
@@ -46,9 +43,10 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 // processes forever.
 const maxConsecutiveFailures = 10
 
-// Worker pulls units from a coordinator, evaluates them against a persistent
-// local cache (so sibling points reuse trained schemes across polls), and
-// reports results until the coordinator declares the run done.
+// Worker pulls train units from a coordinator, trains them one at a time
+// against a local cache (so a unit leased to it again is not retrained), and
+// reports each checkpoint until the coordinator declares the run done. Run
+// one worker per core to train in parallel.
 type Worker struct {
 	base  string
 	opts  WorkerOptions
@@ -66,49 +64,48 @@ func NewWorker(baseURL string, opts WorkerOptions) *Worker {
 }
 
 // CacheStats reports the worker's local cache counters — most usefully
-// SchemeBuilds (schemes trained here) versus SchemeImports (checkpoints
-// shipped by the coordinator instead of retrained).
+// SchemeBuilds, the schemes trained here.
 func (w *Worker) CacheStats() experiments.CacheStats {
 	return w.cache.Stats()
 }
 
-// Run polls, evaluates, and reports until the run completes, ctx ends, or
+// Run polls, trains, and reports until the run completes, ctx ends, or
 // the coordinator is unreachable maxConsecutiveFailures times in a row.
 // A coordinator that vanishes after the worker has completed at least one
 // round-trip is treated as a finished run (the coordinator tears its
 // listener down once all results are in), not an error: the coordinator
 // process is the sole authority on run success. Returns the number of units
-// evaluated.
+// trained.
 func (w *Worker) Run(ctx context.Context) (int, error) {
-	evaluated := 0
+	trained := 0
 	failures := 0
 	connected := false
 	unreachable := func(err error) (int, error) {
 		if connected {
-			return evaluated, nil
+			return trained, nil
 		}
-		return evaluated, fmt.Errorf("dist: worker %s: coordinator unreachable: %w", w.opts.ID, err)
+		return trained, fmt.Errorf("dist: worker %s: coordinator unreachable: %w", w.opts.ID, err)
 	}
 	for {
 		var poll pollResponse
 		err := w.post(ctx, "/v1/poll", pollRequest{Worker: w.opts.ID}, &poll)
 		if err != nil {
 			if ctx.Err() != nil {
-				return evaluated, ctx.Err()
+				return trained, ctx.Err()
 			}
 			failures++
 			if failures >= maxConsecutiveFailures {
 				return unreachable(err)
 			}
 			if !sleep(ctx, w.opts.PollInterval) {
-				return evaluated, ctx.Err()
+				return trained, ctx.Err()
 			}
 			continue
 		}
 		failures = 0
 		connected = true
 		if poll.Done {
-			return evaluated, nil
+			return trained, nil
 		}
 		if len(poll.Units) == 0 {
 			d := w.opts.PollInterval
@@ -116,46 +113,23 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 				d = time.Duration(poll.RetryMS) * time.Millisecond
 			}
 			if !sleep(ctx, d) {
-				return evaluated, ctx.Err()
+				return trained, ctx.Err()
 			}
 			continue
 		}
 
-		// Point units first install their inlined scheme checkpoint so
-		// evaluation reuses the fleet-trained scheme instead of training
-		// locally.
-		var results []UnitResult
-		var evals []Unit
+		// Report each checkpoint as soon as it is trained, so a worker that
+		// dies mid-poll loses only the units it had not finished.
 		done := false
 		for _, u := range poll.Units {
-			if u.Train {
-				// Report each checkpoint as soon as it is trained, so units
-				// gated on it are not held behind the rest of this poll.
-				evaluated++
-				if done, err = w.report(ctx, []UnitResult{w.train(ctx, u)}); err != nil || done {
-					break
-				}
-				continue
-			}
-			if res := w.installScheme(u); res != nil {
-				results = append(results, *res)
-				continue
-			}
-			evals = append(evals, u)
-		}
-		if err == nil && !done {
-			if len(evals) > 0 {
-				er := evaluate(ctx, evals, w.cache, w.opts.Workers)
-				evaluated += len(er)
-				results = append(results, er...)
-			}
-			if len(results) > 0 {
-				done, err = w.report(ctx, results)
+			trained++
+			if done, err = w.report(ctx, []UnitResult{train(ctx, w.cache, u)}); err != nil || done {
+				break
 			}
 		}
 		if err != nil {
 			if ctx.Err() != nil {
-				return evaluated, ctx.Err()
+				return trained, ctx.Err()
 			}
 			// Losing a result report is recoverable: the lease expires and
 			// another worker (or this one) recomputes the same pure result.
@@ -166,7 +140,7 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 			continue
 		}
 		if done {
-			return evaluated, nil
+			return trained, nil
 		}
 	}
 }
@@ -183,48 +157,6 @@ func (w *Worker) report(ctx context.Context, results []UnitResult) (bool, error)
 		return false, nil
 	}
 	return res.Done, err
-}
-
-// train runs one train unit: recompute the scheme key from the wire payload
-// and train (or reuse) the scheme. The result carries its CTSC checkpoint
-// and fingerprint, or the error that kept the worker from producing them.
-func (w *Worker) train(ctx context.Context, u Unit) UnitResult {
-	cfg, err := u.Config.envConfig()
-	if err != nil {
-		return UnitResult{Key: u.Key, Err: err.Error()}
-	}
-	o := u.Opts.options(ctx, w.cache, w.opts.Workers)
-	if got := experiments.SchemeKey(o, cfg); got != u.Key {
-		return UnitResult{Key: u.Key, Err: fmt.Sprintf(
-			"dist: key mismatch: coordinator sent %q, worker derives %q", u.Key, got)}
-	}
-	_, blob, err := w.cache.TrainScheme(ctx, o, cfg)
-	if err != nil {
-		return UnitResult{Key: u.Key, Err: err.Error()}
-	}
-	return UnitResult{Key: u.Key, Scheme: blob, SchemeFP: core.SchemeFingerprint(blob)}
-}
-
-// installScheme makes the scheme a point unit plays resolvable from the
-// local cache before evaluation: a no-op when the coordinator shipped no
-// checkpoint (baseline defenses) or the scheme is already installed,
-// otherwise the inlined checkpoint is fingerprint-verified and imported. A
-// non-nil result is the unit-level error to report instead of evaluating.
-func (w *Worker) installScheme(u Unit) *UnitResult {
-	if u.Scheme == nil {
-		return nil
-	}
-	if _, ok := w.cache.SchemeBytes(u.SchemeKey); ok {
-		return nil
-	}
-	if fp := core.SchemeFingerprint(u.Scheme); fp != u.SchemeFP {
-		return &UnitResult{Key: u.Key, Err: fmt.Sprintf(
-			"dist: scheme %s: received fingerprint %s, coordinator promised %s", u.SchemeKey, fp, u.SchemeFP)}
-	}
-	if err := w.cache.ImportScheme(u.SchemeKey, u.Scheme); err != nil {
-		return &UnitResult{Key: u.Key, Err: err.Error()}
-	}
-	return nil
 }
 
 // httpError is a non-200 protocol answer: the coordinator was reachable and

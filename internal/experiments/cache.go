@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"ctjam/internal/core"
@@ -33,7 +32,9 @@ import (
 //     trained scheme and are evaluated in lockstep through env.BatchRun.
 //     The field panels' RL FH runs play the Table I scheme from here too
 //     (see runFieldSpecs); the field runs themselves are cheap and not
-//     memoized.
+//     memoized. A distributed run fills this table with the fleet's
+//     checkpoints (ImportScheme) before the experiments run, so the
+//     printing process evaluates every point but trains nothing.
 //
 // Both are instances of one memo table type, so they share one
 // claim/fill/wait protocol and one pair of hit/miss counters each.
@@ -49,14 +50,15 @@ type Cache struct {
 	points  memo[metrics.Counters]
 	schemes memo[builtScheme]
 
-	schemeBuilds  atomic.Int64
-	schemeImports atomic.Int64
+	schemeBuilds    atomic.Int64
+	schemeImports   atomic.Int64
+	schemeBaselines atomic.Int64
 }
 
 // builtScheme is one memoized trained/solved scheme. blob is the scheme's
 // canonical CTSC checkpoint (see internal/core DecodeScheme): locally built
 // schemes keep the bytes they were rebuilt from, imported ones the bytes
-// they were installed from, so any resolved entry can be exported. Baseline
+// they were installed from, so any resolved entry can be shipped. Baseline
 // schemes carry no blob.
 type builtScheme struct {
 	s    *policy.Scheme
@@ -74,28 +76,31 @@ type CacheStats struct {
 	PointHits int64
 	// PointMisses counts points this cache had to compute.
 	PointMisses int64
-	// Schemes counts unique trained/solved schemes held.
+	// Schemes counts unique schemes held. Once every build has finished,
+	// it is the sum of the three counts below.
 	Schemes int
 	// SchemeBuilds counts schemes this cache trained or solved locally.
-	// Deterministic baseline schemes (Point.Defense != "") are excluded:
-	// they carry no checkpoint, every process rebuilds them from the config
-	// in microseconds, and counting them would break the fleet accounting.
 	// SchemeImports counts schemes installed from an external checkpoint
-	// (a coordinator's scheme store or a merged spool) instead of training.
+	// (a coordinator's ledger or a merged spool) instead of training.
 	// Fleet-wide, the sum of SchemeBuilds across workers equals the number
 	// of unique trainable scheme keys when checkpoint distribution works.
-	SchemeBuilds  int64
-	SchemeImports int64
+	// SchemeBaselines counts the deterministic baseline schemes
+	// (Point.Defense != ""): they carry no checkpoint, and every process
+	// rebuilds them from the config in microseconds.
+	SchemeBuilds    int64
+	SchemeImports   int64
+	SchemeBaselines int64
 }
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() CacheStats {
 	return CacheStats{
-		PointHits:     c.points.hits.Load(),
-		PointMisses:   c.points.misses.Load(),
-		Schemes:       c.schemes.len(),
-		SchemeBuilds:  c.schemeBuilds.Load(),
-		SchemeImports: c.schemeImports.Load(),
+		PointHits:       c.points.hits.Load(),
+		PointMisses:     c.points.misses.Load(),
+		Schemes:         c.schemes.len(),
+		SchemeBuilds:    c.schemeBuilds.Load(),
+		SchemeImports:   c.schemeImports.Load(),
+		SchemeBaselines: c.schemeBaselines.Load(),
 	}
 }
 
@@ -103,16 +108,16 @@ func (c *Cache) Stats() CacheStats {
 // Concurrent requests for an in-flight key block until the build finishes or
 // their context ends — a dead builder elsewhere must not wedge waiters. The
 // build also yields the scheme's canonical checkpoint bytes, kept alongside
-// the entry for export.
+// the entry (see SchemeBytes).
 func (c *Cache) scheme(ctx context.Context, key string, build func() (*policy.Scheme, []byte, error)) (*policy.Scheme, error) {
 	e, claimed := c.schemes.claim(key)
 	if claimed {
 		s, blob, err := build()
-		if blob != nil {
-			// Only checkpoint-bearing (trained/solved) schemes count toward
-			// the fleet-wide build accounting; blobless baseline schemes are
-			// rebuilt wherever needed.
+		switch {
+		case blob != nil:
 			c.schemeBuilds.Add(1)
+		case err == nil:
+			c.schemeBaselines.Add(1)
 		}
 		e.fill(builtScheme{s: s, blob: blob}, err)
 	}
@@ -149,27 +154,6 @@ func (c *Cache) ImportScheme(key string, blob []byte) error {
 	return nil
 }
 
-// SchemeBlob is one exported scheme checkpoint: the canonical cache key and
-// the CTSC bytes resolving it.
-type SchemeBlob struct {
-	Key  string
-	Data []byte
-}
-
-// ExportSchemes returns every resolved scheme checkpoint the cache holds,
-// sorted by key. Static-mode spool shards persist these so a merge can
-// complete the run's train units without retraining.
-func (c *Cache) ExportSchemes() []SchemeBlob {
-	var out []SchemeBlob
-	for k, b := range c.schemes.values() {
-		if b.blob != nil {
-			out = append(out, SchemeBlob{Key: k, Data: b.blob})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
 // SchemeKey returns the canonical scheme cache key of one RL FH sweep point
 // under o, applying the same option defaulting Run does. This is the unit key
 // of distributed train units: the coordinator derives it from CachePoints
@@ -180,10 +164,10 @@ func SchemeKey(o Options, cfg env.Config) string {
 }
 
 // TrainScheme trains (or solves) the scheme one sweep point evaluates and
-// returns its canonical key and checkpoint bytes. The result is installed in
-// the cache, so a worker that later evaluates points of the same scheme
-// reuses it without a fetch. If the key is already resolved — trained
-// earlier, or imported — the held checkpoint is returned without retraining.
+// returns its canonical key and checkpoint bytes: the compute of one
+// distributed train unit. The result is installed in the cache, so if the
+// key is already resolved — trained earlier, or imported — the held
+// checkpoint is returned without retraining.
 func (c *Cache) TrainScheme(ctx context.Context, o Options, cfg env.Config) (key string, blob []byte, err error) {
 	o = o.withFloor()
 	if ctx == nil {
@@ -200,15 +184,6 @@ func (c *Cache) TrainScheme(ctx context.Context, o Options, cfg env.Config) (key
 		return key, nil, fmt.Errorf("experiments: scheme %s resolved without checkpoint bytes", key)
 	}
 	return key, blob, nil
-}
-
-// ImportPoint installs an externally computed point result — a distributed
-// worker's Counters — under its canonical key (see PointKey). Point results
-// are pure functions of their keys, so importing a key that is already
-// resolved is a no-op (the stored value is identical by construction), and a
-// key that is locally in flight is left for its claimant to fill.
-func (c *Cache) ImportPoint(key string, counters metrics.Counters) {
-	c.points.put(key, counters)
 }
 
 // pointKey is the canonical fingerprint of one sweep point: everything that
@@ -319,8 +294,8 @@ func buildSchemeFor(o Options, p Point) (*policy.Scheme, []byte, error) {
 
 // buildScheme trains the scheme and returns it together with its canonical
 // checkpoint bytes. The returned scheme is rebuilt from the encoded blob —
-// not taken from the live trainer — so a local trainer and a remote worker
-// installing the same checkpoint run byte-identical schemes by construction.
+// not taken from the live trainer — so a local trainer and a process
+// importing the same checkpoint run byte-identical schemes by construction.
 func buildScheme(o Options, cfg env.Config) (*policy.Scheme, []byte, error) {
 	ck, _, err := schemeCheckpoint(o, cfg)
 	if err != nil {
@@ -429,8 +404,8 @@ func runPoints(o Options, pts []Point, label func(i int) string) ([]metrics.Coun
 	var firstErr error
 	for i, e := range entries {
 		// Entries claimed by a concurrent run may still be in flight; the
-		// wait is context-bounded so a claimant that died elsewhere (e.g. a
-		// lost distributed worker) cannot wedge this caller forever.
+		// wait is context-bounded so a claimant that never fills its entry
+		// cannot wedge this caller forever.
 		c, werr := e.wait(ctx, "sweep point")
 		if werr != nil {
 			if firstErr == nil {

@@ -54,7 +54,7 @@ func TestEngineKeysPinned(t *testing.T) {
 	o.TrainSlots = 600
 	p := Point{Config: cfg}
 	for _, c := range []struct{ name, got, want string }{
-		{"point", PointKey(o, p), "pt|" + fmt.Sprintf(cfgFP, 1) + "|eng=2|fast=false|train=600|seed=5|slots=600"},
+		{"point", pointKey(o.withFloor(), p), "pt|" + fmt.Sprintf(cfgFP, 1) + "|eng=2|fast=false|train=600|seed=5|slots=600"},
 		{"scheme", schemeKey(o.withFloor(), p), "sc|" + fmt.Sprintf(cfgFP, 0) + "|eng=2|fast=false|train=600|seed=5"},
 	} {
 		if c.got != c.want {

@@ -75,8 +75,8 @@ type Options struct {
 	// field, so one cache may serve runs with different options. nil gets
 	// a private per-run cache (no cross-run reuse).
 	Cache *Cache
-	// Context bounds waits on cache entries another goroutine (or, in
-	// distributed runs, another process) claimed but has not filled yet.
+	// Context bounds waits on cache entries another goroutine claimed but
+	// has not filled yet.
 	// When it ends, waiters return its error instead of blocking forever —
 	// the safety net against a dead claimant wedging a run. nil means
 	// context.Background() (wait indefinitely). It is not part of any

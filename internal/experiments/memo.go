@@ -84,19 +84,6 @@ func (m *memo[V]) get(key string) (V, bool) {
 	return e.v, true
 }
 
-// values returns the value of every resolved, successful entry by key.
-func (m *memo[V]) values() map[string]V {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]V, len(m.entries))
-	for k, e := range m.entries {
-		if e.resolved() && e.err == nil {
-			out[k] = e.v
-		}
-	}
-	return out
-}
-
 // len returns the number of keys held, resolved or in flight.
 func (m *memo[V]) len() int {
 	m.mu.Lock()

@@ -28,11 +28,11 @@ func TestResolvedWaitIgnoresCancelledContext(t *testing.T) {
 		{
 			name: "point",
 			resolve: func(c *Cache) error {
-				c.ImportPoint(pointKey(o, Point{Config: cfg}), metrics.Counters{Slots: 7})
+				c.points.put(pointKey(o, Point{Config: cfg}), metrics.Counters{Slots: 7})
 				return nil
 			},
 			lookup: func(c *Cache) error {
-				_, err := EvaluatePoints(cancelled, []Point{{Config: cfg}})
+				_, err := evalPoints(cancelled, []Point{{Config: cfg}})
 				return err
 			},
 		},
@@ -87,12 +87,11 @@ func TestImportLeavesInFlightKeyToClaimant(t *testing.T) {
 		o.Cache = c
 		key := pointKey(o, Point{Config: cfg})
 		e, _ := c.points.claim(key)
-		c.ImportPoint(key, metrics.Counters{Slots: 1})
-		if e.resolved() {
-			t.Fatal("ImportPoint resolved an in-flight key")
+		if c.points.put(key, metrics.Counters{Slots: 1}) || e.resolved() {
+			t.Fatal("put resolved an in-flight key")
 		}
 		e.fill(metrics.Counters{Slots: 2}, nil)
-		got, err := EvaluatePoints(o, []Point{{Config: cfg}})
+		got, err := evalPoints(o, []Point{{Config: cfg}})
 		if err != nil {
 			t.Fatal(err)
 		}

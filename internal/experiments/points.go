@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"fmt"
 	"sort"
 
 	"ctjam/internal/env"
-	"ctjam/internal/metrics"
 )
 
 // Point is one cache-backed unit of sweep evaluation: an environment (which
@@ -31,8 +29,8 @@ const (
 
 // PointSpec identifies one unique cache-backed sweep point: the point it
 // evaluates plus the canonical cache key binding it to one Options budget.
-// Specs are the unit of work distributed execution ships between processes
-// (see internal/dist).
+// Distributed execution derives its train units from the RL FH specs (see
+// internal/dist).
 type PointSpec struct {
 	// Key is the canonical point fingerprint — the Cache memoization key.
 	// It covers the point and every Options field that feeds it, so equal
@@ -42,15 +40,6 @@ type PointSpec struct {
 	Config env.Config
 	// Defense is the point's defense scheme tag ("" = engine RL FH).
 	Defense string
-}
-
-// PointKey returns the canonical cache key of one sweep point under o,
-// applying the same option defaulting Run does. Workers recompute it from
-// the wire-decoded (Options, Point) pair and compare against the
-// coordinator's key, so any codec or version drift is caught before a wrong
-// result can be imported.
-func PointKey(o Options, p Point) string {
-	return pointKey(o.withFloor(), p)
 }
 
 // CachePoints enumerates the unique cache-backed sweep points the given
@@ -63,9 +52,9 @@ func PointKey(o Options, p Point) string {
 // Ids whose compute is not cache-backed (fig2b, fig9-10, field, stealth,
 // train) contribute nothing; unknown ids return ErrUnknownExperiment.
 //
-// The sorted order is the deterministic work-assignment order of distributed
-// execution: shards and coordinators derive identical lists from identical
-// (Options, ids) inputs, independent of registration or arrival order.
+// The sorted order makes the list, and the train units derived from it,
+// identical in every process given identical (Options, ids) inputs,
+// independent of registration order.
 func CachePoints(o Options, ids []string) ([]PointSpec, error) {
 	o = o.withFloor()
 	seen := make(map[string]bool)
@@ -89,18 +78,6 @@ func CachePoints(o Options, ids []string) ([]PointSpec, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out, nil
-}
-
-// EvaluatePoints computes the Counters of the given points under o, through
-// the shared point cache (o.Cache, or a private one when nil). This is the
-// worker-side entry point of distributed execution: results are bit-identical
-// to the same points' evaluation inside a single-process Run, because both
-// paths are runPoints over canonical keys.
-func EvaluatePoints(o Options, pts []Point) ([]metrics.Counters, error) {
-	o = o.withFloor()
-	return runPoints(o, pts, func(i int) string {
-		return fmt.Sprintf("point %s", pts[i].Config.Fingerprint())
-	})
 }
 
 // asPoints wraps bare environment configs as RL FH points — the defense every

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -11,6 +12,11 @@ import (
 	"ctjam/internal/metrics"
 	"ctjam/internal/policy"
 )
+
+// evalPoints evaluates pts under o through the point memo, as Run does.
+func evalPoints(o Options, pts []Point) ([]metrics.Counters, error) {
+	return runPoints(o.withFloor(), pts, func(i int) string { return fmt.Sprintf("point %d", i) })
+}
 
 func pointOptions() Options {
 	return Options{
@@ -78,49 +84,9 @@ func TestPointKeyMatchesCachePoints(t *testing.T) {
 		t.Fatalf("table1 yields %d points, want 2", len(specs))
 	}
 	for _, sp := range specs {
-		if got := PointKey(o, Point{Config: sp.Config, Defense: sp.Defense}); got != sp.Key {
-			t.Errorf("PointKey = %q, CachePoints key = %q", got, sp.Key)
+		if got := pointKey(o.withFloor(), Point{Config: sp.Config, Defense: sp.Defense}); got != sp.Key {
+			t.Errorf("pointKey = %q, CachePoints key = %q", got, sp.Key)
 		}
-	}
-}
-
-func TestImportPointServesCacheHits(t *testing.T) {
-	o := pointOptions()
-	specs, err := CachePoints(o, []string{"table1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := make([]Point, len(specs))
-	for i, sp := range specs {
-		pts[i] = Point{Config: sp.Config, Defense: sp.Defense}
-	}
-
-	o1 := o
-	o1.Cache = NewCache()
-	want, err := EvaluatePoints(o1, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	imported := NewCache()
-	for i, sp := range specs {
-		imported.ImportPoint(sp.Key, want[i])
-	}
-	// Re-importing an existing key is a no-op: results are pure functions of
-	// the key, the first import stands.
-	imported.ImportPoint(specs[0].Key, metrics.Counters{Slots: -1})
-
-	o2 := o
-	o2.Cache = imported
-	got, err := EvaluatePoints(o2, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("imported cache served different counters:\ngot  %+v\nwant %+v", got, want)
-	}
-	if st := imported.Stats(); st.PointMisses != 0 {
-		t.Errorf("evaluation against a fully imported cache computed %d points", st.PointMisses)
 	}
 }
 
@@ -147,7 +113,7 @@ func TestRunPointsContextCancel(t *testing.T) {
 	for i, sp := range specs {
 		pts[i] = Point{Config: sp.Config, Defense: sp.Defense}
 	}
-	_, err = EvaluatePoints(o, pts)
+	_, err = evalPoints(o, pts)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("waiting on a dead claimant: err = %v, want deadline exceeded", err)
 	}

@@ -166,7 +166,7 @@ const table1SeedCount = 6
 // and deduplicates against it. All replicas of one mode share a scheme key —
 // scheme construction never reads the evaluation seed — which makes this the
 // registry's scheme-reuse workload: a distributed run trains each mode's
-// scheme once fleet-wide and ships the checkpoint to every replica point.
+// scheme once fleet-wide, and every replica point plays that checkpoint.
 func table1SeedConfigs(o Options) []env.Config {
 	cfgs := make([]env.Config, 0, len(sweepModes)*table1SeedCount)
 	for _, md := range sweepModes {
